@@ -109,7 +109,12 @@ MaxDiagonalSet = Union[SingletonDiagonal, ZeroOnly, DiagonalCurve]
 
 
 def make_effect(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:
-    """Certify 0 <= A <= I; OutOfInterval carries the offending eigenvalue."""
+    """Certify 0 <= A <= I; OutOfInterval carries the offending eigenvalue.
+
+    The Cholesky certificate settles inputs clear of the gates without a
+    spectrum; the rest go to eigvalsh, which reaches the same verdict."""
+    if linalg._certified_within(A.a, -tol.psd_tol, 1.0 + tol.psd_tol, tol):
+        return Effect(mat=A)
     lam = linalg.eigvalsh(A, tol)
     if float(lam[0]) < -tol.psd_tol:
         raise OutOfInterval(f"eigenvalue {lam[0]!r} below 0", offending_eigenvalue=float(lam[0]))
@@ -123,37 +128,19 @@ def _require_psd(A: SymMat, tol: Tolerances, who: str) -> None:
         raise NotPSD(f"{who} must be positive semidefinite")
 
 
-def _strength_bisection_local(A: SymMat, P: RankOneProjection, tol: Tolerances) -> float:
-    # Boundary fallback only; the test-side oracle lives in loewner.oracle
-    # and stays independent of this module.
-    lo, hi = 0.0, linalg.spectral_norm(A, tol) + 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if linalg.loewner_le(SymMat(mid * P.mat.a), A, tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> float:
     """max { t : t P <= A } for PSD A and a rank-one projection P.
 
     Closed form: 0 when the direction of P leaves the range of A, else
-    1 / <A+ x, x>. When <A+ x, x> sits inside 10 * rank_tol of zero the
-    result is resolved by bisection instead (two-tier rule for inputs at
-    the range boundary).
+    1 / <A+ x, x>. One spectrum: pinv_and_range raises NotPSD for an
+    input that is not PSD.
     """
     if A.n != P.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
-    _require_psd(A, tol, "strength input")
     pinv, in_range = linalg.pinv_and_range(A, tol)
     if not in_range(P.x):
         return 0.0
-    g = float(P.x @ pinv.a @ P.x)
-    if abs(g) < 10.0 * tol.rank_tol:
-        return _strength_bisection_local(A, P, tol)
-    return 1.0 / g
+    return 1.0 / float(P.x @ pinv.a @ P.x)
 
 
 def strength_witness(

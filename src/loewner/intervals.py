@@ -12,7 +12,7 @@ closed finite endpoints mapped exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -192,22 +192,19 @@ PrimitiveMap = Union[Translate, Congruence, Invert, Negate]
 
 @dataclass(frozen=True)
 class MapChain:
-    """A sequence of primitive maps applied left to right; parity is True
-    exactly when the composite reverses order (odd count of reversing
-    steps)."""
+    """A sequence of primitive maps applied left to right."""
 
     steps: Tuple[PrimitiveMap, ...]
-    parity: bool = field(default=False)
 
-    def __post_init__(self):
-        expected = sum(1 for s in self.steps if s.reverses) % 2 == 1
-        if self.parity != expected:
-            raise InvalidSpec("parity flag does not match the steps")
+    @property
+    def parity(self) -> bool:
+        """True exactly when the composite reverses order (odd count of
+        reversing steps)."""
+        return sum(step.reverses for step in self.steps) % 2 == 1
 
 
 def chain_of(*steps: PrimitiveMap) -> MapChain:
-    parity = sum(1 for s in steps if s.reverses) % 2 == 1
-    return MapChain(steps=tuple(steps), parity=parity)
+    return MapChain(steps=steps)
 
 
 def classify(spec: IntervalSpec) -> CanonicalClass:

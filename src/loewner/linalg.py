@@ -5,14 +5,17 @@ calculus.
 Every operation here is a pure function over immutable values. The
 eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
 small dimensions this package targets; nothing in this module calls into
-LAPACK.
+LAPACK. Order predicates that only need the sign of lambda_min minus a
+gate are first decided by a shifted Cholesky certificate (_certify) and
+fall back to the Jacobi spectrum inside its undecided band.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +28,10 @@ from .errors import (
 )
 
 _MAX_SWEEPS = 100
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Backward error of one two-sided plane rotation, in units of
+# u * ||A||_F (Higham, Accuracy and Stability, 2nd ed., ch. 19).
+_ROTATION_ERROR = 16.0
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,34 @@ def _check_same_dim(A: SymMat, B: SymMat):
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
 
 
+def _scaled_rows(m: np.ndarray) -> Tuple[list, int]:
+    """Rows of 2^k m as Python lists, with k chosen so that max |2^k m_ij|
+    lies in [1, 2) (k = 0 for the zero matrix).
+
+    Scaling by a power of two is exact, so every computation homogeneous
+    in m gives the same bits on the scaled copy, while sums of squares of
+    the entries can neither overflow nor underflow.
+    """
+    rows = m.tolist()
+    top = max(map(abs, [x for row in rows for x in row]))
+    if top == 0.0:
+        return rows, 0
+    k = 1 - math.frexp(top)[1]
+    if k:
+        rows = np.ldexp(m, k).tolist()
+    return rows, k
+
+
 def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
     """Cyclic Jacobi sweeps; returns (eigenvalues ascending, V or None).
 
     Runs on plain Python lists: at the target dimensions this beats
-    per-element numpy access by a wide margin.
+    per-element numpy access by a wide margin. The sweeps run on the
+    power-of-two scaled copy of _scaled_rows and the eigenvalues are
+    scaled back, so the result is exact-scale equivariant.
     """
     n = m.shape[0]
-    a = [list(row) for row in m.tolist()]
+    a, power = _scaled_rows(m)
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
 
     scale = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
@@ -180,7 +207,7 @@ def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
         values = [a[i][i] for i in range(n)]
 
     order = sorted(range(n), key=values.__getitem__)
-    lam = np.array([values[i] for i in order])
+    lam = np.ldexp([values[i] for i in order], -power)
     if not want_vectors:
         return lam, None
     vec = np.array(v)[:, order]
@@ -206,23 +233,116 @@ def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
     return tol.psd_tol * max(1.0, scale)
 
 
+def _cholesky_succeeds(rows: list, shift: float) -> bool:
+    """Whether Cholesky of rows - shift*I runs to completion in floating
+    point, i.e. every pivot comes out positive."""
+    factor = []
+    for i, row in enumerate(rows):
+        li = []
+        for j in range(i):
+            lj = factor[j]
+            li.append((row[j] - sum(map(operator.mul, li, lj))) / lj[j])
+        pivot = (row[i] - shift) - sum(map(operator.mul, li, li))
+        if not pivot > 0.0:
+            return False
+        li.append(math.sqrt(pivot))
+        factor.append(li)
+    return True
+
+
+def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
+             relative: float = 0.0, refute: bool = True) -> Optional[bool]:
+    """Decide lambda_min(m) >= g by shifted Cholesky factorizations, where
+    g = fixed + relative * max(1, |lambda|max); None when undecided.
+
+    A True or False verdict is the one the Jacobi route (eigvalsh, then
+    the same comparison on the computed spectrum) returns. Work is on the
+    scaled rows 2^k m of _scaled_rows; below, every quantity is in those
+    units, with F = ||m||_F, D = max |m_ii| and u = 2^-53.
+
+    - |lambda|max lies in [L, U], L = max(D, F / sqrt(n)), U = F, so g lies
+      in [g_lo, g_hi] from those two ends.
+    - Cholesky of H = fl(m - s I) is a two-sided definiteness test
+      (Higham, Accuracy and Stability, 2nd ed., ch. 10: its backward error
+      and Demmel's condition for success): success gives
+      lambda_min(m) >= s - eps_c, failure gives lambda_min(m) <= s + eps_c,
+      eps_c = 2 n (n + 1) u W, where W = D + max(|g_lo|, |g_hi|) + F bounds
+      every shifted diagonal.
+    - Jacobi's eigenvalues are within eps_j = (eig_tol + 16 u R) F of the
+      true ones: its stopping test leaves eig_tol F of off-diagonal mass,
+      and each of its at most R = _MAX_SWEEPS n (n - 1) / 2 rotations has
+      backward error at most 16 u F. The computed gate moves by at most
+      |relative| eps_j with them.
+
+    The shifts are widened by delta = 2 (eps_c + (1 + |relative|) eps_j);
+    the factor 2 absorbs the rounding in F, L, U, the gate and the shifts.
+    Success at s = g_hi + delta proves the computed lambda_min clears the
+    computed gate (True); failure at s = g_lo - delta proves it falls
+    short (False; tried only when `refute`). Between the two, and for
+    matrices that the exponent range would push past the Cholesky's
+    normal-number arithmetic, the answer is None and the caller computes
+    the spectrum.
+    """
+    rows, k = _scaled_rows(m)
+    if abs(k) > 1000:
+        return None
+    n = len(rows)
+    diag = max(abs(rows[i][i]) for i in range(n))
+    frob = math.sqrt(sum(x * x for row in rows for x in row))
+    one = math.ldexp(1.0, k)
+    base = fixed * one
+    ends = (base + relative * max(one, diag, frob / math.sqrt(n)),
+            base + relative * max(one, frob))
+    g_lo, g_hi = min(ends), max(ends)
+    u = _UNIT_ROUNDOFF
+    eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
+    rotations = _MAX_SWEEPS * n * (n - 1) / 2.0
+    eps_j = (tol.eig_tol + _ROTATION_ERROR * u * rotations) * frob
+    delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
+    if not math.isfinite(g_lo - g_hi - delta):
+        return None
+    if _cholesky_succeeds(rows, g_hi + delta):
+        return True
+    if refute and not _cholesky_succeeds(rows, g_lo - delta):
+        return False
+    return None
+
+
+def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
+    """The Jacobi route: lambda_min >= -tau, or > tau when strict, with
+    tau = psd_tol * max(1, |lambda|max) on the computed spectrum."""
+    gate = _psd_threshold(lam, tol)
+    return float(lam[0]) > gate if strict else float(lam[0]) >= -gate
+
+
+def _certified_within(m: np.ndarray, lo: float, hi: float, tol: Tolerances) -> bool:
+    """True when the certificate proves the computed spectrum of m lies in
+    [lo, hi]; False when that is undecided or untrue."""
+    return bool(_certify(m, tol, fixed=lo, refute=False)
+                and _certify(-m, tol, fixed=-hi, refute=False))
+
+
+def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:
+    verdict = _certify(M.a, tol, relative=tol.psd_tol if strict else -tol.psd_tol)
+    if verdict is None:
+        verdict = _spectral_verdict(eigvalsh(M, tol), strict, tol)
+    return verdict
+
+
 def loewner_le(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A <= B in the Loewner order: lambda_min(B - A) >= -psd_tol (scaled)."""
     _check_same_dim(A, B)
-    lam = eigvalsh(B - A, tol)
-    return float(lam[0]) >= -_psd_threshold(lam, tol)
+    return _order_verdict(B - A, False, tol)
 
 
 def loewner_lt(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A < B in the Loewner order: lambda_min(B - A) > psd_tol (scaled)."""
     _check_same_dim(A, B)
-    lam = eigvalsh(B - A, tol)
-    return float(lam[0]) > _psd_threshold(lam, tol)
+    return _order_verdict(B - A, True, tol)
 
 
 def is_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
-    lam = eigvalsh(A, tol)
-    return float(lam[0]) >= -_psd_threshold(lam, tol)
+    return _order_verdict(A, False, tol)
 
 
 def sym_close(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:

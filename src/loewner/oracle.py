@@ -7,6 +7,7 @@ fixed seed, so every report here is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -95,8 +96,9 @@ def sample_invertible(s: Sampler, n: Optional[int] = None) -> np.ndarray:
 
 
 def sample_comparable_pair(s: Sampler, n: Optional[int] = None) -> Tuple[Effect, Effect]:
-    """(X, Y) with X <= Y, built as X = Y minus a scaled sum of rank-one
-    PSD increments kept inside the PSD cone by bisection."""
+    """(X, Y) with X <= Y, built as X = Y - m D for a sum D of rank-one PSD
+    increments. Y is positive definite (spectrum in [1e-6, 1 - 1e-6]), so
+    the largest feasible m is 1 / lambda_max(Y^{-1/2} D Y^{-1/2})."""
     n = s._dimension(n)
     upper = sample_effect(s, n)
     count = int(s.rng.integers(1, n + 1))
@@ -105,20 +107,11 @@ def sample_comparable_pair(s: Sampler, n: Optional[int] = None) -> Tuple[Effect,
         direction = s.rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         drop += float(s.rng.uniform(0.1, 1.0)) * np.outer(direction, direction)
-    drop_sym = SymMat(drop)
-    top = linalg.spectral_norm(drop_sym)
-    if top < 1e-12:
-        return upper, upper
-    lo, hi = 0.0, (linalg.spectral_norm(upper.mat) + 1.0) / top
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if linalg.loewner_le(SymMat(mid * drop), upper.mat):
-            lo = mid
-        else:
-            hi = mid
+    root_inv = linalg.apply_fn(upper.mat, lambda level: 1.0 / math.sqrt(level)).a
+    feasible = 1.0 / float(linalg.eigvalsh(SymMat(root_inv @ drop @ root_inv))[-1])
     # Stay a little inside the feasible scale so the lower matrix is PSD
     # with margin rather than grazing the cone boundary.
-    scale = lo * float(s.rng.uniform(0.0, 0.95))
+    scale = feasible * float(s.rng.uniform(0.0, 0.95))
     lower = make_effect(SymMat(upper.mat.a - scale * drop))
     return lower, upper
 

@@ -1,0 +1,173 @@
+"""The Cholesky certificate behind the order predicates: its verdicts agree
+with the Jacobi route wherever it gives one, it hands near-gate inputs to
+the Jacobi fallback, and it takes the spectra out of the public calls."""
+
+import numpy as np
+import pytest
+
+from loewner import linalg, selftest
+from loewner.automorphisms import EffectAutomorphism
+from loewner.effects import RankOneProjection, make_effect, strength, strength_witness
+from loewner.linalg import DEFAULT_TOL, SymMat
+
+ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
+
+
+def jacobi_verdict(m, tol, fixed, relative):
+    """lambda_min(m) >= fixed + relative * max(1, |lambda|max) on the Jacobi
+    spectrum, strict for the positive-definite gate (relative > 0), as the
+    public callers compare it."""
+    lam = linalg.eigvalsh(SymMat(m), tol)
+    gate = fixed + relative * max(1.0, float(np.max(np.abs(lam))))
+    return float(lam[0]) > gate if relative > 0.0 else float(lam[0]) >= gate
+
+
+def disagreements(calls):
+    return [(m, fixed, relative, verdict) for m, tol, fixed, relative, verdict in calls
+            if verdict is not None and verdict != jacobi_verdict(m, tol, fixed, relative)]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every certificate call made while the fixture is active, with its verdict."""
+    calls = []
+    certify = linalg._certify
+
+    def recording(m, tol, fixed=0.0, relative=0.0, refute=True):
+        verdict = certify(m, tol, fixed, relative, refute)
+        calls.append((np.array(m), tol, fixed, relative, verdict))
+        return verdict
+
+    monkeypatch.setattr(linalg, "_certify", recording)
+    return calls
+
+
+def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(recorded):
+    selftest.run_selftest(0, 200)
+    s = ACCEPTANCE_SEED
+    selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
+    selftest.check_group_law(s + 1, 200)
+    selftest.check_fixed_points(s + 2, 100)
+    selftest.check_projection_law(s + 3, 200)
+    selftest.check_strength_oracle(s + 4, 500)
+    selftest.check_witness_biconditional(s + 5, 200)
+    selftest.check_recovery_round_trip(s + 6, 50, count=50, dims=(2, 3, 4, 5))
+    selftest.check_mobius_bridge(s + 7, 30, count=30)
+    selftest.check_two_by_two_fixtures(s + 8, 1)
+    selftest.check_interval_atlas(s + 9, 200, per_shape=5)
+    selftest.check_conjugation_identity(s + 10, 100, count=100)
+    undecided = sum(call[-1] is None for call in recorded)
+    print(f"certificate: {len(recorded)} calls, {undecided} undecided "
+          f"({undecided / len(recorded):.2%})")
+    assert len(recorded) > 10000
+    assert disagreements(recorded) == []
+
+
+def _near_gate_inputs():
+    """Differences M = B - A on and around the gates, as (A, B) pairs."""
+    rng = np.random.default_rng(7)
+    tau = DEFAULT_TOL.psd_tol
+    pairs = []
+    for n in (2, 3, 5):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = SymMat(rng.standard_normal((n, n)))
+        pairs.append((a, a))                                    # A == B
+        rank = q[:, :1] @ q[:, :1].T
+        pairs.append((a, SymMat(a.a + rank)))                   # rank-deficient B - A
+        pairs.append((SymMat(a.a + rank), a))
+        for sign in (-1.0, 1.0):
+            for wobble in (-1e-12, 0.0, 1e-12):
+                lam = np.linspace(0.25, 1.0, n)
+                lam[0] = sign * tau * (1.0 + wobble)            # lambda_min at +-tau(1 +- 1e-12)
+                pairs.append((SymMat.zero(n), SymMat.diagonal(lam)))
+                pairs.append((SymMat.zero(n), SymMat((q * lam) @ q.T)))
+    return pairs
+
+
+def test_agrees_with_jacobi_at_the_gates(recorded):
+    for a, b in _near_gate_inputs():
+        lam = linalg.eigvalsh(b - a)
+        assert linalg.loewner_le(a, b) == linalg._spectral_verdict(lam, False, DEFAULT_TOL)
+        assert linalg.loewner_lt(a, b) == linalg._spectral_verdict(lam, True, DEFAULT_TOL)
+        assert linalg.is_psd(b - a) == linalg.loewner_le(a, b)
+    assert disagreements(recorded) == []
+    # The exact diagonal cases sit on the gate to 1e-12: the certificate
+    # leaves them to the Jacobi fallback.
+    assert sum(call[-1] is None for call in recorded) >= 12
+
+
+def test_certificate_is_decided_away_from_the_gates():
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 8, 16):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        for lam_min, le, lt in ((-0.1, False, False), (0.0, True, False), (0.1, True, True)):
+            lam = np.linspace(lam_min, 1.0, n)
+            m = (q * lam) @ q.T
+            m = (m + m.T) / 2.0
+            assert linalg._certify(m, DEFAULT_TOL, relative=-DEFAULT_TOL.psd_tol) is le
+            if lam_min != 0.0:
+                assert linalg._certify(m, DEFAULT_TOL, relative=DEFAULT_TOL.psd_tol) is lt
+
+
+def test_extreme_scales_fall_back():
+    tiny = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    assert linalg._certify(tiny, DEFAULT_TOL, relative=-1e-9) is None
+    assert linalg.is_psd(SymMat(tiny))
+    huge = SymMat([[0.0, 1e200], [1e200, 0.0]])
+    assert not linalg.is_psd(huge)
+    assert linalg.is_psd(SymMat(1e200 * np.eye(2)))
+
+
+class TestSpectraPerCall:
+    """Spectral decompositions per public call, counted at the kernel."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        kinds = []
+        jacobi = linalg._jacobi
+
+        def counting(m, eig_tol, want_vectors):
+            kinds.append("eigh" if want_vectors else "eigvalsh")
+            return jacobi(m, eig_tol, want_vectors)
+
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            kinds.append("svd")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_jacobi", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+
+        def run(fn, *args):
+            kinds.clear()
+            fn(*args)
+            return sorted(kinds)
+
+        return run
+
+    def test_predicates_away_from_the_gate(self, count):
+        low = SymMat([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.3]])
+        high = SymMat(low.a + np.eye(3))
+        assert count(linalg.loewner_le, low, high) == []
+        assert count(linalg.loewner_le, high, low) == []
+        assert count(linalg.loewner_lt, low, high) == []
+        assert count(linalg.is_psd, low) == []
+        assert count(make_effect, low) == []
+
+    def test_strength_is_one_eigh(self, count):
+        a = SymMat([[2.0, 0.5], [0.5, 1.0]])
+        assert count(strength, a, RankOneProjection([1.0, 1.0])) == ["eigh"]
+
+    def test_witness_on_incomparable_pair_is_one_eigh(self, count):
+        first, second = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])
+        assert count(strength_witness, first, second) == ["eigh"]
+
+    def test_construction_is_one_eigvalsh(self, count):
+        t = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]])
+        assert count(EffectAutomorphism, t) == ["eigvalsh"]
+
+    def test_apply_on_interior_input_takes_no_spectrum(self, count):
+        phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
+        assert count(phi.apply, SymMat([[0.5, 0.1], [0.1, 0.4]])) == []
+

@@ -8,6 +8,9 @@ import pathlib
 import pytest
 
 from loewner.cli import dumps_stable, main
+from loewner.effects import RankOneProjection, strength
+from loewner.errors import NotPSD
+from loewner.linalg import SymMat
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -105,6 +108,23 @@ class TestExitCodes:
         lines = [line for line in out.strip().splitlines()]
         assert len(lines) == 11
         assert all(line.startswith("PASS") for line in lines)
+
+
+class TestExtremeScale:
+    # eigenvalues +-1e200: the Frobenius norm of the raw entries overflows
+    INDEFINITE_HUGE = '{"n":2,"data":[0,1e200,1e200,0]}'
+
+    def test_order_does_not_claim_le(self, capsys):
+        code, out, _ = run(capsys, ["order", ZERO, self.INDEFINITE_HUGE])
+        assert '"le":true' not in out
+        assert code != 0 or json.loads(out)["le"] is False
+
+    def test_strength_rejects_indefinite(self, capsys):
+        code, out, err = run(capsys, ["strength", self.INDEFINITE_HUGE, "[1,0]"])
+        assert code == 2 and out == ""
+        assert "below -psd_tol" in err
+        with pytest.raises(NotPSD):
+            strength(SymMat([[0.0, 1e200], [1e200, 0.0]]), RankOneProjection([1.0, 0.0]))
 
 
 class TestStdinAndFiles:

@@ -91,6 +91,11 @@ class TestStrength:
         assert proj.mat.a[0, 1] == pytest.approx(math.sqrt(2.0) / 3.0)
         assert strength(SymMat.diagonal([0.5, 1.0]), proj) == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1e8, 1e12])
+    def test_closed_form_at_large_scale(self, c):
+        e1 = standard_projection(0, 3)
+        assert strength(SymMat.diagonal([c, 2.0 * c, 3.0 * c]), e1) == pytest.approx(c, rel=1e-14)
+
     def test_unbounded_direction_vs_bisection(self):
         # [DERIVED] expected value 2 frozen from the bisection oracle
         mat = SymMat.diagonal([2.0, 1.0])

@@ -73,6 +73,22 @@ class TestEigh:
                 assert np.linalg.norm(rebuilt - m.a) <= 1e-10 * (1.0 + norm)
                 assert np.linalg.norm(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n)) <= 1e-12
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+               min_size=n * n, max_size=n * n)),
+           st.integers(-600, 600))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, values, k):
+        n = math.isqrt(len(values))
+        m = SymMat(np.array(values).reshape(n, n))
+        c = 2.0 ** k
+        assert np.array_equal(linalg.eigvalsh(SymMat(c * m.a)), c * linalg.eigvalsh(m))
+
+    def test_extreme_scales_keep_the_spectrum(self):
+        for scale in (1e200, 1e-200):
+            lam = linalg.eigvalsh(SymMat([[0.0, scale], [scale, 0.0]]))
+            assert np.array_equal(lam, [-scale, scale])
+
     def test_matches_lapack(self):
         rng = np.random.default_rng(5)
         for n in (2, 4, 7):
