@@ -58,15 +58,24 @@ def _coerce_effect(X, tol: Tolerances) -> Effect:
     raise NotAnEffect(f"expected an Effect or SymMat, got {type(X).__name__}")
 
 
+def _require_regular(lam: np.ndarray, tol: Tolerances) -> None:
+    """The Jacobi route of the generator test, on the spectrum of T^t T."""
+    sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
+    sigma_min = math.sqrt(max(float(lam[0]), 0.0))
+    abs_det = math.sqrt(float(np.prod(np.clip(lam, 0.0, None))))
+    if abs_det <= tol.rank_tol or sigma_min <= tol.rank_tol * max(1.0, sigma_max):
+        raise Singular("generator is singular within rank tolerance")
+
+
 class EffectAutomorphism:
     """phi_T with the generator stored in canonical sign.
 
-    The extension bound eps is the certified radius beyond the unit
-    interval on which the defining formula stays invertible: the map is
-    well defined on [0, (1 + eps) I), with eps = None meaning unbounded.
+    Construction decides "T is regular within rank tolerance" by the
+    Cholesky certificate of linalg._certify_regular and computes the
+    spectrum of T^t T only when that is undecided.
     """
 
-    __slots__ = ("t", "n", "gram", "extension_bound", "_noise_gate")
+    __slots__ = ("t", "n", "gram", "_tol")
 
     def __init__(self, generator, tol: Tolerances = DEFAULT_TOL):
         t = np.array(generator, dtype=float)
@@ -74,32 +83,35 @@ class EffectAutomorphism:
             raise DimensionMismatch(f"generator must be square, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise Singular("generator entries must be finite")
-        n = t.shape[0]
         gram = SymMat(t.T @ t)
-        lam = linalg.eigvalsh(gram, tol)
-        sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
-        sigma_min = math.sqrt(max(float(lam[0]), 0.0))
-        abs_det = math.sqrt(float(np.prod(np.clip(lam, 0.0, None))))
-        if abs_det <= tol.rank_tol or sigma_min <= tol.rank_tol * max(1.0, sigma_max):
-            raise Singular("generator is singular within rank tolerance")
+        if not linalg._certify_regular(gram.a, tol):
+            _require_regular(linalg.eigvalsh(gram, tol), tol)
         t = _canonical_sign(t, tol)
         t.flags.writeable = False
         self.t = t
-        self.n = n
+        self.n = t.shape[0]
         self.gram = gram
+        self._tol = tol
 
-        delta = float(lam[0])
-        if delta >= 1.0:
-            self.extension_bound: Optional[float] = None
-        else:
-            shrunk = delta * (1.0 - 1e-12)
-            self.extension_bound = shrunk / (1.0 - shrunk)
+    @property
+    def extension_bound(self) -> Optional[float]:
+        """The certified radius eps beyond the unit interval on which the
+        defining formula stays invertible: the map is well defined on
+        [0, (1 + eps) I), with None meaning unbounded. Computed from the
+        spectrum of T^t T when read."""
+        lam_min = float(linalg.eigvalsh(self.gram, self._tol)[0])
+        if lam_min >= 1.0:
+            return None
+        shrunk = lam_min * (1.0 - 1e-12)
+        return shrunk / (1.0 - shrunk)
 
-        # Roundoff in the defining formula grows with the conditioning of
-        # T^t T; images are certified against psd_tol widened by this
-        # float-noise bound and then clamped back onto [0, 1].
+    def _noise_gate(self) -> float:
+        """Roundoff in the defining formula grows with the conditioning of
+        T^t T; images are certified against psd_tol widened by this
+        float-noise bound and then clamped back onto [0, 1]."""
+        lam = linalg.eigvalsh(self.gram, self._tol)
         cond = float(lam[-1]) / float(lam[0])
-        self._noise_gate = 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
+        return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
     def apply(self, X, tol: Tolerances = DEFAULT_TOL) -> Effect:
         """Evaluate T (X (T^t T - I) + I)^{-1} X T^t, certified back into [0, I]."""
@@ -121,11 +133,12 @@ class EffectAutomorphism:
             return Effect(mat=image)
         spec = linalg.eigh(image, tol)
         lam = spec.eigenvalues
-        gate = max(tol.psd_tol, self._noise_gate)
-        if float(lam[0]) < -gate or float(lam[-1]) > 1.0 + gate:
-            raise InternalInversionFailure(
-                f"image left the unit interval beyond the noise gate "
-                f"(eigenvalues {lam[0]!r}..{lam[-1]!r})")
+        if float(lam[0]) < -tol.psd_tol or float(lam[-1]) > 1.0 + tol.psd_tol:
+            gate = max(tol.psd_tol, self._noise_gate())
+            if float(lam[0]) < -gate or float(lam[-1]) > 1.0 + gate:
+                raise InternalInversionFailure(
+                    f"image left the unit interval beyond the noise gate "
+                    f"(eigenvalues {lam[0]!r}..{lam[-1]!r})")
         if float(lam[0]) < 0.0 or float(lam[-1]) > 1.0:
             clipped = np.clip(lam, 0.0, 1.0)
             image = SymMat((spec.eigenvectors * clipped) @ spec.eigenvectors.T)

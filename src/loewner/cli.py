@@ -6,7 +6,9 @@ stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
 Exit codes: 0 ok, 2 parse/malformed input, 3 dimension mismatch,
-4 not an automorphism, 5 selftest property failure.
+4 not an automorphism, 5 selftest property failure, 6 internal numerical
+failure (the eigensolver did not converge, or a certified-invertible
+matrix was numerically intractable).
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .automorphisms import EffectAutomorphism, recover_generator, recovery_probe
 from .effects import Effect, RankOneProjection, make_effect
 from .errors import (
     DimensionMismatch,
+    InternalInversionFailure,
     LoewnerError,
+    NonConvergence,
     NotAutomorphism,
     OutOfInterval,
 )
@@ -39,7 +43,7 @@ from .intervals import (
     build_chain,
     classify,
 )
-from .linalg import SymMat, Tolerances
+from .linalg import DEFAULT_TOL, SymMat, Tolerances
 from .selftest import run_selftest
 
 _ASYMMETRY_WARN = 1e-9
@@ -198,7 +202,7 @@ def _probe_key(mat: SymMat) -> bytes:
 _ENDPOINT_KINDS = {"finite", "plus_infinity", "minus_infinity"}
 
 
-def parse_interval_spec(doc: dict) -> IntervalSpec:
+def parse_interval_spec(doc: dict, tol: Tolerances = DEFAULT_TOL) -> IntervalSpec:
     n = int(doc["n"])
     ends = []
     for side in ("lower", "upper"):
@@ -215,7 +219,7 @@ def parse_interval_spec(doc: dict) -> IntervalSpec:
             ends.append(Endpoint.plus_infinity())
         else:
             ends.append(Endpoint.minus_infinity())
-    return IntervalSpec(lower=ends[0], upper=ends[1], n=n)
+    return IntervalSpec(lower=ends[0], upper=ends[1], n=n, tol=tol)
 
 
 def chain_doc(chain: MapChain) -> dict:
@@ -236,14 +240,14 @@ def _cmd_interval(args) -> int:
     tol = _tolerances(args)
     sub = args.interval_command
     if sub == "classify":
-        spec = parse_interval_spec(load_json(args.spec))
+        spec = parse_interval_spec(load_json(args.spec), tol)
         _emit({"class": classify(spec).value})
     elif sub == "chain":
-        spec = parse_interval_spec(load_json(args.spec))
+        spec = parse_interval_spec(load_json(args.spec), tol)
         _emit(chain_doc(build_chain(spec)))
     else:  # map
         payload = load_json(args.payload)
-        spec = parse_interval_spec(payload["interval"])
+        spec = parse_interval_spec(payload["interval"], tol)
         x = parse_symmetric(payload["x"], "input matrix")
         image = apply_chain(build_chain(spec), x, spec, tol)
         _emit(matrix_doc(image))
@@ -338,6 +342,9 @@ def main(argv: Optional[list] = None) -> int:
     except NotAutomorphism as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (NonConvergence, InternalInversionFailure) as exc:
+        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
+        return 6
     except (LoewnerError, ValueError, KeyError, TypeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

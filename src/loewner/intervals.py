@@ -12,7 +12,7 @@ closed finite endpoints mapped exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -73,11 +73,13 @@ class Endpoint:
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Endpoint pair defining a matrix interval in dimension n."""
+    """Endpoint pair defining a matrix interval in dimension n; finite
+    endpoints must satisfy lower < upper at the tolerances `tol`."""
 
     lower: Endpoint
     upper: Endpoint
     n: int
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,7 +92,7 @@ class IntervalSpec:
             if end.is_finite and end.matrix.n != self.n:
                 raise InvalidSpec("endpoint dimension differs from the interval dimension")
         if self.lower.is_finite and self.upper.is_finite:
-            if not linalg.loewner_lt(self.lower.matrix, self.upper.matrix):
+            if not linalg.loewner_lt(self.lower.matrix, self.upper.matrix, self.tol):
                 raise InvalidSpec("finite endpoints must satisfy lower < upper strictly")
 
     def contains(self, X: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -7,7 +7,8 @@ eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
 small dimensions this package targets; nothing in this module calls into
 LAPACK. Order predicates that only need the sign of lambda_min minus a
 gate are first decided by a shifted Cholesky certificate (_certify) and
-fall back to the Jacobi spectrum inside its undecided band.
+fall back to the Jacobi spectrum inside its undecided band; the same
+factorization certifies a generator regular (_certify_regular).
 """
 
 from __future__ import annotations
@@ -233,10 +234,11 @@ def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
     return tol.psd_tol * max(1.0, scale)
 
 
-def _cholesky_succeeds(rows: list, shift: float) -> bool:
-    """Whether Cholesky of rows - shift*I runs to completion in floating
-    point, i.e. every pivot comes out positive."""
+def _cholesky_pivots(rows: list, shift: float) -> Optional[list]:
+    """The pivots l_ii^2 of Cholesky of rows - shift*I run in floating
+    point, or None when a pivot comes out not positive."""
     factor = []
+    pivots = []
     for i, row in enumerate(rows):
         li = []
         for j in range(i):
@@ -244,10 +246,35 @@ def _cholesky_succeeds(rows: list, shift: float) -> bool:
             li.append((row[j] - sum(map(operator.mul, li, lj))) / lj[j])
         pivot = (row[i] - shift) - sum(map(operator.mul, li, li))
         if not pivot > 0.0:
-            return False
+            return None
         li.append(math.sqrt(pivot))
         factor.append(li)
-    return True
+        pivots.append(pivot)
+    return pivots
+
+
+def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
+               relative: float) -> Optional[Tuple[float, float, float]]:
+    """(g_lo, g_hi, delta) of _certify for the scaled rows 2^k m, or None
+    when the exponent range rules the certificate out."""
+    if abs(k) > 1000:
+        return None
+    n = len(rows)
+    diag = max(abs(rows[i][i]) for i in range(n))
+    frob = math.sqrt(sum(x * x for row in rows for x in row))
+    one = math.ldexp(1.0, k)
+    base = fixed * one
+    ends = (base + relative * max(one, diag, frob / math.sqrt(n)),
+            base + relative * max(one, frob))
+    g_lo, g_hi = min(ends), max(ends)
+    u = _UNIT_ROUNDOFF
+    eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
+    rotations = _MAX_SWEEPS * n * (n - 1) / 2.0
+    eps_j = (tol.eig_tol + _ROTATION_ERROR * u * rotations) * frob
+    delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
+    if not math.isfinite(g_lo - g_hi - delta):
+        return None
+    return g_lo, g_hi, delta
 
 
 def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
@@ -284,28 +311,69 @@ def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
     the spectrum.
     """
     rows, k = _scaled_rows(m)
-    if abs(k) > 1000:
+    band = _gate_band(rows, k, tol, fixed, relative)
+    if band is None:
         return None
-    n = len(rows)
-    diag = max(abs(rows[i][i]) for i in range(n))
-    frob = math.sqrt(sum(x * x for row in rows for x in row))
-    one = math.ldexp(1.0, k)
-    base = fixed * one
-    ends = (base + relative * max(one, diag, frob / math.sqrt(n)),
-            base + relative * max(one, frob))
-    g_lo, g_hi = min(ends), max(ends)
-    u = _UNIT_ROUNDOFF
-    eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
-    rotations = _MAX_SWEEPS * n * (n - 1) / 2.0
-    eps_j = (tol.eig_tol + _ROTATION_ERROR * u * rotations) * frob
-    delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
-    if not math.isfinite(g_lo - g_hi - delta):
-        return None
-    if _cholesky_succeeds(rows, g_hi + delta):
+    g_lo, g_hi, delta = band
+    if _cholesky_pivots(rows, g_hi + delta) is not None:
         return True
-    if refute and not _cholesky_succeeds(rows, g_lo - delta):
+    if refute and _cholesky_pivots(rows, g_lo - delta) is None:
         return False
     return None
+
+
+def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
+    """True when a shifted Cholesky factorization proves that the Jacobi
+    spectrum lam of the Gram matrix G = T^t T (eigvalsh, ascending) passes
+    the generator test of EffectAutomorphism:
+
+        sqrt(lam_0) > rank_tol * max(1, sqrt(lam_-1))  and
+        sqrt(prod(lam)) > rank_tol,
+
+    i.e. T is regular within rank tolerance. False means undecided: the
+    caller computes the spectrum, which also supplies the Singular verdict.
+
+    One factorization decides both halves. With relative = rank_tol^2 and
+    the band of _certify (scaled units, G_s = 2^k G), Cholesky of
+    G_s - s I at s = g_hi + delta runs to completion with pivots p_i.
+
+    - First half: success is _certify's True for lam_0 >= gate =
+      relative * max(1, |lam|max), and leaves lam_0 above the gate by at
+      least eps_c - 3 u gate. As W >= 2 gate (3 gate when n = 1),
+      eps_c >= 12 u gate, which covers the square roots, the square
+      rank_tol^2 and the products of the generator test: together they
+      move its gate by under 7 u gate + 2^-1074 max(2^k, F).
+    - Second half: the computed factor L satisfies L L^t = G_s - s I + E
+      with ||E|| <= eps_c, and Jacobi's sorted eigenvalues lam_s are within
+      eps_j of those of G_s. By Weyl's inequality, in sorted order,
+      lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
+      since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
+      prod(l_ii^2), and l_ii = fl(sqrt(p_i)) gives l_ii^2 >= p_i (1 - u)^2.
+      Unscaled, log2 prod(lam) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
+    - Rounding on the Jacobi route: every lam_i is at most
+      2^-k (F + eps_j) < 2^-k 4 n (F < 2 n, and success needs
+      2 eps_j <= s <= F + eps_c), so every partial product of np.prod,
+      in any order, is at least 2^(B - n max(0, log2(4 n) - k)) (1 - u)^n;
+      when that exponent exceeds -1000 nothing underflows (an overflow
+      only raises the product to inf). Then the n - 1 products and the
+      square root lose at most a factor (1 - u)^((n + 1) / 2) on
+      sqrt(prod(lam)), and the test sum(log2 p_i) - k n - 2 log2(rank_tol)
+      > (n + 2) 2^-40 covers those factors, the 2 n log2(1 - u) above, and
+      the error of log2 (an ulp of at most 1075 per term) and of fsum.
+    """
+    rows, k = _scaled_rows(gram)
+    band = _gate_band(rows, k, tol, 0.0, tol.rank_tol ** 2)
+    if band is None:
+        return False
+    _, g_hi, delta = band
+    pivots = _cholesky_pivots(rows, g_hi + delta)
+    if pivots is None:
+        return False
+    n = len(rows)
+    log_det = math.fsum(map(math.log2, pivots)) - k * n
+    if log_det - n * max(0.0, math.log2(4 * n) - k) <= -1000.0:
+        return False
+    return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -40
 
 
 def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:

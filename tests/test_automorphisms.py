@@ -27,7 +27,7 @@ from loewner.errors import (
     NotAutomorphism,
     Singular,
 )
-from loewner.linalg import SymMat, Tolerances
+from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 
 def half_identity(n):
@@ -64,6 +64,18 @@ class TestApply:
         x = oracle.sample_effect(s, 3)
         got = identity_automorphism(3).apply(x)
         assert np.allclose(got.mat.a, x.mat.a, atol=1e-12)
+
+    def test_roundoff_inside_the_noise_gate_is_clamped(self):
+        # phi_T(I) = I exactly. With cond(T) ~ 1e8 the computed image leaves
+        # [0, I] by more than psd_tol but stays inside the noise gate of
+        # T^t T, so it is clamped back instead of rejected.
+        phi = EffectAutomorphism(np.array([[1e4, 1.0], [0.0, 1e-4]]))
+        gate = phi._noise_gate()
+        assert DEFAULT_TOL.psd_tol < gate
+        image = phi.apply(SymMat.identity(2)).mat
+        lam = linalg.eigvalsh(image)
+        assert 0.0 <= float(lam[0]) and float(lam[-1]) <= 1.0
+        assert np.allclose(image.a, np.eye(2), atol=gate)
 
     def test_orthogonal_collapses_to_conjugation(self):
         s = oracle.Sampler(2)

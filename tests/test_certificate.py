@@ -1,16 +1,22 @@
-"""The Cholesky certificate behind the order predicates: its verdicts agree
-with the Jacobi route wherever it gives one, it hands near-gate inputs to
-the Jacobi fallback, and it takes the spectra out of the public calls."""
+"""The Cholesky certificates behind the order predicates and the generator
+test of EffectAutomorphism: their verdicts agree with the Jacobi route
+wherever they give one, they hand near-gate inputs to the Jacobi fallback,
+and they take the spectra out of the public calls."""
+
+import importlib
+import pathlib
 
 import numpy as np
 import pytest
 
-from loewner import linalg, selftest
+from loewner import automorphisms, linalg, selftest
 from loewner.automorphisms import EffectAutomorphism
 from loewner.effects import RankOneProjection, make_effect, strength, strength_witness
-from loewner.linalg import DEFAULT_TOL, SymMat
+from loewner.errors import Singular
+from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def jacobi_verdict(m, tol, fixed, relative):
@@ -27,10 +33,8 @@ def disagreements(calls):
             if verdict is not None and verdict != jacobi_verdict(m, tol, fixed, relative)]
 
 
-@pytest.fixture
-def recorded(monkeypatch):
-    """Every certificate call made while the fixture is active, with its verdict."""
-    calls = []
+def order_recorder(calls):
+    """linalg._certify wrapped to append (m, tol, fixed, relative, verdict)."""
     certify = linalg._certify
 
     def recording(m, tol, fixed=0.0, relative=0.0, refute=True):
@@ -38,24 +42,55 @@ def recorded(monkeypatch):
         calls.append((np.array(m), tol, fixed, relative, verdict))
         return verdict
 
-    monkeypatch.setattr(linalg, "_certify", recording)
+    return recording
+
+
+def generator_recorder(calls):
+    """linalg._certify_regular wrapped to append (gram, tol, verdict)."""
+    certify_regular = linalg._certify_regular
+
+    def recording(gram, tol):
+        verdict = certify_regular(gram, tol)
+        calls.append((np.array(gram), tol, verdict))
+        return verdict
+
+    return recording
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every order-certificate call made while the fixture is active."""
+    calls = []
+    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
     return calls
 
 
-def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(recorded):
-    selftest.run_selftest(0, 200)
-    s = ACCEPTANCE_SEED
-    selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
-    selftest.check_group_law(s + 1, 200)
-    selftest.check_fixed_points(s + 2, 100)
-    selftest.check_projection_law(s + 3, 200)
-    selftest.check_strength_oracle(s + 4, 500)
-    selftest.check_witness_biconditional(s + 5, 200)
-    selftest.check_recovery_round_trip(s + 6, 50, count=50, dims=(2, 3, 4, 5))
-    selftest.check_mobius_bridge(s + 7, 30, count=30)
-    selftest.check_two_by_two_fixtures(s + 8, 1)
-    selftest.check_interval_atlas(s + 9, 200, per_shape=5)
-    selftest.check_conjugation_identity(s + 10, 100, count=100)
+@pytest.fixture(scope="module")
+def corpus_calls():
+    """Every certificate call made by run_selftest(0, 200) and by every
+    acceptance criterion's property call: (order calls, generator calls)."""
+    order, generator = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_certify", order_recorder(order))
+        patch.setattr(linalg, "_certify_regular", generator_recorder(generator))
+        selftest.run_selftest(0, 200)
+        s = ACCEPTANCE_SEED
+        selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
+        selftest.check_group_law(s + 1, 200)
+        selftest.check_fixed_points(s + 2, 100)
+        selftest.check_projection_law(s + 3, 200)
+        selftest.check_strength_oracle(s + 4, 500)
+        selftest.check_witness_biconditional(s + 5, 200)
+        selftest.check_recovery_round_trip(s + 6, 50, count=50, dims=(2, 3, 4, 5))
+        selftest.check_mobius_bridge(s + 7, 30, count=30)
+        selftest.check_two_by_two_fixtures(s + 8, 1)
+        selftest.check_interval_atlas(s + 9, 200, per_shape=5)
+        selftest.check_conjugation_identity(s + 10, 100, count=100)
+    return order, generator
+
+
+def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
+    recorded = corpus_calls[0]
     undecided = sum(call[-1] is None for call in recorded)
     print(f"certificate: {len(recorded)} calls, {undecided} undecided "
           f"({undecided / len(recorded):.2%})")
@@ -118,6 +153,90 @@ def test_extreme_scales_fall_back():
     assert linalg.is_psd(SymMat(1e200 * np.eye(2)))
 
 
+def jacobi_regular(gram, tol):
+    """The Jacobi route of the generator test: no Singular from the spectrum."""
+    try:
+        with np.errstate(over="ignore"):   # prod(lam) overflows for 2^300 T
+            automorphisms._require_regular(linalg.eigvalsh(SymMat(gram), tol), tol)
+    except Singular:
+        return False
+    return True
+
+
+def wrong_regular_verdicts(calls):
+    """Grams the certificate called regular while the Jacobi route does not."""
+    return [gram for gram, tol, verdict in calls if verdict and not jacobi_regular(gram, tol)]
+
+
+def test_generator_certificate_agrees_with_jacobi_on_the_corpus(corpus_calls, monkeypatch):
+    calls = list(corpus_calls[1])
+    monkeypatch.syspath_prepend(str(BENCH))
+    ops = importlib.import_module("ops")
+    monkeypatch.setattr(linalg, "_certify_regular", generator_recorder(calls))
+    for op in ops.stream(7, ops.DIMS["api-large"], 600):
+        if op.kind in ("apply", "compose", "invert"):
+            ops.run_library(op)
+    for name, part in (("corpus", calls[:len(corpus_calls[1])]),
+                       ("api-large", calls[len(corpus_calls[1]):])):
+        fallback = sum(not verdict for _, _, verdict in part)
+        print(f"generator certificate, {name}: {len(part)} calls, {fallback} undecided")
+    assert len(calls) > 1000
+    assert wrong_regular_verdicts(calls) == []
+
+
+def _generator_gate_cases(tol):
+    """Generators on and around the two gates of the generator test, scaled
+    by powers of two, and rank-deficient."""
+    rng = np.random.default_rng(11)
+    r = tol.rank_tol
+    cases = []
+    for wobble in (-1e-6, 1e-6):
+        cases.append(np.diag([1.0, r * (1.0 + wobble)]))                 # sigma_min on the gate
+        cases.append((r * (1.0 + wobble)) ** (1.0 / 9.0) * np.eye(9))     # |det| on the gate
+    base = [rng.standard_normal((n, n)) for n in (2, 3, 5, 8)]
+    for k in range(-300, 301, 10):
+        cases.extend(np.ldexp(t, k) for t in base)
+    for n in (2, 3, 5):
+        cases.append(np.zeros((n, n)))
+        cases.append(np.outer(rng.standard_normal(n), rng.standard_normal(n)))
+        t = rng.standard_normal((n, n))
+        t[:, -1] = t[:, 0]
+        cases.append(t)
+    return cases
+
+
+@pytest.mark.parametrize("tol", [
+    DEFAULT_TOL,
+    Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11),
+    Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2),
+])
+def test_generator_certificate_agrees_with_jacobi_at_the_gates(tol, monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_certify_regular", generator_recorder(calls))
+    for t in _generator_gate_cases(tol):
+        try:
+            with np.errstate(over="ignore"):
+                EffectAutomorphism(t, tol)
+            regular = True
+        except Singular:
+            regular = False
+        assert regular == jacobi_regular(t.T @ t, tol)
+    assert wrong_regular_verdicts(calls) == []
+    verdicts = [verdict for _, _, verdict in calls]
+    # The gate cases and the rank-deficient ones reach the Jacobi fallback.
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_generator_certificate_decides_the_det_gate():
+    tol = DEFAULT_TOL
+    above = (tol.rank_tol * (1.0 + 1e-6)) ** (1.0 / 9.0) * np.eye(9)
+    below = (tol.rank_tol * (1.0 - 1e-6)) ** (1.0 / 9.0) * np.eye(9)
+    assert linalg._certify_regular(above.T @ above, tol)
+    assert not linalg._certify_regular(below.T @ below, tol)
+    with pytest.raises(Singular):
+        EffectAutomorphism(below)
+
+
 class TestSpectraPerCall:
     """Spectral decompositions per public call, counted at the kernel."""
 
@@ -163,11 +282,28 @@ class TestSpectraPerCall:
         first, second = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])
         assert count(strength_witness, first, second) == ["eigh"]
 
-    def test_construction_is_one_eigvalsh(self, count):
+    def test_construction_takes_no_spectrum(self, count):
         t = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]])
-        assert count(EffectAutomorphism, t) == ["eigvalsh"]
+        assert count(EffectAutomorphism, t) == []
+
+    def test_compose_and_inverse_take_no_spectrum(self, count):
+        phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
+        psi = EffectAutomorphism(np.array([[1.0, 0.0, 0.5], [0.2, 0.8, 0.0], [0.0, 0.3, 1.5]]))
+        assert count(phi.compose, psi) == []
+        assert count(phi.inverse) == []
+
+    def test_extension_bound_is_one_eigvalsh_when_read(self, count):
+        phi = EffectAutomorphism(np.array([[0.5, 0.1], [0.0, 0.8]]))
+        assert count(lambda: phi.extension_bound) == ["eigvalsh"]
 
     def test_apply_on_interior_input_takes_no_spectrum(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         assert count(phi.apply, SymMat([[0.5, 0.1], [0.1, 0.4]])) == []
 
+    def test_apply_on_a_projection_is_one_eigh(self, count):
+        # The image is a projection too, on the boundary of [0, I]: the
+        # certificate leaves it to eigh, and its spectrum stays inside the
+        # psd_tol band, so the noise gate takes no spectrum of its own.
+        phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
+        projection = RankOneProjection([1.0, 2.0, 3.0])
+        assert count(phi.apply, projection.mat) == ["eigh"]

@@ -7,9 +7,10 @@ import pathlib
 
 import pytest
 
+from loewner import linalg
 from loewner.cli import dumps_stable, main
 from loewner.effects import RankOneProjection, strength
-from loewner.errors import NotPSD
+from loewner.errors import InternalInversionFailure, NonConvergence, NotPSD
 from loewner.linalg import SymMat
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -102,6 +103,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["phi", "recover", json.dumps(payload)])
         assert code == 2
 
+    @pytest.mark.parametrize("failure", [NonConvergence, InternalInversionFailure])
+    def test_internal_numerical_failure(self, capsys, monkeypatch, failure):
+        def failing(m, eig_tol, want_vectors):
+            raise failure("injected")
+
+        monkeypatch.setattr(linalg, "_jacobi", failing)
+        code, out, err = run(capsys, ["strength", EYE, "[1,0]"])
+        assert code == 6 and out == ""
+        assert "internal numerical failure: injected" in err
+
     def test_selftest_exit_zero(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--seed", "1", "--trials", "20"])
         assert code == 0
@@ -125,6 +136,30 @@ class TestExtremeScale:
         assert "below -psd_tol" in err
         with pytest.raises(NotPSD):
             strength(SymMat([[0.0, 1e200], [1e200, 0.0]]), RankOneProjection([1.0, 0.0]))
+
+
+class TestIntervalTolerance:
+    # the closed interval [0, 1e-10 I]: lower < upper holds at psd_tol 1e-12
+    # (lambda_min 1e-10 > 1e-12) and fails at the default 1e-9
+    TINY_BOX = json.dumps({
+        "n": 2,
+        "lower": {"kind": "finite", "closed": True, "matrix": {"n": 2, "data": [0, 0, 0, 0]}},
+        "upper": {"kind": "finite", "closed": True,
+                  "matrix": {"n": 2, "data": [1e-10, 0, 0, 1e-10]}},
+    })
+
+    def test_classify_uses_the_tolerance(self, capsys):
+        code, out, _ = run(capsys, ["interval", "classify", "--tol", "1e-12", self.TINY_BOX])
+        assert code == 0
+        assert out == '{"class":"unit_interval"}\n'
+        order, _, _ = run(capsys, ["order", "--tol", "1e-12", ZERO,
+                                   '{"n":2,"data":[1e-10,0,0,1e-10]}'])
+        assert order == 0
+
+    def test_default_tolerance_still_rejects(self, capsys):
+        code, out, err = run(capsys, ["interval", "classify", self.TINY_BOX])
+        assert code == 2 and out == ""
+        assert "lower < upper" in err
 
 
 class TestStdinAndFiles:

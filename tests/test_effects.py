@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import effects, linalg, oracle
 from loewner.effects import (
@@ -95,6 +97,20 @@ class TestStrength:
     def test_closed_form_at_large_scale(self, c):
         e1 = standard_projection(0, 3)
         assert strength(SymMat.diagonal([c, 2.0 * c, 3.0 * c]), e1) == pytest.approx(c, rel=1e-14)
+
+    @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+           st.booleans(), st.integers(-600, 600))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, n, drop, seed, in_range, k):
+        # A = B B^t has rank n - drop (singular, even zero, when drop > 0);
+        # the direction lies in its range or is drawn freely.
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, max(n - drop, 0)))
+        a = b @ b.T
+        x = b @ rng.standard_normal(b.shape[1]) if in_range and b.size else rng.standard_normal(n)
+        proj = RankOneProjection(x)
+        c = 2.0 ** k
+        assert strength(SymMat(c * a), proj) == c * strength(SymMat(a), proj)
 
     def test_unbounded_direction_vs_bisection(self):
         # [DERIVED] expected value 2 frozen from the bisection oracle

@@ -31,7 +31,7 @@ from loewner.intervals import (
     invert_chain,
     iso_between,
 )
-from loewner.linalg import SymMat
+from loewner.linalg import SymMat, Tolerances
 from loewner.selftest import (
     conjugation_chain,
     open_unit_interval,
@@ -67,6 +67,14 @@ class TestSpecValidation:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InvalidSpec):
             IntervalSpec(closed(ZERO2), closed(ZERO2), 2)
+
+    def test_ordering_at_the_callers_tolerance(self):
+        tiny = SymMat(1e-10 * np.eye(2))
+        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+        spec = IntervalSpec(closed(ZERO2), closed(tiny), 2, tol=fine)
+        assert classify(spec) is CanonicalClass.UNIT_INTERVAL
+        with pytest.raises(InvalidSpec):
+            IntervalSpec(closed(ZERO2), closed(tiny), 2)
 
     def test_lower_plus_infinity_rejected(self):
         with pytest.raises(InvalidSpec):
