@@ -31,6 +31,7 @@ from .errors import (
     NotPSD,
     OutOfInterval,
     Singular,
+    TooLarge,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -38,12 +39,32 @@ _RESIDUAL_PROBE_SEED = 271828
 _CONVERSION_CHECK_SEED = 314159
 
 
+# Relative widening of ||T||_F / sqrt(n) <= ||T||_2 <= ||T||_F in
+# _canonical_sign, for the rounding of both norms.
+_SIGN_BAND = 2.0 ** -24
+
+
 def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Flip T so its first significantly nonzero entry (row-major) is positive."""
-    scale = float(np.linalg.norm(t, 2))
-    for value in t.ravel():
-        if abs(float(value)) > tol.equality_tol * scale:
-            return -t if float(value) < 0.0 else t
+    """Flip T so its first significantly nonzero entry (row-major) is
+    positive: the first with |t_ij| > equality_tol * ||T||_2.
+
+    Each entry is decided against the bounds ||T||_F / sqrt(n) <= ||T||_2
+    <= ||T||_F, widened by _SIGN_BAND; the spectral norm (an SVD) is
+    computed only for an entry that falls between them."""
+    frob = math.hypot(*t.ravel().tolist())
+    lo = tol.equality_tol * frob / math.sqrt(t.shape[0]) * (1.0 - _SIGN_BAND)
+    hi = tol.equality_tol * frob * (1.0 + _SIGN_BAND)
+    gate = None
+    for value in t.ravel().tolist():
+        size = abs(value)
+        if size <= lo:
+            continue
+        if size <= hi:
+            if gate is None:
+                gate = tol.equality_tol * float(np.linalg.norm(t, 2))
+            if size <= gate:
+                continue
+        return -t if value < 0.0 else t
     raise Singular("generator is numerically zero")
 
 
@@ -83,7 +104,13 @@ class EffectAutomorphism:
             raise DimensionMismatch(f"generator must be square, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise Singular("generator entries must be finite")
-        gram = SymMat(t.T @ t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = t.T @ t
+        # below 2^1022, symmetrizing in SymMat cannot overflow either
+        if not float(np.max(np.abs(product))) < 2.0 ** 1022:
+            raise TooLarge(f"generator scale {float(np.max(np.abs(t))):.3g} is too large: "
+                           f"T^t T overflows")
+        gram = SymMat(product)
         if not linalg._certify_regular(gram.a, tol):
             _require_regular(linalg.eigvalsh(gram, tol), tol)
         t = _canonical_sign(t, tol)

@@ -5,10 +5,17 @@ from files, inline JSON, or stdin ('-'), and write one JSON document to
 stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
-Exit codes: 0 ok, 2 parse/malformed input, 3 dimension mismatch,
+Exit codes: 0 ok, 2 parse/malformed input (also TooLarge: a dimension
+above 44, or a generator whose T^t T overflows), 3 dimension mismatch,
 4 not an automorphism, 5 selftest property failure, 6 internal numerical
 failure (the eigensolver did not converge, or a certified-invertible
 matrix was numerically intractable).
+
+Dimensions above _MAX_N = 44 are refused before any computation. The
+pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
+found, a `phi recover` payload whose probe images are boundary projections
+(one spectrum per image, twice), took 35 s at n = 44 and 51 s at n = 48 on
+a 2-core x86-64 machine whose speed drifts by up to 35%.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .errors import (
     NonConvergence,
     NotAutomorphism,
     OutOfInterval,
+    TooLarge,
 )
 from .intervals import (
     Congruence,
@@ -47,6 +55,7 @@ from .linalg import DEFAULT_TOL, SymMat, Tolerances
 from .selftest import run_selftest
 
 _ASYMMETRY_WARN = 1e-9
+_MAX_N = 44
 
 
 def dumps_stable(obj) -> str:
@@ -85,8 +94,16 @@ def load_json(source: str):
     return json.loads(_read_source(source))
 
 
+def _parse_dimension(value) -> int:
+    """A document's dimension n; TooLarge above _MAX_N."""
+    n = int(value)
+    if n > _MAX_N:
+        raise TooLarge(f"dimension {n} is above the cap of {_MAX_N}")
+    return n
+
+
 def parse_square(doc: dict) -> np.ndarray:
-    n = int(doc["n"])
+    n = _parse_dimension(doc["n"])
     data = [float(v) for v in doc["data"]]
     if n < 1 or len(data) != n * n:
         raise ValueError(f"data length {len(data)} does not match n={n}")
@@ -166,14 +183,14 @@ def _cmd_phi(args) -> int:
         phi = EffectAutomorphism(_load_generator(args.t), tol)
         _emit(matrix_doc(phi.inverse(tol).t))
     elif sub == "probes":
-        n = int(args.n)
+        n = _parse_dimension(args.n)
         if n < 2:
             raise ValueError("dimension must be at least 2")
         probes = recovery_probe_effects(n)
         _emit({"n": n, "probes": [matrix_doc(p.mat) for p in probes]})
     else:  # recover
         payload = load_json(args.pairs)
-        n = int(payload["n"])
+        n = _parse_dimension(payload["n"])
         table = {}
         for pair in payload["pairs"]:
             key = _probe_key(parse_symmetric(pair["input"], "probe input"))
@@ -203,7 +220,7 @@ _ENDPOINT_KINDS = {"finite", "plus_infinity", "minus_infinity"}
 
 
 def parse_interval_spec(doc: dict, tol: Tolerances = DEFAULT_TOL) -> IntervalSpec:
-    n = int(doc["n"])
+    n = _parse_dimension(doc["n"])
     ends = []
     for side in ("lower", "upper"):
         spec = doc[side]

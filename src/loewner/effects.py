@@ -132,11 +132,16 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
     """max { t : t P <= A } for PSD A and a rank-one projection P.
 
     Closed form: 0 when the direction of P leaves the range of A, else
-    1 / <A+ x, x>. One spectrum: pinv_and_range raises NotPSD for an
-    input that is not PSD.
+    1 / <A+ x, x>. An A certified definite within rank tolerance has full
+    range and A+ = A^-1, so an LDL^t solve answers without a spectrum;
+    otherwise one spectrum: pinv_and_range raises NotPSD for an input
+    that is not PSD.
     """
     if A.n != P.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
+    alpha = linalg._reciprocal_form(A.a, P.x, tol)
+    if alpha is not None:
+        return alpha
     pinv, in_range = linalg.pinv_and_range(A, tol)
     if not in_range(P.x):
         return 0.0

@@ -9,6 +9,11 @@ class DimensionMismatch(LoewnerError):
     """Operands have incompatible dimensions."""
 
 
+class TooLarge(LoewnerError):
+    """An input is too large to process: a dimension above the CLI cap, or
+    a generator whose Gram matrix T^t T overflows."""
+
+
 class NonConvergence(LoewnerError):
     """The eigensolver exhausted its sweep budget (pathological input)."""
 

@@ -8,7 +8,10 @@ small dimensions this package targets; nothing in this module calls into
 LAPACK. Order predicates that only need the sign of lambda_min minus a
 gate are first decided by a shifted Cholesky certificate (_certify) and
 fall back to the Jacobi spectrum inside its undecided band; the same
-factorization certifies a generator regular (_certify_regular).
+factorization certifies a generator regular (_certify_regular) and, without
+the max(1, .) floor of its gate, a matrix definite within rank tolerance,
+which inv and the strength closed form then factor LDL^t instead of
+diagonalizing (_definite_ldl).
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def _cholesky_pivots(rows: list, shift: float) -> Optional[list]:
 
 
 def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
-               relative: float) -> Optional[Tuple[float, float, float]]:
+               relative: float, floor: bool = True) -> Optional[Tuple[float, float, float]]:
     """(g_lo, g_hi, delta) of _certify for the scaled rows 2^k m, or None
     when the exponent range rules the certificate out."""
     if abs(k) > 1000:
@@ -264,8 +267,9 @@ def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
     frob = math.sqrt(sum(x * x for row in rows for x in row))
     one = math.ldexp(1.0, k)
     base = fixed * one
-    ends = (base + relative * max(one, diag, frob / math.sqrt(n)),
-            base + relative * max(one, frob))
+    unit = one if floor else 0.0
+    ends = (base + relative * max(unit, diag, frob / math.sqrt(n)),
+            base + relative * max(unit, frob))
     g_lo, g_hi = min(ends), max(ends)
     u = _UNIT_ROUNDOFF
     eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
@@ -278,9 +282,11 @@ def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
 
 
 def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
-             relative: float = 0.0, refute: bool = True) -> Optional[bool]:
+             relative: float = 0.0, refute: bool = True,
+             floor: bool = True) -> Optional[bool]:
     """Decide lambda_min(m) >= g by shifted Cholesky factorizations, where
-    g = fixed + relative * max(1, |lambda|max); None when undecided.
+    g = fixed + relative * max(1, |lambda|max), or g = fixed + relative *
+    |lambda|max when `floor` is False; None when undecided.
 
     A True or False verdict is the one the Jacobi route (eigvalsh, then
     the same comparison on the computed spectrum) returns. Work is on the
@@ -309,9 +315,24 @@ def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
     matrices that the exponent range would push past the Cholesky's
     normal-number arithmetic, the answer is None and the caller computes
     the spectrum.
+
+    True is strict: it also proves computed lambda_min > computed gate,
+    the test of the callers that keep eigenvalues above
+    rank_tol * |lambda|max. Success at s = g_hi + delta gives computed
+    lambda_min >= s - eps_c - eps_j, and the computed gate is at most
+    g_hi + |relative| eps_j plus roundings, so the difference is at least
+    delta - eps_c - (1 + |relative|) eps_j = delta / 2 less those
+    roundings. The second half of delta covers them, and leaves a
+    positive remainder as eps_c >= 4 u F > 0 for m != 0 (for m = 0 the
+    factorization at s >= 0 fails on its first pivot).
+
+    Without the floor the gate ends are relative * L and relative * U,
+    so the band and the shifts are homogeneous in the scaled rows: the
+    verdict for 2^j m is the verdict for m (k only enters through the
+    exponent-range guard, |k| > 1000).
     """
     rows, k = _scaled_rows(m)
-    band = _gate_band(rows, k, tol, fixed, relative)
+    band = _gate_band(rows, k, tol, fixed, relative, floor)
     if band is None:
         return None
     g_lo, g_hi, delta = band
@@ -376,6 +397,67 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -40
 
 
+def _ldl(rows: list) -> Optional[Tuple[list, list]]:
+    """(L, d) with rows = L diag(d) L^t, L unit lower triangular (row i
+    holds l_i0 .. l_i,i-1), run in floating point without pivoting; None
+    when a pivot comes out not positive. No square roots, so a diagonal
+    input gives L = I and d its diagonal exactly."""
+    low, pivots = [], []
+    for i, row in enumerate(rows):
+        w = []                                  # l_ij d_j
+        for j, lj in enumerate(low):
+            w.append(row[j] - sum(map(operator.mul, w, lj)))
+        li = [wj / dj for wj, dj in zip(w, pivots)]
+        pivot = row[i] - sum(map(operator.mul, w, li))
+        if not pivot > 0.0:
+            return None
+        low.append(li)
+        pivots.append(pivot)
+    return low, pivots
+
+
+def _definite_ldl(m: np.ndarray, tol: Tolerances) -> Optional[Tuple[list, list, int]]:
+    """(L, d, k) with 2^k m = L diag(d) L^t (the rows of _scaled_rows),
+    when the floor-free certificate proves that the Jacobi spectrum of m
+    has lambda_min > rank_tol * |lambda|max: then the Jacobi route keeps
+    every eigenvalue (pinv_and_range) and finds m regular (inv). None
+    otherwise, and the caller takes the spectral route.
+
+    The verdict and the factorization depend on the scaled rows only, so
+    m and 2^j m get the same factor and k - j for k. The certificate
+    proves lambda_min(2^k m) > eps_c at shift 0, the condition under
+    which the unshifted factorization runs to completion."""
+    if not _certify(m, tol, relative=tol.rank_tol, refute=False, floor=False):
+        return None
+    rows, k = _scaled_rows(m)
+    factor = _ldl(rows)
+    return None if factor is None else (*factor, k)
+
+
+def _reciprocal_form(m: np.ndarray, x: np.ndarray, tol: Tolerances) -> Optional[float]:
+    """1 / (x^t m^-1 x) by an LDL^t solve when _definite_ldl certifies m;
+    None otherwise. With L y = x and 2^k m = L D L^t,
+    x^t m^-1 x = 2^k sum(y_i^2 / d_i)."""
+    factor = _definite_ldl(m, tol)
+    if factor is None:
+        return None
+    low, pivots, k = factor
+    y = []
+    for xi, li in zip(x.tolist(), low):
+        y.append(xi - sum(map(operator.mul, li, y)))
+    q = math.fsum(yi * yi / di for yi, di in zip(y, pivots))
+    return math.ldexp(1.0 / q, -k)
+
+
+def _ldl_inverse(low: list, pivots: list, k: int) -> np.ndarray:
+    """m^-1 = 2^k L^-t D^-1 L^-1 from the factor 2^k m = L D L^t."""
+    n = len(pivots)
+    w = np.eye(n)                               # rows of L^-1, built top down
+    for i in range(1, n):
+        w[i] -= np.array(low[i]) @ w[:i]
+    return np.ldexp(w.T @ (w / np.array(pivots)[:, None]), k)
+
+
 def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
     """The Jacobi route: lambda_min >= -tau, or > tau when strict, with
     tau = psd_tol * max(1, |lambda|max) on the computed spectrum."""
@@ -431,8 +513,17 @@ def sqrt_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
 
 
 def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
-    """Inverse through the spectral decomposition; Singular when the
-    smallest |eigenvalue| falls at or below rank_tol * |lambda|_max."""
+    """Inverse; Singular when the smallest |eigenvalue| falls at or below
+    rank_tol * |lambda|_max.
+
+    A matrix that _definite_ldl certifies, or whose negative it
+    certifies, is inverted through LDL^t (as -inv(-A) when negative
+    definite); every other input through the spectral decomposition,
+    which also gives Singular its verdict."""
+    for sign in (1.0, -1.0):
+        factor = _definite_ldl(sign * A.a, tol)
+        if factor is not None:
+            return SymMat(sign * _ldl_inverse(*factor))
     spec = eigh(A, tol)
     lam = spec.eigenvalues
     maxabs = float(np.max(np.abs(lam)))

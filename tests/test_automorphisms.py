@@ -57,6 +57,65 @@ class TestConstruction:
         with pytest.raises(Singular):
             EffectAutomorphism(np.diag([1.0, 0.0]))
 
+    @staticmethod
+    def spectral_norm_sign(t, tol):
+        """The sign rule decided against the spectral norm itself."""
+        scale = float(np.linalg.svd(t, compute_uv=False)[0])
+        for value in t.ravel():
+            if abs(float(value)) > tol.equality_tol * scale:
+                return -1.0 if float(value) < 0.0 else 1.0
+
+    @pytest.fixture
+    def spectral_norms(self, monkeypatch):
+        """The np.linalg.norm(x, 2) calls (one SVD each) made meanwhile."""
+        norm = np.linalg.norm
+        calls = []
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return calls
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL,
+                                     Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2)])
+    def test_sign_agrees_with_the_spectral_norm_rule_inside_the_band(self, tol, spectral_norms):
+        # The first entry sits between ||T||_F / sqrt(n) and ||T||_F times
+        # equality_tol, so the bounds cannot decide it: once just above
+        # equality_tol * ||T||_2, once just below (then the next entry,
+        # of the other sign, decides).
+        rng = np.random.default_rng(19)
+        cases = 0
+        for n in (2, 3, 5):
+            for _ in range(20):
+                t = rng.standard_normal((n, n))
+                t[0, 0] = 0.0
+                t[0, 1] = -np.sign(rng.standard_normal()) * abs(t[0, 1])
+                gate = tol.equality_tol * float(np.linalg.svd(t, compute_uv=False)[0])
+                for side in (1.0 + 1e-6, 1.0 - 1e-6):
+                    t[0, 0] = np.sign(rng.standard_normal()) * gate * side
+                    band = tol.equality_tol * math.hypot(*t.ravel())
+                    if not band / math.sqrt(n) < abs(t[0, 0]) < band:
+                        continue
+                    cases += 1
+                    spectral_norms.clear()
+                    phi = EffectAutomorphism(t, tol)
+                    assert len(spectral_norms) == 1
+                    assert np.array_equal(phi.t, self.spectral_norm_sign(t, tol) * t)
+        assert cases > 50
+
+    def test_sign_needs_no_svd_outside_the_band(self, spectral_norms):
+        rng = np.random.default_rng(23)
+        for n in (2, 4, 8):
+            t = rng.standard_normal((n, n))
+            t[0, :2] = [1e-12, -1.0]          # below the band, then above it
+            phi = EffectAutomorphism(t)
+            assert np.array_equal(phi.t, -t)
+            assert np.array_equal(phi.t, self.spectral_norm_sign(t, DEFAULT_TOL) * t)
+        assert spectral_norms == []
+
 
 class TestApply:
     def test_identity_map(self):

@@ -1,7 +1,8 @@
-"""The Cholesky certificates behind the order predicates and the generator
-test of EffectAutomorphism: their verdicts agree with the Jacobi route
-wherever they give one, they hand near-gate inputs to the Jacobi fallback,
-and they take the spectra out of the public calls."""
+"""The Cholesky certificates behind the order predicates, the generator
+test of EffectAutomorphism and the LDL^t route of strength and inv: their
+verdicts agree with the Jacobi route wherever they give one, they hand
+near-gate inputs to the Jacobi fallback, and they take the spectra out of
+the public calls."""
 
 import importlib
 import pathlib
@@ -19,27 +20,32 @@ ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def jacobi_verdict(m, tol, fixed, relative):
+def jacobi_verdict(m, tol, fixed, relative, floor=True):
     """lambda_min(m) >= fixed + relative * max(1, |lambda|max) on the Jacobi
-    spectrum, strict for the positive-definite gate (relative > 0), as the
-    public callers compare it."""
+    spectrum (without the max(1, .) when not `floor`), strict for the
+    positive-definite gate (relative > 0), as the public callers compare
+    it."""
     lam = linalg.eigvalsh(SymMat(m), tol)
-    gate = fixed + relative * max(1.0, float(np.max(np.abs(lam))))
+    top = float(np.max(np.abs(lam)))
+    gate = fixed + relative * (max(1.0, top) if floor else top)
     return float(lam[0]) > gate if relative > 0.0 else float(lam[0]) >= gate
 
 
 def disagreements(calls):
-    return [(m, fixed, relative, verdict) for m, tol, fixed, relative, verdict in calls
-            if verdict is not None and verdict != jacobi_verdict(m, tol, fixed, relative)]
+    return [(m, fixed, relative, floor, verdict)
+            for m, tol, fixed, relative, floor, verdict in calls
+            if verdict is not None
+            and verdict != jacobi_verdict(m, tol, fixed, relative, floor)]
 
 
 def order_recorder(calls):
-    """linalg._certify wrapped to append (m, tol, fixed, relative, verdict)."""
+    """linalg._certify wrapped to append (m, tol, fixed, relative, floor,
+    verdict)."""
     certify = linalg._certify
 
-    def recording(m, tol, fixed=0.0, relative=0.0, refute=True):
-        verdict = certify(m, tol, fixed, relative, refute)
-        calls.append((np.array(m), tol, fixed, relative, verdict))
+    def recording(m, tol, fixed=0.0, relative=0.0, refute=True, floor=True):
+        verdict = certify(m, tol, fixed, relative, refute, floor)
+        calls.append((np.array(m), tol, fixed, relative, floor, verdict))
         return verdict
 
     return recording
@@ -237,6 +243,100 @@ def test_generator_certificate_decides_the_det_gate():
         EffectAutomorphism(below)
 
 
+def jacobi_keeps_and_inverts(m, tol):
+    """The Jacobi routes' decisions on m: pinv_and_range keeps every
+    eigenvalue (strength's closed form on the full range), and inv finds
+    m regular (no Singular)."""
+    lam = linalg.eigvalsh(SymMat(m), tol)
+    top = float(np.max(np.abs(lam)))
+    clamped = np.clip(lam, 0.0, None)
+    keeps = (float(lam[0]) >= -linalg._psd_threshold(lam, tol) and top > 0.0
+             and bool(np.all(clamped > tol.rank_tol * float(np.max(clamped)))))
+    inverts = top > 0.0 and float(np.min(np.abs(lam))) > tol.rank_tol * top
+    return keeps, inverts
+
+
+def definite_route_calls(calls):
+    """The floor-free certificate calls: those of linalg._definite_ldl."""
+    return [(m, tol, verdict) for m, tol, fixed, relative, floor, verdict in calls
+            if not floor]
+
+
+def wrong_definite_verdicts(calls):
+    return [m for m, tol, verdict in definite_route_calls(calls)
+            if verdict and jacobi_keeps_and_inverts(m, tol) != (True, True)]
+
+
+def test_definite_route_agrees_with_jacobi_on_the_corpus(corpus_calls, monkeypatch):
+    calls = list(corpus_calls[0])
+    monkeypatch.syspath_prepend(str(BENCH))
+    ops = importlib.import_module("ops")
+    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
+    for op in ops.stream(7, ops.DIMS["api-large"], 600):
+        if op.kind in ("strength", "interval", "recover"):
+            ops.run_library(op)
+    for name, part in (("corpus", calls[:len(corpus_calls[0])]),
+                       ("api-large", calls[len(corpus_calls[0]):])):
+        part = definite_route_calls(part)
+        undecided = sum(verdict is None for _, _, verdict in part)
+        print(f"definite route, {name}: {len(part)} calls, {undecided} undecided "
+              f"({undecided / len(part):.2%})")
+    assert len(definite_route_calls(calls)) > 1000
+    assert wrong_definite_verdicts(calls) == []
+
+
+def _definite_gate_cases(tol):
+    """Symmetric matrices with lambda_min = rank_tol * lambda_max (1 +- 1e-6),
+    rank-deficient ones, and definite ones away from the gate; each also
+    negated and scaled by 2^k."""
+    rng = np.random.default_rng(13)
+    r = tol.rank_tol
+    cases = []
+    for n in (2, 3, 5):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        spectra = [np.linspace(r * (1.0 + wobble), 1.0, n) for wobble in (-1e-6, 1e-6)]
+        spectra += [np.linspace(0.0, 1.0, n), np.linspace(0.25, 1.0, n)]
+        for lam in spectra:
+            for m in (np.diag(lam), (q * lam) @ q.T):
+                for k in (-300, 0, 300):
+                    cases.extend([SymMat(np.ldexp(m, k)), SymMat(-np.ldexp(m, k))])
+    return cases
+
+
+@pytest.mark.parametrize("tol", [
+    DEFAULT_TOL,
+    Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11),
+    Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2),
+])
+def test_definite_route_agrees_with_jacobi_at_the_gate(tol, monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
+    kept = 0
+    for m in _definite_gate_cases(tol):
+        keeps, inverts = jacobi_keeps_and_inverts(m.a, tol)
+        try:
+            linalg.inv(m, tol)
+            assert inverts
+        except Singular:
+            assert not inverts
+        if keeps:
+            kept += 1
+            assert strength(m, RankOneProjection(np.arange(1.0, m.n + 1.0)), tol) > 0.0
+    assert wrong_definite_verdicts(calls) == []
+    verdicts = [verdict for _, _, verdict in definite_route_calls(calls)]
+    undecided = verdicts.count(None)
+    print(f"definite route at the gate, rank_tol {tol.rank_tol:g}: {len(verdicts)} calls, "
+          f"{undecided} undecided")
+    # The gate cases and the rank-deficient ones reach the Jacobi fallback.
+    assert kept > 0 and 0 < undecided < len(verdicts)
+
+
+def test_ldl_refuses_a_matrix_that_is_not_definite():
+    assert linalg._ldl([[1.0, 2.0], [2.0, 1.0]]) is None
+    assert linalg._ldl([[0.0]]) is None
+    assert linalg._ldl([[4.0, 2.0], [2.0, 5.0]]) == ([[], [0.5]], [4.0, 4.0])
+
+
 class TestSpectraPerCall:
     """Spectral decompositions per public call, counted at the kernel."""
 
@@ -274,9 +374,22 @@ class TestSpectraPerCall:
         assert count(linalg.is_psd, low) == []
         assert count(make_effect, low) == []
 
-    def test_strength_is_one_eigh(self, count):
+    def test_strength_on_full_rank_takes_no_spectrum(self, count):
         a = SymMat([[2.0, 0.5], [0.5, 1.0]])
+        assert count(strength, a, RankOneProjection([1.0, 1.0])) == []
+
+    def test_strength_on_singular_is_one_eigh(self, count):
+        a = SymMat([[1.0, 1.0], [1.0, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 1.0])) == ["eigh"]
+        assert count(strength, a, RankOneProjection([1.0, 0.0])) == ["eigh"]
+
+    def test_inv_of_definite_takes_no_spectrum(self, count):
+        a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+        assert count(linalg.inv, a) == []
+        assert count(linalg.inv, -a) == []
+
+    def test_inv_of_indefinite_is_one_eigh(self, count):
+        assert count(linalg.inv, SymMat([[1.0, 2.0], [2.0, 1.0]])) == ["eigh"]
 
     def test_witness_on_incomparable_pair_is_one_eigh(self, count):
         first, second = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])

@@ -4,13 +4,16 @@ newline termination, exact re-parse)."""
 
 import json
 import pathlib
+import warnings
 
+import numpy as np
 import pytest
 
-from loewner import linalg
+from loewner import cli, linalg
+from loewner.automorphisms import EffectAutomorphism
 from loewner.cli import dumps_stable, main
 from loewner.effects import RankOneProjection, strength
-from loewner.errors import InternalInversionFailure, NonConvergence, NotPSD
+from loewner.errors import InternalInversionFailure, NonConvergence, NotPSD, TooLarge
 from loewner.linalg import SymMat
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -21,6 +24,7 @@ ZERO = '{"n":2,"data":[0,0,0,0]}'
 EYE = '{"n":2,"data":[1,0,0,1]}'
 HALF = '{"n":2,"data":[0.5,0,0,0.5]}'
 GEN_21 = '{"n":2,"data":[2,0,0,1]}'
+ZERO_AT_CAP = json.dumps({"n": cli._MAX_N, "data": [0] * cli._MAX_N ** 2})
 
 HALF_OPEN_SPEC = json.dumps({
     "n": 2,
@@ -109,7 +113,8 @@ class TestExitCodes:
             raise failure("injected")
 
         monkeypatch.setattr(linalg, "_jacobi", failing)
-        code, out, err = run(capsys, ["strength", EYE, "[1,0]"])
+        # singular input: a definite one is answered without the eigensolver
+        code, out, err = run(capsys, ["strength", DIAG_10, "[1,0]"])
         assert code == 6 and out == ""
         assert "internal numerical failure: injected" in err
 
@@ -136,6 +141,35 @@ class TestExtremeScale:
         assert "below -psd_tol" in err
         with pytest.raises(NotPSD):
             strength(SymMat([[0.0, 1e200], [1e200, 0.0]]), RankOneProjection([1.0, 0.0]))
+
+
+class TestTooLarge:
+    def test_generator_whose_gram_overflows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["phi", "invert", '{"n":2,"data":[1e200,0,0,1e200]}'])
+        assert code == 2 and out == ""
+        assert err == "error: generator scale 1e+200 is too large: T^t T overflows\n"
+        with pytest.raises(TooLarge):
+            EffectAutomorphism(np.diag([1.0, 1e160]))
+
+    def test_dimension_above_the_cap_is_refused(self, capsys):
+        big = cli._MAX_N + 1
+        eye = json.dumps({"n": big, "data": np.eye(big).ravel().tolist()})
+        for argv in (["order", eye, eye], ["strength", eye, json.dumps([1.0] * big)],
+                     ["phi", "invert", eye], ["phi", "probes", str(big)],
+                     ["phi", "recover", json.dumps({"n": big, "pairs": []})],
+                     ["interval", "classify", json.dumps({
+                         "n": big, "lower": {"kind": "minus_infinity"},
+                         "upper": {"kind": "plus_infinity"}})]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert err == f"error: dimension {big} is above the cap of {cli._MAX_N}\n"
+
+    def test_dimension_at_the_cap_is_accepted(self, capsys):
+        eye = json.dumps({"n": cli._MAX_N, "data": np.eye(cli._MAX_N).ravel().tolist()})
+        code, out, _ = run(capsys, ["order", ZERO_AT_CAP, eye])
+        assert code == 0 and json.loads(out) == {"le": True, "lt": True}
 
 
 class TestIntervalTolerance:

@@ -192,7 +192,11 @@ class TestInv:
         assert np.allclose(linalg.inv(SymMat.identity(2)).a, np.eye(2))
 
     def test_diagonal(self):
-        assert np.allclose(linalg.inv(SymMat.diagonal([2.0, 1.0])).a, np.diag([0.5, 1.0]))
+        # exact: the definite route factors without square roots
+        for values in ([2.0, 1.0], [0.5, 0.5], [3.0, 0.7, 1e-5, 2.0 ** 10]):
+            expected = np.diag([1.0 / v for v in values])
+            assert np.array_equal(linalg.inv(SymMat.diagonal(values)).a, expected)
+            assert np.array_equal(linalg.inv(SymMat.diagonal([-v for v in values])).a, -expected)
 
     def test_adjugate_hand_value(self):
         got = linalg.inv(SymMat([[2.0, 1.0], [1.0, 2.0]]))
@@ -209,6 +213,18 @@ class TestInv:
     def test_singular(self):
         with pytest.raises(Singular):
             linalg.inv(SymMat.diagonal([1.0, 0.0]))
+
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.integers(-600, 600))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, n, seed, negative, k):
+        # A = +-(B B^t + I/10): definite, inverted through LDL^t
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, n))
+        a = SymMat((-1.0 if negative else 1.0) * (b @ b.T + 0.1 * np.eye(n)))
+        assert linalg._definite_ldl(-a.a if negative else a.a, DEFAULT_TOL) is not None
+        c = 2.0 ** k
+        assert np.array_equal(linalg.inv(SymMat(c * a.a)).a, linalg.inv(a).a / c)
 
 
 class TestApplyFn:
