@@ -93,7 +93,9 @@ class EffectAutomorphism:
 
     Construction decides "T is regular within rank tolerance" by the
     Cholesky certificate of linalg._certify_regular and computes the
-    spectrum of T^t T only when that is undecided.
+    spectrum of T^t T only when that is undecided. Every method works at
+    the tolerances given at construction, and compose and inverse build
+    their result at them.
     """
 
     __slots__ = ("t", "n", "gram", "_tol")
@@ -140,8 +142,9 @@ class EffectAutomorphism:
         cond = float(lam[-1]) / float(lam[0])
         return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
-    def apply(self, X, tol: Tolerances = DEFAULT_TOL) -> Effect:
+    def apply(self, X) -> Effect:
         """Evaluate T (X (T^t T - I) + I)^{-1} X T^t, certified back into [0, I]."""
+        tol = self._tol
         eff = _coerce_effect(X, tol)
         if eff.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {eff.n} vs {self.n}")
@@ -171,28 +174,28 @@ class EffectAutomorphism:
             image = SymMat((spec.eigenvectors * clipped) @ spec.eigenvectors.T)
         return Effect(mat=image)
 
-    def compose(self, other: "EffectAutomorphism", tol: Tolerances = DEFAULT_TOL) -> "EffectAutomorphism":
+    def compose(self, other: "EffectAutomorphism") -> "EffectAutomorphism":
         """Generator product: applying `other` first, then `self`."""
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
-        return EffectAutomorphism(self.t @ other.t, tol)
+        return EffectAutomorphism(self.t @ other.t, self._tol)
 
-    def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "EffectAutomorphism":
-        return EffectAutomorphism(np.linalg.inv(self.t), tol)
+    def inverse(self) -> "EffectAutomorphism":
+        return EffectAutomorphism(np.linalg.inv(self.t), self._tol)
 
-    def equals(self, other: "EffectAutomorphism", tol: Tolerances = DEFAULT_TOL) -> bool:
+    def equals(self, other: "EffectAutomorphism") -> bool:
         if self.n != other.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
-        return float(np.linalg.norm(self.t - other.t)) <= tol.equality_tol * float(np.linalg.norm(self.t))
+        return float(np.linalg.norm(self.t - other.t)) <= self._tol.equality_tol * float(np.linalg.norm(self.t))
 
-    def project_image(self, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> RankOneProjection:
+    def project_image(self, P: RankOneProjection) -> RankOneProjection:
         """Projection onto T x for x spanning Im P; certified against the
         dominant eigendirection of the mapped projection."""
         if P.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {P.n} vs {self.n}")
         image = RankOneProjection(self.t @ P.x)
-        mapped = self.apply(Effect(mat=P.mat), tol)
-        spec = linalg.eigh(mapped.mat, tol)
+        mapped = self.apply(Effect(mat=P.mat))
+        spec = linalg.eigh(mapped.mat, self._tol)
         dominant = spec.eigenvectors[:, -1]
         cosine = min(1.0, abs(float(image.x @ dominant)))
         if math.acos(cosine) > 1e-6:
@@ -321,7 +324,7 @@ def recover_generator(
     phi = EffectAutomorphism(M.a @ O, tol)
     for probe in residual_probes:
         image = oracle(probe)
-        if float(np.linalg.norm(phi.apply(probe, tol).mat.a - image.mat.a)) > 1e-6:
+        if float(np.linalg.norm(phi.apply(probe).mat.a - image.mat.a)) > 1e-6:
             raise NotAutomorphism("residual check against the oracle failed")
     return phi
 
@@ -409,6 +412,6 @@ def mobius_to_canonical(params: MobiusParams, tol: Tolerances = DEFAULT_TOL) -> 
     phi = recover_generator(lambda E: mobius_apply(params, E, tol), params.n, tol)
     for probe in _random_effects(params.n, 20, _CONVERSION_CHECK_SEED):
         direct = mobius_apply(params, probe, tol)
-        if float(np.linalg.norm(phi.apply(probe, tol).mat.a - direct.mat.a)) > 1e-6:
+        if float(np.linalg.norm(phi.apply(probe).mat.a - direct.mat.a)) > 1e-6:
             raise NotAutomorphism("canonical form does not reproduce the fractional-linear map")
     return phi

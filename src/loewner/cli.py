@@ -51,7 +51,7 @@ from .intervals import (
     build_chain,
     classify,
 )
-from .linalg import DEFAULT_TOL, SymMat, Tolerances
+from .linalg import SymMat, Tolerances
 from .selftest import run_selftest
 
 _ASYMMETRY_WARN = 1e-9
@@ -164,24 +164,20 @@ def _cmd_strength(args) -> int:
     return 0
 
 
-def _load_generator(source: str) -> np.ndarray:
-    return parse_square(load_json(source))
-
-
 def _cmd_phi(args) -> int:
     tol = _tolerances(args)
     sub = args.phi_command
     if sub == "apply":
-        phi = EffectAutomorphism(_load_generator(args.t), tol)
+        phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
         x = parse_symmetric(load_json(args.x), "effect")
-        _emit(matrix_doc(phi.apply(x, tol).mat))
+        _emit(matrix_doc(phi.apply(x).mat))
     elif sub == "compose":
-        first = EffectAutomorphism(_load_generator(args.s), tol)
-        second = EffectAutomorphism(_load_generator(args.r), tol)
-        _emit(matrix_doc(first.compose(second, tol).t))
+        first = EffectAutomorphism(parse_square(load_json(args.s)), tol)
+        second = EffectAutomorphism(parse_square(load_json(args.r)), tol)
+        _emit(matrix_doc(first.compose(second).t))
     elif sub == "invert":
-        phi = EffectAutomorphism(_load_generator(args.t), tol)
-        _emit(matrix_doc(phi.inverse(tol).t))
+        phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
+        _emit(matrix_doc(phi.inverse().t))
     elif sub == "probes":
         n = _parse_dimension(args.n)
         if n < 2:
@@ -219,7 +215,7 @@ def _probe_key(mat: SymMat) -> bytes:
 _ENDPOINT_KINDS = {"finite", "plus_infinity", "minus_infinity"}
 
 
-def parse_interval_spec(doc: dict, tol: Tolerances = DEFAULT_TOL) -> IntervalSpec:
+def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
     n = _parse_dimension(doc["n"])
     ends = []
     for side in ("lower", "upper"):
@@ -266,7 +262,7 @@ def _cmd_interval(args) -> int:
         payload = load_json(args.payload)
         spec = parse_interval_spec(payload["interval"], tol)
         x = parse_symmetric(payload["x"], "input matrix")
-        image = apply_chain(build_chain(spec), x, spec, tol)
+        image = apply_chain(build_chain(spec), x, spec)
         _emit(matrix_doc(image))
     return 0
 

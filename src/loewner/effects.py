@@ -179,13 +179,14 @@ def rank_one_segment(
 
     Requires A <= B (NotComparable otherwise). Returns (t, P) when B - A
     has rank at most one, None otherwise. Rank is decided by the
-    second-largest eigenvalue against rank_tol * (1 + ||B - A||_2).
+    second-largest eigenvalue against rank_tol * (1 + ||B - A||_2). One
+    spectrum of B - A decides both.
     """
-    if not linalg.loewner_le(A.mat, B.mat, tol):
-        raise NotComparable("lower effect is not below upper effect")
-    diff = B.mat - A.mat
-    spec = linalg.eigh(diff, tol)
+    linalg._check_same_dim(A.mat, B.mat)
+    spec = linalg.eigh(B.mat - A.mat, tol)
     lam = spec.eigenvalues
+    if not linalg._spectral_verdict(lam, False, tol):
+        raise NotComparable("lower effect is not below upper effect")
     top = float(lam[-1])
     if top <= tol.rank_tol:
         return 0.0, standard_projection(0, A.n)
@@ -292,13 +293,13 @@ def one_third_decompose(
     if A.n != 2 or P.n != 2:
         raise DimensionMismatch("this decomposition is defined for 2x2 matrices")
     q_mat = 1.5 * (np.eye(2) - A.a)
-    lam = linalg.eigvalsh(SymMat(q_mat), tol)
+    spec = linalg.eigh(SymMat(q_mat), tol)
+    lam = spec.eigenvalues
     gate = 10.0 * max(tol.rank_tol, tol.psd_tol)
     if abs(float(lam[0])) > gate or abs(float(lam[1]) - 1.0) > gate:
         return None
     if abs(float(np.trace(P.mat.a @ q_mat)) - 0.5) > tol.equality_tol:
         return None
-    spec = linalg.eigh(SymMat(q_mat), tol)
     return RankOneProjection(spec.eigenvectors[:, -1])
 
 

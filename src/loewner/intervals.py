@@ -74,7 +74,8 @@ class Endpoint:
 @dataclass(frozen=True)
 class IntervalSpec:
     """Endpoint pair defining a matrix interval in dimension n; finite
-    endpoints must satisfy lower < upper at the tolerances `tol`."""
+    endpoints must satisfy lower < upper at the tolerances `tol`, which
+    contains, build_chain and apply_chain use as well."""
 
     lower: Endpoint
     upper: Endpoint
@@ -95,17 +96,17 @@ class IntervalSpec:
             if not linalg.loewner_lt(self.lower.matrix, self.upper.matrix, self.tol):
                 raise InvalidSpec("finite endpoints must satisfy lower < upper strictly")
 
-    def contains(self, X: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, X: SymMat) -> bool:
         if X.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {X.n} vs {self.n}")
         if self.lower.is_finite:
-            ok = (linalg.loewner_le(self.lower.matrix, X, tol) if self.lower.closed
-                  else linalg.loewner_lt(self.lower.matrix, X, tol))
+            ok = (linalg.loewner_le(self.lower.matrix, X, self.tol) if self.lower.closed
+                  else linalg.loewner_lt(self.lower.matrix, X, self.tol))
             if not ok:
                 return False
         if self.upper.is_finite:
-            ok = (linalg.loewner_le(X, self.upper.matrix, tol) if self.upper.closed
-                  else linalg.loewner_lt(X, self.upper.matrix, tol))
+            ok = (linalg.loewner_le(X, self.upper.matrix, self.tol) if self.upper.closed
+                  else linalg.loewner_lt(X, self.upper.matrix, self.tol))
             if not ok:
                 return False
         return True
@@ -126,7 +127,7 @@ class Translate:
     shift: SymMat
     reverses = False
 
-    def apply(self, X: SymMat) -> SymMat:
+    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
         return SymMat(X.a + self.shift.a)
 
     def inverse(self) -> "Translate":
@@ -151,7 +152,7 @@ class Congruence:
         t.flags.writeable = False
         object.__setattr__(self, "generator", t)
 
-    def apply(self, X: SymMat) -> SymMat:
+    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
         y = self.generator @ X.a @ self.generator.T
         return SymMat((y + y.T) / 2.0)
 
@@ -165,9 +166,9 @@ class Invert:
 
     reverses = True
 
-    def apply(self, X: SymMat) -> SymMat:
+    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
         try:
-            return linalg.inv(X)
+            return linalg.inv(X, tol)
         except Singular as exc:
             raise IntermediateSingular(
                 "chain reached a singular intermediate value") from exc
@@ -182,13 +183,15 @@ class Negate:
 
     reverses = True
 
-    def apply(self, X: SymMat) -> SymMat:
+    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
         return SymMat(-X.a)
 
     def inverse(self) -> "Negate":
         return self
 
 
+# Each step's apply(X, tol) takes the tolerances of the chain's domain;
+# only Invert reads them.
 PrimitiveMap = Union[Translate, Congruence, Invert, Negate]
 
 
@@ -232,15 +235,16 @@ def _is_identity(M: SymMat) -> bool:
     return bool(np.all(M.a == np.eye(M.n)))
 
 
-def _affine_to_unit(lower: SymMat, upper: SymMat) -> list:
+def _affine_to_unit(spec: IntervalSpec) -> list:
     """Steps sending [lower, upper] onto [0, I] exactly; no-op steps are
     omitted so canonical inputs yield empty prefixes."""
+    lower, upper, tol = spec.lower.matrix, spec.upper.matrix, spec.tol
     steps = []
     if not _is_zero(lower):
         steps.append(Translate(shift=SymMat(-lower.a)))
     gap = upper - lower
     if not _is_identity(gap):
-        steps.append(Congruence(generator=linalg.inv(linalg.sqrt_psd(gap)).a))
+        steps.append(Congruence(generator=linalg.inv(linalg.sqrt_psd(gap, tol), tol).a))
     return steps
 
 
@@ -262,22 +266,22 @@ def build_chain(spec: IntervalSpec) -> MapChain:
     n = spec.n
     steps: list = []
     if cls is CanonicalClass.UNIT_INTERVAL:
-        steps = _affine_to_unit(spec.lower.matrix, spec.upper.matrix)
+        steps = _affine_to_unit(spec)
     elif cls is CanonicalClass.POSITIVE_CLOSED:
         if spec.upper.is_finite:
-            steps = _affine_to_unit(spec.lower.matrix, spec.upper.matrix)
+            steps = _affine_to_unit(spec)
             steps.extend(_half_open_to_cone(n))
         elif not _is_zero(spec.lower.matrix):
             steps = [Translate(shift=SymMat(-spec.lower.matrix.a))]
     elif cls is CanonicalClass.NEGATIVE_CLOSED:
         if spec.lower.is_finite:
-            steps = _affine_to_unit(spec.lower.matrix, spec.upper.matrix)
+            steps = _affine_to_unit(spec)
             steps.extend(_reverse_half_open_to_cone(n))
         elif not _is_zero(spec.upper.matrix):
             steps = [Translate(shift=SymMat(-spec.upper.matrix.a))]
     elif cls is CanonicalClass.POSITIVE_OPEN:
         if spec.lower.is_finite and spec.upper.is_finite:
-            steps = _affine_to_unit(spec.lower.matrix, spec.upper.matrix)
+            steps = _affine_to_unit(spec)
             steps.extend(_half_open_to_cone(n))
         elif spec.lower.is_finite:
             if not _is_zero(spec.lower.matrix):
@@ -291,15 +295,14 @@ def build_chain(spec: IntervalSpec) -> MapChain:
     return chain_of(*steps)
 
 
-def apply_chain(chain: MapChain, X: SymMat, domain: IntervalSpec,
-                tol: Tolerances = DEFAULT_TOL) -> SymMat:
+def apply_chain(chain: MapChain, X: SymMat, domain: IntervalSpec) -> SymMat:
     """Evaluate the chain at X after checking membership in the declared
-    domain (open/closed flags honored)."""
-    if not domain.contains(X, tol):
+    domain (open/closed flags honored); every step runs at domain.tol."""
+    if not domain.contains(X):
         raise OutOfDomain("input lies outside the declared interval")
     value = X
     for step in chain.steps:
-        value = step.apply(value)
+        value = step.apply(value, domain.tol)
     return value
 
 
@@ -352,7 +355,7 @@ def cone_automorphism_apply(T, X: SymMat, open_cone: bool = False,
     inside = linalg.loewner_lt(zero, X, tol) if open_cone else linalg.loewner_le(zero, X, tol)
     if not inside:
         raise OutOfDomain("input lies outside the cone")
-    return congruence.apply(X)
+    return congruence.apply(X, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +372,7 @@ class AffineAutomorphism:
             raise DimensionMismatch("shift dimension differs from the generator")
 
 
-def affine_automorphism_apply(auto: AffineAutomorphism, X: SymMat,
-                              tol: Tolerances = DEFAULT_TOL) -> SymMat:
+def affine_automorphism_apply(auto: AffineAutomorphism, X: SymMat) -> SymMat:
     if X.n != auto.s.n:
         raise DimensionMismatch("input dimension differs from the automorphism")
     y = auto.t @ X.a @ auto.t.T

@@ -48,6 +48,10 @@ class Tolerances:
                  applied relative to the spectral scale max(1, |lambda|_max).
     rank_tol     relative cutoff for rank decisions and spectral truncation.
     equality_tol relative threshold for treating two matrices as equal.
+
+    psd_tol and rank_tol may not be below eig_tol: the Jacobi spectrum
+    resolves eigenvalues only to about eig_tol * ||A||_F, so a finer gate
+    would decide order and rank on rounding noise.
     """
 
     eig_tol: float = 1e-14
@@ -59,6 +63,8 @@ class Tolerances:
         for name in ("eig_tol", "psd_tol", "rank_tol", "equality_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if min(self.psd_tol, self.rank_tol) < self.eig_tol:
+            raise ValueError(f"psd_tol and rank_tol must not be below eig_tol ({self.eig_tol:g})")
 
 
 DEFAULT_TOL = Tolerances()
@@ -493,13 +499,6 @@ def loewner_lt(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
     return _order_verdict(A, False, tol)
-
-
-def sym_close(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Frobenius-relative equality at equality_tol."""
-    _check_same_dim(A, B)
-    scale = max(1.0, float(np.linalg.norm(A.a)), float(np.linalg.norm(B.a)))
-    return float(np.linalg.norm(A.a - B.a)) <= tol.equality_tol * scale
 
 
 def sqrt_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:

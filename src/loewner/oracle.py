@@ -202,8 +202,8 @@ def monotonicity_report(map_fn: Callable[[SymMat], SymMat],
             low_c, high_c = _sample_canonical_pair(s, cls, domain.n)
             if not linalg.loewner_le(high_c, low_c, tol):
                 break
-        low = apply_chain(back, low_c, canon, tol)
-        high = apply_chain(back, high_c, canon, tol)
+        low = apply_chain(back, low_c, canon)
+        high = apply_chain(back, high_c, canon)
         image_low = map_fn(low)
         image_high = map_fn(high)
         le_forward = linalg.loewner_le(image_low, image_high, tol)

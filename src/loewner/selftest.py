@@ -131,10 +131,6 @@ def check_projection_law(seed: int, trials: int) -> PropertyResult:
         f"worst idempotence {worst_idem:.3e}, worst angle {worst_angle:.3e} over {trials} trials")
 
 
-def _random_psd(s: oracle.Sampler, n: int, singular: bool) -> SymMat:
-    return oracle.sample_psd(s, n, singular=singular)
-
-
 def check_strength_oracle(seed: int, trials: int) -> PropertyResult:
     """Closed form vs bisection on full-rank and singular inputs.
 
@@ -148,7 +144,7 @@ def check_strength_oracle(seed: int, trials: int) -> PropertyResult:
     for i in range(trials):
         n = 2 + i % 5
         singular = i % 2 == 1
-        mat = _random_psd(s, n, singular)
+        mat = oracle.sample_psd(s, n, singular=singular)
         if not singular:
             proj = RankOneProjection(s.rng.standard_normal(n))
         else:
@@ -187,7 +183,7 @@ def check_witness_biconditional(seed: int, trials: int) -> PropertyResult:
             low, high = oracle.sample_comparable_pair(s, n)
             first, second = low.mat, high.mat
         else:
-            first, second = _random_psd(s, n, False), _random_psd(s, n, False)
+            first, second = oracle.sample_psd(s, n), oracle.sample_psd(s, n)
         comparable = linalg.loewner_le(first, second)
         witness = effects.strength_witness(first, second)
         if comparable != (witness is None):
@@ -289,16 +285,14 @@ def _closed_endpoint_images(spec: IntervalSpec):
     return out
 
 
-def sample_in_interval_pair(s: oracle.Sampler, spec: IntervalSpec,
-                            tol: Tolerances = DEFAULT_TOL):
+def sample_in_interval_pair(s: oracle.Sampler, spec: IntervalSpec):
     """Comparable pair inside the interval, transported from the canonical
     representative through the inverted normalization chain."""
     cls = classify(spec)
     canon = canonical_interval(cls, spec.n)
     back = invert_chain(build_chain(spec))
     low_c, high_c = oracle._sample_canonical_pair(s, cls, spec.n)
-    return (apply_chain(back, low_c, canon, tol),
-            apply_chain(back, high_c, canon, tol))
+    return apply_chain(back, low_c, canon), apply_chain(back, high_c, canon)
 
 
 def check_interval_atlas(seed: int, trials: int, per_shape: int = None) -> PropertyResult:

@@ -221,6 +221,33 @@ class TestGroupStructure:
         assert not identity_automorphism(2).equals(EffectAutomorphism(np.diag([2.0, 1.0])))
 
 
+class TestConstructionTolerance:
+    """Every method works at the tolerances the map was built with."""
+
+    FINE = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+
+    def test_compose_and_inverse_build_at_the_same_tolerance(self):
+        phi = EffectAutomorphism(np.diag([1.0, 1e-5]), self.FINE)
+        # sigma_min 1e-10 of the product clears rank_tol 1e-12, not 1e-9;
+        # its inverse diag(1, 1e10) fails sigma_min > 1e-9 sigma_max too
+        assert np.allclose(phi.compose(phi).t, np.diag([1.0, 1e-10]), rtol=1e-15, atol=0.0)
+        assert np.allclose(phi.compose(phi).inverse().t, np.diag([1.0, 1e10]), rtol=1e-15, atol=0.0)
+        for t in (np.diag([1.0, 1e-10]), np.diag([1.0, 1e10])):
+            with pytest.raises(Singular):
+                EffectAutomorphism(t)
+
+    def test_apply_checks_the_input_at_the_same_tolerance(self):
+        x = SymMat.diagonal([0.5, 1.0 + 5e-10])        # above 1 by 5e-10
+        with pytest.raises(NotAnEffect):
+            EffectAutomorphism(np.diag([1.0, 1e5]), self.FINE).apply(x)
+        EffectAutomorphism(np.diag([1.0, 1e5])).apply(x)
+
+    def test_equals_at_the_same_tolerance(self):
+        t = np.diag([1.0, 1.0 + 1e-9])
+        assert EffectAutomorphism(t).equals(identity_automorphism(2))
+        assert not EffectAutomorphism(t, self.FINE).equals(identity_automorphism(2))
+
+
 class TestProjectImage:
     def test_identity(self):
         p = RankOneProjection([0.6, 0.8])

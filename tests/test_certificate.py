@@ -12,7 +12,14 @@ import pytest
 
 from loewner import automorphisms, linalg, selftest
 from loewner.automorphisms import EffectAutomorphism
-from loewner.effects import RankOneProjection, make_effect, strength, strength_witness
+from loewner.effects import (
+    RankOneProjection,
+    make_effect,
+    one_third_decompose,
+    rank_one_segment,
+    strength,
+    strength_witness,
+)
 from loewner.errors import Singular
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -157,6 +164,40 @@ def test_extreme_scales_fall_back():
     huge = SymMat([[0.0, 1e200], [1e200, 0.0]])
     assert not linalg.is_psd(huge)
     assert linalg.is_psd(SymMat(1e200 * np.eye(2)))
+
+
+def test_a_gate_that_overflows_falls_back():
+    # psd_tol * 2^k overflows in the scaled units of a matrix near 1e-290
+    tol = Tolerances(psd_tol=1e30)
+    m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
+    rows, k = linalg._scaled_rows(m.a)
+    for relative in (-tol.psd_tol, tol.psd_tol):
+        assert linalg._gate_band(rows, k, tol, 0.0, relative) is None
+    lam = linalg.eigvalsh(m, tol)                     # -2.0e-290, 1.0e-290
+    assert linalg.is_psd(m, tol) and linalg._spectral_verdict(lam, False, tol)
+    assert not linalg.loewner_lt(SymMat.zero(2), m, tol)
+
+
+def test_generator_beyond_the_exponent_range_falls_back():
+    t = np.ldexp(np.eye(2), -520)                     # T^t T = 2^-1040 I
+    assert not linalg._certify_regular(t.T @ t, DEFAULT_TOL)
+    with pytest.raises(Singular):
+        EffectAutomorphism(t)
+
+
+def test_generator_whose_jacobi_determinant_underflows_falls_back():
+    # log2 prod(lam) = -1250: np.prod on the Jacobi route underflows to 0,
+    # so the certificate must not call T regular although -1250 clears
+    # 2 log2(rank_tol) = -1329
+    tol = Tolerances(eig_tol=1e-200, psd_tol=1e-200, rank_tol=1e-200, equality_tol=1e-199)
+    t = np.ldexp(np.eye(5), -125)
+    assert not linalg._certify_regular(t.T @ t, tol)
+    try:
+        EffectAutomorphism(t, tol)
+        regular = True
+    except Singular:
+        regular = False
+    assert regular == jacobi_regular(t.T @ t, tol)
 
 
 def jacobi_regular(gram, tol):
@@ -412,6 +453,21 @@ class TestSpectraPerCall:
     def test_apply_on_interior_input_takes_no_spectrum(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         assert count(phi.apply, SymMat([[0.5, 0.1], [0.1, 0.4]])) == []
+
+    def test_rank_one_segment_is_one_eigh(self, count):
+        # B - A = diag(0.4, -psd_tol (1 - 1e-6)) sits on the order gate,
+        # where loewner_le's certificate is undecided
+        low = make_effect(SymMat.diagonal([0.3, 0.3]))
+        high = make_effect(SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 - 1e-6)]))
+        assert linalg._certify((high.mat - low.mat).a, DEFAULT_TOL,
+                               relative=-DEFAULT_TOL.psd_tol) is None
+        assert count(rank_one_segment, low, high) == ["eigh"]
+        assert count(rank_one_segment, low, low) == ["eigh"]
+
+    def test_one_third_decompose_is_one_eigh(self, count):
+        a = SymMat([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
+        assert count(one_third_decompose, a, RankOneProjection([1.0, 0.0])) == ["eigh"]
+        assert count(one_third_decompose, SymMat.identity(2), RankOneProjection([1.0, 0.0])) == ["eigh"]
 
     def test_apply_on_a_projection_is_one_eigh(self, count):
         # The image is a projection too, on the boundary of [0, I]: the

@@ -21,6 +21,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 DIAG_10 = '{"n":2,"data":[1,0,0,0]}'
 DIAG_01 = '{"n":2,"data":[0,0,0,1]}'
 ZERO = '{"n":2,"data":[0,0,0,0]}'
+ZERO_DOC = json.loads(ZERO)
 EYE = '{"n":2,"data":[1,0,0,1]}'
 HALF = '{"n":2,"data":[0.5,0,0,0.5]}'
 GEN_21 = '{"n":2,"data":[2,0,0,1]}'
@@ -194,6 +195,44 @@ class TestIntervalTolerance:
         code, out, err = run(capsys, ["interval", "classify", self.TINY_BOX])
         assert code == 2 and out == ""
         assert "lower < upper" in err
+
+    def test_map_inverts_at_the_tolerance(self, capsys):
+        # x < 0 at psd_tol 1e-12; the chain (negate, invert) must invert
+        # diag(1, 1e-10) at rank_tol 1e-12 as well
+        payload = json.dumps({
+            "interval": {"n": 2, "lower": {"kind": "minus_infinity"},
+                         "upper": {"kind": "finite", "closed": False, "matrix": ZERO_DOC}},
+            "x": {"n": 2, "data": [-1, 0, 0, -1e-10]},
+        })
+        code, out, err = run(capsys, ["interval", "map", "--tol", "1e-12", payload])
+        assert code == 0, err
+        got = np.array(json.loads(out)["data"]).reshape(2, 2)
+        assert np.allclose(got, np.diag([1.0, 1e10]), rtol=1e-15, atol=0.0)
+
+
+class TestToleranceFloor:
+    """--tol sets psd_tol and rank_tol, which may not go below eig_tol."""
+
+    @staticmethod
+    def singular_input():
+        # A = Q diag(0, 0, 0.6, 1) Q^t and x = q3 + q4 in its range:
+        # strength 1 / (1/0.6 + 1/1) = 0.75
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+        a = (q * np.array([0.0, 0.0, 0.6, 1.0])) @ q.T
+        doc = json.dumps({"n": 4, "data": ((a + a.T) / 2.0).ravel().tolist()})
+        return doc, json.dumps((q[:, 2] + q[:, 3]).tolist())
+
+    def test_in_range_answer_at_the_floor(self, capsys):
+        a, x = self.singular_input()
+        code, out, _ = run(capsys, ["strength", "--tol", "1e-14", a, x])
+        assert code == 0
+        assert json.loads(out)["alpha"] == pytest.approx(0.75, rel=1e-12)
+
+    def test_below_the_floor_is_refused(self, capsys):
+        a, x = self.singular_input()
+        code, out, err = run(capsys, ["strength", "--tol", "1e-16", a, x])
+        assert code == 2 and out == ""
+        assert "eig_tol" in err
 
 
 class TestStdinAndFiles:

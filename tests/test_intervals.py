@@ -162,6 +162,27 @@ class TestApplyChain:
         with pytest.raises(OutOfDomain):
             apply_chain(build_chain(spec), SymMat.diagonal([-0.5, 0.5]), spec)
 
+    def test_chain_inverts_at_the_domain_tolerance(self):
+        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+        spec = IntervalSpec(Endpoint.minus_infinity(), open_(ZERO2), 2, tol=fine)
+        x = SymMat.diagonal([-1.0, -1e-10])           # inside at psd_tol 1e-12
+        got = apply_chain(build_chain(spec), x, spec)  # Negate, Invert
+        assert np.allclose(got.a, np.diag([1.0, 1e10]), rtol=1e-15, atol=0.0)
+        coarse = IntervalSpec(Endpoint.minus_infinity(), open_(ZERO2), 2)
+        with pytest.raises(OutOfDomain):
+            apply_chain(build_chain(coarse), x, coarse)
+        with pytest.raises(IntermediateSingular):
+            Invert().apply(SymMat.diagonal([1.0, 1e-10]), coarse.tol)
+
+    def test_chain_is_built_at_the_spec_tolerance(self):
+        # the square root of the gap has eigenvalue 1e-9, on the default
+        # rank gate of inv; the spec's own rank_tol 1e-20 inverts it
+        fine = Tolerances(eig_tol=1e-20, psd_tol=1e-20, rank_tol=1e-20, equality_tol=1e-19)
+        top = SymMat.diagonal([1.0, 1e-18])
+        spec = IntervalSpec(closed(ZERO2), closed(top), 2, tol=fine)
+        chain = build_chain(spec)
+        assert np.allclose(apply_chain(chain, top, spec).a, np.eye(2), rtol=0.0, atol=1e-15)
+
     def test_foreign_chain_hits_singular_intermediate(self):
         whole = IntervalSpec(Endpoint.minus_infinity(), Endpoint.plus_infinity(), 2)
         with pytest.raises(IntermediateSingular):

@@ -141,7 +141,8 @@ class TestLoewnerPredicates:
             assert linalg.loewner_le(base, top)
             # antisymmetry within equality_tol
             if linalg.loewner_le(mid, base):
-                assert linalg.sym_close(base, mid)
+                scale = max(1.0, np.linalg.norm(base.a), np.linalg.norm(mid.a))
+                assert np.linalg.norm(base.a - mid.a) <= DEFAULT_TOL.equality_tol * scale
 
 
 class TestSqrtPsd:
@@ -304,6 +305,14 @@ class TestTolerances:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             Tolerances(psd_tol=0.0)
+
+    def test_rejects_gates_below_the_eigensolver_resolution(self):
+        for fields in ({"psd_tol": 1e-15}, {"rank_tol": 1e-16},
+                       {"eig_tol": 1e-8, "psd_tol": 1e-9}):
+            with pytest.raises(ValueError, match="eig_tol"):
+                Tolerances(**fields)
+        Tolerances(eig_tol=1e-16, psd_tol=1e-16, rank_tol=1e-16)
+        Tolerances(psd_tol=1e-14, rank_tol=1e-14)
 
 
 def test_principal_angle_between_lines():
