@@ -80,11 +80,16 @@ def _coerce_effect(X, tol: Tolerances) -> Effect:
 
 
 def _require_regular(lam: np.ndarray, tol: Tolerances) -> None:
-    """The Jacobi route of the generator test, on the spectrum of T^t T."""
-    sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
-    sigma_min = math.sqrt(max(float(lam[0]), 0.0))
-    abs_det = math.sqrt(float(np.prod(np.clip(lam, 0.0, None))))
-    if abs_det <= tol.rank_tol or sigma_min <= tol.rank_tol * max(1.0, sigma_max):
+    """The Jacobi route of the generator test, on the spectrum of T^t T:
+    sigma_min > rank_tol * max(1, sigma_max) and |det T| > rank_tol, the
+    latter as log|det T| = fsum(log(lam_i)) / 2, which cannot underflow.
+    Any lam_i <= 0 is Singular."""
+    values = lam.tolist()
+    if not values[0] > 0.0:
+        raise Singular("generator is singular within rank tolerance")
+    sigma_min, sigma_max = math.sqrt(values[0]), math.sqrt(values[-1])
+    if (math.fsum(map(math.log, values)) / 2.0 <= math.log(tol.rank_tol)
+            or sigma_min <= tol.rank_tol * max(1.0, sigma_max)):
         raise Singular("generator is singular within rank tolerance")
 
 
@@ -190,13 +195,11 @@ class EffectAutomorphism:
 
     def project_image(self, P: RankOneProjection) -> RankOneProjection:
         """Projection onto T x for x spanning Im P; certified against the
-        dominant eigendirection of the mapped projection."""
+        direction of the mapped projection (_dominant_direction)."""
         if P.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {P.n} vs {self.n}")
         image = RankOneProjection(self.t @ P.x)
-        mapped = self.apply(Effect(mat=P.mat))
-        spec = linalg.eigh(mapped.mat, self._tol)
-        dominant = spec.eigenvectors[:, -1]
+        dominant = _dominant_direction(self.apply(Effect(mat=P.mat)), self._tol)
         cosine = min(1.0, abs(float(image.x @ dominant)))
         if math.acos(cosine) > 1e-6:
             raise InternalInversionFailure("image direction certificate failed")
@@ -247,8 +250,23 @@ def recovery_probe_effects(n: int) -> List[Effect]:
 
 
 def _dominant_direction(E: Effect, tol: Tolerances) -> np.ndarray:
-    spec = linalg.eigh(E.mat, tol)
-    return spec.eigenvectors[:, -1]
+    """A unit vector spanning the image E of a rank-one projection.
+
+    The column of E with the largest diagonal entry, normalized to v, is
+    accepted when the rank-one residual ||E - v v^t||_F <= rank_tol ||E||_F;
+    then E is within rank_tol ||E||_F of v v^t, whose eigenvalues are 1 and
+    0, so by Weyl's inequality and the Davis-Kahan sin-theta theorem the top
+    eigenvector of E is within an angle of about rank_tol ||E||_F of v.
+    Otherwise (E not a projection at tolerance) it is that eigenvector,
+    from eigh."""
+    m = E.mat.a
+    column = m[:, int(np.argmax(np.diagonal(m)))]
+    norm = float(np.linalg.norm(column))
+    if norm > 0.0:
+        v = column / norm
+        if float(np.linalg.norm(m - np.outer(v, v))) <= tol.rank_tol * float(np.linalg.norm(m)):
+            return v
+    return linalg.eigh(E.mat, tol).eigenvectors[:, -1]
 
 
 def recover_generator(

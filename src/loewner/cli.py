@@ -6,7 +6,9 @@ stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
 Exit codes: 0 ok, 2 parse/malformed input (also TooLarge: a dimension
-above 44, or a generator whose T^t T overflows), 3 dimension mismatch,
+above 44, or a generator whose T^t T overflows; `order` answers every
+square symmetric pair, leaving out the witness when an input is not
+PSD), 3 dimension mismatch,
 4 not an automorphism, 5 selftest property failure, 6 internal numerical
 failure (the eigensolver did not converge, or a certified-invertible
 matrix was numerically intractable).
@@ -36,6 +38,7 @@ from .errors import (
     LoewnerError,
     NonConvergence,
     NotAutomorphism,
+    NotPSD,
     OutOfInterval,
     TooLarge,
 )
@@ -144,7 +147,10 @@ def _cmd_order(args) -> int:
     lt = linalg.loewner_lt(first, second, tol)
     out = {"le": le, "lt": lt}
     if not le:
-        witness = effects.strength_witness(first, second, tol)
+        try:
+            witness = effects.strength_witness(first, second, tol)
+        except NotPSD:      # the rank-one witness needs PSD inputs; le and lt do not
+            witness = None
         if witness is not None:
             proj, t = witness
             out["witness"] = {"q": [float(v) for v in proj.x], "t": float(t)}

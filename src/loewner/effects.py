@@ -151,25 +151,68 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
 def strength_witness(
     A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[Tuple[RankOneProjection, float]]:
-    """A rank-one certificate that A <= B fails.
+    """A rank-one certificate that A <= B fails; NotPSD when A or B is not
+    positive semidefinite.
 
     Returns None when A <= B. Otherwise picks a unit x with
-    <(A - B)x, x> > 0 (the most negative eigendirection of B - A), spans Q
-    by Ax and sets t = ||Ax||^2 / <Ax, x>; then tQ <= A while tQ <= B
-    fails, so the strength of A along Q strictly exceeds that of B.
+    c = <(A - B)x, x> > 0, spans Q by Ax and sets t = ||Ax||^2 / <Ax, x>.
+    For PSD A, Cauchy-Schwarz in the A inner product, (y^t A x)^2 <=
+    (y^t A y)(x^t A x), is tQ = A x x^t A / <Ax, x> <= A, with (A - tQ)x = 0,
+    while <(B - tQ)x, x> = <Bx, x> - <Ax, x> = -c, so tQ <= B fails by at
+    least c: the strength of A along Q strictly exceeds that of B.
+
+    The order certificate on M = B - A (linalg._certificate) decides A <= B.
+    When it refutes, the Cholesky of M - sI failed at a pivot p <= 0, and
+    linalg._negative_curvature gives a unit x with x^t (M - sI) x <= 0,
+    scaled from one whose form is p. That x is used when it clears the gate
+
+        fl(<(A - B)x, x>) > gamma ||x||^2,  gamma = sqrt(psd_tol) max(1, ||A||_F, ||B||_F),
+
+    and otherwise the most negative eigenvector of M (eigh) is. When the
+    certificate is undecided, one eigh of M decides A <= B by the Jacobi
+    route (_spectral_verdict) and supplies that eigenvector.
+
+    The gate makes both parts of the witness robust, not only c > 0:
+    - The gate's own rounding (forming M, Mx and <Mx, x>) is at most
+      2 (n + 1) u (||A||_F + ||B||_F), under 1e-9 gamma at psd_tol = 1e-9
+      and n <= 44, so c clears gamma = 3.2e-5 max(1, ||A||_F, ||B||_F):
+      over 3000 times a slack of 1e-8 max(1, ||A||_2) on tQ <= B.
+    - As B >= -tau_B with tau_B = psd_tol max(1, ||B||_F),
+      q = <Ax, x> = <Bx, x> + c > gamma (1 - 2 sqrt(psd_tol)). fl(Ax),
+      fl(q) and fl(||Ax||) carry errors of at most (n + 1) u ||A||_F, and
+      ||Ax||^2 <= ||A||_2 q, so the computed tQ differs from the exact one
+      by about (n + 2) u ||A||_F / sqrt(psd_tol) (6e-11 ||A||_F at n = 16),
+      which is all that tQ <= A can miss by.
+    The norms are taken by hypot and t as ||Ax|| (||Ax|| / q), so entries
+    near 2^+-600 neither overflow nor underflow.
     """
     _require_psd(A, tol, "first argument")
     _require_psd(B, tol, "second argument")
-    if linalg.loewner_le(A, B, tol):
+    M = B - A
+    verdict, factor = linalg._certificate(M.a, tol, relative=-tol.psd_tol)
+    if verdict:
         return None
-    spec = linalg.eigh(B - A, tol)
-    x = spec.eigenvectors[:, 0]
+    x = None
+    if verdict is False:
+        x = linalg._negative_curvature(factor, M.n)
+        gamma = math.sqrt(tol.psd_tol) * max(1.0, _frobenius(A.a), _frobenius(B.a))
+        if x is None or not -float(M.a @ x @ x) > gamma * float(x @ x):
+            x = None
+    if x is None:
+        spec = linalg.eigh(M, tol)
+        if verdict is None and linalg._spectral_verdict(spec.eigenvalues, False, tol):
+            return None
+        x = spec.eigenvectors[:, 0]
     ax = A.a @ x
     quad = float(ax @ x)
     if quad <= 0.0:
         raise NotPSD("degenerate witness direction; input not PSD at tolerance")
-    t = float(ax @ ax) / quad
-    return RankOneProjection(ax), t
+    norm = math.hypot(*ax.tolist())
+    return RankOneProjection(ax / norm), norm * (norm / quad)
+
+
+def _frobenius(m: np.ndarray) -> float:
+    return math.hypot(*m.ravel().tolist())
 
 
 def rank_one_segment(

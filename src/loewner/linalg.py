@@ -11,13 +11,16 @@ fall back to the Jacobi spectrum inside its undecided band; the same
 factorization certifies a generator regular (_certify_regular) and, without
 the max(1, .) floor of its gate, a matrix definite within rank tolerance,
 which inv and the strength closed form then factor LDL^t instead of
-diagonalizing (_definite_ldl).
+diagonalizing (_definite_ldl). A factorization that refutes an order gives
+a direction of negative curvature (_negative_curvature), from which
+effects.strength_witness builds its witness.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -243,9 +246,12 @@ def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
     return tol.psd_tol * max(1.0, scale)
 
 
-def _cholesky_pivots(rows: list, shift: float) -> Optional[list]:
-    """The pivots l_ii^2 of Cholesky of rows - shift*I run in floating
-    point, or None when a pivot comes out not positive."""
+def _cholesky(rows: list, shift: float) -> Tuple[list, list]:
+    """Cholesky of rows - shift*I run in floating point: (L, pivots), row i
+    of L holding l_i0 .. l_ii and the pivots being the l_ii^2. It stops at
+    the first pivot that comes out not positive, which then ends `pivots`
+    while its row of L holds only l_i0 .. l_i,i-1; so the factorization
+    ran to completion exactly when pivots[-1] > 0."""
     factor = []
     pivots = []
     for i, row in enumerate(rows):
@@ -254,12 +260,32 @@ def _cholesky_pivots(rows: list, shift: float) -> Optional[list]:
             lj = factor[j]
             li.append((row[j] - sum(map(operator.mul, li, lj))) / lj[j])
         pivot = (row[i] - shift) - sum(map(operator.mul, li, li))
-        if not pivot > 0.0:
-            return None
-        li.append(math.sqrt(pivot))
         factor.append(li)
         pivots.append(pivot)
-    return pivots
+        if not pivot > 0.0:
+            break
+        li.append(math.sqrt(pivot))
+    return factor, pivots
+
+
+def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
+    """x = (-L11^-t l, 1, 0, ..., 0) in R^n, normalized, from the L of a
+    _cholesky that stopped at pivot i: L11 its first i rows, l the
+    off-diagonal part of row i. None when the solve overflows.
+
+    With H the shifted matrix that was factored, L11 L11^t = H11,
+    L11 l = h (the column above h_ii) and pivot = h_ii - l^t l, so
+    y = -L11^-t l gives x^t H x = |L11^t y|^2 + 2 y^t L11 l + h_ii =
+    h_ii - l^t l, the failing pivot: a direction of negative curvature
+    (Gill, Murray & Wright, Practical Optimization, sec. 4.4.2)."""
+    *top, l = factor
+    i = len(top)
+    y = [0.0] * i
+    for j in range(i - 1, -1, -1):
+        y[j] = (-l[j] - sum(top[r][j] * y[r] for r in range(j + 1, i))) / top[j][j]
+    x = y + [1.0] + [0.0] * (n - i - 1)
+    size = math.hypot(*x)                       # at least 1, from x_i
+    return np.array(x) / size if math.isfinite(size) else None
 
 
 def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
@@ -290,9 +316,17 @@ def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
 def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
              relative: float = 0.0, refute: bool = True,
              floor: bool = True) -> Optional[bool]:
-    """Decide lambda_min(m) >= g by shifted Cholesky factorizations, where
-    g = fixed + relative * max(1, |lambda|max), or g = fixed + relative *
-    |lambda|max when `floor` is False; None when undecided.
+    """The verdict of _certificate."""
+    return _certificate(m, tol, fixed, relative, refute, floor)[0]
+
+
+def _certificate(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
+                 relative: float = 0.0, refute: bool = True,
+                 floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
+    """(verdict, L): decide lambda_min(m) >= g by shifted Cholesky
+    factorizations, where g = fixed + relative * max(1, |lambda|max), or
+    g = fixed + relative * |lambda|max when `floor` is False; None when
+    undecided.
 
     A True or False verdict is the one the Jacobi route (eigvalsh, then
     the same comparison on the computed spectrum) returns. Work is on the
@@ -336,26 +370,31 @@ def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
     so the band and the shifts are homogeneous in the scaled rows: the
     verdict for 2^j m is the verdict for m (k only enters through the
     exponent-range guard, |k| > 1000).
+
+    L is the factor of the refuting factorization when the verdict is
+    False (_negative_curvature turns it into a direction), else None.
     """
     rows, k = _scaled_rows(m)
     band = _gate_band(rows, k, tol, fixed, relative, floor)
     if band is None:
-        return None
+        return None, None
     g_lo, g_hi, delta = band
-    if _cholesky_pivots(rows, g_hi + delta) is not None:
-        return True
-    if refute and _cholesky_pivots(rows, g_lo - delta) is None:
-        return False
-    return None
+    if _cholesky(rows, g_hi + delta)[1][-1] > 0.0:
+        return True, None
+    if refute:
+        factor, pivots = _cholesky(rows, g_lo - delta)
+        if not pivots[-1] > 0.0:
+            return False, factor
+    return None, None
 
 
 def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     """True when a shifted Cholesky factorization proves that the Jacobi
     spectrum lam of the Gram matrix G = T^t T (eigvalsh, ascending) passes
-    the generator test of EffectAutomorphism:
+    the generator test of EffectAutomorphism (_require_regular):
 
         sqrt(lam_0) > rank_tol * max(1, sqrt(lam_-1))  and
-        sqrt(prod(lam)) > rank_tol,
+        fsum(log(lam_i)) / 2 > log(rank_tol),
 
     i.e. T is regular within rank tolerance. False means undecided: the
     caller computes the spectrum, which also supplies the Singular verdict.
@@ -376,31 +415,34 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
       since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
       prod(l_ii^2), and l_ii = fl(sqrt(p_i)) gives l_ii^2 >= p_i (1 - u)^2.
-      Unscaled, log2 prod(lam) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
-    - Rounding on the Jacobi route: every lam_i is at most
-      2^-k (F + eps_j) < 2^-k 4 n (F < 2 n, and success needs
-      2 eps_j <= s <= F + eps_c), so every partial product of np.prod,
-      in any order, is at least 2^(B - n max(0, log2(4 n) - k)) (1 - u)^n;
-      when that exponent exceeds -1000 nothing underflows (an overflow
-      only raises the product to inf). Then the n - 1 products and the
-      square root lose at most a factor (1 - u)^((n + 1) / 2) on
-      sqrt(prod(lam)), and the test sum(log2 p_i) - k n - 2 log2(rank_tol)
-      > (n + 2) 2^-40 covers those factors, the 2 n log2(1 - u) above, and
-      the error of log2 (an ulp of at most 1075 per term) and of fsum.
+      The same inequality gives lam_s,i >= s - eps_c - eps_j >= delta / 2,
+      so when 2^-k delta / 2 is a normal number (else False) the unscaled
+      lam_i = 2^-k lam_s,i are exact and
+      sum(log2 lam_i) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
+    - Rounding, in the log domain, where nothing can underflow: the test
+      sum(log2 p_i) - k n - 2 log2(rank_tol) > (n + 2) 2^-39 is evaluated
+      with an error below (n + 1) 2^-40 (each p_i lies in (0, 2) and
+      |k| <= 1000: an ulp of a value below 2^11 per log2, half an ulp of
+      a value below 2074 n + 2150 per sum), so B - 2 log2(rank_tol) >
+      (n + 3) 2^-40 - 3 n u. In natural logs the Jacobi route's margin,
+      fsum(log(lam_i)) / 2 - log(rank_tol), is then at least ln(2) / 2 of
+      that, above 2.7 (n + 3) 2^-43, while its own rounding (an ulp of
+      |log(lam_i)| < 2^10 per term, fsum, log(rank_tol)) stays below
+      (0.9 n + 1) 2^-43.
     """
     rows, k = _scaled_rows(gram)
     band = _gate_band(rows, k, tol, 0.0, tol.rank_tol ** 2)
     if band is None:
         return False
     _, g_hi, delta = band
-    pivots = _cholesky_pivots(rows, g_hi + delta)
-    if pivots is None:
+    if math.ldexp(delta, -k - 1) < sys.float_info.min:
+        return False
+    pivots = _cholesky(rows, g_hi + delta)[1]
+    if not pivots[-1] > 0.0:
         return False
     n = len(rows)
     log_det = math.fsum(map(math.log2, pivots)) - k * n
-    if log_det - n * max(0.0, math.log2(4 * n) - k) <= -1000.0:
-        return False
-    return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -40
+    return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -39
 
 
 def _ldl(rows: list) -> Optional[Tuple[list, list]]:

@@ -351,6 +351,28 @@ class TestRecoverGenerator:
             phi = EffectAutomorphism(oracle.sample_invertible(s, n))
             assert recover_generator(phi.apply, n).equals(phi)
 
+    def test_inexact_oracle_takes_the_eigh_directions(self, monkeypatch):
+        # Images shrunk by 1e-7 are no projections at rank_tol = 1e-9: each
+        # of the 2n - 1 = 5 column directions fails its rank-one residual
+        # test and comes from eigh, while the 1e-6 residual check passes.
+        # Exact images take only sqrt_psd's eigh.
+        phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
+        images = {p.mat.a.tobytes(): phi.apply(p).mat.a for p in recovery_probe_effects(3)}
+        calls = []
+        eigh = linalg.eigh
+
+        def counting(a, tol=DEFAULT_TOL):
+            calls.append(a)
+            return eigh(a, tol)
+
+        monkeypatch.setattr(linalg, "eigh", counting)
+        for shrink, spectra in ((1.0, 1), (1.0 - 1e-7, 1 + 5)):
+            calls.clear()
+            got = recover_generator(
+                lambda e: Effect(mat=SymMat(shrink * images[e.mat.a.tobytes()])), 3)
+            assert float(np.linalg.norm(got.t - phi.t)) <= 1e-6
+            assert len(calls) == spectra
+
     def test_rejects_non_automorphism(self):
         def squared(e: Effect) -> Effect:
             return make_effect(SymMat(e.mat.a @ e.mat.a))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from loewner import automorphisms, linalg, selftest
-from loewner.automorphisms import EffectAutomorphism
+from loewner.automorphisms import EffectAutomorphism, recover_generator
 from loewner.effects import (
     RankOneProjection,
     make_effect,
@@ -46,14 +46,14 @@ def disagreements(calls):
 
 
 def order_recorder(calls):
-    """linalg._certify wrapped to append (m, tol, fixed, relative, floor,
-    verdict)."""
-    certify = linalg._certify
+    """linalg._certificate (behind _certify and strength_witness) wrapped to
+    append (m, tol, fixed, relative, floor, verdict)."""
+    certificate = linalg._certificate
 
     def recording(m, tol, fixed=0.0, relative=0.0, refute=True, floor=True):
-        verdict = certify(m, tol, fixed, relative, refute, floor)
-        calls.append((np.array(m), tol, fixed, relative, floor, verdict))
-        return verdict
+        result = certificate(m, tol, fixed, relative, refute, floor)
+        calls.append((np.array(m), tol, fixed, relative, floor, result[0]))
+        return result
 
     return recording
 
@@ -74,7 +74,7 @@ def generator_recorder(calls):
 def recorded(monkeypatch):
     """Every order-certificate call made while the fixture is active."""
     calls = []
-    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
+    monkeypatch.setattr(linalg, "_certificate", order_recorder(calls))
     return calls
 
 
@@ -84,7 +84,7 @@ def corpus_calls():
     acceptance criterion's property call: (order calls, generator calls)."""
     order, generator = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_certify", order_recorder(order))
+        patch.setattr(linalg, "_certificate", order_recorder(order))
         patch.setattr(linalg, "_certify_regular", generator_recorder(generator))
         selftest.run_selftest(0, 200)
         s = ACCEPTANCE_SEED
@@ -185,26 +185,33 @@ def test_generator_beyond_the_exponent_range_falls_back():
         EffectAutomorphism(t)
 
 
-def test_generator_whose_jacobi_determinant_underflows_falls_back():
-    # log2 prod(lam) = -1250: np.prod on the Jacobi route underflows to 0,
-    # so the certificate must not call T regular although -1250 clears
-    # 2 log2(rank_tol) = -1329
+def test_generator_whose_determinant_underflows_is_regular_on_both_routes():
+    # log2 prod(lam) = -1250 clears 2 log2(rank_tol) = -1329, though
+    # prod(lam) itself underflows: both routes work in the log domain
     tol = Tolerances(eig_tol=1e-200, psd_tol=1e-200, rank_tol=1e-200, equality_tol=1e-199)
     t = np.ldexp(np.eye(5), -125)
+    assert linalg._certify_regular(t.T @ t, tol)
+    assert jacobi_regular(t.T @ t, tol)
+    EffectAutomorphism(t, tol)
+
+
+def test_generator_whose_eigenvalue_bound_is_subnormal_falls_back():
+    # T^t T = 2^-990 I: the certificate's lower bound 2^-k delta / 2 on the
+    # Jacobi eigenvalues is subnormal, so it leaves the test to Jacobi,
+    # which finds |det T| = 2^-990 above rank_tol = 1e-300
+    tol = Tolerances(eig_tol=1e-300, psd_tol=1e-300, rank_tol=1e-300, equality_tol=1e-299)
+    t = np.ldexp(np.eye(2), -495)
     assert not linalg._certify_regular(t.T @ t, tol)
-    try:
-        EffectAutomorphism(t, tol)
-        regular = True
-    except Singular:
-        regular = False
-    assert regular == jacobi_regular(t.T @ t, tol)
+    assert jacobi_regular(t.T @ t, tol)
+    EffectAutomorphism(t, tol)
+    with pytest.raises(Singular):                   # |det T| = 2^-1000 < 1e-300
+        EffectAutomorphism(np.ldexp(np.eye(2), -500), tol)
 
 
 def jacobi_regular(gram, tol):
     """The Jacobi route of the generator test: no Singular from the spectrum."""
     try:
-        with np.errstate(over="ignore"):   # prod(lam) overflows for 2^300 T
-            automorphisms._require_regular(linalg.eigvalsh(SymMat(gram), tol), tol)
+        automorphisms._require_regular(linalg.eigvalsh(SymMat(gram), tol), tol)
     except Singular:
         return False
     return True
@@ -312,7 +319,7 @@ def test_definite_route_agrees_with_jacobi_on_the_corpus(corpus_calls, monkeypat
     calls = list(corpus_calls[0])
     monkeypatch.syspath_prepend(str(BENCH))
     ops = importlib.import_module("ops")
-    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
+    monkeypatch.setattr(linalg, "_certificate", order_recorder(calls))
     for op in ops.stream(7, ops.DIMS["api-large"], 600):
         if op.kind in ("strength", "interval", "recover"):
             ops.run_library(op)
@@ -351,7 +358,7 @@ def _definite_gate_cases(tol):
 ])
 def test_definite_route_agrees_with_jacobi_at_the_gate(tol, monkeypatch):
     calls = []
-    monkeypatch.setattr(linalg, "_certify", order_recorder(calls))
+    monkeypatch.setattr(linalg, "_certificate", order_recorder(calls))
     kept = 0
     for m in _definite_gate_cases(tol):
         keeps, inverts = jacobi_keeps_and_inverts(m.a, tol)
@@ -376,6 +383,18 @@ def test_ldl_refuses_a_matrix_that_is_not_definite():
     assert linalg._ldl([[1.0, 2.0], [2.0, 1.0]]) is None
     assert linalg._ldl([[0.0]]) is None
     assert linalg._ldl([[4.0, 2.0], [2.0, 5.0]]) == ([[], [0.5]], [4.0, 4.0])
+
+
+def test_failed_factorization_gives_a_direction_of_negative_curvature():
+    # the Cholesky of h stops at pivot 1, -3 - 1^2 = -4; x = (-1/2, 1, 0)
+    h = [[4.0, 2.0, 0.0], [2.0, -3.0, 1.0], [0.0, 1.0, 5.0]]
+    factor, pivots = linalg._cholesky(h, 0.0)
+    assert pivots == [4.0, -4.0] and factor == [[2.0], [1.0]]
+    x = linalg._negative_curvature(factor, 3)
+    assert np.allclose(x * np.sqrt(1.25), [-0.5, 1.0, 0.0], rtol=0, atol=1e-15)
+    assert float(x @ np.array(h) @ x) == pytest.approx(-4.0 / 1.25, rel=1e-15)
+    # a solve through diagonal entries of 1e-200 overflows
+    assert linalg._negative_curvature([[1e-200], [1.0, 1e-200], [1.0, 1.0]], 3) is None
 
 
 class TestSpectraPerCall:
@@ -432,9 +451,34 @@ class TestSpectraPerCall:
     def test_inv_of_indefinite_is_one_eigh(self, count):
         assert count(linalg.inv, SymMat([[1.0, 2.0], [2.0, 1.0]])) == ["eigh"]
 
-    def test_witness_on_incomparable_pair_is_one_eigh(self, count):
+    def test_witness_on_incomparable_pair_takes_no_spectrum(self, count):
         first, second = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])
+        assert count(strength_witness, first, second) == []
+
+    def test_witness_on_an_undecided_pair_is_one_eigh(self, count):
+        # B - A = diag(0.4, -psd_tol (1 + 1e-6)) sits just past the order
+        # gate, where the certificate is undecided: one eigh decides A <= B
+        # and gives the direction
+        first = SymMat.diagonal([0.3, 0.3])
+        second = SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 + 1e-6)])
+        assert linalg._certify((second - first).a, DEFAULT_TOL,
+                               relative=-DEFAULT_TOL.psd_tol) is None
         assert count(strength_witness, first, second) == ["eigh"]
+        proj, t = strength_witness(first, second)
+        assert np.array_equal(np.abs(proj.x), [0.0, 1.0]) and t == 0.3
+
+    def test_recover_on_an_exact_black_box(self, count, monkeypatch):
+        # sqrt_psd's eigh and the residual probes' eigvalsh; every probe
+        # image is a projection to rounding, so no direction takes eigh
+        monkeypatch.syspath_prepend(str(BENCH))
+        ops = importlib.import_module("ops")
+        t = np.array([[2.0, 0.3, 0.0, 0.1], [0.1, 1.0, 0.2, 0.0],
+                      [0.0, 0.4, 0.7, 0.3], [0.2, 0.0, 0.1, 1.5]])
+        assert count(recover_generator, ops.black_box(t), 4) == ["eigh"] + ["eigvalsh"] * 10
+
+    def test_project_image_is_the_spectrum_of_apply(self, count):
+        phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
+        assert count(phi.project_image, RankOneProjection([1.0, 2.0, 3.0])) == ["eigh"]
 
     def test_construction_takes_no_spectrum(self, count):
         t = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]])

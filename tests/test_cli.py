@@ -12,7 +12,7 @@ import pytest
 from loewner import cli, linalg
 from loewner.automorphisms import EffectAutomorphism
 from loewner.cli import dumps_stable, main
-from loewner.effects import RankOneProjection, strength
+from loewner.effects import RankOneProjection, strength, strength_witness
 from loewner.errors import InternalInversionFailure, NonConvergence, NotPSD, TooLarge
 from loewner.linalg import SymMat
 
@@ -127,14 +127,31 @@ class TestExitCodes:
         assert all(line.startswith("PASS") for line in lines)
 
 
+class TestOrderOnPairsThatAreNotPSD:
+    # le and lt are defined for every symmetric pair; only the rank-one
+    # witness needs PSD inputs, so it is left out
+    FLIP = '{"n":2,"data":[1,0,0,-1]}'
+
+    def test_indefinite_second_argument(self, capsys):
+        code, out, err = run(capsys, ["order", ZERO, self.FLIP])
+        assert (code, out, err) == (0, '{"le":false,"lt":false}\n', "")
+        with pytest.raises(NotPSD):
+            strength_witness(SymMat.zero(2), SymMat.diagonal([1.0, -1.0]))
+
+    def test_indefinite_first_argument(self, capsys):
+        code, out, err = run(capsys, ["order", self.FLIP, ZERO])
+        assert (code, out, err) == (0, '{"le":false,"lt":false}\n', "")
+        code, out, _ = run(capsys, ["order", self.FLIP, EYE])
+        assert (code, out) == (0, '{"le":true,"lt":false}\n')
+
+
 class TestExtremeScale:
     # eigenvalues +-1e200: the Frobenius norm of the raw entries overflows
     INDEFINITE_HUGE = '{"n":2,"data":[0,1e200,1e200,0]}'
 
     def test_order_does_not_claim_le(self, capsys):
         code, out, _ = run(capsys, ["order", ZERO, self.INDEFINITE_HUGE])
-        assert '"le":true' not in out
-        assert code != 0 or json.loads(out)["le"] is False
+        assert code == 0 and out == '{"le":false,"lt":false}\n'
 
     def test_strength_rejects_indefinite(self, capsys):
         code, out, err = run(capsys, ["strength", self.INDEFINITE_HUGE, "[1,0]"])

@@ -181,6 +181,112 @@ class TestStrengthWitness:
                 assert not linalg.loewner_le(scaled, b)
 
 
+def witness_holds(a: SymMat, b: SymMat, witness) -> bool:
+    """t Q <= A and not t Q <= B, by the library's own predicates."""
+    proj, t = witness
+    scaled = SymMat(t * proj.mat.a)
+    return linalg.loewner_le(scaled, a) and not linalg.loewner_le(scaled, b)
+
+
+def frame(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def with_spectrum(rng, lam):
+    q = frame(rng, len(lam))
+    return SymMat((q * lam) @ q.T)
+
+
+class TestWitnessDirections:
+    """Witnesses from the refuting factorization's direction, and the eigh
+    fallback for directions that miss the gate."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = linalg.eigh
+
+        def counting(a, tol=DEFAULT_TOL):
+            calls.append(a)
+            return eigh(a, tol)
+
+        monkeypatch.setattr(linalg, "eigh", counting)
+        return calls
+
+    def test_seeded_corpus(self, eigh_calls):
+        rng = np.random.default_rng(2026)
+        found = 0
+        for i in range(240):
+            n = (2, 3, 5, 8, 12, 16)[i % 6]
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            a = with_spectrum(rng, scale * rng.uniform(0.0, 1.0, n))
+            b = with_spectrum(rng, scale * rng.uniform(0.0, 1.0, n) * (i % 3 != 0))
+            witness = strength_witness(a, b)
+            assert (witness is None) == linalg.loewner_le(a, b)
+            if witness is not None:
+                found += 1
+                assert witness_holds(a, b, witness)
+        assert found > 200
+        # clear pairs take the factorization's direction
+        assert len(eigh_calls) < found / 10
+
+    @given(st.integers(1, 6), st.integers(0, 2), st.integers(0, 2 ** 32 - 1),
+           st.integers(-600, 600))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_under_power_of_two_scaling(self, n, drop, seed, k):
+        # A and B have rank n - drop (B may be zero); both are scaled by 2^k.
+        # tQ <= A is tight: A - tQ vanishes on x and, for a rank-one A,
+        # everywhere, so it is read at the scale of A. loewner_le's own gate
+        # scales with A - tQ, so for a rank-one A of scale 2^29 or more it
+        # reads the rounding left in A - tQ as "tQ is not below A", on the
+        # eigenvector route as well.
+        rng = np.random.default_rng(seed)
+        c = 2.0 ** k
+        factors = [rng.standard_normal((n, max(n - drop, 0))) for _ in range(2)]
+        a, b = (SymMat(c * (f @ f.T)) for f in factors)
+        witness = strength_witness(a, b)
+        assert (witness is None) == linalg.loewner_le(a, b)
+        if witness is not None:
+            proj, t = witness
+            scaled = SymMat(t * proj.mat.a)
+            slack = DEFAULT_TOL.psd_tol * max(1.0, linalg.spectral_norm(a))
+            assert linalg.loewner_le(scaled, SymMat(a.a + slack * np.eye(n)))
+            assert not linalg.loewner_le(scaled, b)
+
+    def test_near_gate_and_rank_deficient_pairs_reach_the_fallback(self, eigh_calls):
+        # Odd i: lambda_min(B - A) = -eps between the order gate and the
+        # witness gate sqrt(psd_tol), so the direction is refuted too weakly
+        # to be used. Even i: A and B of rank n - n // 2.
+        rng = np.random.default_rng(7)
+        fallbacks = found = 0
+        for i in range(60):
+            n = 2 + i % 7
+            if i % 2:
+                a = with_spectrum(rng, rng.uniform(0.5, 1.0, n))
+                lam = rng.uniform(0.05, 1.0, n)
+                lam[0] = -10.0 ** rng.uniform(-8.0, -5.0)
+                b = SymMat(a.a + with_spectrum(rng, lam).a)
+            else:
+                a, b = (with_spectrum(rng, np.where(np.arange(n) < n // 2, 0.0,
+                                                    rng.uniform(0.1, 1.0, n)))
+                        for _ in range(2))
+            eigh_calls.clear()
+            witness = strength_witness(a, b)
+            assert (witness is None) == linalg.loewner_le(a, b)
+            if witness is not None:
+                found += 1
+                assert witness_holds(a, b, witness)
+                fallbacks += bool(eigh_calls)
+        assert found > 50 and fallbacks > 0
+
+    def test_pair_beyond_double_range_squares(self):
+        # ||Ax||^2 overflows at this scale; t and Q are taken without it
+        a, b = SymMat.diagonal([2.0 ** 600, 0.0]), SymMat.diagonal([0.0, 2.0 ** 600])
+        proj, t = strength_witness(a, b)
+        assert np.array_equal(proj.x, [1.0, 0.0]) and t == 2.0 ** 600
+
+
 class TestRankOneSegment:
     def test_zero_difference(self):
         eff = make_effect(SymMat(0.5 * np.eye(2)))
