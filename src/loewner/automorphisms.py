@@ -14,7 +14,7 @@ parametrization together with its conversion to generator form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,7 +50,8 @@ def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
 
     Each entry is decided against the bounds ||T||_F / sqrt(n) <= ||T||_2
     <= ||T||_F, widened by _SIGN_BAND; the spectral norm (an SVD) is
-    computed only for an entry that falls between them."""
+    computed only for an entry that falls between them. If none passes
+    (equality_tol >= 1, as |t_ij| <= ||T||_2), the largest entry decides."""
     frob = math.hypot(*t.ravel().tolist())
     lo = tol.equality_tol * frob / math.sqrt(t.shape[0]) * (1.0 - _SIGN_BAND)
     hi = tol.equality_tol * frob * (1.0 + _SIGN_BAND)
@@ -65,7 +66,7 @@ def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
             if size <= gate:
                 continue
         return -t if value < 0.0 else t
-    raise Singular("generator is numerically zero")
+    return -t if max(t.ravel().tolist(), key=abs) < 0.0 else t
 
 
 def _coerce_effect(X, tol: Tolerances) -> Effect:
@@ -162,8 +163,7 @@ class EffectAutomorphism:
         except np.linalg.LinAlgError as exc:
             raise InternalInversionFailure(
                 "certified-invertible matrix was numerically intractable") from exc
-        y = self.t @ z @ self.t.T
-        image = SymMat((y + y.T) / 2.0)
+        image = SymMat(self.t @ z @ self.t.T)
         if linalg._certified_within(image.a, 0.0, 1.0, tol):
             return Effect(mat=image)
         spec = linalg.eigh(image, tol)
@@ -359,12 +359,13 @@ def unit_mobius(p: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class MobiusParams:
-    """Parameters (p, q, T) of the fractional-linear automorphism form:
+    """Parameters (p, q, T) of the fractional-linear form at tolerances tol:
     p, q < 1 and T an invertible contraction."""
 
     p: float
     q: float
     t: np.ndarray
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.p < 1.0 and self.q < 1.0):
@@ -372,12 +373,12 @@ class MobiusParams:
         t = np.array(self.t, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise BadParameter("T must be a square matrix")
-        lam = linalg.eigvalsh(SymMat(t.T @ t))
+        lam = linalg.eigvalsh(SymMat(t.T @ t), self.tol)
         sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
         sigma_min = math.sqrt(max(float(lam[0]), 0.0))
-        if sigma_max > 1.0 + DEFAULT_TOL.equality_tol:
+        if sigma_max > 1.0 + self.tol.equality_tol:
             raise BadParameter("T must be a contraction (largest singular value <= 1)")
-        if sigma_min <= DEFAULT_TOL.rank_tol:
+        if sigma_min <= self.tol.rank_tol:
             raise BadParameter("T must be invertible")
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -387,14 +388,15 @@ class MobiusParams:
         return self.t.shape[0]
 
 
-def mobius_apply(params: MobiusParams, X, tol: Tolerances = DEFAULT_TOL) -> Effect:
+def mobius_apply(params: MobiusParams, X) -> Effect:
     """Evaluate the fractional-linear automorphism form on an effect:
 
         f_q( f_p(T T^t)^{-1/2} f_p(T X T^t) f_p(T T^t)^{-1/2} )
 
     with every scalar function taken spectrally and eigenvalues clamped
-    into their theoretical ranges at tolerance.
+    into their theoretical ranges at the tolerances of params.
     """
+    tol = params.tol
     eff = _coerce_effect(X, tol)
     if eff.n != params.n:
         raise DimensionMismatch(f"dimensions differ: {eff.n} vs {params.n}")
@@ -414,22 +416,21 @@ def mobius_apply(params: MobiusParams, X, tol: Tolerances = DEFAULT_TOL) -> Effe
     f_gram = linalg.apply_fn(gram, clamped_mobius, tol)
     floor = tol.rank_tol ** 2
     normalizer = linalg.apply_fn(f_gram, lambda level: 1.0 / math.sqrt(max(level, floor)), tol)
-    middle = normalizer.a @ f_inner.a @ normalizer.a
-    middle_sym = SymMat((middle + middle.T) / 2.0)
-    lam = linalg.eigvalsh(middle_sym, tol)
+    middle = SymMat(normalizer.a @ f_inner.a @ normalizer.a)
+    lam = linalg.eigvalsh(middle, tol)
     if float(lam[0]) < -tol.psd_tol or float(lam[-1]) > 1.0 + tol.psd_tol:
         raise InternalInversionFailure("normalized middle term left [0, I]")
-    result = linalg.apply_fn(middle_sym, lambda level: unit_mobius(q, min(1.0, max(0.0, level))), tol)
+    result = linalg.apply_fn(middle, lambda level: unit_mobius(q, min(1.0, max(0.0, level))), tol)
     return make_effect(result, tol)
 
 
-def mobius_to_canonical(params: MobiusParams, tol: Tolerances = DEFAULT_TOL) -> EffectAutomorphism:
+def mobius_to_canonical(params: MobiusParams) -> EffectAutomorphism:
     """Convert the fractional-linear form to generator form by running the
-    recovery algorithm against it, then verify on twenty deterministic
-    effects at 1e-6."""
-    phi = recover_generator(lambda E: mobius_apply(params, E, tol), params.n, tol)
+    recovery algorithm against it at the tolerances of params, then
+    verify on twenty deterministic effects at 1e-6."""
+    phi = recover_generator(lambda E: mobius_apply(params, E), params.n, params.tol)
     for probe in _random_effects(params.n, 20, _CONVERSION_CHECK_SEED):
-        direct = mobius_apply(params, probe, tol)
+        direct = mobius_apply(params, probe)
         if float(np.linalg.norm(phi.apply(probe).mat.a - direct.mat.a)) > 1e-6:
             raise NotAutomorphism("canonical form does not reproduce the fractional-linear map")
     return phi

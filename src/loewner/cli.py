@@ -218,26 +218,15 @@ def _probe_key(mat: SymMat) -> bytes:
     return np.round(mat.a, 12).tobytes()
 
 
-_ENDPOINT_KINDS = {"finite", "plus_infinity", "minus_infinity"}
-
-
 def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
     n = _parse_dimension(doc["n"])
     ends = []
     for side in ("lower", "upper"):
         spec = doc[side]
         kind = spec["kind"]
-        if kind not in _ENDPOINT_KINDS:
-            raise ValueError(f"unknown endpoint kind {kind!r}")
-        if kind == "finite":
-            ends.append(Endpoint.finite(parse_symmetric(spec["matrix"], f"{side} endpoint"),
-                                        closed=bool(spec.get("closed", False))))
-        elif spec.get("closed", False):
-            raise ValueError("infinite endpoints are always open")
-        elif kind == "plus_infinity":
-            ends.append(Endpoint.plus_infinity())
-        else:
-            ends.append(Endpoint.minus_infinity())
+        matrix = (parse_symmetric(spec["matrix"], f"{side} endpoint")
+                  if kind == "finite" else None)
+        ends.append(Endpoint(kind=kind, closed=bool(spec.get("closed", False)), matrix=matrix))
     return IntervalSpec(lower=ends[0], upper=ends[1], n=n, tol=tol)
 
 

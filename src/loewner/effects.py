@@ -10,7 +10,7 @@ largest t with tP <= A. For x in the range of A it has the closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -91,13 +91,16 @@ class ZeroOnly:
 @dataclass(frozen=True)
 class DiagonalCurve:
     """Maximal diagonals of [[t, u], [u, s]] form the hyperbola arc
-    { diag(p, q) : 0 <= p <= t, 0 <= q <= s, (t - p)(s - q) = u^2 }."""
+    { diag(p, q) : 0 <= p <= t, 0 <= q <= s, (t - p)(s - q) = u^2 },
+    tested by contains at the tolerances `tol` of maximal_diagonals."""
 
     t: float
     s: float
     u: float
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def contains(self, p: float, q: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, p: float, q: float) -> bool:
+        tol = self.tol
         if p < -tol.psd_tol or q < -tol.psd_tol:
             return False
         if p > self.t + tol.psd_tol or q > self.s + tol.psd_tol:
@@ -189,7 +192,7 @@ def strength_witness(
     _require_psd(A, tol, "first argument")
     _require_psd(B, tol, "second argument")
     M = B - A
-    verdict, factor = linalg._certificate(M.a, tol, relative=-tol.psd_tol)
+    verdict, factor = linalg._certificate(linalg._scaled_rows(M.a), tol, relative=-tol.psd_tol)
     if verdict:
         return None
     x = None
@@ -371,7 +374,7 @@ def maximal_diagonals(A, tol: Tolerances = DEFAULT_TOL) -> MaxDiagonalSet:
         return SingletonDiagonal(effect=effect)
     if abs(float(lam[0])) <= tol.rank_tol * (1.0 + abs(float(lam[1]))):
         return ZeroOnly()
-    return DiagonalCurve(t=t, s=s, u=u)
+    return DiagonalCurve(t=t, s=s, u=u, tol=tol)
 
 
 def sharp(X: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:

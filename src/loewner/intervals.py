@@ -131,7 +131,7 @@ class Translate:
         return SymMat(X.a + self.shift.a)
 
     def inverse(self) -> "Translate":
-        return Translate(shift=SymMat(-self.shift.a))
+        return Translate(shift=-self.shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +153,7 @@ class Congruence:
         object.__setattr__(self, "generator", t)
 
     def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
-        y = self.generator @ X.a @ self.generator.T
-        return SymMat((y + y.T) / 2.0)
+        return SymMat(self.generator @ X.a @ self.generator.T)
 
     def inverse(self) -> "Congruence":
         return Congruence(generator=np.linalg.inv(self.generator))
@@ -184,7 +183,7 @@ class Negate:
     reverses = True
 
     def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
-        return SymMat(-X.a)
+        return -X
 
     def inverse(self) -> "Negate":
         return self
@@ -235,13 +234,16 @@ def _is_identity(M: SymMat) -> bool:
     return bool(np.all(M.a == np.eye(M.n)))
 
 
+def _to_zero(M: SymMat) -> list:
+    """The translation taking M to 0; none when M is 0."""
+    return [] if _is_zero(M) else [Translate(shift=-M)]
+
+
 def _affine_to_unit(spec: IntervalSpec) -> list:
     """Steps sending [lower, upper] onto [0, I] exactly; no-op steps are
     omitted so canonical inputs yield empty prefixes."""
     lower, upper, tol = spec.lower.matrix, spec.upper.matrix, spec.tol
-    steps = []
-    if not _is_zero(lower):
-        steps.append(Translate(shift=SymMat(-lower.a)))
+    steps = _to_zero(lower)
     gap = upper - lower
     if not _is_identity(gap):
         steps.append(Congruence(generator=linalg.inv(linalg.sqrt_psd(gap, tol), tol).a))
@@ -251,7 +253,7 @@ def _affine_to_unit(spec: IntervalSpec) -> list:
 def _half_open_to_cone(n: int) -> list:
     # [0, I) -> [0, inf) through X -> (I - X)^{-1} - I; two reversing steps.
     eye = SymMat.identity(n)
-    return [Negate(), Translate(shift=eye), Invert(), Translate(shift=SymMat(-eye.a))]
+    return [Negate(), Translate(shift=eye), Invert(), Translate(shift=-eye)]
 
 
 def _reverse_half_open_to_cone(n: int) -> list:
@@ -269,29 +271,22 @@ def build_chain(spec: IntervalSpec) -> MapChain:
         steps = _affine_to_unit(spec)
     elif cls is CanonicalClass.POSITIVE_CLOSED:
         if spec.upper.is_finite:
-            steps = _affine_to_unit(spec)
-            steps.extend(_half_open_to_cone(n))
-        elif not _is_zero(spec.lower.matrix):
-            steps = [Translate(shift=SymMat(-spec.lower.matrix.a))]
+            steps = _affine_to_unit(spec) + _half_open_to_cone(n)
+        else:
+            steps = _to_zero(spec.lower.matrix)
     elif cls is CanonicalClass.NEGATIVE_CLOSED:
         if spec.lower.is_finite:
-            steps = _affine_to_unit(spec)
-            steps.extend(_reverse_half_open_to_cone(n))
-        elif not _is_zero(spec.upper.matrix):
-            steps = [Translate(shift=SymMat(-spec.upper.matrix.a))]
+            steps = _affine_to_unit(spec) + _reverse_half_open_to_cone(n)
+        else:
+            steps = _to_zero(spec.upper.matrix)
     elif cls is CanonicalClass.POSITIVE_OPEN:
         if spec.lower.is_finite and spec.upper.is_finite:
-            steps = _affine_to_unit(spec)
-            steps.extend(_half_open_to_cone(n))
+            steps = _affine_to_unit(spec) + _half_open_to_cone(n)
         elif spec.lower.is_finite:
-            if not _is_zero(spec.lower.matrix):
-                steps = [Translate(shift=SymMat(-spec.lower.matrix.a))]
+            steps = _to_zero(spec.lower.matrix)
         else:
             # (-inf, B): shift B to 0, then X -> (-X)^{-1} lands on (0, inf).
-            steps = []
-            if not _is_zero(spec.upper.matrix):
-                steps.append(Translate(shift=SymMat(-spec.upper.matrix.a)))
-            steps.extend([Negate(), Invert()])
+            steps = _to_zero(spec.upper.matrix) + [Negate(), Invert()]
     return chain_of(*steps)
 
 

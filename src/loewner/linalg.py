@@ -6,8 +6,8 @@ Every operation here is a pure function over immutable values. The
 eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
 small dimensions this package targets; nothing in this module calls into
 LAPACK. Order predicates that only need the sign of lambda_min minus a
-gate are first decided by a shifted Cholesky certificate (_certify) and
-fall back to the Jacobi spectrum inside its undecided band; the same
+gate are first decided by a shifted Cholesky certificate (_certificate)
+and fall back to the Jacobi spectrum inside its undecided band; the same
 factorization certifies a generator regular (_certify_regular) and, without
 the max(1, .) floor of its gate, a matrix definite within rank tolerance,
 which inv and the strength closed form then factor LDL^t instead of
@@ -22,7 +22,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,8 +76,8 @@ DEFAULT_TOL = Tolerances()
 class SymMat:
     """Real symmetric matrix, symmetrized and frozen at construction.
 
-    The stored array is (M + M^t)/2 of the input, with writes disabled.
-    Entries must be finite.
+    The stored array is (M + M^t)/2 of the input, formed only when M is
+    not bitwise symmetric; writes are disabled and entries must be finite.
     """
 
     __slots__ = ("a", "n")
@@ -88,9 +88,12 @@ class SymMat:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionMismatch("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(m)):
+        if m.tobytes() != m.T.tobytes():
+            # an average that overflows is refused below, with no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = (m + m.T) / 2.0
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        m = (m + m.T) / 2.0
         m.flags.writeable = False
         self.a = m
         self.n = int(m.shape[0])
@@ -141,9 +144,23 @@ def _check_same_dim(A: SymMat, B: SymMat):
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
 
 
-def _scaled_rows(m: np.ndarray) -> Tuple[list, int]:
-    """Rows of 2^k m as Python lists, with k chosen so that max |2^k m_ij|
-    lies in [1, 2) (k = 0 for the zero matrix).
+class _Scaled(NamedTuple):
+    """2^k m as rows of Python lists, with D = max |m_ii| and F = ||m||_F
+    in those units."""
+
+    rows: list
+    k: int
+    diag: float
+    frob: float
+
+    def negated(self) -> "_Scaled":
+        """-m: the negated rows, with the same k, D and F."""
+        return self._replace(rows=[[-x for x in row] for row in self.rows])
+
+
+def _scaled_rows(m: np.ndarray) -> _Scaled:
+    """m scaled by 2^k, with k chosen so that max |2^k m_ij| lies in
+    [1, 2) (k = 0 for the zero matrix).
 
     Scaling by a power of two is exact, so every computation homogeneous
     in m gives the same bits on the scaled copy, while sums of squares of
@@ -151,12 +168,12 @@ def _scaled_rows(m: np.ndarray) -> Tuple[list, int]:
     """
     rows = m.tolist()
     top = max(map(abs, [x for row in rows for x in row]))
-    if top == 0.0:
-        return rows, 0
-    k = 1 - math.frexp(top)[1]
+    k = 1 - math.frexp(top)[1] if top else 0
     if k:
         rows = np.ldexp(m, k).tolist()
-    return rows, k
+    diag = max(abs(row[i]) for i, row in enumerate(rows))
+    frob = math.sqrt(sum(x * x for row in rows for x in row))
+    return _Scaled(rows, k, diag, frob)
 
 
 def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
@@ -168,10 +185,9 @@ def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
     scaled back, so the result is exact-scale equivariant.
     """
     n = m.shape[0]
-    a, power = _scaled_rows(m)
+    a, power, _, scale = _scaled_rows(m)
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
 
-    scale = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
     if scale == 0.0 or n == 1:
         values = [a[i][i] for i in range(n)]
     else:
@@ -288,15 +304,14 @@ def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     return np.array(x) / size if math.isfinite(size) else None
 
 
-def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
-               relative: float, floor: bool = True) -> Optional[Tuple[float, float, float]]:
-    """(g_lo, g_hi, delta) of _certify for the scaled rows 2^k m, or None
+def _gate_band(scaled: _Scaled, tol: Tolerances, fixed: float, relative: float,
+               floor: bool = True) -> Optional[Tuple[float, float, float]]:
+    """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
     when the exponent range rules the certificate out."""
+    rows, k, diag, frob = scaled
     if abs(k) > 1000:
         return None
     n = len(rows)
-    diag = max(abs(rows[i][i]) for i in range(n))
-    frob = math.sqrt(sum(x * x for row in rows for x in row))
     one = math.ldexp(1.0, k)
     base = fixed * one
     unit = one if floor else 0.0
@@ -313,14 +328,7 @@ def _gate_band(rows: list, k: int, tol: Tolerances, fixed: float,
     return g_lo, g_hi, delta
 
 
-def _certify(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
-             relative: float = 0.0, refute: bool = True,
-             floor: bool = True) -> Optional[bool]:
-    """The verdict of _certificate."""
-    return _certificate(m, tol, fixed, relative, refute, floor)[0]
-
-
-def _certificate(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
+def _certificate(scaled: _Scaled, tol: Tolerances, fixed: float = 0.0,
                  relative: float = 0.0, refute: bool = True,
                  floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
     """(verdict, L): decide lambda_min(m) >= g by shifted Cholesky
@@ -330,8 +338,8 @@ def _certificate(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
 
     A True or False verdict is the one the Jacobi route (eigvalsh, then
     the same comparison on the computed spectrum) returns. Work is on the
-    scaled rows 2^k m of _scaled_rows; below, every quantity is in those
-    units, with F = ||m||_F, D = max |m_ii| and u = 2^-53.
+    rows 2^k m of scaled = _scaled_rows(m); below, every quantity is in
+    those units, with F = ||m||_F, D = max |m_ii| and u = 2^-53.
 
     - |lambda|max lies in [L, U], L = max(D, F / sqrt(n)), U = F, so g lies
       in [g_lo, g_hi] from those two ends.
@@ -374,15 +382,14 @@ def _certificate(m: np.ndarray, tol: Tolerances, fixed: float = 0.0,
     L is the factor of the refuting factorization when the verdict is
     False (_negative_curvature turns it into a direction), else None.
     """
-    rows, k = _scaled_rows(m)
-    band = _gate_band(rows, k, tol, fixed, relative, floor)
+    band = _gate_band(scaled, tol, fixed, relative, floor)
     if band is None:
         return None, None
     g_lo, g_hi, delta = band
-    if _cholesky(rows, g_hi + delta)[1][-1] > 0.0:
+    if _cholesky(scaled.rows, g_hi + delta)[1][-1] > 0.0:
         return True, None
     if refute:
-        factor, pivots = _cholesky(rows, g_lo - delta)
+        factor, pivots = _cholesky(scaled.rows, g_lo - delta)
         if not pivots[-1] > 0.0:
             return False, factor
     return None, None
@@ -400,10 +407,10 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     caller computes the spectrum, which also supplies the Singular verdict.
 
     One factorization decides both halves. With relative = rank_tol^2 and
-    the band of _certify (scaled units, G_s = 2^k G), Cholesky of
+    the band of _certificate (scaled units, G_s = 2^k G), Cholesky of
     G_s - s I at s = g_hi + delta runs to completion with pivots p_i.
 
-    - First half: success is _certify's True for lam_0 >= gate =
+    - First half: success is _certificate's True for lam_0 >= gate =
       relative * max(1, |lam|max), and leaves lam_0 above the gate by at
       least eps_c - 3 u gate. As W >= 2 gate (3 gate when n = 1),
       eps_c >= 12 u gate, which covers the square roots, the square
@@ -430,18 +437,18 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       |log(lam_i)| < 2^10 per term, fsum, log(rank_tol)) stays below
       (0.9 n + 1) 2^-43.
     """
-    rows, k = _scaled_rows(gram)
-    band = _gate_band(rows, k, tol, 0.0, tol.rank_tol ** 2)
+    scaled = _scaled_rows(gram)
+    band = _gate_band(scaled, tol, 0.0, tol.rank_tol ** 2)
     if band is None:
         return False
     _, g_hi, delta = band
-    if math.ldexp(delta, -k - 1) < sys.float_info.min:
+    if math.ldexp(delta, -scaled.k - 1) < sys.float_info.min:
         return False
-    pivots = _cholesky(rows, g_hi + delta)[1]
+    pivots = _cholesky(scaled.rows, g_hi + delta)[1]
     if not pivots[-1] > 0.0:
         return False
-    n = len(rows)
-    log_det = math.fsum(map(math.log2, pivots)) - k * n
+    n = len(pivots)
+    log_det = math.fsum(map(math.log2, pivots)) - scaled.k * n
     return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -39
 
 
@@ -464,8 +471,8 @@ def _ldl(rows: list) -> Optional[Tuple[list, list]]:
     return low, pivots
 
 
-def _definite_ldl(m: np.ndarray, tol: Tolerances) -> Optional[Tuple[list, list, int]]:
-    """(L, d, k) with 2^k m = L diag(d) L^t (the rows of _scaled_rows),
+def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list, int]]:
+    """(L, d, k) with 2^k m = L diag(d) L^t (scaled = _scaled_rows(m)),
     when the floor-free certificate proves that the Jacobi spectrum of m
     has lambda_min > rank_tol * |lambda|max: then the Jacobi route keeps
     every eigenvalue (pinv_and_range) and finds m regular (inv). None
@@ -475,18 +482,17 @@ def _definite_ldl(m: np.ndarray, tol: Tolerances) -> Optional[Tuple[list, list, 
     m and 2^j m get the same factor and k - j for k. The certificate
     proves lambda_min(2^k m) > eps_c at shift 0, the condition under
     which the unshifted factorization runs to completion."""
-    if not _certify(m, tol, relative=tol.rank_tol, refute=False, floor=False):
+    if not _certificate(scaled, tol, relative=tol.rank_tol, refute=False, floor=False)[0]:
         return None
-    rows, k = _scaled_rows(m)
-    factor = _ldl(rows)
-    return None if factor is None else (*factor, k)
+    factor = _ldl(scaled.rows)
+    return None if factor is None else (*factor, scaled.k)
 
 
 def _reciprocal_form(m: np.ndarray, x: np.ndarray, tol: Tolerances) -> Optional[float]:
     """1 / (x^t m^-1 x) by an LDL^t solve when _definite_ldl certifies m;
     None otherwise. With L y = x and 2^k m = L D L^t,
     x^t m^-1 x = 2^k sum(y_i^2 / d_i)."""
-    factor = _definite_ldl(m, tol)
+    factor = _definite_ldl(_scaled_rows(m), tol)
     if factor is None:
         return None
     low, pivots, k = factor
@@ -516,12 +522,14 @@ def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
 def _certified_within(m: np.ndarray, lo: float, hi: float, tol: Tolerances) -> bool:
     """True when the certificate proves the computed spectrum of m lies in
     [lo, hi]; False when that is undecided or untrue."""
-    return bool(_certify(m, tol, fixed=lo, refute=False)
-                and _certify(-m, tol, fixed=-hi, refute=False))
+    scaled = _scaled_rows(m)
+    return bool(_certificate(scaled, tol, fixed=lo, refute=False)[0]
+                and _certificate(scaled.negated(), tol, fixed=-hi, refute=False)[0])
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:
-    verdict = _certify(M.a, tol, relative=tol.psd_tol if strict else -tol.psd_tol)
+    verdict = _certificate(_scaled_rows(M.a), tol,
+                           relative=tol.psd_tol if strict else -tol.psd_tol)[0]
     if verdict is None:
         verdict = _spectral_verdict(eigvalsh(M, tol), strict, tol)
     return verdict
@@ -561,10 +569,12 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     certifies, is inverted through LDL^t (as -inv(-A) when negative
     definite); every other input through the spectral decomposition,
     which also gives Singular its verdict."""
+    scaled = _scaled_rows(A.a)
     for sign in (1.0, -1.0):
-        factor = _definite_ldl(sign * A.a, tol)
+        factor = _definite_ldl(scaled, tol)
         if factor is not None:
             return SymMat(sign * _ldl_inverse(*factor))
+        scaled = scaled.negated()
     spec = eigh(A, tol)
     lam = spec.eigenvalues
     maxabs = float(np.max(np.abs(lam)))

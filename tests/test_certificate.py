@@ -45,14 +45,22 @@ def disagreements(calls):
             and verdict != jacobi_verdict(m, tol, fixed, relative, floor)]
 
 
+def certify(m, tol=DEFAULT_TOL, **gate):
+    """The verdict of linalg._certificate on the matrix m."""
+    return linalg._certificate(linalg._scaled_rows(m), tol, **gate)[0]
+
+
 def order_recorder(calls):
-    """linalg._certificate (behind _certify and strength_witness) wrapped to
-    append (m, tol, fixed, relative, floor, verdict)."""
+    """linalg._certificate (behind the order predicates, the [0, I] checks,
+    the LDL^t route and strength_witness) wrapped to append
+    (m, tol, fixed, relative, floor, verdict), with m = 2^-k times the
+    scaled rows that it decided on."""
     certificate = linalg._certificate
 
-    def recording(m, tol, fixed=0.0, relative=0.0, refute=True, floor=True):
-        result = certificate(m, tol, fixed, relative, refute, floor)
-        calls.append((np.array(m), tol, fixed, relative, floor, result[0]))
+    def recording(scaled, tol, fixed=0.0, relative=0.0, refute=True, floor=True):
+        result = certificate(scaled, tol, fixed, relative, refute, floor)
+        m = np.ldexp(np.array(scaled.rows), -scaled.k)
+        calls.append((m, tol, fixed, relative, floor, result[0]))
         return result
 
     return recording
@@ -152,14 +160,14 @@ def test_certificate_is_decided_away_from_the_gates():
             lam = np.linspace(lam_min, 1.0, n)
             m = (q * lam) @ q.T
             m = (m + m.T) / 2.0
-            assert linalg._certify(m, DEFAULT_TOL, relative=-DEFAULT_TOL.psd_tol) is le
+            assert certify(m, relative=-DEFAULT_TOL.psd_tol) is le
             if lam_min != 0.0:
-                assert linalg._certify(m, DEFAULT_TOL, relative=DEFAULT_TOL.psd_tol) is lt
+                assert certify(m, relative=DEFAULT_TOL.psd_tol) is lt
 
 
 def test_extreme_scales_fall_back():
     tiny = np.array([[0.0, 5e-324], [5e-324, 0.0]])
-    assert linalg._certify(tiny, DEFAULT_TOL, relative=-1e-9) is None
+    assert certify(tiny, relative=-1e-9) is None
     assert linalg.is_psd(SymMat(tiny))
     huge = SymMat([[0.0, 1e200], [1e200, 0.0]])
     assert not linalg.is_psd(huge)
@@ -170,9 +178,9 @@ def test_a_gate_that_overflows_falls_back():
     # psd_tol * 2^k overflows in the scaled units of a matrix near 1e-290
     tol = Tolerances(psd_tol=1e30)
     m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
-    rows, k = linalg._scaled_rows(m.a)
+    scaled = linalg._scaled_rows(m.a)
     for relative in (-tol.psd_tol, tol.psd_tol):
-        assert linalg._gate_band(rows, k, tol, 0.0, relative) is None
+        assert linalg._gate_band(scaled, tol, 0.0, relative) is None
     lam = linalg.eigvalsh(m, tol)                     # -2.0e-290, 1.0e-290
     assert linalg.is_psd(m, tol) and linalg._spectral_verdict(lam, False, tol)
     assert not linalg.loewner_lt(SymMat.zero(2), m, tol)
@@ -461,8 +469,7 @@ class TestSpectraPerCall:
         # and gives the direction
         first = SymMat.diagonal([0.3, 0.3])
         second = SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 + 1e-6)])
-        assert linalg._certify((second - first).a, DEFAULT_TOL,
-                               relative=-DEFAULT_TOL.psd_tol) is None
+        assert certify((second - first).a, relative=-DEFAULT_TOL.psd_tol) is None
         assert count(strength_witness, first, second) == ["eigh"]
         proj, t = strength_witness(first, second)
         assert np.array_equal(np.abs(proj.x), [0.0, 1.0]) and t == 0.3
@@ -503,8 +510,7 @@ class TestSpectraPerCall:
         # where loewner_le's certificate is undecided
         low = make_effect(SymMat.diagonal([0.3, 0.3]))
         high = make_effect(SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 - 1e-6)]))
-        assert linalg._certify((high.mat - low.mat).a, DEFAULT_TOL,
-                               relative=-DEFAULT_TOL.psd_tol) is None
+        assert certify((high.mat - low.mat).a, relative=-DEFAULT_TOL.psd_tol) is None
         assert count(rank_one_segment, low, high) == ["eigh"]
         assert count(rank_one_segment, low, low) == ["eigh"]
 
@@ -520,3 +526,44 @@ class TestSpectraPerCall:
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
         projection = RankOneProjection([1.0, 2.0, 3.0])
         assert count(phi.apply, projection.mat) == ["eigh"]
+
+
+class TestScalingsPerCall:
+    """Power-of-two scalings (_scaled_rows) per public call: the certificate
+    and the LDL^t factor share one scaling of each matrix, and its negation
+    reuses it. A Jacobi fallback would add a scaling of its own."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        scaled_rows = linalg._scaled_rows
+
+        def counting(m):
+            calls.append(m)
+            return scaled_rows(m)
+
+        monkeypatch.setattr(linalg, "_scaled_rows", counting)
+
+        def run(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        return run
+
+    def test_make_effect_on_a_certified_effect(self, count):
+        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == 1
+
+    def test_apply_on_an_effect_with_a_certified_image(self, count):
+        phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
+        x = make_effect(SymMat([[0.5, 0.1], [0.1, 0.4]]))
+        assert count(phi.apply, x) == 1
+
+    def test_inv_of_a_definite_matrix(self, count):
+        a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+        assert count(linalg.inv, a) == 1
+        assert count(linalg.inv, -a) == 1
+
+    def test_strength_on_full_rank(self, count):
+        a = SymMat([[2.0, 0.5], [0.5, 1.0]])
+        assert count(strength, a, RankOneProjection([1.0, 1.0])) == 1

@@ -161,6 +161,84 @@ class TestExtremeScale:
             strength(SymMat([[0.0, 1e200], [1e200, 0.0]]), RankOneProjection([1.0, 0.0]))
 
 
+class TestTopOfTheFloatRange:
+    # symmetric input is stored as given, so entries near 2^1024 do not
+    # overflow in the symmetrization; an asymmetric input whose average
+    # overflows is still refused
+    HUGE = '{"n":2,"data":[1.7e308,0,0,1]}'
+
+    def run_quietly(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, argv)
+
+    def test_strength_along_the_huge_axis(self, capsys):
+        code, out, _ = self.run_quietly(capsys, ["strength", self.HUGE, "[1,0]"])
+        assert code == 0
+        assert json.loads(out)["alpha"] == pytest.approx(1.7e308, rel=1e-12)
+
+    def test_order_below_a_huge_matrix(self, capsys):
+        code, out, _ = self.run_quietly(capsys, ["order", '{"n":1,"data":[1.0]}',
+                                                 '{"n":1,"data":[1.7e308]}'])
+        assert (code, out) == (0, '{"le":true,"lt":true}\n')
+
+    def test_asymmetric_input_whose_average_overflows(self, capsys):
+        code, out, err = self.run_quietly(capsys, ["order", '{"n":2,"data":[1,1.7e308,1e308,1]}',
+                                                   EYE])
+        assert code == 2 and out == ""
+        assert "matrix entries must be finite" in err
+
+
+class TestCanonicalSignAtLargeTolerance:
+    # --tol 0.1 sets equality_tol = 1, at which no entry of T clears the
+    # sign gate equality_tol * ||T||_2; a regular generator still gets a sign
+    @pytest.mark.parametrize("tol", ["0.1", "0.2"])
+    def test_invert_identity(self, capsys, tol):
+        code, out, err = run(capsys, ["phi", "invert", EYE, "--tol", tol])
+        assert (code, out, err) == (0, '{"data":[1,0,0,1],"n":2}\n', "")
+
+    def test_sign_of_the_largest_entry(self, capsys):
+        code, out, _ = run(capsys, ["phi", "invert", '{"n":2,"data":[-1,0.5,0,-2]}',
+                                    "--tol", "0.2"])
+        assert (code, out) == (0, '{"data":[1,0.25,0,0.5],"n":2}\n')
+
+
+class TestIntervalParsing:
+    def spec(self, lower, upper):
+        return json.dumps({"n": 2, "lower": lower, "upper": upper})
+
+    def test_map_onto_the_cone_from_a_finite_lower_endpoint(self, capsys):
+        # [I, inf) -> [0, inf) by X -> X - I
+        payload = json.dumps({
+            "interval": json.loads(self.spec(
+                {"kind": "finite", "closed": True, "matrix": {"n": 2, "data": [1, 0, 0, 1]}},
+                {"kind": "plus_infinity"})),
+            "x": {"n": 2, "data": [3, 1, 1, 2]},
+        })
+        code, out, _ = run(capsys, ["interval", "map", payload])
+        assert (code, out) == (0, '{"data":[2,1,1,1],"n":2}\n')
+
+    def test_chain_of_a_box_whose_gap_is_not_the_identity(self, capsys):
+        # [I, diag(5, 2)]: translate by -I, then congruence by diag(1/2, 1)
+        spec = self.spec(
+            {"kind": "finite", "closed": True, "matrix": {"n": 2, "data": [1, 0, 0, 1]}},
+            {"kind": "finite", "closed": True, "matrix": {"n": 2, "data": [5, 0, 0, 2]}})
+        code, out, _ = run(capsys, ["interval", "chain", spec])
+        assert code == 0
+        assert json.loads(out) == {"parity": "even", "steps": [
+            {"kind": "translate", "s": {"n": 2, "data": [-1.0, -0.0, -0.0, -1.0]}},
+            {"kind": "congruence", "t": {"n": 2, "data": [0.5, 0.0, 0.0, 1.0]}}]}
+
+    @pytest.mark.parametrize("lower,message", [
+        ({"kind": "bogus"}, "unknown endpoint kind 'bogus'"),
+        ({"kind": "minus_infinity", "closed": True}, "infinite endpoints are always open"),
+    ])
+    def test_bad_endpoints_exit_two(self, capsys, lower, message):
+        code, out, err = run(capsys, ["interval", "chain",
+                                      self.spec(lower, {"kind": "plus_infinity"})])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestTooLarge:
     def test_generator_whose_gram_overflows(self, capsys):
         with warnings.catch_warnings():

@@ -36,7 +36,7 @@ from loewner.errors import (
     OutOfInterval,
     PreconditionViolated,
 )
-from loewner.linalg import DEFAULT_TOL, SymMat
+from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 E1 = standard_projection(0, 2)
 
@@ -73,6 +73,17 @@ class TestMakeEffect:
     def test_rejects_negative(self):
         with pytest.raises(OutOfInterval):
             make_effect(SymMat.diagonal([-0.5, 0.5]))
+
+    @pytest.mark.parametrize("diagonal", [
+        [-DEFAULT_TOL.psd_tol * (1.0 - 1e-12), 0.5],
+        [0.5, 1.0 + DEFAULT_TOL.psd_tol * (1.0 - 1e-12)],
+    ])
+    def test_accepts_on_the_jacobi_route_at_the_gate(self, diagonal):
+        # inside the certificate's undecided band; the spectrum is within the gate
+        a = SymMat.diagonal(diagonal)
+        tol = DEFAULT_TOL
+        assert not linalg._certified_within(a.a, -tol.psd_tol, 1.0 + tol.psd_tol, tol)
+        assert make_effect(a).mat is a
 
 
 class TestStrength:
@@ -158,6 +169,16 @@ class TestStrengthWitness:
         scaled = SymMat(t * proj.mat.a)
         assert linalg.loewner_le(scaled, SymMat.identity(2))
         assert not linalg.loewner_le(scaled, SymMat(0.5 * np.eye(2)))
+
+    def test_none_when_the_spectrum_decides_le(self):
+        # B - A = diag(0.4, -psd_tol (1 - 1e-12)): the certificate is
+        # undecided, and the eigh that would give the direction finds A <= B
+        first = SymMat.diagonal([0.0, DEFAULT_TOL.psd_tol * (1.0 - 1e-12)])
+        second = SymMat.diagonal([0.4, 0.0])
+        assert linalg._certificate(linalg._scaled_rows((second - first).a), DEFAULT_TOL,
+                                   relative=-DEFAULT_TOL.psd_tol)[0] is None
+        assert linalg.loewner_le(first, second)
+        assert strength_witness(first, second) is None
 
     def test_crossing_diagonals(self):
         a, b = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])
@@ -512,6 +533,16 @@ class TestMaximalDiagonals:
         # (1 - 1/2)(1 - 1/2) = 1/4 = u^2
         assert got.contains(0.5, 0.5)
         assert not got.contains(1.0, 1.0)
+
+    def test_curve_rejects_points_outside_its_box(self):
+        # both points satisfy (t - p)(s - q) = u^2 with t = s = 1/2, u = 1/4
+        a = SymMat([[0.5, 0.25], [0.25, 0.5]])
+        curve = maximal_diagonals(a)
+        assert not curve.contains(-0.25, 0.5 - 1.0 / 12.0)          # p < 0
+        assert not curve.contains(0.75, 0.75)                       # p > t
+        # the curve tests at the tolerances it was built with
+        loose = Tolerances(psd_tol=0.3, rank_tol=1e-9, equality_tol=1e-8)
+        assert maximal_diagonals(a, loose).contains(-0.25, 0.5 - 1.0 / 12.0)
 
     def test_curve_points_are_maximal(self):
         eff = make_effect(SymMat([[0.7, 0.25], [0.25, 0.5]]))

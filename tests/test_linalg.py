@@ -2,6 +2,7 @@
 calculus, cross-checked against numpy.linalg as the independent oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ class TestSymMat:
     def test_always_exactly_symmetric(self, values):
         m = SymMat(np.array(values).reshape(2, 2))
         assert np.array_equal(m.a, m.a.T)
+
+    def test_arithmetic_results(self):
+        a = SymMat([[1.0, 0.5], [0.5, 2.0]])
+        b = SymMat([[0.25, -1.0], [-1.0, 3.0]])
+        assert np.array_equal((a + b).a, a.a + b.a)
+        assert np.array_equal((a - b).a, a.a - b.a)
+        assert np.array_equal((-a).a, -a.a)
+        assert np.array_equal((a * 3.0).a, 3.0 * a.a)
+        assert np.array_equal((3.0 * a).a, 3.0 * a.a)
+
+    def test_symmetric_input_at_the_top_of_the_range_is_stored_exactly(self):
+        # (M + M^t) / 2 would overflow: 2 * 1.7e308 is above the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymMat(np.diag([1.7e308, 1.0]))
+        assert np.array_equal(m.a, np.diag([1.7e308, 1.0]))
+
+    def test_asymmetric_input_whose_average_overflows_is_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SymMat([[1.0, 1.7e308], [1e308, 1.0]])
 
 
 class TestEigh:
@@ -223,7 +246,7 @@ class TestInv:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((n, n))
         a = SymMat((-1.0 if negative else 1.0) * (b @ b.T + 0.1 * np.eye(n)))
-        assert linalg._definite_ldl(-a.a if negative else a.a, DEFAULT_TOL) is not None
+        assert linalg._definite_ldl(linalg._scaled_rows(-a.a if negative else a.a), DEFAULT_TOL) is not None
         c = 2.0 ** k
         assert np.array_equal(linalg.inv(SymMat(c * a.a)).a, linalg.inv(a).a / c)
 
