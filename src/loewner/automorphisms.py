@@ -120,7 +120,7 @@ class EffectAutomorphism:
                            f"T^t T overflows")
         gram = SymMat(product)
         if not linalg._certify_regular(gram.a, tol):
-            _require_regular(linalg.eigvalsh(gram, tol), tol)
+            _require_regular(linalg.eigvalsh(gram), tol)
         t = _canonical_sign(t, tol)
         t.flags.writeable = False
         self.t = t
@@ -134,7 +134,7 @@ class EffectAutomorphism:
         defining formula stays invertible: the map is well defined on
         [0, (1 + eps) I), with None meaning unbounded. Computed from the
         spectrum of T^t T when read."""
-        lam_min = float(linalg.eigvalsh(self.gram, self._tol)[0])
+        lam_min = float(linalg.eigvalsh(self.gram)[0])
         if lam_min >= 1.0:
             return None
         shrunk = lam_min * (1.0 - 1e-12)
@@ -144,7 +144,7 @@ class EffectAutomorphism:
         """Roundoff in the defining formula grows with the conditioning of
         T^t T; images are certified against psd_tol widened by this
         float-noise bound and then clamped back onto [0, 1]."""
-        lam = linalg.eigvalsh(self.gram, self._tol)
+        lam = linalg.eigvalsh(self.gram)
         cond = float(lam[-1]) / float(lam[0])
         return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
@@ -164,9 +164,9 @@ class EffectAutomorphism:
             raise InternalInversionFailure(
                 "certified-invertible matrix was numerically intractable") from exc
         image = SymMat(self.t @ z @ self.t.T)
-        if linalg._certified_within(image.a, 0.0, 1.0, tol):
+        if linalg._certified_within(image.a, 0.0, 1.0):
             return Effect(mat=image)
-        spec = linalg.eigh(image, tol)
+        spec = linalg.eigh(image)
         lam = spec.eigenvalues
         if float(lam[0]) < -tol.psd_tol or float(lam[-1]) > 1.0 + tol.psd_tol:
             gate = max(tol.psd_tol, self._noise_gate())
@@ -266,7 +266,7 @@ def _dominant_direction(E: Effect, tol: Tolerances) -> np.ndarray:
         v = column / norm
         if float(np.linalg.norm(m - np.outer(v, v))) <= tol.rank_tol * float(np.linalg.norm(m)):
             return v
-    return linalg.eigh(E.mat, tol).eigenvectors[:, -1]
+    return linalg.eigh(E.mat).eigenvectors[:, -1]
 
 
 def recover_generator(
@@ -373,7 +373,7 @@ class MobiusParams:
         t = np.array(self.t, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise BadParameter("T must be a square matrix")
-        lam = linalg.eigvalsh(SymMat(t.T @ t), self.tol)
+        lam = linalg.eigvalsh(SymMat(t.T @ t))
         sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
         sigma_min = math.sqrt(max(float(lam[0]), 0.0))
         if sigma_max > 1.0 + self.tol.equality_tol:
@@ -410,18 +410,20 @@ def mobius_apply(params: MobiusParams, X) -> Effect:
             raise DomainError(f"eigenvalue {level!r} outside [0, 1] at tolerance")
         return unit_mobius(p, min(1.0, max(0.0, level)))
 
+    def outer_mobius(level: float) -> float:
+        # apply_fn passes InternalInversionFailure through unwrapped
+        if level < -tol.psd_tol or level > 1.0 + tol.psd_tol:
+            raise InternalInversionFailure("normalized middle term left [0, I]")
+        return unit_mobius(q, min(1.0, max(0.0, level)))
+
     inner = SymMat(t @ eff.mat.a @ t.T)
     gram = SymMat(t @ t.T)
-    f_inner = linalg.apply_fn(inner, clamped_mobius, tol)
-    f_gram = linalg.apply_fn(gram, clamped_mobius, tol)
+    f_inner = linalg.apply_fn(inner, clamped_mobius)
+    f_gram = linalg.apply_fn(gram, clamped_mobius)
     floor = tol.rank_tol ** 2
-    normalizer = linalg.apply_fn(f_gram, lambda level: 1.0 / math.sqrt(max(level, floor)), tol)
+    normalizer = linalg.apply_fn(f_gram, lambda level: 1.0 / math.sqrt(max(level, floor)))
     middle = SymMat(normalizer.a @ f_inner.a @ normalizer.a)
-    lam = linalg.eigvalsh(middle, tol)
-    if float(lam[0]) < -tol.psd_tol or float(lam[-1]) > 1.0 + tol.psd_tol:
-        raise InternalInversionFailure("normalized middle term left [0, I]")
-    result = linalg.apply_fn(middle, lambda level: unit_mobius(q, min(1.0, max(0.0, level))), tol)
-    return make_effect(result, tol)
+    return make_effect(linalg.apply_fn(middle, outer_mobius), tol)
 
 
 def mobius_to_canonical(params: MobiusParams) -> EffectAutomorphism:

@@ -129,10 +129,7 @@ def matrix_doc(matrix) -> dict:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = float(getattr(args, "tol", 1e-9))
-    if tol <= 0:
-        raise ValueError("--tol must be positive")
-    return Tolerances(psd_tol=tol, rank_tol=tol, equality_tol=10.0 * tol)
+    return Tolerances(psd_tol=args.tol, rank_tol=args.tol)
 
 
 def _emit(obj) -> None:

@@ -116,9 +116,9 @@ def make_effect(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:
 
     The Cholesky certificate settles inputs clear of the gates without a
     spectrum; the rest go to eigvalsh, which reaches the same verdict."""
-    if linalg._certified_within(A.a, -tol.psd_tol, 1.0 + tol.psd_tol, tol):
+    if linalg._certified_within(A.a, -tol.psd_tol, 1.0 + tol.psd_tol):
         return Effect(mat=A)
-    lam = linalg.eigvalsh(A, tol)
+    lam = linalg.eigvalsh(A)
     if float(lam[0]) < -tol.psd_tol:
         raise OutOfInterval(f"eigenvalue {lam[0]!r} below 0", offending_eigenvalue=float(lam[0]))
     if float(lam[-1]) > 1.0 + tol.psd_tol:
@@ -192,7 +192,7 @@ def strength_witness(
     _require_psd(A, tol, "first argument")
     _require_psd(B, tol, "second argument")
     M = B - A
-    verdict, factor = linalg._certificate(linalg._scaled_rows(M.a), tol, relative=-tol.psd_tol)
+    verdict, factor = linalg._certificate(linalg._scaled_rows(M.a), relative=-tol.psd_tol)
     if verdict:
         return None
     x = None
@@ -202,7 +202,7 @@ def strength_witness(
         if x is None or not -float(M.a @ x @ x) > gamma * float(x @ x):
             x = None
     if x is None:
-        spec = linalg.eigh(M, tol)
+        spec = linalg.eigh(M)
         if verdict is None and linalg._spectral_verdict(spec.eigenvalues, False, tol):
             return None
         x = spec.eigenvectors[:, 0]
@@ -229,7 +229,7 @@ def rank_one_segment(
     spectrum of B - A decides both.
     """
     linalg._check_same_dim(A.mat, B.mat)
-    spec = linalg.eigh(B.mat - A.mat, tol)
+    spec = linalg.eigh(B.mat - A.mat)
     lam = spec.eigenvalues
     if not linalg._spectral_verdict(lam, False, tol):
         raise NotComparable("lower effect is not below upper effect")
@@ -339,7 +339,7 @@ def one_third_decompose(
     if A.n != 2 or P.n != 2:
         raise DimensionMismatch("this decomposition is defined for 2x2 matrices")
     q_mat = 1.5 * (np.eye(2) - A.a)
-    spec = linalg.eigh(SymMat(q_mat), tol)
+    spec = linalg.eigh(SymMat(q_mat))
     lam = spec.eigenvalues
     gate = 10.0 * max(tol.rank_tol, tol.psd_tol)
     if abs(float(lam[0])) > gate or abs(float(lam[1]) - 1.0) > gate:
@@ -362,7 +362,7 @@ def maximal_diagonals(A, tol: Tolerances = DEFAULT_TOL) -> MaxDiagonalSet:
         raise DimensionMismatch("maximal diagonals are defined for 2x2 matrices")
     m = mat.a
     t, s, u = float(m[0, 0]), float(m[1, 1]), float(m[0, 1])
-    lam = linalg.eigvalsh(mat, tol)
+    lam = linalg.eigvalsh(mat)
     if float(lam[0]) < -tol.psd_tol:
         raise NotPSD("input must be positive semidefinite")
     for entry in (t, s):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -35,6 +34,7 @@ from .errors import (
 )
 
 _MAX_SWEEPS = 100
+_EIG_TOL = 1e-14  # eig_tol: Jacobi stops at off-diagonal mass _EIG_TOL * ||A||_F
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Backward error of one two-sided plane rotation, in units of
 # u * ||A||_F (Higham, Accuracy and Stability, 2nd ed., ch. 19).
@@ -45,29 +45,30 @@ _ROTATION_ERROR = 16.0
 class Tolerances:
     """Numerical thresholds shared by the whole package.
 
-    eig_tol      Jacobi convergence: stop once the off-diagonal Frobenius
-                 mass drops below eig_tol * ||A||_F.
     psd_tol      slack below zero accepted when testing semidefiniteness;
                  applied relative to the spectral scale max(1, |lambda|_max).
     rank_tol     relative cutoff for rank decisions and spectral truncation.
-    equality_tol relative threshold for treating two matrices as equal.
+    equality_tol relative threshold for treating two matrices as equal,
+                 10 * rank_tol (read-only).
 
-    psd_tol and rank_tol may not be below eig_tol: the Jacobi spectrum
-    resolves eigenvalues only to about eig_tol * ||A||_F, so a finer gate
+    psd_tol and rank_tol may not be below _EIG_TOL: the Jacobi spectrum
+    resolves eigenvalues only to about _EIG_TOL * ||A||_F, so a finer gate
     would decide order and rank on rounding noise.
     """
 
-    eig_tol: float = 1e-14
     psd_tol: float = 1e-9
     rank_tol: float = 1e-9
-    equality_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eig_tol", "psd_tol", "rank_tol", "equality_tol"):
+        for name in ("psd_tol", "rank_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if min(self.psd_tol, self.rank_tol) < self.eig_tol:
-            raise ValueError(f"psd_tol and rank_tol must not be below eig_tol ({self.eig_tol:g})")
+        if min(self.psd_tol, self.rank_tol) < _EIG_TOL:
+            raise ValueError(f"psd_tol and rank_tol must not be below eig_tol ({_EIG_TOL:g})")
+
+    @property
+    def equality_tol(self) -> float:
+        return 10.0 * self.rank_tol
 
 
 DEFAULT_TOL = Tolerances()
@@ -176,7 +177,7 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
     return _Scaled(rows, k, diag, frob)
 
 
-def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
+def _jacobi(m: np.ndarray, want_vectors: bool):
     """Cyclic Jacobi sweeps; returns (eigenvalues ascending, V or None).
 
     Runs on plain Python lists: at the target dimensions this beats
@@ -191,7 +192,7 @@ def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
     if scale == 0.0 or n == 1:
         values = [a[i][i] for i in range(n)]
     else:
-        stop = eig_tol * scale
+        stop = _EIG_TOL * scale
         skip = stop / (2.0 * n * n)
         for _ in range(_MAX_SWEEPS):
             off = math.sqrt(2.0 * sum(a[i][j] * a[i][j]
@@ -243,18 +244,17 @@ def _jacobi(m: np.ndarray, eig_tol: float, want_vectors: bool):
     return lam, vec
 
 
-def eigh(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def eigh(A: SymMat) -> Spectrum:
     """Full spectral decomposition A = V diag(lam) V^t, eigenvalues ascending."""
-    lam, vec = _jacobi(A.a, tol.eig_tol, want_vectors=True)
+    lam, vec = _jacobi(A.a, want_vectors=True)
     lam.flags.writeable = False
     vec.flags.writeable = False
     return Spectrum(eigenvalues=lam, eigenvectors=vec)
 
 
-def eigvalsh(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def eigvalsh(A: SymMat) -> np.ndarray:
     """Eigenvalues only (ascending); skips eigenvector accumulation."""
-    lam, _ = _jacobi(A.a, tol.eig_tol, want_vectors=False)
-    return lam
+    return _jacobi(A.a, want_vectors=False)[0]
 
 
 def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
@@ -304,7 +304,7 @@ def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     return np.array(x) / size if math.isfinite(size) else None
 
 
-def _gate_band(scaled: _Scaled, tol: Tolerances, fixed: float, relative: float,
+def _gate_band(scaled: _Scaled, fixed: float, relative: float,
                floor: bool = True) -> Optional[Tuple[float, float, float]]:
     """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
     when the exponent range rules the certificate out."""
@@ -321,16 +321,15 @@ def _gate_band(scaled: _Scaled, tol: Tolerances, fixed: float, relative: float,
     u = _UNIT_ROUNDOFF
     eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
     rotations = _MAX_SWEEPS * n * (n - 1) / 2.0
-    eps_j = (tol.eig_tol + _ROTATION_ERROR * u * rotations) * frob
+    eps_j = (_EIG_TOL + _ROTATION_ERROR * u * rotations) * frob
     delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
     if not math.isfinite(g_lo - g_hi - delta):
         return None
     return g_lo, g_hi, delta
 
 
-def _certificate(scaled: _Scaled, tol: Tolerances, fixed: float = 0.0,
-                 relative: float = 0.0, refute: bool = True,
-                 floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
+def _certificate(scaled: _Scaled, fixed: float = 0.0, relative: float = 0.0,
+                 refute: bool = True, floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
     """(verdict, L): decide lambda_min(m) >= g by shifted Cholesky
     factorizations, where g = fixed + relative * max(1, |lambda|max), or
     g = fixed + relative * |lambda|max when `floor` is False; None when
@@ -349,8 +348,8 @@ def _certificate(scaled: _Scaled, tol: Tolerances, fixed: float = 0.0,
       lambda_min(m) >= s - eps_c, failure gives lambda_min(m) <= s + eps_c,
       eps_c = 2 n (n + 1) u W, where W = D + max(|g_lo|, |g_hi|) + F bounds
       every shifted diagonal.
-    - Jacobi's eigenvalues are within eps_j = (eig_tol + 16 u R) F of the
-      true ones: its stopping test leaves eig_tol F of off-diagonal mass,
+    - Jacobi's eigenvalues are within eps_j = (_EIG_TOL + 16 u R) F of the
+      true ones: its stopping test leaves _EIG_TOL F of off-diagonal mass,
       and each of its at most R = _MAX_SWEEPS n (n - 1) / 2 rotations has
       backward error at most 16 u F. The computed gate moves by at most
       |relative| eps_j with them.
@@ -382,7 +381,7 @@ def _certificate(scaled: _Scaled, tol: Tolerances, fixed: float = 0.0,
     L is the factor of the refuting factorization when the verdict is
     False (_negative_curvature turns it into a direction), else None.
     """
-    band = _gate_band(scaled, tol, fixed, relative, floor)
+    band = _gate_band(scaled, fixed, relative, floor)
     if band is None:
         return None, None
     g_lo, g_hi, delta = band
@@ -422,9 +421,11 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
       since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
       prod(l_ii^2), and l_ii = fl(sqrt(p_i)) gives l_ii^2 >= p_i (1 - u)^2.
-      The same inequality gives lam_s,i >= s - eps_c - eps_j >= delta / 2,
-      so when 2^-k delta / 2 is a normal number (else False) the unscaled
-      lam_i = 2^-k lam_s,i are exact and
+      The same inequality gives lam_s,i >= s - eps_c - eps_j >= delta / 2
+      >= _EIG_TOL (delta >= 2 eps_j, F >= 1). The test below passes only
+      when n (1 - k) + 93.02 > 0, k < 94.02, as the pivots lie below 2 and
+      -2 log2(rank_tol) <= 93.02; there 2^-k delta / 2 is a normal number,
+      so the unscaled lam_i = 2^-k lam_s,i are exact and
       sum(log2 lam_i) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
     - Rounding, in the log domain, where nothing can underflow: the test
       sum(log2 p_i) - k n - 2 log2(rank_tol) > (n + 2) 2^-39 is evaluated
@@ -438,12 +439,10 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       (0.9 n + 1) 2^-43.
     """
     scaled = _scaled_rows(gram)
-    band = _gate_band(scaled, tol, 0.0, tol.rank_tol ** 2)
+    band = _gate_band(scaled, 0.0, tol.rank_tol ** 2)
     if band is None:
         return False
     _, g_hi, delta = band
-    if math.ldexp(delta, -scaled.k - 1) < sys.float_info.min:
-        return False
     pivots = _cholesky(scaled.rows, g_hi + delta)[1]
     if not pivots[-1] > 0.0:
         return False
@@ -482,7 +481,7 @@ def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list
     m and 2^j m get the same factor and k - j for k. The certificate
     proves lambda_min(2^k m) > eps_c at shift 0, the condition under
     which the unshifted factorization runs to completion."""
-    if not _certificate(scaled, tol, relative=tol.rank_tol, refute=False, floor=False)[0]:
+    if not _certificate(scaled, relative=tol.rank_tol, refute=False, floor=False)[0]:
         return None
     factor = _ldl(scaled.rows)
     return None if factor is None else (*factor, scaled.k)
@@ -519,19 +518,18 @@ def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
     return float(lam[0]) > gate if strict else float(lam[0]) >= -gate
 
 
-def _certified_within(m: np.ndarray, lo: float, hi: float, tol: Tolerances) -> bool:
+def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     """True when the certificate proves the computed spectrum of m lies in
     [lo, hi]; False when that is undecided or untrue."""
     scaled = _scaled_rows(m)
-    return bool(_certificate(scaled, tol, fixed=lo, refute=False)[0]
-                and _certificate(scaled.negated(), tol, fixed=-hi, refute=False)[0])
+    return bool(_certificate(scaled, fixed=lo, refute=False)[0]
+                and _certificate(scaled.negated(), fixed=-hi, refute=False)[0])
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:
-    verdict = _certificate(_scaled_rows(M.a), tol,
-                           relative=tol.psd_tol if strict else -tol.psd_tol)[0]
+    verdict = _certificate(_scaled_rows(M.a), relative=tol.psd_tol if strict else -tol.psd_tol)[0]
     if verdict is None:
-        verdict = _spectral_verdict(eigvalsh(M, tol), strict, tol)
+        verdict = _spectral_verdict(eigvalsh(M), strict, tol)
     return verdict
 
 
@@ -553,7 +551,7 @@ def is_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def sqrt_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     """Unique PSD square root. Eigenvalues in [-psd_tol, 0) are clamped to 0."""
-    spec = eigh(A, tol)
+    spec = eigh(A)
     lam = spec.eigenvalues
     if float(lam[0]) < -_psd_threshold(lam, tol):
         raise NotPSD(f"matrix has eigenvalue {lam[0]:.3e} below -psd_tol")
@@ -575,7 +573,7 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
         if factor is not None:
             return SymMat(sign * _ldl_inverse(*factor))
         scaled = scaled.negated()
-    spec = eigh(A, tol)
+    spec = eigh(A)
     lam = spec.eigenvalues
     maxabs = float(np.max(np.abs(lam)))
     if maxabs == 0.0 or float(np.min(np.abs(lam))) <= tol.rank_tol * maxabs:
@@ -583,13 +581,13 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     return SymMat((spec.eigenvectors / lam) @ spec.eigenvectors.T)
 
 
-def apply_fn(A: SymMat, f: Callable[[float], float], tol: Tolerances = DEFAULT_TOL) -> SymMat:
+def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
     """Scalar functional calculus V diag(f(lam)) V^t.
 
     DomainError when f raises or produces a non-finite value at some
     eigenvalue.
     """
-    spec = eigh(A, tol)
+    spec = eigh(A)
     mapped = []
     for level in spec.eigenvalues:
         try:
@@ -609,7 +607,7 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
     reports whether a vector's residual off the retained eigenspace is
     within rank_tol (relative to max(1, ||x||)).
     """
-    spec = eigh(A, tol)
+    spec = eigh(A)
     lam = spec.eigenvalues
     if float(lam[0]) < -_psd_threshold(lam, tol):
         raise NotPSD(f"matrix has eigenvalue {lam[0]:.3e} below -psd_tol")
@@ -634,12 +632,11 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
     return pinv, in_range
 
 
-def spectral_norm(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> float:
-    lam = eigvalsh(A, tol)
-    return float(np.max(np.abs(lam)))
+def spectral_norm(A: SymMat) -> float:
+    return float(np.max(np.abs(eigvalsh(A))))
 
 
-def principal_angle(U, W, tol: Tolerances = DEFAULT_TOL) -> float:
+def principal_angle(U, W) -> float:
     """Largest principal angle (radians) between the column spans of U and W.
 
     Columns are orthonormalized internally; the subspaces must have equal
@@ -650,7 +647,7 @@ def principal_angle(U, W, tol: Tolerances = DEFAULT_TOL) -> float:
     if Un.shape != Wn.shape:
         raise DimensionMismatch("subspaces have different dimensions")
     G = Un.T @ Wn
-    lam = eigvalsh(SymMat(G.T @ G), tol)
+    lam = eigvalsh(SymMat(G.T @ G))
     cos2 = float(np.clip(np.min(lam), 0.0, 1.0))
     return math.acos(math.sqrt(cos2))
 

@@ -137,7 +137,7 @@ def strength_bisection(A: SymMat, P: RankOneProjection,
     Loewner predicate tP <= A; 60 fixed iterations."""
     if not linalg.is_psd(A, tol):
         raise NotPSD("strength oracle requires a PSD input")
-    lo, hi = 0.0, linalg.spectral_norm(A, tol) + 1.0
+    lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if linalg.loewner_le(SymMat(mid * P.mat.a), A, tol):

@@ -80,7 +80,7 @@ class TestConstruction:
         return calls
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL,
-                                     Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2)])
+                                     Tolerances(psd_tol=1e-3, rank_tol=1e-3)])
     def test_sign_agrees_with_the_spectral_norm_rule_inside_the_band(self, tol, spectral_norms):
         # The first entry sits between ||T||_F / sqrt(n) and ||T||_F times
         # equality_tol, so the bounds cannot decide it: once just above
@@ -224,7 +224,7 @@ class TestGroupStructure:
 class TestConstructionTolerance:
     """Every method works at the tolerances the map was built with."""
 
-    FINE = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+    FINE = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
 
     def test_compose_and_inverse_build_at_the_same_tolerance(self):
         phi = EffectAutomorphism(np.diag([1.0, 1e-5]), self.FINE)
@@ -361,9 +361,9 @@ class TestRecoverGenerator:
         calls = []
         eigh = linalg.eigh
 
-        def counting(a, tol=DEFAULT_TOL):
+        def counting(a):
             calls.append(a)
-            return eigh(a, tol)
+            return eigh(a)
 
         monkeypatch.setattr(linalg, "eigh", counting)
         for shrink, spectra in ((1.0, 1), (1.0 - 1e-7, 1 + 5)):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from loewner import automorphisms, linalg, selftest
-from loewner.automorphisms import EffectAutomorphism, recover_generator
+from loewner.automorphisms import EffectAutomorphism, MobiusParams, mobius_apply, recover_generator
 from loewner.effects import (
     RankOneProjection,
     make_effect,
@@ -27,12 +27,12 @@ ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def jacobi_verdict(m, tol, fixed, relative, floor=True):
+def jacobi_verdict(m, fixed, relative, floor=True):
     """lambda_min(m) >= fixed + relative * max(1, |lambda|max) on the Jacobi
     spectrum (without the max(1, .) when not `floor`), strict for the
     positive-definite gate (relative > 0), as the public callers compare
     it."""
-    lam = linalg.eigvalsh(SymMat(m), tol)
+    lam = linalg.eigvalsh(SymMat(m))
     top = float(np.max(np.abs(lam)))
     gate = fixed + relative * (max(1.0, top) if floor else top)
     return float(lam[0]) > gate if relative > 0.0 else float(lam[0]) >= gate
@@ -40,27 +40,27 @@ def jacobi_verdict(m, tol, fixed, relative, floor=True):
 
 def disagreements(calls):
     return [(m, fixed, relative, floor, verdict)
-            for m, tol, fixed, relative, floor, verdict in calls
+            for m, fixed, relative, floor, verdict in calls
             if verdict is not None
-            and verdict != jacobi_verdict(m, tol, fixed, relative, floor)]
+            and verdict != jacobi_verdict(m, fixed, relative, floor)]
 
 
-def certify(m, tol=DEFAULT_TOL, **gate):
+def certify(m, **gate):
     """The verdict of linalg._certificate on the matrix m."""
-    return linalg._certificate(linalg._scaled_rows(m), tol, **gate)[0]
+    return linalg._certificate(linalg._scaled_rows(m), **gate)[0]
 
 
 def order_recorder(calls):
     """linalg._certificate (behind the order predicates, the [0, I] checks,
     the LDL^t route and strength_witness) wrapped to append
-    (m, tol, fixed, relative, floor, verdict), with m = 2^-k times the
-    scaled rows that it decided on."""
+    (m, fixed, relative, floor, verdict), with m = 2^-k times the scaled
+    rows that it decided on."""
     certificate = linalg._certificate
 
-    def recording(scaled, tol, fixed=0.0, relative=0.0, refute=True, floor=True):
-        result = certificate(scaled, tol, fixed, relative, refute, floor)
+    def recording(scaled, fixed=0.0, relative=0.0, refute=True, floor=True):
+        result = certificate(scaled, fixed, relative, refute, floor)
         m = np.ldexp(np.array(scaled.rows), -scaled.k)
-        calls.append((m, tol, fixed, relative, floor, result[0]))
+        calls.append((m, fixed, relative, floor, result[0]))
         return result
 
     return recording
@@ -180,8 +180,8 @@ def test_a_gate_that_overflows_falls_back():
     m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
     scaled = linalg._scaled_rows(m.a)
     for relative in (-tol.psd_tol, tol.psd_tol):
-        assert linalg._gate_band(scaled, tol, 0.0, relative) is None
-    lam = linalg.eigvalsh(m, tol)                     # -2.0e-290, 1.0e-290
+        assert linalg._gate_band(scaled, 0.0, relative) is None
+    lam = linalg.eigvalsh(m)                          # -2.0e-290, 1.0e-290
     assert linalg.is_psd(m, tol) and linalg._spectral_verdict(lam, False, tol)
     assert not linalg.loewner_lt(SymMat.zero(2), m, tol)
 
@@ -194,32 +194,23 @@ def test_generator_beyond_the_exponent_range_falls_back():
 
 
 def test_generator_whose_determinant_underflows_is_regular_on_both_routes():
-    # log2 prod(lam) = -1250 clears 2 log2(rank_tol) = -1329, though
-    # prod(lam) itself underflows: both routes work in the log domain
-    tol = Tolerances(eig_tol=1e-200, psd_tol=1e-200, rank_tol=1e-200, equality_tol=1e-199)
-    t = np.ldexp(np.eye(5), -125)
-    assert linalg._certify_regular(t.T @ t, tol)
-    assert jacobi_regular(t.T @ t, tol)
-    EffectAutomorphism(t, tol)
-
-
-def test_generator_whose_eigenvalue_bound_is_subnormal_falls_back():
-    # T^t T = 2^-990 I: the certificate's lower bound 2^-k delta / 2 on the
-    # Jacobi eigenvalues is subnormal, so it leaves the test to Jacobi,
-    # which finds |det T| = 2^-990 above rank_tol = 1e-300
-    tol = Tolerances(eig_tol=1e-300, psd_tol=1e-300, rank_tol=1e-300, equality_tol=1e-299)
-    t = np.ldexp(np.eye(2), -495)
+    # T = diag(2^-23 x 24, 2^23 x 23): |det T| = 2^-23 clears rank_tol and
+    # sigma_min / sigma_max = 2^-46 clears it too, though the product of
+    # the ascending eigenvalues of T^t T underflows to 0 after 24 factors.
+    # The certificate leaves it to Jacobi, whose test is in the log domain.
+    tol = Tolerances(psd_tol=1e-14, rank_tol=1e-14)
+    t = np.diag(np.ldexp(1.0, [-23] * 24 + [23] * 23))
+    lam = linalg.eigvalsh(SymMat(t.T @ t))
+    assert np.prod(lam) == 0.0
     assert not linalg._certify_regular(t.T @ t, tol)
     assert jacobi_regular(t.T @ t, tol)
     EffectAutomorphism(t, tol)
-    with pytest.raises(Singular):                   # |det T| = 2^-1000 < 1e-300
-        EffectAutomorphism(np.ldexp(np.eye(2), -500), tol)
 
 
 def jacobi_regular(gram, tol):
     """The Jacobi route of the generator test: no Singular from the spectrum."""
     try:
-        automorphisms._require_regular(linalg.eigvalsh(SymMat(gram), tol), tol)
+        automorphisms._require_regular(linalg.eigvalsh(SymMat(gram)), tol)
     except Singular:
         return False
     return True
@@ -269,8 +260,8 @@ def _generator_gate_cases(tol):
 
 @pytest.mark.parametrize("tol", [
     DEFAULT_TOL,
-    Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11),
-    Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2),
+    Tolerances(psd_tol=1e-12, rank_tol=1e-12),
+    Tolerances(psd_tol=1e-3, rank_tol=1e-3),
 ])
 def test_generator_certificate_agrees_with_jacobi_at_the_gates(tol, monkeypatch):
     calls = []
@@ -303,7 +294,7 @@ def jacobi_keeps_and_inverts(m, tol):
     """The Jacobi routes' decisions on m: pinv_and_range keeps every
     eigenvalue (strength's closed form on the full range), and inv finds
     m regular (no Singular)."""
-    lam = linalg.eigvalsh(SymMat(m), tol)
+    lam = linalg.eigvalsh(SymMat(m))
     top = float(np.max(np.abs(lam)))
     clamped = np.clip(lam, 0.0, None)
     keeps = (float(lam[0]) >= -linalg._psd_threshold(lam, tol) and top > 0.0
@@ -313,9 +304,12 @@ def jacobi_keeps_and_inverts(m, tol):
 
 
 def definite_route_calls(calls):
-    """The floor-free certificate calls: those of linalg._definite_ldl."""
-    return [(m, tol, verdict) for m, tol, fixed, relative, floor, verdict in calls
-            if not floor]
+    """The floor-free certificate calls, those of linalg._definite_ldl, as
+    (m, tol, verdict): their gate is relative = rank_tol. psd_tol does not
+    enter jacobi_keeps_and_inverts when every eigenvalue clears
+    rank_tol * |lambda|max > 0, so tol keeps the default one."""
+    return [(m, Tolerances(rank_tol=relative), verdict)
+            for m, fixed, relative, floor, verdict in calls if not floor]
 
 
 def wrong_definite_verdicts(calls):
@@ -361,8 +355,8 @@ def _definite_gate_cases(tol):
 
 @pytest.mark.parametrize("tol", [
     DEFAULT_TOL,
-    Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11),
-    Tolerances(psd_tol=1e-3, rank_tol=1e-3, equality_tol=1e-2),
+    Tolerances(psd_tol=1e-12, rank_tol=1e-12),
+    Tolerances(psd_tol=1e-3, rank_tol=1e-3),
 ])
 def test_definite_route_agrees_with_jacobi_at_the_gate(tol, monkeypatch):
     calls = []
@@ -413,9 +407,9 @@ class TestSpectraPerCall:
         kinds = []
         jacobi = linalg._jacobi
 
-        def counting(m, eig_tol, want_vectors):
+        def counting(m, want_vectors):
             kinds.append("eigh" if want_vectors else "eigvalsh")
-            return jacobi(m, eig_tol, want_vectors)
+            return jacobi(m, want_vectors)
 
         svd = np.linalg.svd
 
@@ -526,6 +520,14 @@ class TestSpectraPerCall:
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
         projection = RankOneProjection([1.0, 2.0, 3.0])
         assert count(phi.apply, projection.mat) == ["eigh"]
+
+    def test_mobius_apply_is_four_eigh(self, count):
+        # f_p of T X T^t and of T T^t, the normalizer, and f_q of the
+        # middle term, whose [0, I] check reads the same spectrum; the
+        # interior result is certified without one
+        params = MobiusParams(0.3, -0.5, np.array([[0.8, 0.1], [0.0, 0.6]]))
+        x = SymMat([[0.5, 0.1], [0.1, 0.4]])
+        assert count(mobius_apply, params, x) == ["eigh"] * 4
 
 
 class TestScalingsPerCall:

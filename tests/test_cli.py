@@ -110,7 +110,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("failure", [NonConvergence, InternalInversionFailure])
     def test_internal_numerical_failure(self, capsys, monkeypatch, failure):
-        def failing(m, eig_tol, want_vectors):
+        def failing(m, want_vectors):
             raise failure("injected")
 
         monkeypatch.setattr(linalg, "_jacobi", failing)
@@ -328,6 +328,12 @@ class TestToleranceFloor:
         code, out, err = run(capsys, ["strength", "--tol", "1e-16", a, x])
         assert code == 2 and out == ""
         assert "eig_tol" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_tolerance_is_refused(self, capsys, value):
+        code, out, err = run(capsys, ["order", "--tol", value, ZERO, EYE])
+        assert code == 2 and out == ""
+        assert "psd_tol must be strictly positive" in err
 
 
 class TestStdinAndFiles:

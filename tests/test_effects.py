@@ -82,7 +82,7 @@ class TestMakeEffect:
         # inside the certificate's undecided band; the spectrum is within the gate
         a = SymMat.diagonal(diagonal)
         tol = DEFAULT_TOL
-        assert not linalg._certified_within(a.a, -tol.psd_tol, 1.0 + tol.psd_tol, tol)
+        assert not linalg._certified_within(a.a, -tol.psd_tol, 1.0 + tol.psd_tol)
         assert make_effect(a).mat is a
 
 
@@ -175,7 +175,7 @@ class TestStrengthWitness:
         # undecided, and the eigh that would give the direction finds A <= B
         first = SymMat.diagonal([0.0, DEFAULT_TOL.psd_tol * (1.0 - 1e-12)])
         second = SymMat.diagonal([0.4, 0.0])
-        assert linalg._certificate(linalg._scaled_rows((second - first).a), DEFAULT_TOL,
+        assert linalg._certificate(linalg._scaled_rows((second - first).a),
                                    relative=-DEFAULT_TOL.psd_tol)[0] is None
         assert linalg.loewner_le(first, second)
         assert strength_witness(first, second) is None
@@ -228,9 +228,9 @@ class TestWitnessDirections:
         calls = []
         eigh = linalg.eigh
 
-        def counting(a, tol=DEFAULT_TOL):
+        def counting(a):
             calls.append(a)
-            return eigh(a, tol)
+            return eigh(a)
 
         monkeypatch.setattr(linalg, "eigh", counting)
         return calls
@@ -541,7 +541,7 @@ class TestMaximalDiagonals:
         assert not curve.contains(-0.25, 0.5 - 1.0 / 12.0)          # p < 0
         assert not curve.contains(0.75, 0.75)                       # p > t
         # the curve tests at the tolerances it was built with
-        loose = Tolerances(psd_tol=0.3, rank_tol=1e-9, equality_tol=1e-8)
+        loose = Tolerances(psd_tol=0.3, rank_tol=1e-9)
         assert maximal_diagonals(a, loose).contains(-0.25, 0.5 - 1.0 / 12.0)
 
     def test_curve_points_are_maximal(self):

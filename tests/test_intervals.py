@@ -11,6 +11,7 @@ from loewner.errors import (
     InvalidSpec,
     NotIsomorphic,
     OutOfDomain,
+    Singular,
 )
 from loewner.intervals import (
     AffineAutomorphism,
@@ -70,7 +71,7 @@ class TestSpecValidation:
 
     def test_ordering_at_the_callers_tolerance(self):
         tiny = SymMat(1e-10 * np.eye(2))
-        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
         spec = IntervalSpec(closed(ZERO2), closed(tiny), 2, tol=fine)
         assert classify(spec) is CanonicalClass.UNIT_INTERVAL
         with pytest.raises(InvalidSpec):
@@ -163,7 +164,7 @@ class TestApplyChain:
             apply_chain(build_chain(spec), SymMat.diagonal([-0.5, 0.5]), spec)
 
     def test_chain_inverts_at_the_domain_tolerance(self):
-        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12, equality_tol=1e-11)
+        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
         spec = IntervalSpec(Endpoint.minus_infinity(), open_(ZERO2), 2, tol=fine)
         x = SymMat.diagonal([-1.0, -1e-10])           # inside at psd_tol 1e-12
         got = apply_chain(build_chain(spec), x, spec)  # Negate, Invert
@@ -175,11 +176,13 @@ class TestApplyChain:
             Invert().apply(SymMat.diagonal([1.0, 1e-10]), coarse.tol)
 
     def test_chain_is_built_at_the_spec_tolerance(self):
-        # the square root of the gap has eigenvalue 1e-9, on the default
-        # rank gate of inv; the spec's own rank_tol 1e-20 inverts it
-        fine = Tolerances(eig_tol=1e-20, psd_tol=1e-20, rank_tol=1e-20, equality_tol=1e-19)
-        top = SymMat.diagonal([1.0, 1e-18])
-        spec = IntervalSpec(closed(ZERO2), closed(top), 2, tol=fine)
+        # the square root of the gap has eigenvalue 1e-3, on the rank gate
+        # of inv at the spec's own rank_tol 1e-3 and clear of the default one
+        top = SymMat.diagonal([1.0, 1e-6])
+        coarse = Tolerances(psd_tol=1e-9, rank_tol=1e-3)
+        with pytest.raises(Singular):
+            build_chain(IntervalSpec(closed(ZERO2), closed(top), 2, tol=coarse))
+        spec = IntervalSpec(closed(ZERO2), closed(top), 2)
         chain = build_chain(spec)
         assert np.allclose(apply_chain(chain, top, spec).a, np.eye(2), rtol=0.0, atol=1e-15)
 

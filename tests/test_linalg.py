@@ -323,7 +323,13 @@ class TestTolerances:
         assert DEFAULT_TOL.psd_tol == 1e-9
         assert DEFAULT_TOL.rank_tol == 1e-9
         assert DEFAULT_TOL.equality_tol == 1e-8
-        assert DEFAULT_TOL.eig_tol == 1e-14
+
+    def test_equality_derives_from_rank(self):
+        for rank_tol in (1e-14, 1e-12, 1e-3, 0.1):
+            assert Tolerances(rank_tol=rank_tol).equality_tol == 10.0 * rank_tol
+        for field in ("eig_tol", "equality_tol"):
+            with pytest.raises(TypeError):
+                Tolerances(**{field: 1e-8})
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -331,10 +337,9 @@ class TestTolerances:
 
     def test_rejects_gates_below_the_eigensolver_resolution(self):
         for fields in ({"psd_tol": 1e-15}, {"rank_tol": 1e-16},
-                       {"eig_tol": 1e-8, "psd_tol": 1e-9}):
+                       {"psd_tol": 1e-16, "rank_tol": 1e-16}):
             with pytest.raises(ValueError, match="eig_tol"):
                 Tolerances(**fields)
-        Tolerances(eig_tol=1e-16, psd_tol=1e-16, rank_tol=1e-16)
         Tolerances(psd_tol=1e-14, rank_tol=1e-14)
 
 
