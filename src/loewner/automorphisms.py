@@ -173,7 +173,7 @@ class EffectAutomorphism:
             if float(lam[0]) < -gate or float(lam[-1]) > 1.0 + gate:
                 raise InternalInversionFailure(
                     f"image left the unit interval beyond the noise gate "
-                    f"(eigenvalues {lam[0]!r}..{lam[-1]!r})")
+                    f"(eigenvalues {float(lam[0])!r}..{float(lam[-1])!r})")
         if float(lam[0]) < 0.0 or float(lam[-1]) > 1.0:
             clipped = np.clip(lam, 0.0, 1.0)
             image = SymMat((spec.eigenvectors * clipped) @ spec.eigenvectors.T)

@@ -128,16 +128,12 @@ def matrix_doc(matrix) -> dict:
     return {"n": int(arr.shape[0]), "data": [float(v) for v in arr.ravel()]}
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(psd_tol=args.tol, rank_tol=args.tol)
-
-
 def _emit(obj) -> None:
     sys.stdout.write(dumps_stable(obj) + "\n")
 
 
 def _cmd_order(args) -> int:
-    tol = _tolerances(args)
+    tol = Tolerances(args.tol)
     first = parse_symmetric(load_json(args.a), "first input")
     second = parse_symmetric(load_json(args.b), "second input")
     le = linalg.loewner_le(first, second, tol)
@@ -156,7 +152,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_strength(args) -> int:
-    tol = _tolerances(args)
+    tol = Tolerances(args.tol)
     mat = parse_symmetric(load_json(args.a), "input matrix")
     payload = load_json(args.x)
     vector = payload["x"] if isinstance(payload, dict) else payload
@@ -168,7 +164,7 @@ def _cmd_strength(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    tol = _tolerances(args)
+    tol = Tolerances(args.tol)
     sub = args.phi_command
     if sub == "apply":
         phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
@@ -242,7 +238,7 @@ def chain_doc(chain: MapChain) -> dict:
 
 
 def _cmd_interval(args) -> int:
-    tol = _tolerances(args)
+    tol = Tolerances(args.tol)
     sub = args.interval_command
     if sub == "classify":
         spec = parse_interval_spec(load_json(args.spec), tol)

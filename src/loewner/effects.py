@@ -119,10 +119,11 @@ def make_effect(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:
     if linalg._certified_within(A.a, -tol.psd_tol, 1.0 + tol.psd_tol):
         return Effect(mat=A)
     lam = linalg.eigvalsh(A)
-    if float(lam[0]) < -tol.psd_tol:
-        raise OutOfInterval(f"eigenvalue {lam[0]!r} below 0", offending_eigenvalue=float(lam[0]))
-    if float(lam[-1]) > 1.0 + tol.psd_tol:
-        raise OutOfInterval(f"eigenvalue {lam[-1]!r} above 1", offending_eigenvalue=float(lam[-1]))
+    low, high = float(lam[0]), float(lam[-1])
+    if low < -tol.psd_tol:
+        raise OutOfInterval(f"eigenvalue {low!r} below 0", offending_eigenvalue=low)
+    if high > 1.0 + tol.psd_tol:
+        raise OutOfInterval(f"eigenvalue {high!r} above 1", offending_eigenvalue=high)
     return Effect(mat=A)
 
 
@@ -292,9 +293,7 @@ def identity_block(
     return K, B
 
 
-def prescribed_strength_pair(
-    R: RankOneProjection, s: float, tol: Tolerances = DEFAULT_TOL
-) -> Tuple[RankOneProjection, RankOneProjection]:
+def prescribed_strength_pair(R: RankOneProjection, s: float) -> Tuple[RankOneProjection, RankOneProjection]:
     """Orthogonal projections P, Q with strength((1/2)P + Q, R) = s.
 
     Works for 1/2 < s < 1: pick a unit x in a 2-plane through Im R with
@@ -341,10 +340,10 @@ def one_third_decompose(
     q_mat = 1.5 * (np.eye(2) - A.a)
     spec = linalg.eigh(SymMat(q_mat))
     lam = spec.eigenvalues
-    gate = 10.0 * max(tol.rank_tol, tol.psd_tol)
+    gate = tol.equality_tol
     if abs(float(lam[0])) > gate or abs(float(lam[1]) - 1.0) > gate:
         return None
-    if abs(float(np.trace(P.mat.a @ q_mat)) - 0.5) > tol.equality_tol:
+    if abs(float(np.trace(P.mat.a @ q_mat)) - 0.5) > gate:
         return None
     return RankOneProjection(spec.eigenvectors[:, -1])
 

@@ -127,7 +127,7 @@ class Translate:
     shift: SymMat
     reverses = False
 
-    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
+    def apply(self, X: SymMat) -> SymMat:
         return SymMat(X.a + self.shift.a)
 
     def inverse(self) -> "Translate":
@@ -152,7 +152,7 @@ class Congruence:
         t.flags.writeable = False
         object.__setattr__(self, "generator", t)
 
-    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
+    def apply(self, X: SymMat) -> SymMat:
         return SymMat(self.generator @ X.a @ self.generator.T)
 
     def inverse(self) -> "Congruence":
@@ -161,13 +161,15 @@ class Congruence:
 
 @dataclass(frozen=True)
 class Invert:
-    """X -> X^{-1}; order reversing on definite matrices."""
+    """X -> X^{-1}; order reversing on definite matrices. Singularity is
+    decided at the tolerances `tol` of the interval the step was built for."""
 
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
     reverses = True
 
-    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
+    def apply(self, X: SymMat) -> SymMat:
         try:
-            return linalg.inv(X, tol)
+            return linalg.inv(X, self.tol)
         except Singular as exc:
             raise IntermediateSingular(
                 "chain reached a singular intermediate value") from exc
@@ -182,15 +184,13 @@ class Negate:
 
     reverses = True
 
-    def apply(self, X: SymMat, tol: Tolerances) -> SymMat:
+    def apply(self, X: SymMat) -> SymMat:
         return -X
 
     def inverse(self) -> "Negate":
         return self
 
 
-# Each step's apply(X, tol) takes the tolerances of the chain's domain;
-# only Invert reads them.
 PrimitiveMap = Union[Translate, Congruence, Invert, Negate]
 
 
@@ -250,54 +250,54 @@ def _affine_to_unit(spec: IntervalSpec) -> list:
     return steps
 
 
-def _half_open_to_cone(n: int) -> list:
+def _half_open_to_cone(spec: IntervalSpec) -> list:
     # [0, I) -> [0, inf) through X -> (I - X)^{-1} - I; two reversing steps.
-    eye = SymMat.identity(n)
-    return [Negate(), Translate(shift=eye), Invert(), Translate(shift=-eye)]
+    eye = SymMat.identity(spec.n)
+    return [Negate(), Translate(shift=eye), Invert(spec.tol), Translate(shift=-eye)]
 
 
-def _reverse_half_open_to_cone(n: int) -> list:
+def _reverse_half_open_to_cone(spec: IntervalSpec) -> list:
     # (0, I] -> (-inf, 0] through X -> I - X^{-1}; two reversing steps.
-    return [Invert(), Negate(), Translate(shift=SymMat.identity(n))]
+    return [Invert(spec.tol), Negate(), Translate(shift=SymMat.identity(spec.n))]
 
 
 def build_chain(spec: IntervalSpec) -> MapChain:
     """Even-parity chain sending the interval onto its canonical
-    representative, with closed finite endpoints mapped exactly."""
+    representative, with closed finite endpoints mapped exactly; its
+    Invert steps carry spec.tol."""
     cls = classify(spec)
-    n = spec.n
     steps: list = []
     if cls is CanonicalClass.UNIT_INTERVAL:
         steps = _affine_to_unit(spec)
     elif cls is CanonicalClass.POSITIVE_CLOSED:
         if spec.upper.is_finite:
-            steps = _affine_to_unit(spec) + _half_open_to_cone(n)
+            steps = _affine_to_unit(spec) + _half_open_to_cone(spec)
         else:
             steps = _to_zero(spec.lower.matrix)
     elif cls is CanonicalClass.NEGATIVE_CLOSED:
         if spec.lower.is_finite:
-            steps = _affine_to_unit(spec) + _reverse_half_open_to_cone(n)
+            steps = _affine_to_unit(spec) + _reverse_half_open_to_cone(spec)
         else:
             steps = _to_zero(spec.upper.matrix)
     elif cls is CanonicalClass.POSITIVE_OPEN:
         if spec.lower.is_finite and spec.upper.is_finite:
-            steps = _affine_to_unit(spec) + _half_open_to_cone(n)
+            steps = _affine_to_unit(spec) + _half_open_to_cone(spec)
         elif spec.lower.is_finite:
             steps = _to_zero(spec.lower.matrix)
         else:
             # (-inf, B): shift B to 0, then X -> (-X)^{-1} lands on (0, inf).
-            steps = _to_zero(spec.upper.matrix) + [Negate(), Invert()]
+            steps = _to_zero(spec.upper.matrix) + [Negate(), Invert(spec.tol)]
     return chain_of(*steps)
 
 
 def apply_chain(chain: MapChain, X: SymMat, domain: IntervalSpec) -> SymMat:
     """Evaluate the chain at X after checking membership in the declared
-    domain (open/closed flags honored); every step runs at domain.tol."""
+    domain (open/closed flags honored) at domain.tol."""
     if not domain.contains(X):
         raise OutOfDomain("input lies outside the declared interval")
     value = X
     for step in chain.steps:
-        value = step.apply(value, domain.tol)
+        value = step.apply(value)
     return value
 
 
@@ -350,7 +350,7 @@ def cone_automorphism_apply(T, X: SymMat, open_cone: bool = False,
     inside = linalg.loewner_lt(zero, X, tol) if open_cone else linalg.loewner_le(zero, X, tol)
     if not inside:
         raise OutOfDomain("input lies outside the cone")
-    return congruence.apply(X, tol)
+    return congruence.apply(X)
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,32 +43,41 @@ _ROTATION_ERROR = 16.0
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by the whole package.
+    """Numerical thresholds shared by the whole package, read-only and
+    all derived from one base value:
 
-    psd_tol      slack below zero accepted when testing semidefiniteness;
-                 applied relative to the spectral scale max(1, |lambda|_max).
-    rank_tol     relative cutoff for rank decisions and spectral truncation.
-    equality_tol relative threshold for treating two matrices as equal,
-                 10 * rank_tol (read-only).
+    psd_tol      base: slack below zero accepted when testing
+                 semidefiniteness; applied relative to the spectral scale
+                 max(1, |lambda|_max).
+    rank_tol     base: relative cutoff for rank decisions and spectral
+                 truncation.
+    equality_tol 10 * base: relative threshold for treating two matrices
+                 as equal.
 
-    psd_tol and rank_tol may not be below _EIG_TOL: the Jacobi spectrum
-    resolves eigenvalues only to about _EIG_TOL * ||A||_F, so a finer gate
-    would decide order and rank on rounding noise.
+    The base may not be below _EIG_TOL: the Jacobi spectrum resolves
+    eigenvalues only to about _EIG_TOL * ||A||_F, so a finer gate would
+    decide order and rank on rounding noise.
     """
 
-    psd_tol: float = 1e-9
-    rank_tol: float = 1e-9
+    base: float = 1e-9
 
     def __post_init__(self):
-        for name in ("psd_tol", "rank_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if min(self.psd_tol, self.rank_tol) < _EIG_TOL:
-            raise ValueError(f"psd_tol and rank_tol must not be below eig_tol ({_EIG_TOL:g})")
+        if not self.base > 0.0:
+            raise ValueError("tolerance must be strictly positive")
+        if self.base < _EIG_TOL:
+            raise ValueError(f"tolerance must not be below eig_tol ({_EIG_TOL:g})")
+
+    @property
+    def psd_tol(self) -> float:
+        return self.base
+
+    @property
+    def rank_tol(self) -> float:
+        return self.base
 
     @property
     def equality_tol(self) -> float:
-        return 10.0 * self.rank_tol
+        return 10.0 * self.base
 
 
 DEFAULT_TOL = Tolerances()
@@ -589,9 +598,9 @@ def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
     """
     spec = eigh(A)
     mapped = []
-    for level in spec.eigenvalues:
+    for level in spec.eigenvalues.tolist():
         try:
-            value = float(f(float(level)))
+            value = float(f(level))
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"function undefined at eigenvalue {level!r}: {exc}") from exc
         if not math.isfinite(value):

@@ -1,15 +1,16 @@
 """Seeded samplers and brute-force oracles backing the property tests.
 
-Production modules never import this one. Randomness comes from numpy's
-default PCG64 generator, whose stream is stable across versions for a
-fixed seed, so every report here is reproducible bit for bit.
+Of the package's own modules only selftest imports this one. Randomness
+comes from numpy's default PCG64 generator, whose stream is stable across
+versions for a fixed seed, so every report here is reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -25,41 +26,32 @@ from .intervals import (
     classify,
     invert_chain,
 )
-from .linalg import DEFAULT_TOL, SymMat, Tolerances
+from .linalg import SymMat
 
 
 @dataclass
 class Sampler:
-    """Single-owner random stream with a dimension range and a condition
-    cap for invertible draws. Use derive(k) for independent shards."""
+    """Single-owner random stream. Use derive(k) for independent shards."""
 
     seed: int
-    n_min: int = 2
-    n_max: int = 6
-    cond_cap: float = 1e2
     rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
 
     def derive(self, k: int) -> "Sampler":
-        return Sampler(seed=(self.seed * 1_000_003 + k) % (2 ** 63),
-                       n_min=self.n_min, n_max=self.n_max, cond_cap=self.cond_cap)
-
-    def _dimension(self, n: Optional[int]) -> int:
-        if n is not None:
-            return n
-        return int(self.rng.integers(self.n_min, self.n_max + 1))
+        return Sampler(seed=(self.seed * 1_000_003 + k) % (2 ** 63))
 
 
 _EDGE_MARGIN = 1e-6
+# Condition-number cap of sample_invertible and spectral spread of sample_psd.
+_COND_CAP = 1e2
 
 
-def sample_effect(s: Sampler, n: Optional[int] = None) -> Effect:
+def sample_effect(s: Sampler, n: int) -> Effect:
     """Random symmetric matrix with its spectrum affinely compressed into
     [0, 1], keeping a 1e-6 margin off the endpoints so downstream float
     noise cannot push samples out of the interval."""
-    n = s._dimension(n)
     sym = SymMat(s.rng.standard_normal((n, n)))
     lam = linalg.eigvalsh(sym)
     lo, hi = float(lam[0]), float(lam[-1])
@@ -69,9 +61,8 @@ def sample_effect(s: Sampler, n: Optional[int] = None) -> Effect:
     return make_effect(SymMat((sym.a - lo * np.eye(n)) * scale + _EDGE_MARGIN * np.eye(n)))
 
 
-def sample_orthogonal(s: Sampler, n: Optional[int] = None) -> np.ndarray:
+def sample_orthogonal(s: Sampler, n: int) -> np.ndarray:
     """Product of random plane rotations over every index pair."""
-    n = s._dimension(n)
     out = np.eye(n)
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -86,20 +77,18 @@ def sample_orthogonal(s: Sampler, n: Optional[int] = None) -> np.ndarray:
     return out
 
 
-def sample_invertible(s: Sampler, n: Optional[int] = None) -> np.ndarray:
+def sample_invertible(s: Sampler, n: int) -> np.ndarray:
     """O1 diag(sigma) O2^t with log-uniform singular values inside the
     condition cap."""
-    n = s._dimension(n)
-    half = np.sqrt(s.cond_cap)
+    half = np.sqrt(_COND_CAP)
     sigma = np.exp(s.rng.uniform(np.log(1.0 / half), np.log(half), size=n))
     return sample_orthogonal(s, n) @ np.diag(sigma) @ sample_orthogonal(s, n).T
 
 
-def sample_comparable_pair(s: Sampler, n: Optional[int] = None) -> Tuple[Effect, Effect]:
+def sample_comparable_pair(s: Sampler, n: int) -> Tuple[Effect, Effect]:
     """(X, Y) with X <= Y, built as X = Y - m D for a sum D of rank-one PSD
     increments. Y is positive definite (spectrum in [1e-6, 1 - 1e-6]), so
     the largest feasible m is 1 / lambda_max(Y^{-1/2} D Y^{-1/2})."""
-    n = s._dimension(n)
     upper = sample_effect(s, n)
     count = int(s.rng.integers(1, n + 1))
     drop = np.zeros((n, n))
@@ -116,31 +105,29 @@ def sample_comparable_pair(s: Sampler, n: Optional[int] = None) -> Tuple[Effect,
     return lower, upper
 
 
-def sample_psd(s: Sampler, n: Optional[int] = None, singular: bool = False) -> SymMat:
-    """Random PSD matrix with spectrum inside the sampler's condition cap
+def sample_psd(s: Sampler, n: int, singular: bool = False) -> SymMat:
+    """Random PSD matrix with spectrum inside the condition cap
     (log-uniform eigenvalues); singular=True zeroes out a random count of
     eigenvalues exactly. The cap keeps order-boundary crossings steep
     enough for tolerance-based predicates to locate them accurately."""
-    n = s._dimension(n)
     frame = sample_orthogonal(s, n)
     top = float(s.rng.uniform(0.5, 2.0))
-    lam = top * np.exp(s.rng.uniform(np.log(1.0 / s.cond_cap), 0.0, size=n))
+    lam = top * np.exp(s.rng.uniform(np.log(1.0 / _COND_CAP), 0.0, size=n))
     if singular and n > 1:
         drop = 1 + int(s.rng.integers(0, n - 1))
         lam[:drop] = 0.0
     return SymMat((frame * lam) @ frame.T)
 
 
-def strength_bisection(A: SymMat, P: RankOneProjection,
-                       tol: Tolerances = DEFAULT_TOL) -> float:
+def strength_bisection(A: SymMat, P: RankOneProjection) -> float:
     """Brute-force strength: bisect t over [0, ||A|| + 1] against the
     Loewner predicate tP <= A; 60 fixed iterations."""
-    if not linalg.is_psd(A, tol):
+    if not linalg.is_psd(A):
         raise NotPSD("strength oracle requires a PSD input")
     lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if linalg.loewner_le(SymMat(mid * P.mat.a), A, tol):
+        if linalg.loewner_le(SymMat(mid * P.mat.a), A):
             lo = mid
         else:
             hi = mid
@@ -186,8 +173,7 @@ def _sample_canonical_pair(s: Sampler, cls: CanonicalClass, n: int) -> Tuple[Sym
 def monotonicity_report(map_fn: Callable[[SymMat], SymMat],
                         domain: IntervalSpec,
                         trials: int,
-                        s: Sampler,
-                        tol: Tolerances = DEFAULT_TOL) -> MonotonicityReport:
+                        s: Sampler) -> MonotonicityReport:
     """Sample comparable pairs inside the domain, push them through the
     map, and tally preserved / reversed / violated comparisons. Pairs are
     drawn in the canonical representative and transported back through
@@ -200,14 +186,14 @@ def monotonicity_report(map_fn: Callable[[SymMat], SymMat],
         # Degenerate (equal) pairs carry no order information; resample.
         for _ in range(32):
             low_c, high_c = _sample_canonical_pair(s, cls, domain.n)
-            if not linalg.loewner_le(high_c, low_c, tol):
+            if not linalg.loewner_le(high_c, low_c):
                 break
         low = apply_chain(back, low_c, canon)
         high = apply_chain(back, high_c, canon)
         image_low = map_fn(low)
         image_high = map_fn(high)
-        le_forward = linalg.loewner_le(image_low, image_high, tol)
-        le_backward = linalg.loewner_le(image_high, image_low, tol)
+        le_forward = linalg.loewner_le(image_low, image_high)
+        le_backward = linalg.loewner_le(image_high, image_low)
         if le_forward:
             preserved += 1
         elif le_backward:

@@ -57,7 +57,7 @@ def _violations_detail(bad: int, total: int, worst: float = None) -> str:
 def check_order_preservation(seed: int, trials: int,
                              dims=(2, 3, 4, 5, 6)) -> PropertyResult:
     s = oracle.Sampler(seed)
-    gate = Tolerances(psd_tol=1e-8)
+    gate = Tolerances(1e-8)
     bad = 0
     for i in range(trials):
         n = dims[i % len(dims)]

@@ -6,6 +6,7 @@ delegate to the seeded property checks in loewner.selftest so the CLI
 selftest and this module agree on the definitions.
 """
 
+import pathlib
 import time
 
 from loewner import selftest
@@ -13,6 +14,7 @@ from loewner.cli import main
 from loewner.selftest import PropertyResult
 
 SEED = 20260811
+SELFTEST_GOLDEN = pathlib.Path(__file__).parent / "golden" / "selftest_seed0.txt"
 
 
 def report(number: int, title: str, result: PropertyResult):
@@ -24,7 +26,7 @@ def report(number: int, title: str, result: PropertyResult):
 def test_criterion_01_order_preservation_speed_and_correctness():
     started = time.perf_counter()
     # 1000 trials cycling n = 2..6 gives exactly 200 per dimension,
-    # checked at psd_tol 1e-8
+    # checked at tolerance 1e-8
     result = selftest.check_order_preservation(SEED, 1000, dims=(2, 3, 4, 5, 6))
     elapsed = time.perf_counter() - started
     report(1, f"order preservation ({elapsed:.2f}s)", result)
@@ -90,3 +92,4 @@ def test_criterion_12_cli_selftest_contract(capsys):
     assert code == 0, out
     assert elapsed < 60.0
     assert len(out.strip().splitlines()) == 11
+    assert out == SELFTEST_GOLDEN.read_text(encoding="utf-8")

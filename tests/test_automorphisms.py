@@ -80,7 +80,7 @@ class TestConstruction:
         return calls
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL,
-                                     Tolerances(psd_tol=1e-3, rank_tol=1e-3)])
+                                     Tolerances(1e-3)])
     def test_sign_agrees_with_the_spectral_norm_rule_inside_the_band(self, tol, spectral_norms):
         # The first entry sits between ||T||_F / sqrt(n) and ||T||_F times
         # equality_tol, so the bounds cannot decide it: once just above
@@ -224,7 +224,7 @@ class TestGroupStructure:
 class TestConstructionTolerance:
     """Every method works at the tolerances the map was built with."""
 
-    FINE = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
+    FINE = Tolerances(1e-12)
 
     def test_compose_and_inverse_build_at_the_same_tolerance(self):
         phi = EffectAutomorphism(np.diag([1.0, 1e-5]), self.FINE)
@@ -278,7 +278,7 @@ class TestProjectImage:
 class TestInvariants:
     def test_order_preservation(self):
         s = oracle.Sampler(11)
-        gate = Tolerances(psd_tol=1e-8)
+        gate = Tolerances(1e-8)
         for _ in range(60):
             n = int(s.rng.integers(2, 6))
             phi = EffectAutomorphism(oracle.sample_invertible(s, n))
@@ -492,3 +492,28 @@ class TestMobiusToCanonical:
                 x = oracle.sample_effect(s, n)
                 delta = np.linalg.norm(phi.apply(x).mat.a - mobius_apply(params, x).mat.a)
                 assert delta <= 1e-6
+
+
+_PHI2 = identity_automorphism(2)
+_PHI3 = identity_automorphism(3)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: EffectAutomorphism(np.ones((2, 3))), DimensionMismatch),
+    (lambda: EffectAutomorphism([[math.nan, 0.0], [0.0, 1.0]]), Singular),
+    (lambda: _PHI2.compose(_PHI3), DimensionMismatch),
+    (lambda: _PHI2.equals(_PHI3), DimensionMismatch),
+    (lambda: _PHI2.project_image(RankOneProjection([1.0, 0.0, 0.0])), DimensionMismatch),
+    (lambda: _PHI2.apply(0.5 * np.eye(2)), NotAnEffect),
+    (lambda: MobiusParams(p=0.0, q=0.0, t=np.ones((2, 3))), BadParameter),
+    (lambda: MobiusParams(p=0.0, q=0.0, t=np.diag([1.0, 0.0])), BadParameter),
+    (lambda: mobius_apply(MobiusParams(p=0.0, q=0.0, t=0.5 * np.eye(2)), half_identity(3)),
+     DimensionMismatch),
+    (lambda: recover_generator(lambda eff: eff, 1), DimensionMismatch),
+    (lambda: recover_generator(lambda eff: eff.mat, 2), NotAutomorphism),
+], ids=["generator_not_square", "generator_nan", "compose_dimensions", "equals_dimensions",
+        "project_image_dimensions", "apply_ndarray", "mobius_t_not_square", "mobius_t_singular",
+        "mobius_apply_dimensions", "recover_n1", "recover_oracle_not_effect"])
+def test_typed_errors(call, error):
+    with pytest.raises(error):
+        call()

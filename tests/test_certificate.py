@@ -176,7 +176,7 @@ def test_extreme_scales_fall_back():
 
 def test_a_gate_that_overflows_falls_back():
     # psd_tol * 2^k overflows in the scaled units of a matrix near 1e-290
-    tol = Tolerances(psd_tol=1e30)
+    tol = Tolerances(1e30)
     m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
     scaled = linalg._scaled_rows(m.a)
     for relative in (-tol.psd_tol, tol.psd_tol):
@@ -198,7 +198,7 @@ def test_generator_whose_determinant_underflows_is_regular_on_both_routes():
     # sigma_min / sigma_max = 2^-46 clears it too, though the product of
     # the ascending eigenvalues of T^t T underflows to 0 after 24 factors.
     # The certificate leaves it to Jacobi, whose test is in the log domain.
-    tol = Tolerances(psd_tol=1e-14, rank_tol=1e-14)
+    tol = Tolerances(1e-14)
     t = np.diag(np.ldexp(1.0, [-23] * 24 + [23] * 23))
     lam = linalg.eigvalsh(SymMat(t.T @ t))
     assert np.prod(lam) == 0.0
@@ -260,8 +260,8 @@ def _generator_gate_cases(tol):
 
 @pytest.mark.parametrize("tol", [
     DEFAULT_TOL,
-    Tolerances(psd_tol=1e-12, rank_tol=1e-12),
-    Tolerances(psd_tol=1e-3, rank_tol=1e-3),
+    Tolerances(1e-12),
+    Tolerances(1e-3),
 ])
 def test_generator_certificate_agrees_with_jacobi_at_the_gates(tol, monkeypatch):
     calls = []
@@ -305,10 +305,8 @@ def jacobi_keeps_and_inverts(m, tol):
 
 def definite_route_calls(calls):
     """The floor-free certificate calls, those of linalg._definite_ldl, as
-    (m, tol, verdict): their gate is relative = rank_tol. psd_tol does not
-    enter jacobi_keeps_and_inverts when every eigenvalue clears
-    rank_tol * |lambda|max > 0, so tol keeps the default one."""
-    return [(m, Tolerances(rank_tol=relative), verdict)
+    (m, tol, verdict): their gate is relative = rank_tol, the base of tol."""
+    return [(m, Tolerances(relative), verdict)
             for m, fixed, relative, floor, verdict in calls if not floor]
 
 
@@ -355,8 +353,8 @@ def _definite_gate_cases(tol):
 
 @pytest.mark.parametrize("tol", [
     DEFAULT_TOL,
-    Tolerances(psd_tol=1e-12, rank_tol=1e-12),
-    Tolerances(psd_tol=1e-3, rank_tol=1e-3),
+    Tolerances(1e-12),
+    Tolerances(1e-3),
 ])
 def test_definite_route_agrees_with_jacobi_at_the_gate(tol, monkeypatch):
     calls = []

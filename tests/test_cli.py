@@ -102,6 +102,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["phi", "recover", json.dumps(payload)])
         assert code == 4
 
+    def test_recover_names_the_offending_eigenvalue_as_a_plain_float(self, capsys):
+        _, out, _ = run(capsys, ["phi", "probes", "2"])
+        pairs = [{"input": p, "output": {"n": 2, "data": [2.0 * v for v in p["data"]]}}
+                 for p in json.loads(out)["probes"]]
+        code, out, err = run(capsys, ["phi", "recover", json.dumps({"n": 2, "pairs": pairs})])
+        assert code == 4 and out == ""
+        assert "probe image is not an effect: eigenvalue 2.0 above 1" in err
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["strength", EYE, "[1,0,0]"], 3),
+        (["phi", "probes", "1"], 2),
+    ], ids=["strength_vector_length", "probes_n1"])
+    def test_exit_code(self, capsys, argv, expected):
+        code, out, err = run(capsys, argv)
+        assert code == expected and out == ""
+        assert err.startswith("error: ")
+
     def test_missing_probe_pairs(self, capsys):
         payload = json.loads(golden("phi_recover_payload.json"))
         payload["pairs"] = payload["pairs"][:3]
@@ -306,7 +324,7 @@ class TestIntervalTolerance:
 
 
 class TestToleranceFloor:
-    """--tol sets psd_tol and rank_tol, which may not go below eig_tol."""
+    """--tol sets the base tolerance, which may not go below eig_tol."""
 
     @staticmethod
     def singular_input():
@@ -333,7 +351,7 @@ class TestToleranceFloor:
     def test_non_positive_tolerance_is_refused(self, capsys, value):
         code, out, err = run(capsys, ["order", "--tol", value, ZERO, EYE])
         assert code == 2 and out == ""
-        assert "psd_tol must be strictly positive" in err
+        assert "tolerance must be strictly positive" in err
 
 
 class TestStdinAndFiles:

@@ -30,6 +30,7 @@ from loewner.effects import (
 )
 from loewner.errors import (
     BadParameter,
+    DimensionMismatch,
     NotComparable,
     NotDiagonal,
     NotPSD,
@@ -69,10 +70,12 @@ class TestMakeEffect:
         with pytest.raises(OutOfInterval) as info:
             make_effect(SymMat.diagonal([2.0, 0.0]))
         assert info.value.offending_eigenvalue == pytest.approx(2.0)
+        assert str(info.value) == "eigenvalue 2.0 above 1"
 
     def test_rejects_negative(self):
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(OutOfInterval) as info:
             make_effect(SymMat.diagonal([-0.5, 0.5]))
+        assert str(info.value) == "eigenvalue -0.5 below 0"
 
     @pytest.mark.parametrize("diagonal", [
         [-DEFAULT_TOL.psd_tol * (1.0 - 1e-12), 0.5],
@@ -540,9 +543,11 @@ class TestMaximalDiagonals:
         curve = maximal_diagonals(a)
         assert not curve.contains(-0.25, 0.5 - 1.0 / 12.0)          # p < 0
         assert not curve.contains(0.75, 0.75)                       # p > t
-        # the curve tests at the tolerances it was built with
-        loose = Tolerances(psd_tol=0.3, rank_tol=1e-9)
-        assert maximal_diagonals(a, loose).contains(-0.25, 0.5 - 1.0 / 12.0)
+        # the curve tests at the tolerances it was built with: p = -5e-4
+        # lies inside the box at 1e-3, outside it at the default
+        p, q = -5e-4, 0.5 - 0.0625 / 0.5005
+        assert not curve.contains(p, q)
+        assert maximal_diagonals(a, Tolerances(1e-3)).contains(p, q)
 
     def test_curve_points_are_maximal(self):
         eff = make_effect(SymMat([[0.7, 0.25], [0.25, 0.5]]))
@@ -580,3 +585,27 @@ class TestDiagonalCorner:
 
     def test_exact_corner(self):
         assert strength(SymMat.diagonal([0.5, 1.0]), E1) == 0.5
+
+
+_P2 = RankOneProjection([1.0, 0.0])
+_M3 = SymMat.identity(3)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: RankOneProjection([0.0, 0.0]), BadParameter),
+    (lambda: strength(SymMat.identity(2), RankOneProjection([1.0, 0.0, 0.0])), DimensionMismatch),
+    (lambda: effects.identity_block(make_effect(SymMat.identity(2)), _P2, _P2), PreconditionViolated),
+    (lambda: maximal_diagonals(_M3), DimensionMismatch),
+    (lambda: sharp(_M3), DimensionMismatch),
+    (lambda: one_third_decompose(_M3, _P2), DimensionMismatch),
+    (lambda: maximal_diagonals(SymMat.diagonal([-1.0, 1.0])), NotPSD),
+    (lambda: maximal_diagonals(SymMat([[2.0, 0.5], [0.5, 1.0]])), OutOfInterval),
+    (lambda: sharp(SymMat.diagonal([2.0, 0.0])), OutOfInterval),
+    (lambda: prescribed_strength_pair(RankOneProjection([1.0]), 0.75), DimensionMismatch),
+], ids=["zero_direction", "strength_dimensions", "identity_block_p_equals_q",
+        "maximal_diagonals_3x3", "sharp_3x3", "one_third_decompose_3x3",
+        "maximal_diagonals_not_psd", "maximal_diagonals_entry_above_one",
+        "sharp_entry_above_one", "prescribed_pair_n1"])
+def test_typed_errors(call, error):
+    with pytest.raises(error):
+        call()

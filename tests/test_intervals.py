@@ -7,6 +7,7 @@ from loewner import linalg, oracle
 from loewner.automorphisms import EffectAutomorphism
 from loewner.effects import make_effect
 from loewner.errors import (
+    DimensionMismatch,
     IntermediateSingular,
     InvalidSpec,
     NotIsomorphic,
@@ -16,6 +17,7 @@ from loewner.errors import (
 from loewner.intervals import (
     AffineAutomorphism,
     CanonicalClass,
+    Congruence,
     Endpoint,
     IntervalSpec,
     Invert,
@@ -71,7 +73,7 @@ class TestSpecValidation:
 
     def test_ordering_at_the_callers_tolerance(self):
         tiny = SymMat(1e-10 * np.eye(2))
-        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
+        fine = Tolerances(1e-12)
         spec = IntervalSpec(closed(ZERO2), closed(tiny), 2, tol=fine)
         assert classify(spec) is CanonicalClass.UNIT_INTERVAL
         with pytest.raises(InvalidSpec):
@@ -164,7 +166,7 @@ class TestApplyChain:
             apply_chain(build_chain(spec), SymMat.diagonal([-0.5, 0.5]), spec)
 
     def test_chain_inverts_at_the_domain_tolerance(self):
-        fine = Tolerances(psd_tol=1e-12, rank_tol=1e-12)
+        fine = Tolerances(1e-12)
         spec = IntervalSpec(Endpoint.minus_infinity(), open_(ZERO2), 2, tol=fine)
         x = SymMat.diagonal([-1.0, -1e-10])           # inside at psd_tol 1e-12
         got = apply_chain(build_chain(spec), x, spec)  # Negate, Invert
@@ -173,18 +175,23 @@ class TestApplyChain:
         with pytest.raises(OutOfDomain):
             apply_chain(build_chain(coarse), x, coarse)
         with pytest.raises(IntermediateSingular):
-            Invert().apply(SymMat.diagonal([1.0, 1e-10]), coarse.tol)
+            Invert(coarse.tol).apply(SymMat.diagonal([1.0, 1e-10]))
 
     def test_chain_is_built_at_the_spec_tolerance(self):
-        # the square root of the gap has eigenvalue 1e-3, on the rank gate
-        # of inv at the spec's own rank_tol 1e-3 and clear of the default one
-        top = SymMat.diagonal([1.0, 1e-6])
-        coarse = Tolerances(psd_tol=1e-9, rank_tol=1e-3)
-        with pytest.raises(Singular):
-            build_chain(IntervalSpec(closed(ZERO2), closed(top), 2, tol=coarse))
-        spec = IntervalSpec(closed(ZERO2), closed(top), 2)
-        chain = build_chain(spec)
-        assert np.allclose(apply_chain(chain, top, spec).a, np.eye(2), rtol=0.0, atol=1e-15)
+        # every shape whose chain inverts: (-inf, 0), [0, I), (0, I], (0, I)
+        fine = Tolerances(1e-12)
+        ends = [(Endpoint.minus_infinity(), open_(ZERO2)), (closed(ZERO2), open_(EYE2)),
+                (open_(ZERO2), closed(EYE2)), (open_(ZERO2), open_(EYE2))]
+        for lower, upper in ends:
+            chain = build_chain(IntervalSpec(lower, upper, 2, tol=fine))
+            for steps in (chain.steps, invert_chain(chain).steps):
+                inverts = [step for step in steps if isinstance(step, Invert)]
+                assert len(inverts) == 1 and inverts[0].tol is fine
+        # and inverts at it: diag(1, 1e-10) is singular at the default only
+        got = inverts[0].apply(SymMat.diagonal([1.0, 1e-10]))
+        assert np.allclose(got.a, np.diag([1.0, 1e10]), rtol=1e-15, atol=0.0)
+        with pytest.raises(IntermediateSingular):
+            Invert().apply(SymMat.diagonal([1.0, 1e-10]))
 
     def test_foreign_chain_hits_singular_intermediate(self):
         whole = IntervalSpec(Endpoint.minus_infinity(), Endpoint.plus_infinity(), 2)
@@ -341,3 +348,22 @@ class TestConjugationBridge:
             direct = phi.apply(make_effect(x)).mat.a
             routed = apply_chain(conjugation_chain(phi.t), x, open_unit_interval(n)).a
             assert np.linalg.norm(direct - routed) <= 1e-8
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: IntervalSpec(Endpoint.minus_infinity(), Endpoint.plus_infinity(), 0), InvalidSpec),
+    (lambda: IntervalSpec(closed(ZERO2), Endpoint.minus_infinity(), 2), InvalidSpec),
+    (lambda: IntervalSpec(closed(SymMat.zero(3)), Endpoint.plus_infinity(), 2), InvalidSpec),
+    (lambda: Endpoint(kind="plus_infinity", matrix=ZERO2), InvalidSpec),
+    (lambda: Congruence(generator=np.ones((2, 3))), InvalidSpec),
+    (lambda: Congruence(generator=np.diag([1.0, 0.0])), Singular),
+    (lambda: cone_automorphism_apply(np.eye(3), ZERO2), DimensionMismatch),
+    (lambda: AffineAutomorphism(np.eye(3), ZERO2), DimensionMismatch),
+    (lambda: affine_automorphism_apply(AffineAutomorphism(np.eye(2), ZERO2), SymMat.zero(3)),
+     DimensionMismatch),
+], ids=["dimension_zero", "upper_minus_infinity", "endpoint_dimension",
+        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular",
+        "cone_automorphism_dimensions", "affine_shift_dimension", "affine_apply_dimensions"])
+def test_typed_errors(call, error):
+    with pytest.raises(error):
+        call()

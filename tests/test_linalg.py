@@ -274,10 +274,13 @@ class TestApplyFn:
             assert np.linalg.norm(staged.a - fused.a) <= 1e-9
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        # the message names the eigenvalue as a plain float
+        with pytest.raises(DomainError, match=r"^function undefined at eigenvalue -1\.0: "):
             linalg.apply_fn(SymMat.diagonal([-1.0, 1.0]), math.sqrt)
         with pytest.raises(DomainError):
             linalg.apply_fn(SymMat.diagonal([0.0, 1.0]), lambda x: 1.0 / x)
+        with pytest.raises(DomainError, match=r"^function non-finite at eigenvalue 1\.0$"):
+            linalg.apply_fn(SymMat.identity(2), lambda x: math.inf)
 
     def test_unit_mobius_fixes_identity_matrix(self):
         from loewner.automorphisms import unit_mobius
@@ -320,27 +323,30 @@ class TestPinvAndRange:
 
 class TestTolerances:
     def test_defaults(self):
+        assert DEFAULT_TOL.base == 1e-9
         assert DEFAULT_TOL.psd_tol == 1e-9
         assert DEFAULT_TOL.rank_tol == 1e-9
         assert DEFAULT_TOL.equality_tol == 1e-8
 
     def test_equality_derives_from_rank(self):
-        for rank_tol in (1e-14, 1e-12, 1e-3, 0.1):
-            assert Tolerances(rank_tol=rank_tol).equality_tol == 10.0 * rank_tol
-        for field in ("eig_tol", "equality_tol"):
+        for base in (1e-14, 1e-12, 1e-3, 0.1):
+            tol = Tolerances(base)
+            assert tol.psd_tol == tol.rank_tol == base
+            assert tol.equality_tol == 10.0 * tol.rank_tol
+        for field in ("psd_tol", "rank_tol", "eig_tol", "equality_tol"):
             with pytest.raises(TypeError):
                 Tolerances(**{field: 1e-8})
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            Tolerances(psd_tol=0.0)
+        for base in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="strictly positive"):
+                Tolerances(base)
 
     def test_rejects_gates_below_the_eigensolver_resolution(self):
-        for fields in ({"psd_tol": 1e-15}, {"rank_tol": 1e-16},
-                       {"psd_tol": 1e-16, "rank_tol": 1e-16}):
+        for base in (1e-15, 1e-16):
             with pytest.raises(ValueError, match="eig_tol"):
-                Tolerances(**fields)
-        Tolerances(psd_tol=1e-14, rank_tol=1e-14)
+                Tolerances(base)
+        Tolerances(1e-14)
 
 
 def test_principal_angle_between_lines():
@@ -348,3 +354,13 @@ def test_principal_angle_between_lines():
     w = np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert abs(linalg.principal_angle(u, w) - math.pi / 4.0) <= 1e-12
     assert linalg.principal_angle(u, u) <= 1e-8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SymMat(np.zeros((0, 0))),
+    lambda: linalg.pinv_and_range(SymMat.identity(2))[1](np.ones(3)),
+    lambda: linalg.principal_angle(np.eye(3)[:, :1], np.eye(3)[:, :2]),
+], ids=["empty_matrix", "range_test_vector_length", "principal_angle_subspace_dimensions"])
+def test_dimension_mismatch_is_raised(call):
+    with pytest.raises(DimensionMismatch):
+        call()

@@ -45,9 +45,9 @@ class TestSamplerDeterminism:
 
     def test_identical_seeds_identical_streams(self):
         a, b = oracle.Sampler(7), oracle.Sampler(7)
-        for _ in range(5):
-            ea = oracle.sample_effect(a)
-            eb = oracle.sample_effect(b)
+        for n in range(2, 7):
+            ea = oracle.sample_effect(a, n)
+            eb = oracle.sample_effect(b, n)
             assert ea.n == eb.n
             assert np.array_equal(ea.mat.a, eb.mat.a)
 
@@ -64,28 +64,28 @@ class TestSamplerDeterminism:
 class TestSamplerContracts:
     def test_comparable_pair_is_comparable(self):
         s = oracle.Sampler(50)
-        for _ in range(40):
-            low, high = oracle.sample_comparable_pair(s)
+        for k in range(40):
+            low, high = oracle.sample_comparable_pair(s, 2 + k % 5)
             assert linalg.loewner_le(low.mat, high.mat)
 
     def test_orthogonal_is_orthogonal(self):
         s = oracle.Sampler(51)
-        for _ in range(20):
-            o = oracle.sample_orthogonal(s)
-            n = o.shape[0]
+        for k in range(20):
+            n = 2 + k % 5
+            o = oracle.sample_orthogonal(s, n)
             assert np.linalg.norm(o.T @ o - np.eye(n)) <= 1e-12
 
     def test_invertible_within_condition_cap(self):
-        s = oracle.Sampler(52, cond_cap=50.0)
-        for _ in range(20):
-            t = oracle.sample_invertible(s)
+        s = oracle.Sampler(52)
+        for k in range(20):
+            t = oracle.sample_invertible(s, 2 + k % 5)
             sv = np.linalg.svd(t, compute_uv=False)
-            assert float(sv[0]) / float(sv[-1]) <= 50.0 * (1.0 + 1e-9)
+            assert float(sv[0]) / float(sv[-1]) <= oracle._COND_CAP * (1.0 + 1e-9)
 
     def test_effects_are_effects(self):
         s = oracle.Sampler(53)
-        for _ in range(20):
-            eff = oracle.sample_effect(s)
+        for k in range(20):
+            eff = oracle.sample_effect(s, 2 + k % 5)
             lam = linalg.eigvalsh(eff.mat)
             assert float(lam[0]) >= 0.0
             assert float(lam[-1]) <= 1.0
@@ -137,7 +137,7 @@ def test_agreement_with_closed_form():
     from loewner.effects import strength
 
     s = oracle.Sampler(65)
-    for _ in range(60):
-        mat = oracle.sample_psd(s)
+    for k in range(60):
+        mat = oracle.sample_psd(s, 2 + k % 5)
         proj = RankOneProjection(s.rng.standard_normal(mat.n))
         assert abs(strength(mat, proj) - oracle.strength_bisection(mat, proj)) <= 1e-6
