@@ -137,15 +137,21 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
 
     Closed form: 0 when the direction of P leaves the range of A, else
     1 / <A+ x, x>. An A certified definite within rank tolerance has full
-    range and A+ = A^-1, so an LDL^t solve answers without a spectrum;
-    otherwise one spectrum: pinv_and_range raises NotPSD for an input
-    that is not PSD.
+    range and A+ = A^-1, so an LDL^t solve answers without a spectrum.
+    Otherwise a semidefinite pivoted Cholesky factorization of A answers 0
+    without a spectrum when it proves that the spectral route would find
+    A PSD and x off its range (linalg._certified_off_range). Every other
+    input takes one spectrum: pinv_and_range, which also raises NotPSD
+    for an input that is not PSD.
     """
     if A.n != P.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
-    alpha = linalg._reciprocal_form(A.a, P.x, tol)
+    scaled = linalg._scaled_rows(A.a)
+    alpha = linalg._reciprocal_form(scaled, P.x, tol)
     if alpha is not None:
         return alpha
+    if linalg._certified_off_range(scaled, P.x, tol):
+        return 0.0
     pinv, in_range = linalg.pinv_and_range(A, tol)
     if not in_range(P.x):
         return 0.0

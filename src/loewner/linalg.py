@@ -13,7 +13,10 @@ the max(1, .) floor of its gate, a matrix definite within rank tolerance,
 which inv and the strength closed form then factor LDL^t instead of
 diagonalizing (_definite_ldl). A factorization that refutes an order gives
 a direction of negative curvature (_negative_curvature), from which
-effects.strength_witness builds its witness.
+effects.strength_witness builds its witness. A [lo, hi] check is one
+factorization of (M - lo I)(hi I - M) (_certified_within), and a
+semidefinite pivoted factorization answers strength off the range of a
+singular matrix (_certified_off_range).
 """
 
 from __future__ import annotations
@@ -174,15 +177,18 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
 
     Scaling by a power of two is exact, so every computation homogeneous
     in m gives the same bits on the scaled copy, while sums of squares of
-    the entries can neither overflow nor underflow.
+    the entries can neither overflow nor underflow. One flat list of the
+    entries, in row order, feeds the rows, D and F.
     """
-    rows = m.tolist()
-    top = max(map(abs, [x for row in rows for x in row]))
+    n = m.shape[0]
+    flat = m.ravel().tolist()
+    top = max(max(flat), -min(flat))
     k = 1 - math.frexp(top)[1] if top else 0
     if k:
-        rows = np.ldexp(m, k).tolist()
-    diag = max(abs(row[i]) for i, row in enumerate(rows))
-    frob = math.sqrt(sum(x * x for row in rows for x in row))
+        flat = np.ldexp(m, k).ravel().tolist()
+    rows = [flat[i:i + n] for i in range(0, n * n, n)]
+    diag = max(map(abs, flat[::n + 1]))
+    frob = math.sqrt(sum(map(operator.mul, flat, flat)))
     return _Scaled(rows, k, diag, frob)
 
 
@@ -313,7 +319,18 @@ def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     return np.array(x) / size if math.isfinite(size) else None
 
 
-def _gate_band(scaled: _Scaled, fixed: float, relative: float,
+def _rotations(n: int) -> float:
+    """R = _MAX_SWEEPS n (n - 1) / 2, the most rotations Jacobi runs."""
+    return _MAX_SWEEPS * n * (n - 1) / 2.0
+
+
+def _jacobi_error(n: int, frob: float) -> float:
+    """eps_j = (_EIG_TOL + 16 u R) F: how far each Jacobi eigenvalue of an
+    n x n matrix with ||m||_F = F lies from the true one (_certificate)."""
+    return (_EIG_TOL + _ROTATION_ERROR * _UNIT_ROUNDOFF * _rotations(n)) * frob
+
+
+def _gate_band(scaled: _Scaled, relative: float,
                floor: bool = True) -> Optional[Tuple[float, float, float]]:
     """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
     when the exponent range rules the certificate out."""
@@ -321,27 +338,23 @@ def _gate_band(scaled: _Scaled, fixed: float, relative: float,
     if abs(k) > 1000:
         return None
     n = len(rows)
-    one = math.ldexp(1.0, k)
-    base = fixed * one
-    unit = one if floor else 0.0
-    ends = (base + relative * max(unit, diag, frob / math.sqrt(n)),
-            base + relative * max(unit, frob))
+    unit = math.ldexp(1.0, k) if floor else 0.0
+    ends = (relative * max(unit, diag, frob / math.sqrt(n)),
+            relative * max(unit, frob))
     g_lo, g_hi = min(ends), max(ends)
-    u = _UNIT_ROUNDOFF
-    eps_c = 2.0 * n * (n + 1) * u * (diag + max(abs(g_lo), abs(g_hi)) + frob)
-    rotations = _MAX_SWEEPS * n * (n - 1) / 2.0
-    eps_j = (_EIG_TOL + _ROTATION_ERROR * u * rotations) * frob
+    eps_c = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (diag + max(abs(g_lo), abs(g_hi)) + frob)
+    eps_j = _jacobi_error(n, frob)
     delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
     if not math.isfinite(g_lo - g_hi - delta):
         return None
     return g_lo, g_hi, delta
 
 
-def _certificate(scaled: _Scaled, fixed: float = 0.0, relative: float = 0.0,
+def _certificate(scaled: _Scaled, relative: float = 0.0,
                  refute: bool = True, floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
     """(verdict, L): decide lambda_min(m) >= g by shifted Cholesky
-    factorizations, where g = fixed + relative * max(1, |lambda|max), or
-    g = fixed + relative * |lambda|max when `floor` is False; None when
+    factorizations, where g = relative * max(1, |lambda|max), or
+    g = relative * |lambda|max when `floor` is False; None when
     undecided.
 
     A True or False verdict is the one the Jacobi route (eigvalsh, then
@@ -390,7 +403,7 @@ def _certificate(scaled: _Scaled, fixed: float = 0.0, relative: float = 0.0,
     L is the factor of the refuting factorization when the verdict is
     False (_negative_curvature turns it into a direction), else None.
     """
-    band = _gate_band(scaled, fixed, relative, floor)
+    band = _gate_band(scaled, relative, floor)
     if band is None:
         return None, None
     g_lo, g_hi, delta = band
@@ -448,7 +461,7 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       (0.9 n + 1) 2^-43.
     """
     scaled = _scaled_rows(gram)
-    band = _gate_band(scaled, 0.0, tol.rank_tol ** 2)
+    band = _gate_band(scaled, tol.rank_tol ** 2)
     if band is None:
         return False
     _, g_hi, delta = band
@@ -496,11 +509,11 @@ def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list
     return None if factor is None else (*factor, scaled.k)
 
 
-def _reciprocal_form(m: np.ndarray, x: np.ndarray, tol: Tolerances) -> Optional[float]:
-    """1 / (x^t m^-1 x) by an LDL^t solve when _definite_ldl certifies m;
-    None otherwise. With L y = x and 2^k m = L D L^t,
-    x^t m^-1 x = 2^k sum(y_i^2 / d_i)."""
-    factor = _definite_ldl(_scaled_rows(m), tol)
+def _reciprocal_form(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Optional[float]:
+    """1 / (x^t m^-1 x) by an LDL^t solve when _definite_ldl certifies m
+    (scaled = _scaled_rows(m)); None otherwise. With L y = x and
+    2^k m = L D L^t, x^t m^-1 x = 2^k sum(y_i^2 / d_i)."""
+    factor = _definite_ldl(scaled, tol)
     if factor is None:
         return None
     low, pivots, k = factor
@@ -509,6 +522,140 @@ def _reciprocal_form(m: np.ndarray, x: np.ndarray, tol: Tolerances) -> Optional[
         y.append(xi - sum(map(operator.mul, li, y)))
     q = math.fsum(yi * yi / di for yi, di in zip(y, pivots))
     return math.ldexp(1.0 / q, -k)
+
+
+def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list, float]:
+    """Semidefinite Cholesky with diagonal pivoting (Higham, Accuracy and
+    Stability, 2nd ed., sec. 10.3), run in floating point until the
+    largest Schur complement diagonal is at most `stop`: (pivots, rest,
+    low, smallest). `pivots` are the r pivot indices in order, `rest` the
+    other indices, low[i] row i of the n x r factor L in pivot order (a
+    pivot's row ends at its diagonal), and `smallest` the least pivot
+    l_jj^2."""
+    n = len(rows)
+    schur = [row[i] for i, row in enumerate(rows)]
+    low = [[] for _ in range(n)]
+    rest = list(range(n))
+    pivots = []
+    smallest = math.inf
+    while rest:
+        p = max(rest, key=schur.__getitem__)
+        if not schur[p] > stop:
+            break
+        rest.remove(p)
+        smallest = min(smallest, schur[p])
+        root = math.sqrt(schur[p])
+        lp = low[p]
+        for i in rest:
+            li = low[i]
+            value = (rows[i][p] - sum(map(operator.mul, li, lp))) / root
+            li.append(value)
+            schur[i] -= value * value
+        lp.append(root)
+        pivots.append(p)
+    return pivots, rest, low, smallest
+
+
+def _null_direction(pivots: list, rest: list, low: list, x: list) -> list:
+    """w = K K^t x for K = [-L11^-t L21^t; I] (in pivot order), whose
+    columns span the null space of L^t: the part of x off the factor's
+    range, up to the shape of K. Two triangular solves, no inverse:
+    L11 y = x1, g = x2 - L21 y, L11^t z = L21^t g, w = (-z, g)."""
+    y = []
+    for j, p in enumerate(pivots):
+        lp = low[p]
+        y.append((x[p] - sum(map(operator.mul, lp, y))) / lp[j])
+    g = [x[i] - sum(map(operator.mul, low[i], y)) for i in rest]
+    r = len(pivots)
+    z = [0.0] * r
+    for j in range(r - 1, -1, -1):
+        h = sum(low[i][j] * gi for i, gi in zip(rest, g))
+        z[j] = (h - sum(low[pivots[t]][j] * z[t] for t in range(j + 1, r))) / low[pivots[j]][j]
+    w = [0.0] * len(x)
+    for p, zj in zip(pivots, z):
+        w[p] = -zj
+    for i, gi in zip(rest, g):
+        w[i] = gi
+    return w
+
+
+def _certified_off_range(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> bool:
+    """True when a semidefinite pivoted Cholesky factorization proves that
+    pinv_and_range(m) (scaled = _scaled_rows(m)) raises no NotPSD and finds
+    x outside the range of m, so that strength is 0 without a spectrum;
+    False when undecided.
+
+    Work is on M = 2^k m, with D = max |M_ii|, F = ||M||_F, u = 2^-53,
+    eps_j of _certificate, R its rotation count, and psd_tol = rank_tol.
+
+    - The factorization stops after r pivots, 0 < r < n: M + E =
+      L L^t + S, S the computed Schur complement on the other indices, and
+      ||E||_2 <= eps_f = 2 n (n + 1) u (2 D + sigma), sigma = ||S||_F
+      (inner products and square roots of at most n terms, as for
+      Cholesky; W = 2 D also bounds the shifted diagonals below).
+    - Keep test: L L^t has rank r and L L^t >= 0, so by Weyl's inequality
+      lambda_{r+1}(M) <= sigma + eps_f and lambda_min(M) >= -(sigma +
+      eps_f), while lambda_max(M) >= top = max M_ii. The Jacobi
+      eigenvalues mu are within eps_j of those, so when 2 (sigma + eps_f +
+      eps_j) < rank_tol (top - 2 eps_j), the (r+1)-th largest mu is at
+      most the keep gate rank_tol * mu_max and mu_min clears the NotPSD
+      gate -psd_tol * max(1, |mu|max): at most r eigenvectors are kept,
+      all among the top r.
+    - Gap: Cholesky of the leading pivoted block M11 at shift s (half the
+      least pivot over r) succeeds, so lambda_min(M11) >= s - eps_f, and
+      by interlacing lambda_r(M) >= lambda_min(M11). Every kept mu is
+      then at least beta = s - 2 (eps_f + eps_j) > 0.
+    - Lean: Jacobi's eigenvectors are V = Q + dV with Q orthogonal,
+      Q^t (M + dM) Q = diag(mu) + O, ||dM|| + ||O|| <= eps_j, and
+      ||dV||_F <= eps_v = 16 u R (each rotation moves V by at most 16 u).
+      For any w, ||diag(mu) Q^t w|| <= ||M w|| + eps_j ||w||, so the kept
+      columns B of V have ||B^t w|| <= (||M w|| + eps_j ||w||) / beta +
+      eps_v ||w||: the lean of the kept eigenvectors into w.
+    - Residual: the Jacobi route's r = x - B B^t x has ||r|| >= |w^t r| /
+      ||w|| >= (|w^t x| - ||B^t w|| ||B|| ||x||) / ||w||, ||B|| <= 1 + eps_v.
+
+    w is _null_direction's, and |w^t x|, ||w||, ||x|| and ||M w|| are
+    computed, the last with an error under (n + 1) u F ||w||. The test
+    doubles the lean and the gate rank_tol * max(1, ||x||), which absorbs
+    the relative roundings, and adds 4 (n + 1) sqrt(n) u ||x|| for the
+    rounding of the Jacobi route's own residual and of w^t x. The
+    exponent range guard of _certificate applies; anything undecided
+    goes to the spectral route.
+    """
+    rows, k, diag, frob = scaled
+    n = len(rows)
+    if abs(k) > 1000:
+        return False
+    top = max(row[i] for i, row in enumerate(rows))
+    rank_tol = tol.rank_tol
+    pivots, rest, low, smallest = _pivoted_cholesky(rows, rank_tol * top / n)
+    r = len(pivots)
+    if not 0 < r < n:
+        return False
+    xs = x.tolist()
+    w = _null_direction(pivots, rest, low, xs)
+    wx = abs(sum(map(operator.mul, w, xs)))
+    wn = math.sqrt(sum(map(operator.mul, w, w)))
+    xn = math.sqrt(sum(map(operator.mul, xs, xs)))
+    gate = 2.0 * rank_tol * max(1.0, xn)
+    if not wx > gate * wn:
+        return False
+    sigma = math.sqrt(sum((rows[i][j] - sum(map(operator.mul, low[i], low[j]))) ** 2
+                          for i in rest for j in rest))
+    u = _UNIT_ROUNDOFF
+    eps_f = 2.0 * n * (n + 1) * u * (2.0 * diag + sigma)
+    eps_j = _jacobi_error(n, frob)
+    if not 2.0 * (sigma + eps_f + eps_j) < rank_tol * (top - 2.0 * eps_j):
+        return False
+    shift = smallest / (2.0 * r)
+    block = [[rows[i][j] for j in pivots] for i in pivots]
+    beta = shift - 2.0 * (eps_f + eps_j)
+    if not (beta > 0.0 and _cholesky(block, shift)[1][-1] > 0.0):
+        return False
+    mw = math.sqrt(sum(sum(map(operator.mul, row, w)) ** 2 for row in rows))
+    eps_v = _ROTATION_ERROR * u * _rotations(n)
+    lean = 2.0 * ((mw + ((n + 1) * u * frob + eps_j) * wn) / beta + eps_v * wn)
+    return (wx - lean * xn) / wn > gate + 4.0 * (n + 1) * math.sqrt(n) * u * xn
 
 
 def _ldl_inverse(low: list, pivots: list, k: int) -> np.ndarray:
@@ -528,11 +675,58 @@ def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
 
 
 def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
-    """True when the certificate proves the computed spectrum of m lies in
-    [lo, hi]; False when that is undecided or untrue."""
+    """True when one Cholesky factorization proves that the Jacobi
+    spectrum of m (eigvalsh) lies in [lo, hi], lo < hi; False when that is
+    undecided or untrue.
+
+    Work is on M = 2^k m of _scaled_rows(m), with lo and hi scaled alike,
+    F = ||M||_F, u = 2^-53 and eps_j the Jacobi error of _certificate.
+
+    - P = (M - lo I)(hi I - M) is symmetric with eigenvalues
+      p(lambda) = (lambda - lo)(hi - lambda). If every p(lambda) >= eta > 0,
+      every lambda lies in (lo, hi), and each factor is at least
+      eta / (hi - lo), since the other is at most hi - lo. With
+      eta = (hi - lo) eps_j, every Jacobi eigenvalue is then in [lo, hi].
+    - The matrix factored is the lower triangle of the computed product.
+      With S = (F + sqrt(n) |lo|)(F + sqrt(n) |hi|), which bounds
+      ||M - lo I||_F ||hi I - M||_F and so ||P||_2, it is within
+      eps_p = 2 (n + 2) u S of P in norm, for any summation order: n u
+      for the inner products, 2 u for the rounded diagonals of the two
+      factors, and a factor 2 for mirroring a triangle of a product that
+      need not come out symmetric.
+    - Cholesky at shift s: success gives lambda_min >= s - eps_c for the
+      factored matrix (_certificate), with eps_c = 4 n (n + 1) u (S + eta)
+      for W = 2 (S + eta), which bounds every shifted diagonal.
+
+    At s = 2 (eta + eps_p + eps_c) success leaves lambda_min(P) >= 2 eta
+    + eps_p + eps_c: each eigenvalue of M is at least 2 eps_j inside
+    (lo, hi), and the second eps_j (with eps_p + eps_c > 0 when eta = 0)
+    absorbs the rounding of F, S, the shift and the scaled ends. For
+    m = 0 (eta = 0) Jacobi returns the diagonal exactly. A product
+    that could overflow (a tiny m against wide ends) and the exponent
+    range guard of _certificate leave the answer undecided, without
+    forming the product.
+    """
     scaled = _scaled_rows(m)
-    return bool(_certificate(scaled, fixed=lo, refute=False)[0]
-                and _certificate(scaled.negated(), fixed=-hi, refute=False)[0])
+    rows, k, _, frob = scaled
+    if abs(k) > 1000:
+        return False
+    n = len(rows)
+    one = math.ldexp(1.0, k)
+    lo, hi = lo * one, hi * one
+    root = math.sqrt(n)
+    size = (frob + root * abs(lo)) * (frob + root * abs(hi))
+    u = _UNIT_ROUNDOFF
+    eta = (hi - lo) * _jacobi_error(n, frob)
+    eps_p = 2.0 * (n + 2) * u * size
+    eps_c = 4.0 * n * (n + 1) * u * (size + eta)
+    shift = 2.0 * (eta + eps_p + eps_c)
+    if not math.isfinite(4.0 * size + shift):
+        return False
+    eye = np.eye(n)
+    scaled_m = np.ldexp(m, k)
+    product = (scaled_m - lo * eye) @ (hi * eye - scaled_m)
+    return _cholesky(product.tolist(), shift)[1][-1] > 0.0
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:

@@ -121,16 +121,23 @@ def sample_psd(s: Sampler, n: int, singular: bool = False) -> SymMat:
 
 def strength_bisection(A: SymMat, P: RankOneProjection) -> float:
     """Brute-force strength: bisect t over [0, ||A|| + 1] against the
-    Loewner predicate tP <= A; 60 fixed iterations."""
+    Loewner predicate tP <= A, i.e. A - tP PSD; at most 60 iterations.
+
+    The bisection stops early once the midpoint reaches float resolution
+    at an endpoint that a verdict has set: every later step would repeat
+    that verdict and leave both endpoints as they are."""
     if not linalg.is_psd(A):
         raise NotPSD("strength oracle requires a PSD input")
     lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
+    lo_decided = hi_decided = False
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if linalg.loewner_le(SymMat(mid * P.mat.a), A):
-            lo = mid
+        if (mid == lo and lo_decided) or (mid == hi and hi_decided):
+            break
+        if linalg.is_psd(SymMat(A.a - mid * P.mat.a)):
+            lo, lo_decided = mid, True
         else:
-            hi = mid
+            hi, hi_decided = mid, True
     return lo
 
 

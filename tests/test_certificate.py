@@ -5,7 +5,9 @@ near-gate inputs to the Jacobi fallback, and they take the spectra out of
 the public calls."""
 
 import importlib
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,29 +22,29 @@ from loewner.effects import (
     strength,
     strength_witness,
 )
-from loewner.errors import Singular
+from loewner.errors import NotPSD, Singular
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
-def jacobi_verdict(m, fixed, relative, floor=True):
-    """lambda_min(m) >= fixed + relative * max(1, |lambda|max) on the Jacobi
+def jacobi_verdict(m, relative, floor=True):
+    """lambda_min(m) >= relative * max(1, |lambda|max) on the Jacobi
     spectrum (without the max(1, .) when not `floor`), strict for the
     positive-definite gate (relative > 0), as the public callers compare
     it."""
     lam = linalg.eigvalsh(SymMat(m))
     top = float(np.max(np.abs(lam)))
-    gate = fixed + relative * (max(1.0, top) if floor else top)
+    gate = relative * (max(1.0, top) if floor else top)
     return float(lam[0]) > gate if relative > 0.0 else float(lam[0]) >= gate
 
 
 def disagreements(calls):
-    return [(m, fixed, relative, floor, verdict)
-            for m, fixed, relative, floor, verdict in calls
+    return [(m, relative, floor, verdict)
+            for m, relative, floor, verdict in calls
             if verdict is not None
-            and verdict != jacobi_verdict(m, fixed, relative, floor)]
+            and verdict != jacobi_verdict(m, relative, floor)]
 
 
 def certify(m, **gate):
@@ -51,16 +53,15 @@ def certify(m, **gate):
 
 
 def order_recorder(calls):
-    """linalg._certificate (behind the order predicates, the [0, I] checks,
-    the LDL^t route and strength_witness) wrapped to append
-    (m, fixed, relative, floor, verdict), with m = 2^-k times the scaled
-    rows that it decided on."""
+    """linalg._certificate (behind the order predicates, the LDL^t route
+    and strength_witness) wrapped to append (m, relative, floor, verdict),
+    with m = 2^-k times the scaled rows that it decided on."""
     certificate = linalg._certificate
 
-    def recording(scaled, fixed=0.0, relative=0.0, refute=True, floor=True):
-        result = certificate(scaled, fixed, relative, refute, floor)
+    def recording(scaled, relative=0.0, refute=True, floor=True):
+        result = certificate(scaled, relative, refute, floor)
         m = np.ldexp(np.array(scaled.rows), -scaled.k)
-        calls.append((m, fixed, relative, floor, result[0]))
+        calls.append((m, relative, floor, result[0]))
         return result
 
     return recording
@@ -86,14 +87,43 @@ def recorded(monkeypatch):
     return calls
 
 
+def within_recorder(calls):
+    """linalg._certified_within (the [lo, hi] checks of make_effect and
+    EffectAutomorphism.apply) wrapped to append (m, lo, hi, verdict)."""
+    certified_within = linalg._certified_within
+
+    def recording(m, lo, hi):
+        verdict = certified_within(m, lo, hi)
+        calls.append((np.array(m), lo, hi, verdict))
+        return verdict
+
+    return recording
+
+
+def off_range_recorder(calls):
+    """linalg._certified_off_range (strength on an A that the LDL^t route
+    leaves) wrapped to append (m, x, tol, verdict)."""
+    certified_off_range = linalg._certified_off_range
+
+    def recording(scaled, x, tol):
+        verdict = certified_off_range(scaled, x, tol)
+        calls.append((np.ldexp(np.array(scaled.rows), -scaled.k), np.array(x), tol, verdict))
+        return verdict
+
+    return recording
+
+
 @pytest.fixture(scope="module")
 def corpus_calls():
     """Every certificate call made by run_selftest(0, 200) and by every
-    acceptance criterion's property call: (order calls, generator calls)."""
-    order, generator = [], []
+    acceptance criterion's property call: (order calls, generator calls,
+    [lo, hi] checks, off-range decisions)."""
+    order, generator, within, off_range = [], [], [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_certificate", order_recorder(order))
         patch.setattr(linalg, "_certify_regular", generator_recorder(generator))
+        patch.setattr(linalg, "_certified_within", within_recorder(within))
+        patch.setattr(linalg, "_certified_off_range", off_range_recorder(off_range))
         selftest.run_selftest(0, 200)
         s = ACCEPTANCE_SEED
         selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
@@ -107,7 +137,7 @@ def corpus_calls():
         selftest.check_two_by_two_fixtures(s + 8, 1)
         selftest.check_interval_atlas(s + 9, 200, per_shape=5)
         selftest.check_conjugation_identity(s + 10, 100, count=100)
-    return order, generator
+    return order, generator, within, off_range
 
 
 def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
@@ -117,6 +147,201 @@ def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
           f"({undecided / len(recorded):.2%})")
     assert len(recorded) > 10000
     assert disagreements(recorded) == []
+
+
+def jacobi_within(m, lo, hi):
+    """The Jacobi route of a [lo, hi] check: the eigvalsh spectrum of m
+    lies in [lo, hi]."""
+    lam = linalg.eigvalsh(SymMat(m))
+    return lo <= float(lam[0]) and float(lam[-1]) <= hi
+
+
+def wrong_within_verdicts(calls):
+    """[lo, hi] checks that the certificate passed while Jacobi does not."""
+    return [(m, lo, hi) for m, lo, hi, verdict in calls if verdict and not jacobi_within(m, lo, hi)]
+
+
+def test_within_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
+    calls = corpus_calls[2]
+    undecided = sum(not verdict for *_, verdict in calls)
+    print(f"[lo, hi] check: {len(calls)} calls, {undecided} undecided "
+          f"({undecided / len(calls):.2%})")
+    assert len(calls) > 10000
+    assert wrong_within_verdicts(calls) == []
+
+
+def jacobi_off_range(m, x, tol):
+    """The spectral route of strength answers 0 along x: pinv_and_range
+    raises no NotPSD and finds x outside the range of m."""
+    try:
+        _, in_range = linalg.pinv_and_range(SymMat(m), tol)
+    except NotPSD:
+        return False
+    return not in_range(x)
+
+
+def wrong_off_range_verdicts(calls):
+    """Off-range decisions that the spectral route does not share."""
+    return [(m, x) for m, x, tol, verdict in calls if verdict and not jacobi_off_range(m, x, tol)]
+
+
+def test_off_range_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
+    calls = corpus_calls[3]
+    decided = sum(verdict for *_, verdict in calls)
+    off = sum(jacobi_off_range(m, x, tol) for m, x, tol, _ in calls)
+    print(f"off-range certificate: {len(calls)} calls, {off} off the range, {decided} decided")
+    assert decided > 100
+    assert wrong_off_range_verdicts(calls) == []
+
+
+def _within_gate_cases():
+    """(m, lo, hi) on and around the ends of make_effect's [-tau, 1 + tau]
+    and apply's [0, 1]: spectra at lo and hi +- tau (1 +- 1e-12), rank-k
+    projections, and both scaled by 2^j with the ends."""
+    rng = np.random.default_rng(17)
+    tau = DEFAULT_TOL.psd_tol
+    cases = []
+    for n in (2, 3, 5, 8):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        spectra = [np.linspace(0.0, 1.0, k + 2)[1:-1].tolist() + [0.0] * (n - k - 1) + [1.0]
+                   for k in range(n - 1)]                        # touching both ends
+        spectra += [[0.0] * k + [1.0] * (n - k) for k in range(n + 1)]   # projections
+        for end in (0.0, 1.0):
+            for sign in (-1.0, 1.0):
+                for wobble in (-1e-12, 0.0, 1e-12):
+                    lam = np.linspace(0.25, 0.75, n)
+                    lam[0 if end == 0.0 else -1] = end + sign * tau * (1.0 + wobble)
+                    spectra.append(lam)
+        for lam in spectra:
+            for m in (np.diag(lam), (q * lam) @ q.T):
+                m = (m + m.T) / 2.0
+                for lo, hi in ((-tau, 1.0 + tau), (0.0, 1.0)):
+                    for j in (-600, 0, 600):
+                        cases.append((np.ldexp(m, j), math.ldexp(lo, j), math.ldexp(hi, j)))
+    return cases
+
+
+def test_within_agrees_with_jacobi_at_the_ends():
+    calls = [(m, lo, hi, linalg._certified_within(m, lo, hi)) for m, lo, hi in _within_gate_cases()]
+    assert wrong_within_verdicts(calls) == []
+    verdicts = [verdict for *_, verdict in calls]
+    # each 2^j scaling of a nonzero m, the ends scaled alike, gets the
+    # verdict of the unscaled check (m = 0 does not scale, its ends do)
+    for i in range(0, len(calls), 3):
+        if np.any(calls[i][0]):
+            assert verdicts[i] == verdicts[i + 1] == verdicts[i + 2]
+    undecided = verdicts.count(False)
+    print(f"[lo, hi] check at the ends: {len(verdicts)} calls, {undecided} undecided")
+    assert 0 < undecided < len(verdicts)
+
+
+@pytest.mark.parametrize("j", [-600, -1010, 1010])
+def test_within_is_undecided_past_the_exponent_range(j):
+    # 2^-600 m against [-tau, 1 + tau]: in the scaled units of m the ends
+    # are near 2^600 and their product could pass the top of the range;
+    # |k| > 1000 is the exponent guard of every certificate
+    m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), j)
+    ends = (-DEFAULT_TOL.psd_tol, 1.0 + DEFAULT_TOL.psd_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not linalg._certified_within(m, *ends)
+    assert jacobi_within(m, *ends) == (j < 0)
+
+
+def within_shift(m, lo, hi):
+    """(s, lo, hi) in the scaled units of m: the Cholesky shift of the
+    [lo, hi] check, 2 (eta + eps_p + eps_c), from the margins its proof
+    names."""
+    scaled = linalg._scaled_rows(m)
+    n, f = m.shape[0], scaled.frob
+    lo, hi = math.ldexp(lo, scaled.k), math.ldexp(hi, scaled.k)
+    u = 2.0 ** -53
+    size = (f + math.sqrt(n) * abs(lo)) * (f + math.sqrt(n) * abs(hi))
+    eta = (hi - lo) * linalg._jacobi_error(n, f)
+    eps_p = 2.0 * (n + 2) * u * size
+    eps_c = 4.0 * n * (n + 1) * u * (size + eta)
+    return 2.0 * (eta + eps_p + eps_c), lo, hi
+
+
+@pytest.mark.parametrize("rest, lo, hi", [
+    ([], -1.0, 1.0),                    # n = 1: eps_p is a tenth of the shift
+    ([1.0, 1.0], 0.0, 2.0 ** 10),       # hi - lo = 2^10 in scaled units
+])
+def test_within_band_is_as_wide_as_its_proof(rest, lo, hi):
+    # A diagonal m has an exact Jacobi spectrum and a product exact to
+    # rounding, so the check passes exactly when the least
+    # (lambda - lo)(hi - lambda) clears the shift: 2% short of it is
+    # undecided, 2% past it is certified.
+    base = np.diag([lo] + rest)
+    for factor, certified in ((0.98, False), (1.02, True)):
+        shift, lo_s, hi_s = within_shift(base, lo, hi)
+        unit = (hi_s - lo_s) / (hi - lo)                # 2^k
+        m = np.diag([lo + factor * shift / (hi_s - lo_s) / unit] + rest)
+        shift, lo_s, hi_s = within_shift(m, lo, hi)
+        gap = (m[0, 0] - lo) * (hi_s - lo_s) / (hi - lo)
+        assert abs(gap * (hi_s - lo_s - gap) / shift - factor) < 0.005
+        assert linalg._certified_within(m, lo, hi) is certified
+
+
+def _singular_corpus(seed):
+    """(m, directions) for every rank r at n = 2..16: m = Q diag(0, lam) Q^t
+    with r eigenvalues log-uniform in [1e-2, 1] (the condition cap of the
+    samplers), and unit directions at angles 1e-6 .. pi/2 off its range;
+    plus the zero matrix."""
+    rng = np.random.default_rng(seed)
+    corpus = [(np.zeros((3, 3)), [np.ones(3) / math.sqrt(3.0)])]
+    for n in range(2, 17):
+        for r in range(1, n):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            lam = np.zeros(n)
+            lam[n - r:] = np.exp(rng.uniform(math.log(1e-2), 0.0, r))
+            m = (q * lam) @ q.T
+            inside = q[:, n - r:] @ rng.standard_normal(r)
+            out = q[:, :n - r] @ rng.standard_normal(n - r)
+            inside, out = inside / np.linalg.norm(inside), out / np.linalg.norm(out)
+            corpus.append(((m + m.T) / 2.0, [math.cos(theta) * inside + math.sin(theta) * out
+                                             for theta in (1e-6, 1e-4, 1e-2, 0.1, 0.5, math.pi / 2)]))
+    return corpus
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(1e-12), Tolerances(1e-3)])
+def test_off_range_agrees_with_jacobi_on_singular_matrices(tol):
+    decided = total = 0
+    for m, directions in _singular_corpus(19):
+        scaled = linalg._scaled_rows(m)
+        xs = [RankOneProjection(x).x for x in directions]
+        verdicts = [linalg._certified_off_range(scaled, x, tol) for x in xs]
+        if any(verdicts):                               # one spectrum per matrix, no NotPSD
+            _, in_range = linalg.pinv_and_range(SymMat(m), tol)
+            assert not any(verdict and in_range(x) for x, verdict in zip(xs, verdicts))
+        decided += sum(verdicts)
+        total += len(verdicts)
+    print(f"off-range certificate, singular corpus, rank_tol {tol.rank_tol:g}: "
+          f"{decided} of {total} directions decided")
+    # at the default even the directions 1e-6 off the range are decided
+    assert decided > 0.95 * total if tol is DEFAULT_TOL else decided > 0
+
+
+@pytest.mark.parametrize("diagonal", [[1.0, -1.0, 0.0], [1.0, 0.5, -1e-3, 0.0]])
+def test_off_range_of_an_indefinite_a_is_not_psd(diagonal):
+    # x spans the null space of the factor, and of A: only the Schur
+    # complement's norm shows the negative eigenvalue that the keep test
+    # must see, so the spectral route raises NotPSD
+    q = np.linalg.qr(np.random.default_rng(23).standard_normal((len(diagonal),) * 2))[0]
+    for frame in (np.eye(len(diagonal)), q):
+        m = (frame * diagonal) @ frame.T
+        a, x = SymMat((m + m.T) / 2.0), RankOneProjection(frame[:, -1])
+        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        with pytest.raises(NotPSD):
+            strength(a, x)
+
+
+@pytest.mark.parametrize("j", [-1010, 1010])
+def test_off_range_past_the_exponent_range_falls_back(j):
+    m = np.ldexp(np.diag([1.0, 0.5, 0.0]), j)
+    x = RankOneProjection([0.0, 1.0, 1.0])
+    assert not linalg._certified_off_range(linalg._scaled_rows(m), x.x, DEFAULT_TOL)
+    assert strength(SymMat(m), x) == 0.0
 
 
 def _near_gate_inputs():
@@ -180,7 +405,7 @@ def test_a_gate_that_overflows_falls_back():
     m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
     scaled = linalg._scaled_rows(m.a)
     for relative in (-tol.psd_tol, tol.psd_tol):
-        assert linalg._gate_band(scaled, 0.0, relative) is None
+        assert linalg._gate_band(scaled, relative) is None
     lam = linalg.eigvalsh(m)                          # -2.0e-290, 1.0e-290
     assert linalg.is_psd(m, tol) and linalg._spectral_verdict(lam, False, tol)
     assert not linalg.loewner_lt(SymMat.zero(2), m, tol)
@@ -307,7 +532,7 @@ def definite_route_calls(calls):
     """The floor-free certificate calls, those of linalg._definite_ldl, as
     (m, tol, verdict): their gate is relative = rank_tol, the base of tol."""
     return [(m, Tolerances(relative), verdict)
-            for m, fixed, relative, floor, verdict in calls if not floor]
+            for m, relative, floor, verdict in calls if not floor]
 
 
 def wrong_definite_verdicts(calls):
@@ -438,10 +663,29 @@ class TestSpectraPerCall:
         a = SymMat([[2.0, 0.5], [0.5, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 1.0])) == []
 
-    def test_strength_on_singular_is_one_eigh(self, count):
+    def test_strength_in_the_range_of_a_singular_a_is_one_eigh(self, count):
         a = SymMat([[1.0, 1.0], [1.0, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 1.0])) == ["eigh"]
-        assert count(strength, a, RankOneProjection([1.0, 0.0])) == ["eigh"]
+
+    def test_strength_off_the_range_of_a_singular_a_takes_no_spectrum(self, count):
+        a = SymMat([[1.0, 1.0], [1.0, 1.0]])
+        assert count(strength, a, RankOneProjection([1.0, 0.0])) == []
+
+    @pytest.mark.parametrize("diagonal, direction", [
+        # the eigenvalue 1e-7 is kept, but so small that the bound on the
+        # lean of its eigenvector (about 4e-5) swamps the 1e-5 off the range
+        ([1.0, 1e-7, 0.0], [0.0, 1.0, 1e-5]),
+        # 1e-10 is a pivot (above rank_tol / n) that Jacobi drops: the
+        # leading block's certificate cannot bound the gap below 2 eps_j
+        ([1.0] * 14 + [1e-10, 0.0], [0.0] * 14 + [1.0, 1.0]),
+    ])
+    def test_strength_on_a_kernel_direction_inside_the_band_is_one_eigh(self, count, diagonal, direction):
+        # the factorization leaves these to eigh, which answers 0
+        a = SymMat.diagonal(diagonal)
+        x = RankOneProjection(direction)
+        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        assert count(strength, a, x) == ["eigh"]
+        assert strength(a, x) == 0.0
 
     def test_inv_of_definite_takes_no_spectrum(self, count):
         a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
@@ -526,6 +770,39 @@ class TestSpectraPerCall:
         params = MobiusParams(0.3, -0.5, np.array([[0.8, 0.1], [0.0, 0.6]]))
         x = SymMat([[0.5, 0.1], [0.1, 0.4]])
         assert count(mobius_apply, params, x) == ["eigh"] * 4
+
+
+class TestFactorizationsPerCall:
+    """Cholesky factorizations (_cholesky) per public call: a [lo, hi] check
+    is one factorization of (M - lo I)(hi I - M)."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        cholesky = linalg._cholesky
+
+        def counting(rows, shift):
+            calls.append(shift)
+            return cholesky(rows, shift)
+
+        monkeypatch.setattr(linalg, "_cholesky", counting)
+
+        def run(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        return run
+
+    def test_make_effect_on_a_certified_effect(self, count):
+        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == 1
+        assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == 1
+
+    def test_apply_with_an_interior_image(self, count):
+        phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
+        x = SymMat([[0.5, 0.1], [0.1, 0.4]])
+        assert count(phi.apply, make_effect(x)) == 1      # the image's check
+        assert count(phi.apply, x) == 2                   # and the input's
 
 
 class TestScalingsPerCall:

@@ -122,6 +122,42 @@ class TestEigh:
                 assert np.allclose(ours, theirs, atol=1e-11)
 
 
+def row_wise_scaled_rows(m):
+    """_scaled_rows computed row by row, with max |m_ij| from abs and the
+    sums of squares over the rows: the bits its flat list must keep."""
+    rows = m.tolist()
+    top = max(map(abs, [x for row in rows for x in row]))
+    k = 1 - math.frexp(top)[1] if top else 0
+    if k:
+        rows = np.ldexp(m, k).tolist()
+    diag = max(abs(row[i]) for i, row in enumerate(rows))
+    frob = math.sqrt(sum(x * x for row in rows for x in row))
+    return rows, k, diag, frob
+
+
+def float_bits(value):
+    """Every float in a nested structure as its hex form, ints as they are."""
+    if isinstance(value, (list, tuple)):
+        return [float_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestScaledRows:
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+               st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n)),
+           st.integers(-600, 600))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_row_wise_scaling(self, values, k):
+        n = math.isqrt(len(values))
+        m = np.ldexp(np.array(values).reshape(n, n), k)
+        assert float_bits(tuple(linalg._scaled_rows(m))) == float_bits(row_wise_scaled_rows(m))
+
+    def test_zero_matrix(self):
+        for m in (np.zeros((3, 3)), -np.zeros((2, 2))):
+            assert float_bits(tuple(linalg._scaled_rows(m))) == float_bits(row_wise_scaled_rows(m))
+            assert linalg._scaled_rows(m).k == 0
+
+
 class TestLoewnerPredicates:
     def test_reflexive(self):
         m = SymMat([[1.0, 0.5], [0.5, 1.0]])

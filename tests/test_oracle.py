@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loewner import linalg, oracle
+from loewner import linalg, oracle, selftest
 from loewner.automorphisms import EffectAutomorphism
 from loewner.effects import RankOneProjection, make_effect, prescribed_strength_pair, standard_projection
 from loewner.errors import NotPSD
@@ -16,6 +16,18 @@ FROZEN_EFFECT_42 = np.array([
     [0.04495560467082293, -0.20720424291144132],
     [-0.20720424291144132, 0.9550443953291773],
 ])
+
+
+def fixed_loop_bisection(A, P):
+    """The bisection without its early stop: 60 steps of loewner_le."""
+    lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if linalg.loewner_le(SymMat(mid * P.mat.a), A):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestStrengthBisection:
@@ -36,6 +48,22 @@ class TestStrengthBisection:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             oracle.strength_bisection(SymMat.diagonal([-1.0, 1.0]), standard_projection(0, 2))
+
+    def test_early_stop_matches_the_fixed_loop_bit_for_bit(self, monkeypatch):
+        # every bisection of the selftest's strength property (seed 4 of
+        # run_selftest(0, 200)), against all 60 steps of the Loewner test
+        results = []
+        bisection = oracle.strength_bisection
+
+        def recording(A, P):
+            results.append((A, P, bisection(A, P)))
+            return results[-1][-1]
+
+        monkeypatch.setattr(oracle, "strength_bisection", recording)
+        assert selftest.check_strength_oracle(4, 200).ok
+        assert len(results) == 200
+        for A, P, result in results:
+            assert result.hex() == fixed_loop_bisection(A, P).hex()
 
 
 class TestSamplerDeterminism:
