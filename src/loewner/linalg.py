@@ -42,6 +42,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # Backward error of one two-sided plane rotation, in units of
 # u * ||A||_F (Higham, Accuracy and Stability, 2nd ed., ch. 19).
 _ROTATION_ERROR = 16.0
+# Least size of the product a [lo, hi] check factors (_certified_within).
+_SMALLEST_PRODUCT = 2.0 ** -600
 
 
 @dataclass(frozen=True)
@@ -620,7 +622,10 @@ def _certified_off_range(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> boo
     the relative roundings, and adds 4 (n + 1) sqrt(n) u ||x|| for the
     rounding of the Jacobi route's own residual and of w^t x. The
     exponent range guard of _certificate applies; anything undecided
-    goes to the spectral route.
+    goes to the spectral route. Squares are taken as products, so a
+    Schur complement or M w that overflows (a tiny pivot next to large
+    off-diagonal entries) comes out inf or nan and fails the tests
+    instead of raising.
     """
     rows, k, diag, frob = scaled
     n = len(rows)
@@ -640,8 +645,8 @@ def _certified_off_range(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> boo
     gate = 2.0 * rank_tol * max(1.0, xn)
     if not wx > gate * wn:
         return False
-    sigma = math.sqrt(sum((rows[i][j] - sum(map(operator.mul, low[i], low[j]))) ** 2
-                          for i in rest for j in rest))
+    schur = [rows[i][j] - sum(map(operator.mul, low[i], low[j])) for i in rest for j in rest]
+    sigma = math.sqrt(sum(map(operator.mul, schur, schur)))
     u = _UNIT_ROUNDOFF
     eps_f = 2.0 * n * (n + 1) * u * (2.0 * diag + sigma)
     eps_j = _jacobi_error(n, frob)
@@ -652,7 +657,8 @@ def _certified_off_range(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> boo
     beta = shift - 2.0 * (eps_f + eps_j)
     if not (beta > 0.0 and _cholesky(block, shift)[1][-1] > 0.0):
         return False
-    mw = math.sqrt(sum(sum(map(operator.mul, row, w)) ** 2 for row in rows))
+    mws = [sum(map(operator.mul, row, w)) for row in rows]
+    mw = math.sqrt(sum(map(operator.mul, mws, mws)))
     eps_v = _ROTATION_ERROR * u * _rotations(n)
     lean = 2.0 * ((mw + ((n + 1) * u * frob + eps_j) * wn) / beta + eps_v * wn)
     return (wx - lean * xn) / wn > gate + 4.0 * (n + 1) * math.sqrt(n) * u * xn
@@ -679,8 +685,11 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     spectrum of m (eigvalsh) lies in [lo, hi], lo < hi; False when that is
     undecided or untrue.
 
-    Work is on M = 2^k m of _scaled_rows(m), with lo and hi scaled alike,
-    F = ||M||_F, u = 2^-53 and eps_j the Jacobi error of _certificate.
+    Work is on M = 2^j m, with lo and hi scaled alike and j chosen so
+    that the largest of max |m_ij|, |lo| and |hi| lands in [1, 2): the
+    k of _scaled_rows(m) when m's entries are the largest, else the
+    power that brings the wider end there. F = ||M||_F, u = 2^-53 and
+    eps_j is the Jacobi error of _certificate.
 
     - P = (M - lo I)(hi I - M) is symmetric with eigenvalues
       p(lambda) = (lambda - lo)(hi - lambda). If every p(lambda) >= eta > 0,
@@ -702,29 +711,34 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     + eps_p + eps_c: each eigenvalue of M is at least 2 eps_j inside
     (lo, hi), and the second eps_j (with eps_p + eps_c > 0 when eta = 0)
     absorbs the rounding of F, S, the shift and the scaled ends. For
-    m = 0 (eta = 0) Jacobi returns the diagonal exactly. A product
-    that could overflow (a tiny m against wide ends) and the exponent
-    range guard of _certificate leave the answer undecided, without
-    forming the product.
+    m = 0 (eta = 0) Jacobi returns the diagonal exactly.
+
+    Every entry of M and both ends are at most 2, so S stays below
+    (2 n + 2 sqrt(n))^2 and nothing overflows. An m tiny next to its
+    ends leaves entries or products below the normal range, whose
+    absolute errors are a few n^2 2^-1074 each (in the ends, F, eta, the
+    product and the factorization). When S >= 2^-600 the slack
+    eps_p + eps_c > 2^-650 covers them; a smaller S (a tiny m against
+    an end at 0) and the exponent range guard of _certificate leave the
+    answer undecided, without forming the product.
     """
-    scaled = _scaled_rows(m)
-    rows, k, _, frob = scaled
+    rows, k, _, frob = _scaled_rows(m)
     if abs(k) > 1000:
         return False
     n = len(rows)
-    one = math.ldexp(1.0, k)
-    lo, hi = lo * one, hi * one
+    j = min(k, 1 - math.frexp(max(abs(lo), abs(hi)))[1])
+    lo, hi, frob = math.ldexp(lo, j), math.ldexp(hi, j), math.ldexp(frob, j - k)
     root = math.sqrt(n)
     size = (frob + root * abs(lo)) * (frob + root * abs(hi))
+    if not size >= _SMALLEST_PRODUCT:
+        return False
     u = _UNIT_ROUNDOFF
     eta = (hi - lo) * _jacobi_error(n, frob)
     eps_p = 2.0 * (n + 2) * u * size
     eps_c = 4.0 * n * (n + 1) * u * (size + eta)
     shift = 2.0 * (eta + eps_p + eps_c)
-    if not math.isfinite(4.0 * size + shift):
-        return False
     eye = np.eye(n)
-    scaled_m = np.ldexp(m, k)
+    scaled_m = np.array(rows) if j == k else np.ldexp(m, j)
     product = (scaled_m - lo * eye) @ (hi * eye - scaled_m)
     return _cholesky(product.tolist(), shift)[1][-1] > 0.0
 

@@ -124,18 +124,20 @@ def strength_bisection(A: SymMat, P: RankOneProjection) -> float:
     Loewner predicate tP <= A, i.e. A - tP PSD; at most 60 iterations.
 
     The bisection stops early once the midpoint reaches float resolution
-    at an endpoint that a verdict has set: every later step would repeat
-    that verdict and leave both endpoints as they are."""
+    at an endpoint whose verdict is known: every later step would repeat
+    that verdict and leave both endpoints as they are. lo's verdict is
+    known from the start (t = 0 is the is_psd(A) check); hi's only once a
+    step has set it."""
     if not linalg.is_psd(A):
         raise NotPSD("strength oracle requires a PSD input")
     lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
-    lo_decided = hi_decided = False
+    hi_decided = False
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if (mid == lo and lo_decided) or (mid == hi and hi_decided):
+        if mid == lo or (mid == hi and hi_decided):
             break
         if linalg.is_psd(SymMat(A.a - mid * P.mat.a)):
-            lo, lo_decided = mid, True
+            lo = mid
         else:
             hi, hi_decided = mid, True
     return lo

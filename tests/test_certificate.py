@@ -235,10 +235,8 @@ def test_within_agrees_with_jacobi_at_the_ends():
     assert 0 < undecided < len(verdicts)
 
 
-@pytest.mark.parametrize("j", [-600, -1010, 1010])
+@pytest.mark.parametrize("j", [-1010, 1010])
 def test_within_is_undecided_past_the_exponent_range(j):
-    # 2^-600 m against [-tau, 1 + tau]: in the scaled units of m the ends
-    # are near 2^600 and their product could pass the top of the range;
     # |k| > 1000 is the exponent guard of every certificate
     m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), j)
     ends = (-DEFAULT_TOL.psd_tol, 1.0 + DEFAULT_TOL.psd_tol)
@@ -248,13 +246,35 @@ def test_within_is_undecided_past_the_exponent_range(j):
     assert jacobi_within(m, *ends) == (j < 0)
 
 
+@pytest.mark.parametrize("j", [-600, -990])
+def test_within_certifies_a_tiny_m_against_wide_ends(j):
+    # 2^j m against [-tau, 1 + tau]: scaled by the ends rather than by m,
+    # the product neither overflows nor falls below the least size
+    m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), j)
+    ends = (-DEFAULT_TOL.psd_tol, 1.0 + DEFAULT_TOL.psd_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg._certified_within(m, *ends)
+    assert jacobi_within(m, *ends)
+
+
+def test_within_is_undecided_for_a_tiny_m_against_an_end_at_zero():
+    # 2^-700 m against [0, 1]: the product is about ||m||_F, below the
+    # size at which the proof covers underflow, so the check leaves it
+    # to the spectral route, which finds it inside
+    m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), -700)
+    assert not linalg._certified_within(m, 0.0, 1.0)
+    assert jacobi_within(m, 0.0, 1.0)
+
+
 def within_shift(m, lo, hi):
-    """(s, lo, hi) in the scaled units of m: the Cholesky shift of the
-    [lo, hi] check, 2 (eta + eps_p + eps_c), from the margins its proof
+    """(s, lo, hi) in the scaled units of the [lo, hi] check: its
+    Cholesky shift 2 (eta + eps_p + eps_c), from the margins its proof
     names."""
     scaled = linalg._scaled_rows(m)
-    n, f = m.shape[0], scaled.frob
-    lo, hi = math.ldexp(lo, scaled.k), math.ldexp(hi, scaled.k)
+    j = min(scaled.k, 1 - math.frexp(max(abs(lo), abs(hi)))[1])
+    n, f = m.shape[0], math.ldexp(scaled.frob, j - scaled.k)
+    lo, hi = math.ldexp(lo, j), math.ldexp(hi, j)
     u = 2.0 ** -53
     size = (f + math.sqrt(n) * abs(lo)) * (f + math.sqrt(n) * abs(hi))
     eta = (hi - lo) * linalg._jacobi_error(n, f)
@@ -275,7 +295,7 @@ def test_within_band_is_as_wide_as_its_proof(rest, lo, hi):
     base = np.diag([lo] + rest)
     for factor, certified in ((0.98, False), (1.02, True)):
         shift, lo_s, hi_s = within_shift(base, lo, hi)
-        unit = (hi_s - lo_s) / (hi - lo)                # 2^k
+        unit = (hi_s - lo_s) / (hi - lo)                # 2^j
         m = np.diag([lo + factor * shift / (hi_s - lo_s) / unit] + rest)
         shift, lo_s, hi_s = within_shift(m, lo, hi)
         gap = (m[0, 0] - lo) * (hi_s - lo_s) / (hi - lo)
@@ -331,6 +351,19 @@ def test_off_range_of_an_indefinite_a_is_not_psd(diagonal):
     for frame in (np.eye(len(diagonal)), q):
         m = (frame * diagonal) @ frame.T
         a, x = SymMat((m + m.T) / 2.0), RankOneProjection(frame[:, -1])
+        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        with pytest.raises(NotPSD):
+            strength(a, x)
+
+
+def test_off_range_of_an_indefinite_a_with_a_tiny_pivot_is_not_psd():
+    # the pivot 1e-160 next to unit off-diagonal entries puts about 1e160
+    # in the Schur complement, whose square overflows: the keep test must
+    # fail on it, not raise, so the spectral route gives NotPSD
+    a = SymMat([[1e-160, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    x = RankOneProjection([0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
         with pytest.raises(NotPSD):
             strength(a, x)
