@@ -5,6 +5,10 @@ that drive the order-automorphism machinery.
 The strength of a positive A along a rank-one projection P = xx^t is the
 largest t with tP <= A. For x in the range of A it has the closed form
 1 / <A+ x, x> (A+ the pseudoinverse); for x outside the range it is 0.
+Both are read off a factorization when a certificate proves that the
+spectral route decides alike: LDL^t for an A definite within rank
+tolerance, a semidefinite pivoted Cholesky A ~ L L^t for a singular one
+(1 / |y|^2 with L11 y = x1 inside the range).
 """
 
 from __future__ import annotations
@@ -40,16 +44,29 @@ class Effect:
 
 
 class RankOneProjection:
-    """xx^t for a unit vector x; the matrix is cached at construction."""
+    """xx^t for a unit vector x; the matrix is cached at construction.
+
+    The direction is first scaled by the power of two that brings its
+    largest entry into [1/2, 1), so that x.x can neither overflow nor
+    underflow; the unit vector is then the same bits for every 2^j
+    multiple of the direction, and the same bits as dividing by the norm
+    directly whenever every x_i^2 and x.x are normal doubles. Any finite
+    nonzero direction spans a line, so only the zero vector and non-finite
+    entries are refused."""
 
     __slots__ = ("x", "mat")
 
     def __init__(self, direction):
         vec = np.array(direction, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm <= 1e-12:
+        top = float(np.abs(vec).max(initial=0.0))
+        if not math.isfinite(top):
+            raise BadParameter("projection direction must be finite")
+        if top == 0.0:
             raise BadParameter("projection direction must be a nonzero vector")
-        vec = vec / norm
+        exponent = math.frexp(top)[1]
+        if exponent:
+            vec = np.ldexp(vec, -exponent)
+        vec = vec / float(np.linalg.norm(vec))
         vec.flags.writeable = False
         self.x = vec
         self.mat = SymMat(np.outer(vec, vec))
@@ -138,9 +155,11 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
     Closed form: 0 when the direction of P leaves the range of A, else
     1 / <A+ x, x>. An A certified definite within rank tolerance has full
     range and A+ = A^-1, so an LDL^t solve answers without a spectrum.
-    Otherwise a semidefinite pivoted Cholesky factorization of A answers 0
-    without a spectrum when it proves that the spectral route would find
-    A PSD and x off its range (linalg._certified_off_range). Every other
+    Otherwise a semidefinite pivoted Cholesky factorization A ~ L L^t
+    answers without a spectrum when it proves that the spectral route
+    would find A PSD, keep the r eigenvalues the factor separates and
+    decide x alike (linalg._pivoted_strength): 0 off the range, and
+    1 / |y|^2 with L11 y = x1 (the pivot rows) inside it. Every other
     input takes one spectrum: pinv_and_range, which also raises NotPSD
     for an input that is not PSD.
     """
@@ -148,10 +167,10 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
     scaled = linalg._scaled_rows(A.a)
     alpha = linalg._reciprocal_form(scaled, P.x, tol)
+    if alpha is None:
+        alpha = linalg._pivoted_strength(scaled, P.x, tol)
     if alpha is not None:
         return alpha
-    if linalg._certified_off_range(scaled, P.x, tol):
-        return 0.0
     pinv, in_range = linalg.pinv_and_range(A, tol)
     if not in_range(P.x):
         return 0.0

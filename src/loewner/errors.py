@@ -10,12 +10,13 @@ class DimensionMismatch(LoewnerError):
 
 
 class TooLarge(LoewnerError):
-    """An input is too large to process: a dimension above the CLI cap, or
-    a generator whose Gram matrix T^t T overflows."""
+    """An input is too large to process: a dimension above the CLI cap, a
+    generator whose Gram matrix T^t T overflows, a spectrum that does not
+    fit in a double, or a sum or difference of matrices that overflows."""
 
 
 class NonConvergence(LoewnerError):
-    """The eigensolver exhausted its sweep budget (pathological input)."""
+    """The eigensolver exhausted its sweep budget, linalg._MAX_SWEEPS."""
 
 
 class NotPSD(LoewnerError):

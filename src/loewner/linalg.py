@@ -15,8 +15,14 @@ diagonalizing (_definite_ldl). A factorization that refutes an order gives
 a direction of negative curvature (_negative_curvature), from which
 effects.strength_witness builds its witness. A [lo, hi] check is one
 factorization of (M - lo I)(hi I - M) (_certified_within), and a
-semidefinite pivoted factorization answers strength off the range of a
-singular matrix (_certified_off_range).
+semidefinite pivoted factorization answers strength along a direction off
+the range of a singular matrix (0) or inside it (1 / |y|^2 from its
+factor) when the spectral route provably decides alike (_pivoted_strength).
+
+Every certificate charges Jacobi the error of the most sweeps it can run,
+_MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
+double, and a sum or difference of SymMats whose entries overflow, raise
+TooLarge.
 """
 
 from __future__ import annotations
@@ -34,9 +40,14 @@ from .errors import (
     NonConvergence,
     NotPSD,
     Singular,
+    TooLarge,
 )
 
-_MAX_SWEEPS = 100
+# Jacobi's sweep cap, past which it raises NonConvergence: more than twice
+# the most sweeps measured on random, graded 10^U(-12, 0), 0/1, clustered
+# and repeated spectra up to n = 44 (17 at n = 44, 10 at n = 16). The error
+# terms of the certificates charge this many sweeps (_rotations).
+_MAX_SWEEPS = 40
 _EIG_TOL = 1e-14  # eig_tol: Jacobi stops at off-diagonal mass _EIG_TOL * ||A||_F
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Backward error of one two-sided plane rotation, in units of
@@ -129,10 +140,10 @@ class SymMat:
         return self.a if dtype is None else self.a.astype(dtype)
 
     def __add__(self, other: "SymMat") -> "SymMat":
-        return SymMat(self.a + other.a)
+        return _combined(np.add, self, other)
 
     def __sub__(self, other: "SymMat") -> "SymMat":
-        return SymMat(self.a - other.a)
+        return _combined(np.subtract, self, other)
 
     def __neg__(self) -> "SymMat":
         return SymMat(-self.a)
@@ -144,6 +155,20 @@ class SymMat:
 
     def __repr__(self):
         return f"SymMat({self.a.tolist()!r})"
+
+
+@np.errstate(over="ignore")
+def _combined(op, first: SymMat, second: SymMat) -> SymMat:
+    """op(first, second) entrywise: as bitwise symmetric as the operands,
+    so it is frozen as it stands; TooLarge, with no warning, when an entry
+    overflows (the operands' entries are finite)."""
+    m = op(first.a, second.a)
+    if not np.isfinite(m).all():
+        raise TooLarge("matrix entries overflow the double range")
+    m.flags.writeable = False
+    combined = object.__new__(SymMat)
+    combined.a, combined.n = m, m.shape[0]
+    return combined
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +225,9 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
     Runs on plain Python lists: at the target dimensions this beats
     per-element numpy access by a wide margin. The sweeps run on the
     power-of-two scaled copy of _scaled_rows and the eigenvalues are
-    scaled back, so the result is exact-scale equivariant.
+    scaled back, so the result is exact-scale equivariant; TooLarge when
+    one does not fit in a double (entries near the top of the range).
+    NonConvergence past _MAX_SWEEPS sweeps.
     """
     n = m.shape[0]
     a, power, _, scale = _scaled_rows(m)
@@ -254,7 +281,10 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
         values = [a[i][i] for i in range(n)]
 
     order = sorted(range(n), key=values.__getitem__)
-    lam = np.ldexp([values[i] for i in order], -power)
+    try:
+        lam = np.array([math.ldexp(values[i], -power) for i in order])
+    except OverflowError:
+        raise TooLarge("an eigenvalue does not fit in a double") from None
     if not want_vectors:
         return lam, None
     vec = np.array(v)[:, order]
@@ -322,13 +352,32 @@ def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
 
 
 def _rotations(n: int) -> float:
-    """R = _MAX_SWEEPS n (n - 1) / 2, the most rotations Jacobi runs."""
+    """R = _MAX_SWEEPS n (n - 1) / 2: the most rotations behind a spectrum
+    that _jacobi returns, as a sweep is n (n - 1) / 2 of them and a run
+    past _MAX_SWEEPS sweeps raises NonConvergence instead."""
     return _MAX_SWEEPS * n * (n - 1) / 2.0
 
 
 def _jacobi_error(n: int, frob: float) -> float:
     """eps_j = (_EIG_TOL + 16 u R) F: how far each Jacobi eigenvalue of an
-    n x n matrix with ||m||_F = F lies from the true one (_certificate)."""
+    n x n matrix with ||m||_F = F lies from the true one (_certificate).
+
+    Jacobi runs on 2^k m and scales its eigenvalues back exactly, so take
+    every quantity in those units. A plane rotation computed in floating
+    point is an exact orthogonal similarity of its input plus a
+    perturbation of norm at most 16 u times the input's Frobenius norm
+    (Higham, Accuracy and Stability, 2nd ed., ch. 19; Demmel & Veselic,
+    SIAM J. Matrix Anal. Appl. 13(4), 1992). Exact similarities keep that
+    norm, so after the at most R rotations of _rotations (the sweep cap
+    _MAX_SWEEPS, enforced by NonConvergence) the final matrix is
+    Q^t (m + dm) Q with Q orthogonal and ||dm||_2 <= 16 u R F (the growth
+    of the norm along the way, (1 + 16 u)^R < 1 + 1e-9 up to n = 100, is
+    left to the slack in the callers' margins, a factor of 2 or 1.01).
+    The stopping test leaves off-diagonal mass ||O||_F <= _EIG_TOL F, and
+    the computed eigenvalues are the diagonal, so by Weyl's inequality
+    each lies within ||dm||_2 + ||O||_F <= eps_j of the eigenvalue of m of
+    the same rank.
+    """
     return (_EIG_TOL + _ROTATION_ERROR * _UNIT_ROUNDOFF * _rotations(n)) * frob
 
 
@@ -526,26 +575,23 @@ def _reciprocal_form(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Optiona
     return math.ldexp(1.0 / q, -k)
 
 
-def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list, float]:
+def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list]:
     """Semidefinite Cholesky with diagonal pivoting (Higham, Accuracy and
     Stability, 2nd ed., sec. 10.3), run in floating point until the
     largest Schur complement diagonal is at most `stop`: (pivots, rest,
-    low, smallest). `pivots` are the r pivot indices in order, `rest` the
-    other indices, low[i] row i of the n x r factor L in pivot order (a
-    pivot's row ends at its diagonal), and `smallest` the least pivot
-    l_jj^2."""
+    low). `pivots` are the r pivot indices in order, `rest` the other
+    indices, and low[i] row i of the n x r factor L in pivot order (a
+    pivot's row ends at its diagonal)."""
     n = len(rows)
     schur = [row[i] for i, row in enumerate(rows)]
     low = [[] for _ in range(n)]
     rest = list(range(n))
     pivots = []
-    smallest = math.inf
     while rest:
         p = max(rest, key=schur.__getitem__)
         if not schur[p] > stop:
             break
         rest.remove(p)
-        smallest = min(smallest, schur[p])
         root = math.sqrt(schur[p])
         lp = low[p]
         for i in rest:
@@ -555,25 +601,69 @@ def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list, float]
             schur[i] -= value * value
         lp.append(root)
         pivots.append(p)
-    return pivots, rest, low, smallest
+    return pivots, rest, low
 
 
-def _null_direction(pivots: list, rest: list, low: list, x: list) -> list:
+def _gram_floor(low: list, r: int) -> Tuple[float, list, float]:
+    """(b, R, t) for the n x r factor L of _pivoted_cholesky (row i is
+    low[i], zero past its end): b a lower bound on lambda_min(L^t L), 0.0
+    when a factorization below fails; R the unshifted Cholesky factor of
+    the computed G = fl(L^t L), as _cholesky returns it; t = trace(G).
+
+    Three steps of inverse iteration through R end in a Rayleigh quotient
+    of G^-1, so in an estimate e >= lambda_min(G) up to rounding. They
+    start from the last unit vector: the pivoting leaves the weakest
+    direction of L last. A Cholesky of G - s I at s = e / 2 that runs to
+    completion proves lambda_min(G) >= s - eps_c, eps_c = 2 r (r + 1) u W
+    (_certificate), where W = 2 t bounds every shifted diagonal. G is
+    within n u ||L||_F^2 <= 2 n u t of L^t L in norm, in any summation
+    order, and only its lower triangle is read; so lambda_min(L^t L) >=
+    b = s - 4 (r (r + 1) + n) u t. The same two terms bound
+    ||R R^t - L^t L|| by d = 4 (r (r + 1) + n) u t."""
+    n = len(low)
+    lmat = np.zeros((n, r))
+    for i, li in enumerate(low):
+        lmat[i, :len(li)] = li
+    rows = (lmat.T @ lmat).tolist()
+    trace = sum(row[i] for i, row in enumerate(rows))
+    factor, pivots = _cholesky(rows, 0.0)
+    if not pivots[-1] > 0.0:
+        return 0.0, factor, trace
+    below = [[factor[j][i] for j in range(i + 1, r)] for i in range(r)]
+    z = [0.0] * (r - 1) + [1.0]
+    for _ in range(3):
+        v = _forward_solve(factor, z)
+        w = [0.0] * r
+        for i in range(r - 1, -1, -1):
+            w[i] = (v[i] - sum(map(operator.mul, below[i], w[i + 1:]))) / factor[i][i]
+        estimate = sum(map(operator.mul, z, z)) / sum(map(operator.mul, z, w))
+        size = math.sqrt(sum(map(operator.mul, w, w)))
+        z = [wi / size for wi in w]
+    shift = estimate / 2.0
+    if not _cholesky(rows, shift)[1][-1] > 0.0:
+        return 0.0, factor, trace
+    return shift - 4.0 * (r * (r + 1) + n) * _UNIT_ROUNDOFF * trace, factor, trace
+
+
+def _forward_solve(factor: list, z: list) -> list:
+    """R^-1 z for a complete _cholesky factor R."""
+    v = []
+    for li, zi in zip(factor, z):
+        v.append((zi - sum(map(operator.mul, li, v))) / li[-1])
+    return v
+
+
+def _null_direction(pivots: list, rest: list, low: list, g: list) -> list:
     """w = K K^t x for K = [-L11^-t L21^t; I] (in pivot order), whose
     columns span the null space of L^t: the part of x off the factor's
-    range, up to the shape of K. Two triangular solves, no inverse:
-    L11 y = x1, g = x2 - L21 y, L11^t z = L21^t g, w = (-z, g)."""
-    y = []
-    for j, p in enumerate(pivots):
-        lp = low[p]
-        y.append((x[p] - sum(map(operator.mul, lp, y))) / lp[j])
-    g = [x[i] - sum(map(operator.mul, low[i], y)) for i in rest]
+    range, up to the shape of K. Given g = x2 - L21 y with L11 y = x1, one
+    more triangular solve, no inverse: L11^t z = L21^t g, w = (-z, g)."""
     r = len(pivots)
     z = [0.0] * r
     for j in range(r - 1, -1, -1):
         h = sum(low[i][j] * gi for i, gi in zip(rest, g))
         z[j] = (h - sum(low[pivots[t]][j] * z[t] for t in range(j + 1, r))) / low[pivots[j]][j]
-    w = [0.0] * len(x)
+    w = [0.0] * (r + len(rest))
     for p, zj in zip(pivots, z):
         w[p] = -zj
     for i, gi in zip(rest, g):
@@ -581,87 +671,142 @@ def _null_direction(pivots: list, rest: list, low: list, x: list) -> list:
     return w
 
 
-def _certified_off_range(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> bool:
-    """True when a semidefinite pivoted Cholesky factorization proves that
-    pinv_and_range(m) (scaled = _scaled_rows(m)) raises no NotPSD and finds
-    x outside the range of m, so that strength is 0 without a spectrum;
-    False when undecided.
+def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Optional[float]:
+    """strength(m, x x^t) for a unit x from a semidefinite pivoted Cholesky
+    factorization of m (scaled = _scaled_rows(m)), when it proves that the
+    spectral route (pinv_and_range, then its closed form) raises no
+    NotPSD and decides alike: 0.0 when x is off the range; 2^-k / |y|^2,
+    with y below, when x is in it; None when undecided.
 
     Work is on M = 2^k m, with D = max |M_ii|, F = ||M||_F, u = 2^-53,
-    eps_j of _certificate, R its rotation count, and psd_tol = rank_tol.
+    eps_j of _jacobi_error, eps_v = 16 u R with R of _rotations, and
+    psd_tol = rank_tol.
 
-    - The factorization stops after r pivots, 0 < r < n: M + E =
-      L L^t + S, S the computed Schur complement on the other indices, and
-      ||E||_2 <= eps_f = 2 n (n + 1) u (2 D + sigma), sigma = ||S||_F
-      (inner products and square roots of at most n terms, as for
-      Cholesky; W = 2 D also bounds the shifted diagonals below).
+    - Factor: the factorization stops after r pivots, 0 < r < n:
+      M + E = L L^t + S, L the n x r factor, S the computed Schur
+      complement on the other indices, sigma = ||S||_F, and ||E||_2 <=
+      eps_f = 2 n (n + 1) u (2 D + sigma) (inner products and square roots
+      of at most n terms, as for Cholesky; W = 2 D also bounds the shifted
+      diagonals below).
     - Keep test: L L^t has rank r and L L^t >= 0, so by Weyl's inequality
       lambda_{r+1}(M) <= sigma + eps_f and lambda_min(M) >= -(sigma +
       eps_f), while lambda_max(M) >= top = max M_ii. The Jacobi
       eigenvalues mu are within eps_j of those, so when 2 (sigma + eps_f +
-      eps_j) < rank_tol (top - 2 eps_j), the (r+1)-th largest mu is at
-      most the keep gate rank_tol * mu_max and mu_min clears the NotPSD
-      gate -psd_tol * max(1, |mu|max): at most r eigenvectors are kept,
-      all among the top r.
-    - Gap: Cholesky of the leading pivoted block M11 at shift s (half the
-      least pivot over r) succeeds, so lambda_min(M11) >= s - eps_f, and
-      by interlacing lambda_r(M) >= lambda_min(M11). Every kept mu is
-      then at least beta = s - 2 (eps_f + eps_j) > 0.
-    - Lean: Jacobi's eigenvectors are V = Q + dV with Q orthogonal,
-      Q^t (M + dM) Q = diag(mu) + O, ||dM|| + ||O|| <= eps_j, and
-      ||dV||_F <= eps_v = 16 u R (each rotation moves V by at most 16 u).
-      For any w, ||diag(mu) Q^t w|| <= ||M w|| + eps_j ||w||, so the kept
-      columns B of V have ||B^t w|| <= (||M w|| + eps_j ||w||) / beta +
-      eps_v ||w||: the lean of the kept eigenvectors into w.
-    - Residual: the Jacobi route's r = x - B B^t x has ||r|| >= |w^t r| /
-      ||w|| >= (|w^t x| - ||B^t w|| ||B|| ||x||) / ||w||, ||B|| <= 1 + eps_v.
+      eps_j) < rank_tol (top - 2 eps_j), the (r+1)-th largest mu is below
+      the keep gate rank_tol * mu_max and mu_min clears the NotPSD gate
+      -psd_tol * max(1, |mu|max): at most r eigenvectors are kept, all
+      among the top r, and every other mu has |mu| <= sigma + eps_f +
+      eps_j.
+    - Gap: the nonzero eigenvalues of L L^t are those of G = L^t L, so by
+      Weyl's inequality lambda_r(M) >= lambda_min(G) - sigma - eps_f, and
+      each of the top r mu is at least beta = b - sigma - eps_f - eps_j,
+      b the bound on lambda_min(G) of _gram_floor.
+    - Vectors: Jacobi's eigenvectors are V = Q + dV with Q orthogonal,
+      Q^t (M + dM) Q = diag(mu) + O, ||dM|| + ||O|| <= eps_j, and ||dV||_2
+      <= eps_v (each rotation moves V by at most 16 u). B = Q1 + dV1 are
+      the kept columns and Q2 the columns of Q of the other mu.
 
-    w is _null_direction's, and |w^t x|, ||w||, ||x|| and ||M w|| are
-    computed, the last with an error under (n + 1) u F ||w||. The test
-    doubles the lean and the gate rank_tol * max(1, ||x||), which absorbs
-    the relative roundings, and adds 4 (n + 1) sqrt(n) u ||x|| for the
-    rounding of the Jacobi route's own residual and of w^t x. The
-    exponent range guard of _certificate applies; anything undecided
+    With L11 the pivot rows of L, y solves L11 y = x1 and g = x2 - L21 y
+    is the rest of x off the factor's range, in pivot order; the route is
+    chosen by |g| against the Jacobi route's gate rank_tol * max(1, |x|).
+
+    Off the range (2 |g| >= gate), the answer is 0.0 when beta > 0 and
+    the test below passes.
+    - Lean: for any w, |diag(mu) Q^t w| <= |M w| + eps_j |w|, so |B^t w|
+      <= (|M w| + eps_j |w|) / beta + eps_v |w|: the lean of the kept
+      eigenvectors into w, here _null_direction's.
+    - Residual: the Jacobi route's x - B B^t x has norm at least
+      (|w^t x| - |B^t w| |B| |x|) / |w|, with |B| <= 1 + eps_v.
+    |w^t x|, |w|, |x| and |M w| are computed, the last with an error under
+    (n + 1) u F |w|. The test doubles the lean and the gate, which absorbs
+    the relative roundings, and adds 4 (n + 1) sqrt(n) u |x| for the
+    rounding of the Jacobi route's own residual and of w^t x.
+
+    In the range (2 |g| < gate), the answer is 2^-k / |y|^2 when beta >
+    2 rank_tol (F + eps_j), zeta (below) < 1/2 and the test below passes.
+    - Kept: mu_max <= lambda_max(M) + eps_j <= F + eps_j, so the bound on
+      beta puts the top r mu above the keep gate: exactly r are kept.
+    - Residual: |x - B B^t x| <= |Q2^t x| + (2 eps_v + eps_v^2) |x|. With
+      e = x - L y, |e| <= |g| + 2 (r + 1) u (|x| + ||L||_F |y|) covers the
+      roundings of y and g (||L||_F^2 <= 1.01 t), and Q2^t x = Q2^t L y +
+      Q2^t e. With z = L G^-1 y, L^t z = y, and L L^t = M + E - S, so
+      Q2^t L y = Q2^t (M + E - S) z, where |Q2^t M z| <= (max over the
+      other mu of |mu| + eps_j) |z|: |Q2^t L y| <= 2 (sigma + eps_f +
+      eps_j) |z|, the lean of the discarded eigenvectors into the range.
+    - |z|: |z|^2 = y^t G^-1 y. With R, t and d of _gram_floor and G >= b I,
+      R R^t <= (1 + d / b) G, so |z|^2 <= (1 + d / b) |R^-1 y|^2; the
+      computed v = R^-1 y has |R^-1 y| <= |v| (1 + 2 (r + 1) u sqrt(t / b))
+      when d <= b / 2 (||R||_F^2 <= 2 t, ||R^-1||^2 <= 2 / b). As t >= b,
+      both factors together are at most 1 + zeta, zeta = 4 ((r + 1)^2 + n)
+      u t / b, and zeta < 1/2 gives d <= b / 2.
+    The test adds these bounds, multiplies them by 1.01, which absorbs the
+    relative roundings of every computed term (each under 100 u) and the
+    norm growth of _jacobi_error (under 1e-9), adds the same 4 (n + 1)
+    sqrt(n) u |x|, and compares the sum with the gate.
+    - Answer: for x = L y, x^t (L L^t)^+ x = |y|^2, the closed form on the
+      factor; in the units of m it is 2^k |y|^2. The spectral route's
+      answer comes from the truncated spectrum instead: for an x in the
+      range the two differ in the last bits, for one within the gate but
+      off the range by about the angle off it.
+
+    The exponent range guard of _certificate applies; anything undecided
     goes to the spectral route. Squares are taken as products, so a
     Schur complement or M w that overflows (a tiny pivot next to large
     off-diagonal entries) comes out inf or nan and fails the tests
-    instead of raising.
+    instead of raising; past the keep test every row of L has norm below
+    sqrt(2 D + sigma + eps_f), so nothing after it overflows.
     """
     rows, k, diag, frob = scaled
     n = len(rows)
     if abs(k) > 1000:
-        return False
+        return None
     top = max(row[i] for i, row in enumerate(rows))
     rank_tol = tol.rank_tol
-    pivots, rest, low, smallest = _pivoted_cholesky(rows, rank_tol * top / n)
+    pivots, rest, low = _pivoted_cholesky(rows, rank_tol * top / n)
     r = len(pivots)
     if not 0 < r < n:
-        return False
-    xs = x.tolist()
-    w = _null_direction(pivots, rest, low, xs)
-    wx = abs(sum(map(operator.mul, w, xs)))
-    wn = math.sqrt(sum(map(operator.mul, w, w)))
-    xn = math.sqrt(sum(map(operator.mul, xs, xs)))
-    gate = 2.0 * rank_tol * max(1.0, xn)
-    if not wx > gate * wn:
-        return False
+        return None
+    u = _UNIT_ROUNDOFF
     schur = [rows[i][j] - sum(map(operator.mul, low[i], low[j])) for i in rest for j in rest]
     sigma = math.sqrt(sum(map(operator.mul, schur, schur)))
-    u = _UNIT_ROUNDOFF
     eps_f = 2.0 * n * (n + 1) * u * (2.0 * diag + sigma)
     eps_j = _jacobi_error(n, frob)
     if not 2.0 * (sigma + eps_f + eps_j) < rank_tol * (top - 2.0 * eps_j):
-        return False
-    shift = smallest / (2.0 * r)
-    block = [[rows[i][j] for j in pivots] for i in pivots]
-    beta = shift - 2.0 * (eps_f + eps_j)
-    if not (beta > 0.0 and _cholesky(block, shift)[1][-1] > 0.0):
-        return False
+        return None
+    xs = x.tolist()
+    y = []
+    for j, p in enumerate(pivots):
+        lp = low[p]
+        y.append((xs[p] - sum(map(operator.mul, lp, y))) / lp[j])
+    g = [xs[i] - sum(map(operator.mul, low[i], y)) for i in rest]
+    gn = math.sqrt(sum(map(operator.mul, g, g)))
+    xn = math.sqrt(sum(map(operator.mul, xs, xs)))
+    gate = rank_tol * max(1.0, xn)
+    floor, gram, trace = _gram_floor(low, r)
+    beta = floor - sigma - eps_f - eps_j
+    eps_v = _ROTATION_ERROR * u * _rotations(n)
+    rounding = 4.0 * (n + 1) * math.sqrt(n) * u * xn
+    if 2.0 * gn < gate:
+        if not beta > 2.0 * rank_tol * (frob + eps_j):
+            return None
+        zeta = 4.0 * ((r + 1) ** 2 + n) * u * trace / floor
+        v = _forward_solve(gram, y)
+        zn = math.sqrt(sum(map(operator.mul, v, v)))
+        size = sum(map(operator.mul, y, y))
+        lean = 2.0 * (sigma + eps_f + eps_j) * zn * (1.0 + zeta)
+        off = gn + 2.0 * (r + 1) * u * (xn + math.sqrt(trace * size)) + (2.0 + eps_v) * eps_v * xn
+        if not (zeta < 0.5 and 1.01 * (lean + off) + rounding < gate):
+            return None
+        return math.ldexp(1.0 / size, -k)
+    if not beta > 0.0:
+        return None
+    w = _null_direction(pivots, rest, low, g)
+    wx = abs(sum(map(operator.mul, w, xs)))
+    wn = math.sqrt(sum(map(operator.mul, w, w)))
     mws = [sum(map(operator.mul, row, w)) for row in rows]
     mw = math.sqrt(sum(map(operator.mul, mws, mws)))
-    eps_v = _ROTATION_ERROR * u * _rotations(n)
     lean = 2.0 * ((mw + ((n + 1) * u * frob + eps_j) * wn) / beta + eps_v * wn)
-    return (wx - lean * xn) / wn > gate + 4.0 * (n + 1) * math.sqrt(n) * u * xn
+    return 0.0 if (wx - lean * xn) / wn > 2.0 * gate + rounding else None
 
 
 def _ldl_inverse(low: list, pivots: list, k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import importlib
 import math
 import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,15 +101,15 @@ def within_recorder(calls):
     return recording
 
 
-def off_range_recorder(calls):
-    """linalg._certified_off_range (strength on an A that the LDL^t route
-    leaves) wrapped to append (m, x, tol, verdict)."""
-    certified_off_range = linalg._certified_off_range
+def pivoted_recorder(calls):
+    """linalg._pivoted_strength (strength on an A that the LDL^t route
+    leaves) wrapped to append (m, x, tol, answer)."""
+    pivoted_strength = linalg._pivoted_strength
 
     def recording(scaled, x, tol):
-        verdict = certified_off_range(scaled, x, tol)
-        calls.append((np.ldexp(np.array(scaled.rows), -scaled.k), np.array(x), tol, verdict))
-        return verdict
+        answer = pivoted_strength(scaled, x, tol)
+        calls.append((np.ldexp(np.array(scaled.rows), -scaled.k), np.array(x), tol, answer))
+        return answer
 
     return recording
 
@@ -117,13 +118,13 @@ def off_range_recorder(calls):
 def corpus_calls():
     """Every certificate call made by run_selftest(0, 200) and by every
     acceptance criterion's property call: (order calls, generator calls,
-    [lo, hi] checks, off-range decisions)."""
-    order, generator, within, off_range = [], [], [], []
+    [lo, hi] checks, pivoted strength answers)."""
+    order, generator, within, pivoted = [], [], [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_certificate", order_recorder(order))
         patch.setattr(linalg, "_certify_regular", generator_recorder(generator))
         patch.setattr(linalg, "_certified_within", within_recorder(within))
-        patch.setattr(linalg, "_certified_off_range", off_range_recorder(off_range))
+        patch.setattr(linalg, "_pivoted_strength", pivoted_recorder(pivoted))
         selftest.run_selftest(0, 200)
         s = ACCEPTANCE_SEED
         selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
@@ -137,7 +138,7 @@ def corpus_calls():
         selftest.check_two_by_two_fixtures(s + 8, 1)
         selftest.check_interval_atlas(s + 9, 200, per_shape=5)
         selftest.check_conjugation_identity(s + 10, 100, count=100)
-    return order, generator, within, off_range
+    return order, generator, within, pivoted
 
 
 def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
@@ -170,28 +171,57 @@ def test_within_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_call
     assert wrong_within_verdicts(calls) == []
 
 
-def jacobi_off_range(m, x, tol):
-    """The spectral route of strength answers 0 along x: pinv_and_range
-    raises no NotPSD and finds x outside the range of m."""
+def spectral_route(m, tol):
+    """The spectral route of strength on m: pinv_and_range and the number
+    of eigenvalues it keeps, or None when it raises NotPSD."""
+    a = SymMat(m)
     try:
-        _, in_range = linalg.pinv_and_range(SymMat(m), tol)
+        pinv, in_range = linalg.pinv_and_range(a, tol)
     except NotPSD:
-        return False
-    return not in_range(x)
+        return None
+    lam = linalg.eigvalsh(a)
+    return pinv, in_range, int(np.sum(lam > tol.rank_tol * float(lam[-1])))
 
 
-def wrong_off_range_verdicts(calls):
-    """Off-range decisions that the spectral route does not share."""
-    return [(m, x) for m, x, tol, verdict in calls if verdict and not jacobi_off_range(m, x, tol)]
+def pivoted_rank(m, tol):
+    """The number of pivots of the factorization behind _pivoted_strength."""
+    scaled = linalg._scaled_rows(m)
+    top = max(row[i] for i, row in enumerate(scaled.rows))
+    return len(linalg._pivoted_cholesky(scaled.rows, tol.rank_tol * top / m.shape[0])[0])
+
+
+def wrong_pivoted_answers(calls, rel=1e-12):
+    """Decided pivoted answers that the spectral route does not share: it
+    raises NotPSD, decides the range the other way, keeps another number
+    of eigenvalues than the factor's rank along a direction in the range,
+    or answers more than `rel` (relative) away. One spectral route per
+    matrix."""
+    routes, wrong = {}, []
+    for m, x, tol, answer in calls:
+        if answer is None:
+            continue
+        if (id(m), tol) not in routes:
+            routes[id(m), tol] = spectral_route(m, tol)
+        route = routes[id(m), tol]
+        if route is None or not route[1](x):
+            if route is None or answer != 0.0:
+                wrong.append((m, x, answer, route))
+            continue
+        pinv, _, kept = route
+        spectral = 1.0 / float(x @ pinv.a @ x)
+        if not (answer and kept == pivoted_rank(m, tol) and abs(answer - spectral) <= rel * spectral):
+            wrong.append((m, x, answer, spectral))
+    return wrong
 
 
 def test_off_range_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
     calls = corpus_calls[3]
-    decided = sum(verdict for *_, verdict in calls)
-    off = sum(jacobi_off_range(m, x, tol) for m, x, tol, _ in calls)
-    print(f"off-range certificate: {len(calls)} calls, {off} off the range, {decided} decided")
-    assert decided > 100
-    assert wrong_off_range_verdicts(calls) == []
+    off = sum(answer == 0.0 for *_, answer in calls)
+    inside = sum(bool(answer) for *_, answer in calls)
+    print(f"pivoted strength: {len(calls)} calls, {off} decided off the range, "
+          f"{inside} decided in it")
+    assert off > 100 and inside > 0
+    assert wrong_pivoted_answers(calls) == []
 
 
 def _within_gate_cases():
@@ -306,8 +336,8 @@ def test_within_band_is_as_wide_as_its_proof(rest, lo, hi):
 def _singular_corpus(seed):
     """(m, directions) for every rank r at n = 2..16: m = Q diag(0, lam) Q^t
     with r eigenvalues log-uniform in [1e-2, 1] (the condition cap of the
-    samplers), and unit directions at angles 1e-6 .. pi/2 off its range;
-    plus the zero matrix."""
+    samplers), and unit directions at angles 0 (in the range) and 1e-6 ..
+    pi/2 off it; plus the zero matrix."""
     rng = np.random.default_rng(seed)
     corpus = [(np.zeros((3, 3)), [np.ones(3) / math.sqrt(3.0)])]
     for n in range(2, 17):
@@ -320,26 +350,95 @@ def _singular_corpus(seed):
             out = q[:, :n - r] @ rng.standard_normal(n - r)
             inside, out = inside / np.linalg.norm(inside), out / np.linalg.norm(out)
             corpus.append(((m + m.T) / 2.0, [math.cos(theta) * inside + math.sin(theta) * out
-                                             for theta in (1e-6, 1e-4, 1e-2, 0.1, 0.5, math.pi / 2)]))
+                                             for theta in (0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, math.pi / 2)]))
     return corpus
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(1e-12), Tolerances(1e-3)])
 def test_off_range_agrees_with_jacobi_on_singular_matrices(tol):
-    decided = total = 0
+    calls = []
     for m, directions in _singular_corpus(19):
         scaled = linalg._scaled_rows(m)
-        xs = [RankOneProjection(x).x for x in directions]
-        verdicts = [linalg._certified_off_range(scaled, x, tol) for x in xs]
-        if any(verdicts):                               # one spectrum per matrix, no NotPSD
-            _, in_range = linalg.pinv_and_range(SymMat(m), tol)
-            assert not any(verdict and in_range(x) for x, verdict in zip(xs, verdicts))
-        decided += sum(verdicts)
-        total += len(verdicts)
-    print(f"off-range certificate, singular corpus, rank_tol {tol.rank_tol:g}: "
-          f"{decided} of {total} directions decided")
+        calls += [(m, x, tol, linalg._pivoted_strength(scaled, x, tol))
+                  for x in (RankOneProjection(d).x for d in directions)]
+    # a direction within the gate of the range but not in it: the factor's
+    # closed form and the truncated spectrum's part by about that much
+    assert wrong_pivoted_answers(calls, rel=max(1e-12, 10.0 * tol.rank_tol)) == []
+    off = sum(answer == 0.0 for *_, answer in calls)
+    inside = sum(bool(answer) for *_, answer in calls)
+    print(f"pivoted strength, singular corpus, rank_tol {tol.rank_tol:g}: {len(calls)} directions, "
+          f"{off} decided off the range, {inside} in it")
     # at the default even the directions 1e-6 off the range are decided
-    assert decided > 0.95 * total if tol is DEFAULT_TOL else decided > 0
+    assert off + inside > 0.95 * len(calls) if tol is DEFAULT_TOL else inside > 0 and off > 0
+
+
+def test_in_range_strength_on_the_singular_corpus_takes_no_spectrum(monkeypatch):
+    # the in-range direction of every matrix at n = 8..16: at least 90%
+    # are answered from the factor
+    spectra = []
+    jacobi = linalg._jacobi
+    monkeypatch.setattr(linalg, "_jacobi", lambda m, want: spectra.append(m.shape[0]) or jacobi(m, want))
+    cases = [(m, directions[0]) for m, directions in _singular_corpus(19) if 8 <= m.shape[0] <= 16]
+    for m, x in cases:
+        assert strength(SymMat(m), RankOneProjection(x)) > 0.0
+    print(f"in-range strength, singular corpus at n = 8..16: {len(spectra)} of {len(cases)} "
+          f"took a spectrum")
+    assert len(cases) == 99 and len(spectra) <= 9
+
+
+def _solve_exactly(g, b):
+    """g w = b by Gaussian elimination over the rationals (g nonsingular)."""
+    n = len(b)
+    rows = [row + [bi] for row, bi in zip(g, b)]
+    for i in range(n):
+        pivot = next(j for j in range(i, n) if rows[j][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for j in range(i + 1, n):
+            f = rows[j][i] / rows[i][i]
+            rows[j] = [a - f * c for a, c in zip(rows[j], rows[i])]
+    w = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        w[i] = (rows[i][n] - sum(rows[i][j] * w[j] for j in range(i + 1, n))) / rows[i][i]
+    return w
+
+
+def exact_strength(v, x):
+    """1 / <A+ x, x> for A = V V^t in rational arithmetic: with V of full
+    column rank, A+ = V (V^t V)^-2 V^t, so <A+ x, x> = |(V^t V)^-1 V^t x|^2."""
+    n, r = v.shape
+    vs = [[Fraction(int(e)) for e in row] for row in v]
+    xs = [Fraction(float(e)) for e in x]
+    gram = [[sum(vs[k][i] * vs[k][j] for k in range(n)) for j in range(r)] for i in range(r)]
+    w = _solve_exactly(gram, [sum(vs[k][i] * xs[k] for k in range(n)) for i in range(r)])
+    return 1 / sum(wi * wi for wi in w)
+
+
+def test_factor_answer_is_as_close_as_eigh_to_the_exact_one():
+    # A = V V^t for small integer V is exact in floating point and of rank
+    # r; x = V c is in its range up to the rounding of its normalization
+    rng = np.random.default_rng(53)
+    factor, spectral = [], []
+    for n in range(8, 17):
+        for r in range(1, n, 2):
+            v = rng.integers(-3, 4, (n, r)).astype(float)
+            if np.linalg.matrix_rank(v) < r:
+                continue
+            c = rng.integers(-3, 4, r).astype(float)
+            c[0] = c[0] or 1.0
+            a, x = v @ v.T, RankOneProjection(v @ c).x
+            want = exact_strength(v, x)
+            got = linalg._pivoted_strength(linalg._scaled_rows(a), x, DEFAULT_TOL)
+            pinv, in_range = linalg.pinv_and_range(SymMat(a), DEFAULT_TOL)
+            assert got is not None and in_range(x)
+            factor.append(float(abs(Fraction(got) - want) / want))
+            spectral.append(float(abs(Fraction(1.0 / float(x @ pinv.a @ x)) - want) / want))
+    closer = sum(f <= s for f, s in zip(factor, spectral))
+    print(f"relative error against the exact answer, {len(factor)} cases: factor median "
+          f"{np.median(factor):.2e} max {max(factor):.2e}, eigh median {np.median(spectral):.2e} "
+          f"max {max(spectral):.2e}; factor at least as close in {closer}")
+    assert len(factor) > 40
+    assert sum(factor) <= sum(spectral) and np.median(factor) <= np.median(spectral)
+    assert 2 * closer > len(factor) and max(factor) < 1e-14
 
 
 @pytest.mark.parametrize("diagonal", [[1.0, -1.0, 0.0], [1.0, 0.5, -1e-3, 0.0]])
@@ -351,7 +450,7 @@ def test_off_range_of_an_indefinite_a_is_not_psd(diagonal):
     for frame in (np.eye(len(diagonal)), q):
         m = (frame * diagonal) @ frame.T
         a, x = SymMat((m + m.T) / 2.0), RankOneProjection(frame[:, -1])
-        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        assert linalg._pivoted_strength(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL) is None
         with pytest.raises(NotPSD):
             strength(a, x)
 
@@ -364,7 +463,7 @@ def test_off_range_of_an_indefinite_a_with_a_tiny_pivot_is_not_psd():
     x = RankOneProjection([0.0, 0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        assert linalg._pivoted_strength(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL) is None
         with pytest.raises(NotPSD):
             strength(a, x)
 
@@ -373,7 +472,7 @@ def test_off_range_of_an_indefinite_a_with_a_tiny_pivot_is_not_psd():
 def test_off_range_past_the_exponent_range_falls_back(j):
     m = np.ldexp(np.diag([1.0, 0.5, 0.0]), j)
     x = RankOneProjection([0.0, 1.0, 1.0])
-    assert not linalg._certified_off_range(linalg._scaled_rows(m), x.x, DEFAULT_TOL)
+    assert linalg._pivoted_strength(linalg._scaled_rows(m), x.x, DEFAULT_TOL) is None
     assert strength(SymMat(m), x) == 0.0
 
 
@@ -696,18 +795,29 @@ class TestSpectraPerCall:
         a = SymMat([[2.0, 0.5], [0.5, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 1.0])) == []
 
-    def test_strength_in_the_range_of_a_singular_a_is_one_eigh(self, count):
+    def test_strength_in_the_range_of_a_singular_a_takes_no_spectrum(self, count):
         a = SymMat([[1.0, 1.0], [1.0, 1.0]])
-        assert count(strength, a, RankOneProjection([1.0, 1.0])) == ["eigh"]
+        assert count(strength, a, RankOneProjection([1.0, 1.0])) == []
+        assert strength(a, RankOneProjection([1.0, 1.0])) == pytest.approx(2.0, rel=1e-15)
+
+    def test_strength_in_the_range_of_a_singular_a_is_one_eigh(self, count):
+        # the kept eigenvalue 1e-7 is so small that the bound on how far
+        # the discarded eigenvectors lean into the range (about 4e-6)
+        # swamps the gate 1e-9: eigh decides
+        a = SymMat.diagonal([1.0, 1e-7, 0.0])
+        x = RankOneProjection([0.0, 1.0, 0.0])
+        assert linalg._pivoted_strength(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL) is None
+        assert count(strength, a, x) == ["eigh"]
+        assert strength(a, x) == pytest.approx(1e-7, rel=1e-15)
 
     def test_strength_off_the_range_of_a_singular_a_takes_no_spectrum(self, count):
         a = SymMat([[1.0, 1.0], [1.0, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 0.0])) == []
 
     @pytest.mark.parametrize("diagonal, direction", [
-        # the eigenvalue 1e-7 is kept, but so small that the bound on the
-        # lean of its eigenvector (about 4e-5) swamps the 1e-5 off the range
-        ([1.0, 1e-7, 0.0], [0.0, 1.0, 1e-5]),
+        # the eigenvalue 1e-8 is kept, but so small that the bound on the
+        # lean of its eigenvector (about 8e-5) swamps the 1e-5 off the range
+        ([1.0, 1e-8, 0.0], [0.0, 1.0, 1e-5]),
         # 1e-10 is a pivot (above rank_tol / n) that Jacobi drops: the
         # leading block's certificate cannot bound the gap below 2 eps_j
         ([1.0] * 14 + [1e-10, 0.0], [0.0] * 14 + [1.0, 1.0]),
@@ -716,9 +826,16 @@ class TestSpectraPerCall:
         # the factorization leaves these to eigh, which answers 0
         a = SymMat.diagonal(diagonal)
         x = RankOneProjection(direction)
-        assert not linalg._certified_off_range(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL)
+        assert linalg._pivoted_strength(linalg._scaled_rows(a.a), x.x, DEFAULT_TOL) is None
         assert count(strength, a, x) == ["eigh"]
         assert strength(a, x) == 0.0
+
+    @pytest.mark.parametrize("n", [40, 48])
+    def test_make_effect_on_a_large_projection_takes_no_spectrum(self, count, n):
+        # a rank-n/2 projection touches both ends of [0, I]
+        q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0][:, :n // 2]
+        p = q @ q.T
+        assert count(make_effect, SymMat((p + p.T) / 2.0)) == []
 
     def test_inv_of_definite_takes_no_spectrum(self, count):
         a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])

@@ -132,10 +132,19 @@ class TestExitCodes:
             raise failure("injected")
 
         monkeypatch.setattr(linalg, "_jacobi", failing)
-        # singular input: a definite one is answered without the eigensolver
-        code, out, err = run(capsys, ["strength", DIAG_10, "[1,0]"])
+        # a tiny kept eigenvalue along the direction: the factor routes
+        # leave it to the eigensolver
+        tiny = '{"n":3,"data":[1,0,0,0,1e-7,0,0,0,0]}'
+        code, out, err = run(capsys, ["strength", tiny, "[0,1,0]"])
         assert code == 6 and out == ""
         assert "internal numerical failure: injected" in err
+
+    def test_sweep_cap_reached_in_process(self, capsys, monkeypatch):
+        # one sweep, then the cap: the probe effects' eigvalsh gives up
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        code, out, err = run(capsys, ["phi", "probes", "2"])
+        assert code == 6 and out == ""
+        assert err == "error: internal numerical failure: Jacobi iteration did not converge in 1 sweeps\n"
 
     def test_selftest_exit_zero(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--seed", "1", "--trials", "20"])
@@ -205,6 +214,30 @@ class TestTopOfTheFloatRange:
                                                    EYE])
         assert code == 2 and out == ""
         assert "matrix entries must be finite" in err
+
+    def test_order_whose_difference_has_an_eigenvalue_past_the_range(self, capsys):
+        # B - A = -1e308 [[1, 1], [1, 1]] has the eigenvalue -2e308
+        code, out, err = self.run_quietly(capsys, ["order", '{"n":2,"data":[1e308,1e308,1e308,1e308]}',
+                                                   ZERO])
+        assert code == 2 and out == ""
+        assert err == "error: an eigenvalue does not fit in a double\n"
+
+    def test_interval_whose_ends_differ_past_the_range(self, capsys):
+        # lower < upper forms upper - lower = 2e308
+        spec = json.dumps({
+            "n": 1,
+            "lower": {"kind": "finite", "closed": True, "matrix": {"n": 1, "data": [-1e308]}},
+            "upper": {"kind": "finite", "closed": True, "matrix": {"n": 1, "data": [1e308]}},
+        })
+        code, out, err = self.run_quietly(capsys, ["interval", "classify", spec])
+        assert code == 2 and out == ""
+        assert err == "error: matrix entries overflow the double range\n"
+
+    @pytest.mark.parametrize("direction", ["[1e155,0]", "[1e-170,0]", "[1e-13,0]", "[5e-324,0]"])
+    def test_strength_along_a_direction_whose_square_leaves_the_range(self, capsys, direction):
+        # the direction is a span: x.x over- or underflows, the answer is 1
+        code, out, _ = self.run_quietly(capsys, ["strength", EYE, direction])
+        assert (code, out) == (0, '{"alpha":1}\n')
 
 
 class TestCanonicalSignAtLargeTolerance:

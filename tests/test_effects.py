@@ -126,6 +126,28 @@ class TestStrength:
         c = 2.0 ** k
         assert strength(SymMat(c * a), proj) == c * strength(SymMat(a), proj)
 
+    @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2 ** 32 - 1),
+           st.booleans(), st.integers(-1000, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_the_direction_is_exact(self, n, drop, seed, in_range, j):
+        # strength depends on the span of x only; entries of x are 0 or at
+        # least 2^-20, so 2^j x stays in the normal range
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, max(n - drop, 0)))
+        x = b @ rng.standard_normal(b.shape[1]) if in_range and b.size else rng.standard_normal(n)
+        x[np.abs(x) < 2.0 ** -20] = 0.0
+        x[0] = x[0] or 1.0
+        a = SymMat(b @ b.T)
+        scaled = RankOneProjection(np.ldexp(x, j))
+        assert np.array_equal(scaled.x, RankOneProjection(x).x)
+        assert strength(a, scaled) == strength(a, RankOneProjection(x))
+
+    def test_direction_must_be_finite_and_nonzero(self):
+        for direction in ([0.0, 0.0], [], [1.0, math.inf], [math.nan, 1.0]):
+            with pytest.raises(BadParameter):
+                RankOneProjection(direction)
+        assert np.array_equal(RankOneProjection([5e-324, 0.0]).x, [1.0, 0.0])
+
     def test_unbounded_direction_vs_bisection(self):
         # [DERIVED] expected value 2 frozen from the bisection oracle
         mat = SymMat.diagonal([2.0, 1.0])

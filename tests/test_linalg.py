@@ -13,8 +13,10 @@ from loewner import linalg
 from loewner.errors import (
     DimensionMismatch,
     DomainError,
+    NonConvergence,
     NotPSD,
     Singular,
+    TooLarge,
 )
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -69,6 +71,47 @@ class TestSymMat:
             with pytest.raises(ValueError, match="finite"):
                 SymMat([[1.0, 1.7e308], [1e308, 1.0]])
 
+    def test_sum_and_difference_that_overflow_are_too_large(self):
+        big, small = SymMat([[1e308]]), SymMat([[-1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge):
+                big + big
+            with pytest.raises(TooLarge):
+                big - small
+            assert (big + small).a[0, 0] == 0.0
+
+
+class TestSweepCap:
+    @staticmethod
+    def spectra(rng, n):
+        """Random, graded 10^U(-12, 0), 0/1 and clustered spectra in a
+        random frame, and a Gaussian symmetric matrix."""
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        for lam in (10.0 ** rng.uniform(-12.0, 0.0, n), rng.integers(0, 2, n).astype(float),
+                    1.0 + 1e-8 * rng.standard_normal(n)):
+            m = (q * lam) @ q.T
+            yield SymMat((m + m.T) / 2.0)
+        yield random_symmetric(rng, n)
+
+    def test_spectra_converge_in_half_the_cap(self, monkeypatch):
+        # The error terms of the certificates charge _MAX_SWEEPS sweeps; a
+        # kernel change that needs more than half of them fails here.
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", linalg._MAX_SWEEPS // 2)
+        rng = np.random.default_rng(43)
+        for n in (2, 4, 8, 16, 32, 44):
+            for m in self.spectra(rng, n):
+                linalg.eigvalsh(m)
+                if n <= 16:
+                    linalg.eigh(m)
+
+    def test_past_the_cap_is_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        m = random_symmetric(np.random.default_rng(47), 4)
+        with pytest.raises(NonConvergence, match="did not converge in 1 sweeps"):
+            linalg.eigvalsh(m)
+        assert linalg.eigvalsh(SymMat.diagonal([2.0, 1.0])).tolist() == [1.0, 2.0]
+
 
 class TestEigh:
     def test_identity(self):
@@ -106,6 +149,15 @@ class TestEigh:
         m = SymMat(np.array(values).reshape(n, n))
         c = 2.0 ** k
         assert np.array_equal(linalg.eigvalsh(SymMat(c * m.a)), c * linalg.eigvalsh(m))
+
+    def test_a_spectrum_past_the_range_is_too_large(self):
+        # the eigenvalue 2e308 does not fit in a double
+        m = SymMat(np.full((2, 2), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (linalg.eigvalsh, linalg.eigh, linalg.is_psd):
+                with pytest.raises(TooLarge, match="does not fit"):
+                    call(-m)
 
     def test_extreme_scales_keep_the_spectrum(self):
         for scale in (1e200, 1e-200):
