@@ -28,6 +28,7 @@ from .errors import (
     NotPSD,
     OutOfInterval,
     PreconditionViolated,
+    TooLarge,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -161,7 +162,10 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
     decide x alike (linalg._pivoted_strength): 0 off the range, and
     1 / |y|^2 with L11 y = x1 (the pivot rows) inside it. Every other
     input takes one spectrum: pinv_and_range, which also raises NotPSD
-    for an input that is not PSD.
+    for an input that is not PSD, with the pseudo-inverse of the 2^k A of
+    linalg._scaled_rows, so that an A near either end of the double range
+    is answered as 2^-k / <(2^k A)+ x, x> (bit-identical whenever nothing
+    over- or underflows); TooLarge when that does not fit in a double.
     """
     if A.n != P.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
@@ -171,10 +175,13 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
         alpha = linalg._pivoted_strength(scaled, P.x, tol)
     if alpha is not None:
         return alpha
-    pinv, in_range = linalg.pinv_and_range(A, tol)
+    pinv, in_range = linalg._scaled_pinv(A, scaled.k, tol)
     if not in_range(P.x):
         return 0.0
-    return 1.0 / float(P.x @ pinv.a @ P.x)
+    try:
+        return math.ldexp(1.0 / float(P.x @ pinv.a @ P.x), -scaled.k)
+    except OverflowError:
+        raise TooLarge("the strength does not fit in a double") from None
 
 
 def strength_witness(

@@ -11,8 +11,9 @@ class DimensionMismatch(LoewnerError):
 
 class TooLarge(LoewnerError):
     """An input is too large to process: a dimension above the CLI cap, a
-    generator whose Gram matrix T^t T overflows, a spectrum that does not
-    fit in a double, or a sum or difference of matrices that overflows."""
+    generator whose Gram matrix T^t T overflows, a spectrum, a
+    pseudo-inverse or a strength that does not fit in a double, or a sum
+    or difference of matrices that overflows."""
 
 
 class NonConvergence(LoewnerError):

@@ -4,9 +4,9 @@ calculus.
 
 Every operation here is a pure function over immutable values. The
 eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
-small dimensions this package targets; nothing in this module calls into
-LAPACK. Order predicates that only need the sign of lambda_min minus a
-gate are first decided by a shifted Cholesky certificate (_certificate)
+small dimensions this package targets. Order predicates that only need
+the sign of lambda_min minus a gate are first decided by a shifted
+Cholesky certificate (_certificate)
 and fall back to the Jacobi spectrum inside its undecided band; the same
 factorization certifies a generator regular (_certify_regular) and, without
 the max(1, .) floor of its gate, a matrix definite within rank tolerance,
@@ -18,6 +18,14 @@ factorization of (M - lo I)(hi I - M) (_certified_within), and a
 semidefinite pivoted factorization answers strength along a direction off
 the range of a singular matrix (0) or inside it (1 / |y|^2 from its
 factor) when the spectral route provably decides alike (_pivoted_strength).
+
+A factorization whose only output is "it ran to completion" (and its
+pivots) is _cholesky_pivots's: Python lists below _LAPACK_ORDER,
+LAPACK's potrf through np.linalg.cholesky from there, as the success side
+of Cholesky's backward error bound holds for any order of the inner
+products. Every factorization whose entries reach an answer or whose
+failure is the proof (the refuting attempt, LDL^t, the pivoted
+factorization) stays on lists, and so does Jacobi.
 
 Every certificate charges Jacobi the error of the most sweeps it can run,
 _MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
@@ -50,11 +58,17 @@ from .errors import (
 _MAX_SWEEPS = 40
 _EIG_TOL = 1e-14  # eig_tol: Jacobi stops at off-diagonal mass _EIG_TOL * ||A||_F
 _UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_NORMAL = 2.0 ** -1022
 # Backward error of one two-sided plane rotation, in units of
 # u * ||A||_F (Higham, Accuracy and Stability, 2nd ed., ch. 19).
 _ROTATION_ERROR = 16.0
 # Least size of the product a [lo, hi] check factors (_certified_within).
 _SMALLEST_PRODUCT = 2.0 ** -600
+# Least order at which a pass/fail Cholesky runs in LAPACK
+# (_cholesky_pivots). On a 2-core x86-64 machine the list factorization
+# takes 8, 29 and 112 us at n = 4, 8 and 16, numpy's call with its shift
+# 12, 14 and 15 us; the two meet near n = 6.
+_LAPACK_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -185,17 +199,18 @@ def _check_same_dim(A: SymMat, B: SymMat):
 
 
 class _Scaled(NamedTuple):
-    """2^k m as rows of Python lists, with D = max |m_ii| and F = ||m||_F
-    in those units."""
+    """2^k m as rows of Python lists and as an array, with D = max |m_ii|
+    and F = ||m||_F in those units."""
 
     rows: list
+    array: np.ndarray
     k: int
     diag: float
     frob: float
 
     def negated(self) -> "_Scaled":
-        """-m: the negated rows, with the same k, D and F."""
-        return self._replace(rows=[[-x for x in row] for row in self.rows])
+        """-m: the negated rows and array, with the same k, D and F."""
+        return self._replace(rows=[[-x for x in row] for row in self.rows], array=-self.array)
 
 
 def _scaled_rows(m: np.ndarray) -> _Scaled:
@@ -205,18 +220,20 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
     Scaling by a power of two is exact, so every computation homogeneous
     in m gives the same bits on the scaled copy, while sums of squares of
     the entries can neither overflow nor underflow. One flat list of the
-    entries, in row order, feeds the rows, D and F.
+    entries, in row order, feeds the rows, D and F; the array is m itself
+    when k = 0.
     """
     n = m.shape[0]
     flat = m.ravel().tolist()
     top = max(max(flat), -min(flat))
     k = 1 - math.frexp(top)[1] if top else 0
     if k:
-        flat = np.ldexp(m, k).ravel().tolist()
+        m = np.ldexp(m, k)
+        flat = m.ravel().tolist()
     rows = [flat[i:i + n] for i in range(0, n * n, n)]
     diag = max(map(abs, flat[::n + 1]))
     frob = math.sqrt(sum(map(operator.mul, flat, flat)))
-    return _Scaled(rows, k, diag, frob)
+    return _Scaled(rows, m, k, diag, frob)
 
 
 def _jacobi(m: np.ndarray, want_vectors: bool):
@@ -230,7 +247,7 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
     NonConvergence past _MAX_SWEEPS sweeps.
     """
     n = m.shape[0]
-    a, power, _, scale = _scaled_rows(m)
+    a, _, power, _, scale = _scaled_rows(m)
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
 
     if scale == 0.0 or n == 1:
@@ -331,6 +348,39 @@ def _cholesky(rows: list, shift: float) -> Tuple[list, list]:
     return factor, pivots
 
 
+def _cholesky_pivots(shift: float, rows: Optional[list] = None,
+                     array: Optional[np.ndarray] = None) -> Optional[list]:
+    """The pivots l_ii^2 of the Cholesky factor L of H = fl(M - shift*I)
+    when the factorization runs to completion, None when it does not. M
+    comes as rows, as an array or as both; each path reads the form it
+    needs, derived from the other when absent, and only the lower
+    triangle of M.
+
+    Below _LAPACK_ORDER this is _cholesky on the rows, and the pivots are
+    its own. From there it is np.linalg.cholesky (LAPACK's potrf) on the
+    array, and the pivots are the products l_ii * l_ii of its diagonal;
+    a LinAlgError or a pivot that is not a positive normal number (whose
+    product would lose its relative accuracy) fails, and so does a NaN
+    input, which numpy turns into NaNs without raising. Only success
+    is evidence on that path: the bound L L^t = H + E of Higham, Accuracy
+    and Stability, 2nd ed., Thm 10.3, holds for any order of the inner
+    products, LAPACK's blocked one included, with conventional (not
+    Strassen-like) BLAS (sec. 10.1). A caller whose proof rests on a
+    failure (Demmel's bound) or on the entries of L calls _cholesky."""
+    n = len(rows if array is None else array)
+    if n < _LAPACK_ORDER:
+        pivots = _cholesky(array.tolist() if rows is None else rows, shift)[1]
+        return pivots if pivots[-1] > 0.0 else None
+    h = np.array(rows) if array is None else array.copy()
+    h.flat[::n + 1] -= shift
+    try:
+        diagonal = np.linalg.cholesky(h).diagonal().tolist()
+    except np.linalg.LinAlgError:
+        return None
+    pivots = [d * d for d in diagonal]
+    return pivots if all(p >= _SMALLEST_NORMAL for p in pivots) else None
+
+
 def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     """x = (-L11^-t l, 1, 0, ..., 0) in R^n, normalized, from the L of a
     _cholesky that stopped at pivot i: L11 its first i rows, l the
@@ -385,7 +435,7 @@ def _gate_band(scaled: _Scaled, relative: float,
                floor: bool = True) -> Optional[Tuple[float, float, float]]:
     """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
     when the exponent range rules the certificate out."""
-    rows, k, diag, frob = scaled
+    rows, _, k, diag, frob = scaled
     if abs(k) > 1000:
         return None
     n = len(rows)
@@ -416,11 +466,17 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     - |lambda|max lies in [L, U], L = max(D, F / sqrt(n)), U = F, so g lies
       in [g_lo, g_hi] from those two ends.
     - Cholesky of H = fl(m - s I) is a two-sided definiteness test
-      (Higham, Accuracy and Stability, 2nd ed., ch. 10: its backward error
-      and Demmel's condition for success): success gives
-      lambda_min(m) >= s - eps_c, failure gives lambda_min(m) <= s + eps_c,
+      (Higham, Accuracy and Stability, 2nd ed., ch. 10), with
       eps_c = 2 n (n + 1) u W, where W = D + max(|g_lo|, |g_hi|) + F bounds
-      every shifted diagonal.
+      every shifted diagonal. Success gives lambda_min(m) >= s - eps_c:
+      the backward error of Thm 10.3 holds for any order of the inner
+      products, so for LAPACK's blocked potrf with conventional BLAS as
+      for the list factorization. Failure of the list factorization gives
+      lambda_min(m) <= s + eps_c (Demmel's condition for success). The
+      proving attempt below uses the success side only and runs through
+      _cholesky_pivots (LAPACK from _LAPACK_ORDER on); the refuting one
+      rests on the failure side, and its factor becomes the witness, so
+      it runs on lists (_cholesky) at every n.
     - Jacobi's eigenvalues are within eps_j = (_EIG_TOL + 16 u R) F of the
       true ones: its stopping test leaves _EIG_TOL F of off-diagonal mass,
       and each of its at most R = _MAX_SWEEPS n (n - 1) / 2 rotations has
@@ -458,7 +514,7 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     if band is None:
         return None, None
     g_lo, g_hi, delta = band
-    if _cholesky(scaled.rows, g_hi + delta)[1][-1] > 0.0:
+    if _cholesky_pivots(g_hi + delta, scaled.rows, scaled.array) is not None:
         return True, None
     if refute:
         factor, pivots = _cholesky(scaled.rows, g_lo - delta)
@@ -493,12 +549,17 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       eps_j of those of G_s. By Weyl's inequality, in sorted order,
       lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
       since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
-      prod(l_ii^2), and l_ii = fl(sqrt(p_i)) gives l_ii^2 >= p_i (1 - u)^2.
-      The same inequality gives lam_s,i >= s - eps_c - eps_j >= delta / 2
-      >= _EIG_TOL (delta >= 2 eps_j, F >= 1). The test below passes only
-      when n (1 - k) + 93.02 > 0, k < 94.02, as the pivots lie below 2 and
-      -2 log2(rank_tol) <= 93.02; there 2^-k delta / 2 is a normal number,
-      so the unscaled lam_i = 2^-k lam_s,i are exact and
+      prod(l_ii^2). Only the success side of the Cholesky bound enters,
+      so either path of _cholesky_pivots serves (LAPACK from
+      _LAPACK_ORDER on), and either gives l_ii^2 >= p_i (1 - u)^2: the
+      list factorization takes l_ii = fl(sqrt(p_i)), LAPACK's pivots are
+      p_i = fl(l_ii * l_ii), which _cholesky_pivots keeps only when they
+      are normal numbers. The same inequality gives lam_s,i >=
+      s - eps_c - eps_j >= delta / 2 >= _EIG_TOL (delta >= 2 eps_j,
+      F >= 1). The test below passes only when n (1 - k) + 93.02 > 0,
+      k < 94.02, as the pivots lie below 2 and -2 log2(rank_tol) <= 93.02;
+      there 2^-k delta / 2 is a normal number, so the unscaled lam_i =
+      2^-k lam_s,i are exact and
       sum(log2 lam_i) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
     - Rounding, in the log domain, where nothing can underflow: the test
       sum(log2 p_i) - k n - 2 log2(rank_tol) > (n + 2) 2^-39 is evaluated
@@ -516,8 +577,8 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     if band is None:
         return False
     _, g_hi, delta = band
-    pivots = _cholesky(scaled.rows, g_hi + delta)[1]
-    if not pivots[-1] > 0.0:
+    pivots = _cholesky_pivots(g_hi + delta, scaled.rows, scaled.array)
+    if pivots is None:
         return False
     n = len(pivots)
     log_det = math.fsum(map(math.log2, pivots)) - scaled.k * n
@@ -615,7 +676,9 @@ def _gram_floor(low: list, r: int) -> Tuple[float, list, float]:
     start from the last unit vector: the pivoting leaves the weakest
     direction of L last. A Cholesky of G - s I at s = e / 2 that runs to
     completion proves lambda_min(G) >= s - eps_c, eps_c = 2 r (r + 1) u W
-    (_certificate), where W = 2 t bounds every shifted diagonal. G is
+    (_certificate), where W = 2 t bounds every shifted diagonal: the
+    success side only, so it is _cholesky_pivots's, while R, whose
+    entries the caller solves with, comes from _cholesky. G is
     within n u ||L||_F^2 <= 2 n u t of L^t L in norm, in any summation
     order, and only its lower triangle is read; so lambda_min(L^t L) >=
     b = s - 4 (r (r + 1) + n) u t. The same two terms bound
@@ -624,7 +687,8 @@ def _gram_floor(low: list, r: int) -> Tuple[float, list, float]:
     lmat = np.zeros((n, r))
     for i, li in enumerate(low):
         lmat[i, :len(li)] = li
-    rows = (lmat.T @ lmat).tolist()
+    gram = lmat.T @ lmat
+    rows = gram.tolist()
     trace = sum(row[i] for i, row in enumerate(rows))
     factor, pivots = _cholesky(rows, 0.0)
     if not pivots[-1] > 0.0:
@@ -640,7 +704,7 @@ def _gram_floor(low: list, r: int) -> Tuple[float, list, float]:
         size = math.sqrt(sum(map(operator.mul, w, w)))
         z = [wi / size for wi in w]
     shift = estimate / 2.0
-    if not _cholesky(rows, shift)[1][-1] > 0.0:
+    if _cholesky_pivots(shift, rows, gram) is None:
         return 0.0, factor, trace
     return shift - 4.0 * (r * (r + 1) + n) * _UNIT_ROUNDOFF * trace, factor, trace
 
@@ -697,10 +761,17 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
       -psd_tol * max(1, |mu|max): at most r eigenvectors are kept, all
       among the top r, and every other mu has |mu| <= sigma + eps_f +
       eps_j.
-    - Gap: the nonzero eigenvalues of L L^t are those of G = L^t L, so by
-      Weyl's inequality lambda_r(M) >= lambda_min(G) - sigma - eps_f, and
-      each of the top r mu is at least beta = b - sigma - eps_f - eps_j,
-      b the bound on lambda_min(G) of _gram_floor.
+    - Gap: each of the top r mu is at least a beta that each branch
+      below bounds its own way. In the range: the nonzero eigenvalues of
+      L L^t are those of G = L^t L, so by Weyl's inequality lambda_r(M) >=
+      lambda_min(G) - sigma - eps_f, and beta = b - sigma - eps_f - eps_j,
+      b the bound on lambda_min(G) of _gram_floor. Off the range a crude
+      gap serves: M11, the pivot rows and columns of M, has lambda_r(M) >=
+      lambda_min(M11) by interlacing, and a Cholesky of M11 at
+      s = l^2 / (2 r), l the least l_jj, that runs to completion gives
+      lambda_min(M11) >= s - eps_f (its own eps_c, 2 r (r + 1) u 2 D, is
+      below eps_f; the success side only, so it is _cholesky_pivots's);
+      beta = s - 2 (eps_f + eps_j) leaves room for the roundings.
     - Vectors: Jacobi's eigenvectors are V = Q + dV with Q orthogonal,
       Q^t (M + dM) Q = diag(mu) + O, ||dM|| + ||O|| <= eps_j, and ||dV||_2
       <= eps_v (each rotation moves V by at most 16 u). B = Q1 + dV1 are
@@ -710,8 +781,8 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     is the rest of x off the factor's range, in pivot order; the route is
     chosen by |g| against the Jacobi route's gate rank_tol * max(1, |x|).
 
-    Off the range (2 |g| >= gate), the answer is 0.0 when beta > 0 and
-    the test below passes.
+    Off the range (2 |g| >= gate), the answer is 0.0 when beta > 0, the
+    Cholesky of M11 runs to completion and the test below passes.
     - Lean: for any w, |diag(mu) Q^t w| <= |M w| + eps_j |w|, so |B^t w|
       <= (|M w| + eps_j |w|) / beta + eps_v |w|: the lean of the kept
       eigenvectors into w, here _null_direction's.
@@ -756,7 +827,7 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     instead of raising; past the keep test every row of L has norm below
     sqrt(2 D + sigma + eps_f), so nothing after it overflows.
     """
-    rows, k, diag, frob = scaled
+    rows, _, k, diag, frob = scaled
     n = len(rows)
     if abs(k) > 1000:
         return None
@@ -782,11 +853,11 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     gn = math.sqrt(sum(map(operator.mul, g, g)))
     xn = math.sqrt(sum(map(operator.mul, xs, xs)))
     gate = rank_tol * max(1.0, xn)
-    floor, gram, trace = _gram_floor(low, r)
-    beta = floor - sigma - eps_f - eps_j
     eps_v = _ROTATION_ERROR * u * _rotations(n)
     rounding = 4.0 * (n + 1) * math.sqrt(n) * u * xn
     if 2.0 * gn < gate:
+        floor, gram, trace = _gram_floor(low, r)
+        beta = floor - sigma - eps_f - eps_j
         if not beta > 2.0 * rank_tol * (frob + eps_j):
             return None
         zeta = 4.0 * ((r + 1) ** 2 + n) * u * trace / floor
@@ -798,7 +869,11 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
         if not (zeta < 0.5 and 1.01 * (lean + off) + rounding < gate):
             return None
         return math.ldexp(1.0 / size, -k)
-    if not beta > 0.0:
+    least = min(low[p][j] for j, p in enumerate(pivots))
+    shift = least * least / (2.0 * r)
+    beta = shift - 2.0 * (eps_f + eps_j)
+    block = [[rows[i][j] for j in pivots] for i in pivots]
+    if not (beta > 0.0 and _cholesky_pivots(shift, block) is not None):
         return None
     w = _null_direction(pivots, rest, low, g)
     wx = abs(sum(map(operator.mul, w, xs)))
@@ -850,7 +925,11 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
       need not come out symmetric.
     - Cholesky at shift s: success gives lambda_min >= s - eps_c for the
       factored matrix (_certificate), with eps_c = 4 n (n + 1) u (S + eta)
-      for W = 2 (S + eta), which bounds every shifted diagonal.
+      for W = 2 (S + eta), which bounds every shifted diagonal. That is
+      the success side of the bound only, which the list factorization
+      and LAPACK's potrf share, so the factorization is
+      _cholesky_pivots's (LAPACK from _LAPACK_ORDER on); both paths
+      read the lower triangle only.
 
     At s = 2 (eta + eps_p + eps_c) success leaves lambda_min(P) >= 2 eta
     + eps_p + eps_c: each eigenvalue of M is at least 2 eps_j inside
@@ -862,12 +941,13 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     (2 n + 2 sqrt(n))^2 and nothing overflows. An m tiny next to its
     ends leaves entries or products below the normal range, whose
     absolute errors are a few n^2 2^-1074 each (in the ends, F, eta, the
-    product and the factorization). When S >= 2^-600 the slack
-    eps_p + eps_c > 2^-650 covers them; a smaller S (a tiny m against
+    product and the factorization; n^2 2^-1022 if the BLAS flushes
+    subnormals to zero). When S >= 2^-600 the slack eps_p + eps_c >
+    2^-650 covers them; a smaller S (a tiny m against
     an end at 0) and the exponent range guard of _certificate leave the
     answer undecided, without forming the product.
     """
-    rows, k, _, frob = _scaled_rows(m)
+    rows, array, k, _, frob = _scaled_rows(m)
     if abs(k) > 1000:
         return False
     n = len(rows)
@@ -883,9 +963,9 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     eps_c = 4.0 * n * (n + 1) * u * (size + eta)
     shift = 2.0 * (eta + eps_p + eps_c)
     eye = np.eye(n)
-    scaled_m = np.array(rows) if j == k else np.ldexp(m, j)
+    scaled_m = array if j == k else np.ldexp(m, j)
     product = (scaled_m - lo * eye) @ (hi * eye - scaled_m)
-    return _cholesky(product.tolist(), shift)[1][-1] > 0.0
+    return _cholesky_pivots(shift, array=product) is not None
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:
@@ -962,13 +1042,12 @@ def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
     return SymMat((spec.eigenvectors * np.array(mapped)) @ spec.eigenvectors.T)
 
 
-def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Callable[[np.ndarray], bool]]:
-    """Moore-Penrose inverse of a PSD matrix plus a range-membership test.
-
-    The spectrum is truncated at rank_tol * lambda_max; the predicate
-    reports whether a vector's residual off the retained eigenspace is
-    within rank_tol (relative to max(1, ||x||)).
-    """
+def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[np.ndarray], bool]]:
+    """pinv_and_range with the pseudo-inverse of 2^k A in place of A's:
+    the kept eigenvalues are scaled by 2^k before they are inverted, so a
+    k that brings A's entries near 1 keeps every entry of the result in
+    range. It is 2^-k times A's pseudo-inverse, bit for bit, whenever
+    nothing over- or underflows."""
     spec = eigh(A)
     lam = spec.eigenvalues
     if float(lam[0]) < -_psd_threshold(lam, tol):
@@ -978,7 +1057,7 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
     keep = clamped > tol.rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(clamped, dtype=bool)
     basis = spec.eigenvectors[:, keep]
     if basis.shape[1] > 0:
-        pinv = SymMat((basis / clamped[keep]) @ basis.T)
+        pinv = SymMat((basis / np.ldexp(clamped[keep], k)) @ basis.T)
     else:
         pinv = SymMat.zero(A.n)
     n = A.n
@@ -992,6 +1071,25 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
         return float(np.linalg.norm(residual)) <= rank_tol * max(1.0, float(np.linalg.norm(vec)))
 
     return pinv, in_range
+
+
+def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Callable[[np.ndarray], bool]]:
+    """Moore-Penrose inverse of a PSD matrix plus a range-membership test.
+
+    The spectrum is truncated at rank_tol * lambda_max; the predicate
+    reports whether a vector's residual off the retained eigenspace is
+    within rank_tol (relative to max(1, ||x||)). The inverse is formed at
+    the power of two of _scaled_rows and scaled back; TooLarge when it
+    does not fit in a double (a kept eigenvalue near the bottom of the
+    range).
+    """
+    k = _scaled_rows(A.a).k
+    pinv, in_range = _scaled_pinv(A, k, tol)
+    with np.errstate(over="ignore"):
+        entries = np.ldexp(pinv.a, k)
+    if not np.isfinite(entries).all():
+        raise TooLarge("the pseudo-inverse does not fit in a double")
+    return SymMat(entries), in_range
 
 
 def spectral_norm(A: SymMat) -> float:

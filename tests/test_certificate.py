@@ -48,6 +48,18 @@ def disagreements(calls):
             and verdict != jacobi_verdict(m, relative, floor)]
 
 
+def by_side(calls, undecided):
+    """'n < 8: u of c, n >= 8: u of c' for calls whose first item is the
+    matrix: the undecided count on each side of the crossover to LAPACK
+    factorizations (linalg._LAPACK_ORDER)."""
+    sides = []
+    for name, side in (("n < 8", lambda n: n < linalg._LAPACK_ORDER),
+                       ("n >= 8", lambda n: n >= linalg._LAPACK_ORDER)):
+        part = [call for call in calls if side(np.shape(call[0])[0])]
+        sides.append(f"{name}: {sum(map(undecided, part))} of {len(part)}")
+    return ", ".join(sides)
+
+
 def certify(m, **gate):
     """The verdict of linalg._certificate on the matrix m."""
     return linalg._certificate(linalg._scaled_rows(m), **gate)[0]
@@ -227,11 +239,12 @@ def test_off_range_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_c
 def _within_gate_cases():
     """(m, lo, hi) on and around the ends of make_effect's [-tau, 1 + tau]
     and apply's [0, 1]: spectra at lo and hi +- tau (1 +- 1e-12), rank-k
-    projections, and both scaled by 2^j with the ends."""
+    projections, and both scaled by 2^j with the ends; on both sides of
+    the crossover to LAPACK factorizations (n = 8)."""
     rng = np.random.default_rng(17)
     tau = DEFAULT_TOL.psd_tol
     cases = []
-    for n in (2, 3, 5, 8):
+    for n in (2, 3, 5, 8, 12, 16):
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         spectra = [np.linspace(0.0, 1.0, k + 2)[1:-1].tolist() + [0.0] * (n - k - 1) + [1.0]
                    for k in range(n - 1)]                        # touching both ends
@@ -261,7 +274,8 @@ def test_within_agrees_with_jacobi_at_the_ends():
         if np.any(calls[i][0]):
             assert verdicts[i] == verdicts[i + 1] == verdicts[i + 2]
     undecided = verdicts.count(False)
-    print(f"[lo, hi] check at the ends: {len(verdicts)} calls, {undecided} undecided")
+    print(f"[lo, hi] check at the ends: {len(verdicts)} calls, {undecided} undecided "
+          f"({by_side(calls, lambda call: not call[-1])})")
     assert 0 < undecided < len(verdicts)
 
 
@@ -481,7 +495,7 @@ def _near_gate_inputs():
     rng = np.random.default_rng(7)
     tau = DEFAULT_TOL.psd_tol
     pairs = []
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 8, 12, 16):
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         a = SymMat(rng.standard_normal((n, n)))
         pairs.append((a, a))                                    # A == B
@@ -504,6 +518,8 @@ def test_agrees_with_jacobi_at_the_gates(recorded):
         assert linalg.loewner_lt(a, b) == linalg._spectral_verdict(lam, True, DEFAULT_TOL)
         assert linalg.is_psd(b - a) == linalg.loewner_le(a, b)
     assert disagreements(recorded) == []
+    print(f"order certificate at the gates: {len(recorded)} calls, undecided "
+          f"{by_side(recorded, lambda call: call[-1] is None)}")
     # The exact diagonal cases sit on the gate to 1e-12: the certificate
     # leaves them to the Jacobi fallback.
     assert sum(call[-1] is None for call in recorded) >= 12
@@ -601,12 +617,14 @@ def _generator_gate_cases(tol):
     r = tol.rank_tol
     cases = []
     for wobble in (-1e-6, 1e-6):
-        cases.append(np.diag([1.0, r * (1.0 + wobble)]))                 # sigma_min on the gate
-        cases.append((r * (1.0 + wobble)) ** (1.0 / 9.0) * np.eye(9))     # |det| on the gate
-    base = [rng.standard_normal((n, n)) for n in (2, 3, 5, 8)]
+        for n in (2, 8, 12, 16):
+            cases.append(np.diag([1.0] * (n - 1) + [r * (1.0 + wobble)]))  # sigma_min on the gate
+        for n in (9, 12, 16):
+            cases.append((r * (1.0 + wobble)) ** (1.0 / n) * np.eye(n))     # |det| on the gate
+    base = [rng.standard_normal((n, n)) for n in (2, 3, 5, 8, 12, 16)]
     for k in range(-300, 301, 10):
         cases.extend(np.ldexp(t, k) for t in base)
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 8, 12, 16):
         cases.append(np.zeros((n, n)))
         cases.append(np.outer(rng.standard_normal(n), rng.standard_normal(n)))
         t = rng.standard_normal((n, n))
@@ -633,6 +651,8 @@ def test_generator_certificate_agrees_with_jacobi_at_the_gates(tol, monkeypatch)
         assert regular == jacobi_regular(t.T @ t, tol)
     assert wrong_regular_verdicts(calls) == []
     verdicts = [verdict for _, _, verdict in calls]
+    print(f"generator certificate at the gates, rank_tol {tol.rank_tol:g}: {len(calls)} calls, "
+          f"undecided {by_side(calls, lambda call: not call[-1])}")
     # The gate cases and the rank-deficient ones reach the Jacobi fallback.
     assert 0 < verdicts.count(False) < len(verdicts)
 
@@ -697,7 +717,7 @@ def _definite_gate_cases(tol):
     rng = np.random.default_rng(13)
     r = tol.rank_tol
     cases = []
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 8, 12, 16):
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         spectra = [np.linspace(r * (1.0 + wobble), 1.0, n) for wobble in (-1e-6, 1e-6)]
         spectra += [np.linspace(0.0, 1.0, n), np.linspace(0.25, 1.0, n)]
@@ -731,7 +751,7 @@ def test_definite_route_agrees_with_jacobi_at_the_gate(tol, monkeypatch):
     verdicts = [verdict for _, _, verdict in definite_route_calls(calls)]
     undecided = verdicts.count(None)
     print(f"definite route at the gate, rank_tol {tol.rank_tol:g}: {len(verdicts)} calls, "
-          f"{undecided} undecided")
+          f"{undecided} undecided ({by_side(definite_route_calls(calls), lambda call: call[-1] is None)})")
     # The gate cases and the rank-deficient ones reach the Jacobi fallback.
     assert kept > 0 and 0 < undecided < len(verdicts)
 
@@ -923,36 +943,58 @@ class TestSpectraPerCall:
 
 
 class TestFactorizationsPerCall:
-    """Cholesky factorizations (_cholesky) per public call: a [lo, hi] check
-    is one factorization of (M - lo I)(hi I - M)."""
+    """Pass/fail Cholesky factorizations (_cholesky_pivots) per public
+    call, with the list factorizations (_cholesky) run beside them: a
+    [lo, hi] check is one factorization of (M - lo I)(hi I - M), in lists
+    below _LAPACK_ORDER and in LAPACK from there, and a refuting attempt
+    stays in lists at every n."""
 
     @pytest.fixture
     def count(self, monkeypatch):
         calls = []
-        cholesky = linalg._cholesky
+        cholesky_pivots, cholesky = linalg._cholesky_pivots, linalg._cholesky
 
-        def counting(rows, shift):
-            calls.append(shift)
+        def counting_check(*args, **kwargs):
+            calls.append("check")
+            return cholesky_pivots(*args, **kwargs)
+
+        def counting_list(rows, shift):
+            calls.append("list")
             return cholesky(rows, shift)
 
-        monkeypatch.setattr(linalg, "_cholesky", counting)
+        monkeypatch.setattr(linalg, "_cholesky_pivots", counting_check)
+        monkeypatch.setattr(linalg, "_cholesky", counting_list)
 
         def run(fn, *args):
             calls.clear()
             fn(*args)
-            return len(calls)
+            return calls.count("check"), calls.count("list")
 
         return run
 
     def test_make_effect_on_a_certified_effect(self, count):
-        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == 1
-        assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == 1
+        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == (1, 1)
+        assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == (1, 0)
 
     def test_apply_with_an_interior_image(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         x = SymMat([[0.5, 0.1], [0.1, 0.4]])
-        assert count(phi.apply, make_effect(x)) == 1      # the image's check
-        assert count(phi.apply, x) == 2                   # and the input's
+        assert count(phi.apply, make_effect(x)) == (1, 1)      # the image's check
+        assert count(phi.apply, x) == (2, 2)                   # and the input's
+
+    def test_at_n_12_every_check_runs_in_lapack(self, count):
+        rng = np.random.default_rng(29)
+        q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+        low = (q * np.linspace(0.1, 0.4, 12)) @ q.T
+        low = SymMat((low + low.T) / 2.0)
+        high = SymMat(low.a + 0.5 * np.eye(12))
+        assert count(linalg.loewner_le, low, high) == (1, 0)
+        # the proving attempt fails in LAPACK, the refuting one runs in lists
+        assert count(linalg.loewner_le, high, low) == (1, 1)
+        t = np.eye(12) + 0.05 * rng.standard_normal((12, 12))
+        assert count(EffectAutomorphism, t) == (1, 0)
+        assert count(make_effect, low) == (1, 0)
+        assert count(EffectAutomorphism(t).apply, make_effect(low)) == (1, 0)
 
 
 class TestScalingsPerCall:

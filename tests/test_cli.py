@@ -4,6 +4,7 @@ newline termination, exact re-parse)."""
 
 import json
 import pathlib
+import time
 import warnings
 
 import numpy as np
@@ -203,6 +204,27 @@ class TestTopOfTheFloatRange:
         code, out, _ = self.run_quietly(capsys, ["strength", self.HUGE, "[1,0]"])
         assert code == 0
         assert json.loads(out)["alpha"] == pytest.approx(1.7e308, rel=1e-12)
+
+    @pytest.mark.parametrize("direction, expected", [
+        ("[1,2]", (0, '{"alpha":1.7976931348623155e+308}\n')),
+        # the answer, the largest double, rounds past it in the last step
+        ("[1,1]", (2, "")),
+    ])
+    def test_strength_of_the_largest_double(self, capsys, direction, expected):
+        # pinv of the largest double is subnormal: the answer comes from
+        # the scaled pseudo-inverse, never inf
+        top = '{"n":2,"data":[1.7976931348623157e308,0,0,1.7976931348623157e308]}'
+        code, out, err = self.run_quietly(capsys, ["strength", top, direction])
+        assert (code, out) == expected
+        assert err == ("" if code == 0 else "error: the strength does not fit in a double\n")
+
+    def test_strength_at_the_bottom_of_the_range(self, capsys):
+        # the kept eigenvalue 1e-310 is subnormal and its reciprocal does
+        # not fit in a double: the spectral route answers in scaled units
+        code, out, err = self.run_quietly(capsys, ["strength", '{"n":2,"data":[1e-310,0,0,1e-310]}',
+                                                   "[1,0]"])
+        assert (code, out, err) == (0, '{"alpha":9.9999999999999694e-311}\n', "")
+        assert json.loads(out)["alpha"] == 1e-310
 
     def test_order_below_a_huge_matrix(self, capsys):
         code, out, _ = self.run_quietly(capsys, ["order", '{"n":1,"data":[1.0]}',
@@ -429,3 +451,100 @@ class TestStableOutput:
     def test_rejects_unserializable(self):
         with pytest.raises(TypeError):
             dumps_stable({"x": object()})
+
+
+def _strict_json(text):
+    """json.loads that refuses the Infinity and NaN tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in the output")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestAcrossTheDoubleRange:
+    """A seeded property over every command that reads matrices: inputs at
+    n = 1..5 and n = 8 (both sides of the crossover to LAPACK factorizations),
+    their entries scaled by 2^k for k across [-1074, 1023], each direction
+    by a power of two of its own. Every run exits with a code of the
+    contract, raises nothing past main (no traceback) and warns nothing
+    (pytest makes a RuntimeWarning an error); after exit 0 its stdout
+    re-parses as JSON with finite numbers."""
+
+    DIMS = (1, 2, 3, 4, 5, 8)
+    # the ends of the exponent range, where scaling, overflow and
+    # subnormal arithmetic part ways, besides k drawn uniformly
+    EDGES = (-1074, -1070, -1060, -1030, -1023, -1000, -600, 0, 600, 1000, 1020, 1023)
+    TRIALS = 400
+
+    @staticmethod
+    def unit_max(m):
+        """m scaled by a power of two so that max |m_ij| lies in [1/2, 1)."""
+        top = float(np.max(np.abs(m)))
+        return np.ldexp(m, -np.frexp(top)[1]) if top else m
+
+    def matrix(self, rng, n, kind):
+        g = rng.standard_normal((n, n))
+        if kind == "generator":
+            return self.unit_max(g + 2.0 * np.eye(n))
+        if kind == "psd":
+            m = g @ g.T
+        elif kind == "singular":
+            v = g[:, :max(1, n // 2)] if n > 1 else np.zeros((1, 1))
+            m = v @ v.T
+        elif kind == "effect":
+            q = np.linalg.qr(g)[0]
+            m = (q * rng.uniform(0.0, 1.0, n)) @ q.T
+        elif kind == "indefinite":
+            m = g + g.T
+        else:
+            m = np.diag(rng.uniform(0.0, 1.0, n))
+        return self.unit_max((m + m.T) / 2.0)
+
+    def exponent(self, rng):
+        return int(rng.choice(self.EDGES)) if rng.random() < 0.5 else int(rng.integers(-1074, 1024))
+
+    def argv(self, rng):
+        n = int(rng.choice(self.DIMS))
+        k = self.exponent(rng)
+
+        def doc(kind, scale=k):
+            m = np.ldexp(self.matrix(rng, n, kind), scale)
+            return {"n": n, "data": m.ravel().tolist()}
+
+        def text(kind, scale=k):
+            return json.dumps(doc(kind, scale))
+
+        symmetric = ("psd", "singular", "effect", "indefinite", "diagonal")
+        command = rng.choice(["order", "strength", "apply", "invert", "compose", "classify"])
+        if command == "order":
+            return ["order", text(rng.choice(symmetric)), text(rng.choice(symmetric))]
+        if command == "strength":
+            x = np.ldexp(self.unit_max(rng.standard_normal(n)), self.exponent(rng))
+            return ["strength", text(rng.choice(symmetric[:3] + ("diagonal",))), json.dumps(x.tolist())]
+        if command == "apply":
+            effect = text("effect", k if rng.random() < 0.5 else 0)
+            return ["phi", "apply", text("generator"), effect]
+        if command == "invert":
+            return ["phi", "invert", text("generator")]
+        if command == "compose":
+            return ["phi", "compose", text("generator"), text("generator")]
+        ends = [{"kind": "finite", "closed": bool(rng.random() < 0.5), "matrix": doc(kind)}
+                for kind in rng.choice(symmetric, 2)]
+        if rng.random() < 0.25:
+            ends[int(rng.integers(2))] = {"kind": ("minus_infinity", "plus_infinity")[int(rng.integers(2))]}
+        return ["interval", "classify", json.dumps({"n": n, "lower": ends[0], "upper": ends[1]})]
+
+    def test_every_command_exits_cleanly(self, capsys):
+        rng = np.random.default_rng(61)
+        codes = {}
+        start = time.perf_counter()
+        for _ in range(self.TRIALS):
+            argv = self.argv(rng)
+            code, out, err = run(capsys, argv)
+            assert code in (0, 2, 3, 4, 6), (argv, code, err)
+            if code == 0:
+                _strict_json(out)
+            codes[code] = codes.get(code, 0) + 1
+        elapsed = time.perf_counter() - start
+        print(f"{self.TRIALS} runs in {elapsed:.2f} s, exit codes {sorted(codes.items())}")
+        assert codes.get(0, 0) > self.TRIALS // 4
+        assert elapsed < 3.0

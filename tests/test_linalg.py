@@ -176,7 +176,8 @@ class TestEigh:
 
 def row_wise_scaled_rows(m):
     """_scaled_rows computed row by row, with max |m_ij| from abs and the
-    sums of squares over the rows: the bits its flat list must keep."""
+    sums of squares over the rows: the bits its flat list must keep, and
+    the array that holds the same rows."""
     rows = m.tolist()
     top = max(map(abs, [x for row in rows for x in row]))
     k = 1 - math.frexp(top)[1] if top else 0
@@ -184,30 +185,90 @@ def row_wise_scaled_rows(m):
         rows = np.ldexp(m, k).tolist()
     diag = max(abs(row[i]) for i, row in enumerate(rows))
     frob = math.sqrt(sum(x * x for row in rows for x in row))
-    return rows, k, diag, frob
+    return rows, np.array(rows), k, diag, frob
 
 
 def float_bits(value):
-    """Every float in a nested structure as its hex form, ints as they are."""
+    """Every float in a nested structure (arrays as lists) as its hex form,
+    ints as they are."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [float_bits(v) for v in value]
     return value.hex() if isinstance(value, float) else value
 
 
 class TestScaledRows:
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    @given(st.integers(1, 16).flatmap(lambda n: st.lists(
                st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n)),
            st.integers(-600, 600))
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_the_row_wise_scaling(self, values, k):
         n = math.isqrt(len(values))
         m = np.ldexp(np.array(values).reshape(n, n), k)
-        assert float_bits(tuple(linalg._scaled_rows(m))) == float_bits(row_wise_scaled_rows(m))
+        scaled = linalg._scaled_rows(m)
+        assert float_bits(tuple(scaled)) == float_bits(row_wise_scaled_rows(m))
+        # the negation negates the rows and the array alike
+        rows, array, *rest = scaled.negated()
+        assert float_bits(array) == float_bits(rows) == float_bits([[-x for x in row] for row in scaled.rows])
+        assert rest == [scaled.k, scaled.diag, scaled.frob]
 
     def test_zero_matrix(self):
         for m in (np.zeros((3, 3)), -np.zeros((2, 2))):
             assert float_bits(tuple(linalg._scaled_rows(m))) == float_bits(row_wise_scaled_rows(m))
             assert linalg._scaled_rows(m).k == 0
+
+
+class TestLapackCholesky:
+    """What _cholesky_pivots relies on in the installed numpy from
+    _LAPACK_ORDER on. A numpy that changes any of it fails here instead of
+    certifying wrongly."""
+
+    @staticmethod
+    def definite(rng, n):
+        g = rng.standard_normal((n, n))
+        return g @ g.T + n * np.eye(n)
+
+    def test_reads_only_the_lower_triangle(self):
+        # a [lo, hi] check factors a product that need not be symmetric
+        rng = np.random.default_rng(31)
+        for n in (8, 12, 16):
+            h = self.definite(rng, n)
+            for above in (1e3 * rng.standard_normal((n, n)), np.full((n, n), np.nan)):
+                lower = np.tril(h) + np.triu(above, 1)
+                assert np.array_equal(np.linalg.cholesky(lower), np.linalg.cholesky(h))
+                diagonal = np.linalg.cholesky(h).diagonal().tolist()
+                assert linalg._cholesky_pivots(0.0, array=lower) == [d * d for d in diagonal]
+
+    def test_raises_on_an_indefinite_input(self):
+        h = np.eye(8)
+        h[5, 5] = -1e-3
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(h)
+        assert linalg._cholesky_pivots(0.0, array=h) is None
+        assert linalg._cholesky_pivots(0.0, array=np.eye(8) - h) is None     # a zero pivot
+
+    def test_a_nan_input_is_not_proved(self):
+        h = 2.0 * np.eye(8)
+        h[3, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(np.linalg.cholesky(h).diagonal()).any()
+            assert linalg._cholesky_pivots(0.0, array=h) is None
+
+    def test_both_paths_give_the_same_verdicts(self):
+        # the list and LAPACK factorizations of one matrix, at shifts well
+        # inside and outside its spectrum, and their diagonals to rounding
+        rng = np.random.default_rng(37)
+        for n in (8, 12, 16):
+            h = self.definite(rng, n)
+            lam = np.linalg.eigvalsh(h)
+            for shift in (0.0, 0.5 * lam[0], 2.0 * lam[0], 0.5 * (lam[0] + lam[-1])):
+                pivots = linalg._cholesky(h.tolist(), shift)[1]
+                got = linalg._cholesky_pivots(shift, h.tolist(), h)
+                assert (got is not None) == (pivots[-1] > 0.0) == (shift < lam[0])
+                if got is not None:
+                    assert np.allclose(got, pivots, rtol=1e-13, atol=0.0)
 
 
 class TestLoewnerPredicates:
@@ -397,6 +458,16 @@ class TestPinvAndRange:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             linalg.pinv_and_range(SymMat.diagonal([-1.0, 1.0]))
+
+    def test_a_pseudo_inverse_past_the_range_is_too_large(self):
+        # 1 / 1e-310 does not fit in a double; 1 / 1e-300 does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge, match="pseudo-inverse does not fit"):
+                linalg.pinv_and_range(SymMat.diagonal([1e-310, 0.0]))
+            pinv, in_range = linalg.pinv_and_range(SymMat.diagonal([1e-300, 0.0]))
+        assert pinv.a.tolist() == [[1.0 / 1e-300, 0.0], [0.0, 0.0]]
+        assert in_range([1.0, 0.0]) and not in_range([0.0, 1.0])
 
     def test_penrose_identities(self):
         rng = np.random.default_rng(41)
