@@ -12,8 +12,9 @@ overflows; `order` answers
 every square symmetric pair, leaving out the witness when an input is not
 PSD), 3 dimension mismatch,
 4 not an automorphism, 5 selftest property failure, 6 internal numerical
-failure (the eigensolver did not converge, or a certified-invertible
-matrix was numerically intractable).
+failure (the eigensolver did not converge in 40 sweeps, or evaluating an
+automorphism, in `phi apply` or `phi recover`'s residual check, failed to
+solve with the matrix proved invertible or left [0, I] past its noise gate).
 
 Dimensions above _MAX_N = 44 are refused before any computation. The
 pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
@@ -100,7 +101,9 @@ def load_json(source: str):
 
 
 def _parse_dimension(value) -> int:
-    """A document's dimension n; TooLarge above _MAX_N."""
+    """A document's dimension n, a finite whole number; TooLarge above _MAX_N."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"dimension {value!r} is not a whole number")
     n = int(value)
     if n > _MAX_N:
         raise TooLarge(f"dimension {n} is above the cap of {_MAX_N}")
@@ -117,7 +120,7 @@ def parse_square(doc: dict) -> np.ndarray:
 
 def parse_symmetric(doc: dict, warn_label: str = "matrix") -> SymMat:
     raw = parse_square(doc)
-    asymmetry = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
+    asymmetry = float(np.max(np.abs(raw - raw.T)))
     if asymmetry > _ASYMMETRY_WARN:
         name = doc.get("name", warn_label)
         print(f"warning: {name} symmetrized on load (asymmetry {asymmetry:.3g})",

@@ -331,25 +331,15 @@ def prescribed_strength_pair(R: RankOneProjection, s: float) -> Tuple[RankOnePro
     Works for 1/2 < s < 1: pick a unit x in a 2-plane through Im R with
     <Rx, x> = (1 - s)/s, complete it with y orthogonal to x inside the
     plane, and take P = xx^t, Q = yy^t. Then pR <= (1/2)P + Q iff p <= s.
-    The plane is spanned by Im R and the lowest-index standard basis
-    vector not parallel to it, so the output is reproducible.
+    The plane is spanned by Im R and the second column of
+    linalg.complete_basis(R.x), so the output is reproducible.
     """
     if not (0.5 < s < 1.0):
         raise BadParameter("s must lie strictly between 1/2 and 1")
-    n = R.n
-    if n < 2:
+    if R.n < 2:
         raise DimensionMismatch("dimension must be at least 2")
     r = R.x
-    g = None
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        w = e - r * float(r @ e)
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-8:
-            g = w / norm
-            break
-    assert g is not None
+    g = linalg.complete_basis(r[:, None])[:, 1]
     c = math.sqrt((1.0 - s) / s)
     x = c * r + math.sqrt(1.0 - c * c) * g
     y = -math.sqrt(1.0 - c * c) * r + c * g

@@ -322,7 +322,7 @@ def eigvalsh(A: SymMat) -> np.ndarray:
 
 
 def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    scale = float(np.max(np.abs(lam)))
     return tol.psd_tol * max(1.0, scale)
 
 
@@ -613,12 +613,13 @@ def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list
 
     The verdict and the factorization depend on the scaled rows only, so
     m and 2^j m get the same factor and k - j for k. The certificate
-    proves lambda_min(2^k m) > eps_c at shift 0, the condition under
-    which the unshifted factorization runs to completion."""
+    proves lambda_min(2^k m) >= delta - eps_c >= eps_c at shift 0; LDL^t,
+    Cholesky without the square roots, shares its backward error, so as on
+    the refuting side of _certificate a pivot d_i <= 0 would put lambda_min
+    at most eps_c: _ldl runs to completion."""
     if not _certificate(scaled, relative=tol.rank_tol, refute=False, floor=False)[0]:
         return None
-    factor = _ldl(scaled.rows)
-    return None if factor is None else (*factor, scaled.k)
+    return (*_ldl(scaled.rows), scaled.k)
 
 
 def _reciprocal_form(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Optional[float]:
@@ -1053,7 +1054,7 @@ def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[
     if float(lam[0]) < -_psd_threshold(lam, tol):
         raise NotPSD(f"matrix has eigenvalue {lam[0]:.3e} below -psd_tol")
     clamped = np.clip(lam, 0.0, None)
-    lam_max = float(np.max(clamped)) if clamped.size else 0.0
+    lam_max = float(np.max(clamped))
     keep = clamped > tol.rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(clamped, dtype=bool)
     basis = spec.eigenvectors[:, keep]
     if basis.shape[1] > 0:

@@ -341,6 +341,34 @@ class TestTooLarge:
         assert code == 0 and json.loads(out) == {"le": True, "lt": True}
 
 
+class TestDimensionField:
+    """A dimension that is not a finite whole number is malformed input
+    (exit 2), in every command that reads one from a document; a whole
+    number written as a float is still a dimension."""
+
+    @staticmethod
+    def argvs(n):
+        one = f'{{"n":{n},"data":[1]}}'
+        unit = '{"n":1,"data":[1]}'
+        return [["order", one, unit],
+                ["strength", one, "[1]"],
+                ["interval", "classify", f'{{"n":{n},"lower":{{"kind":"minus_infinity"}},'
+                                         f'"upper":{{"kind":"plus_infinity"}}}}'],
+                ["phi", "recover", f'{{"n":{n},"pairs":[]}}']]
+
+    @pytest.mark.parametrize("n,shown", [("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan"),
+                                         ("1.5", "1.5")])
+    def test_refused_with_exit_two(self, capsys, n, shown):
+        for argv in self.argvs(n):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: dimension {shown} is not a whole number\n"
+
+    def test_a_whole_float_is_a_dimension(self, capsys):
+        code, out, _ = run(capsys, self.argvs("1.0")[0])
+        assert code == 0 and json.loads(out) == {"le": True, "lt": False}
+
+
 class TestIntervalTolerance:
     # the closed interval [0, 1e-10 I]: lower < upper holds at psd_tol 1e-12
     # (lambda_min 1e-10 > 1e-12) and fails at the default 1e-9

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loewner import linalg
@@ -297,6 +297,42 @@ class TestLoewnerPredicates:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.loewner_le(SymMat.identity(2), SymMat.identity(3))
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(-8.0, 8.0, allow_subnormal=False), min_size=n * n, max_size=n * n),
+               st.lists(st.floats(-8.0, 8.0, allow_subnormal=False), min_size=n, max_size=n),
+               st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n, max_size=n))),
+           st.one_of(st.none(), st.floats(-4e-9, 4e-9)), st.integers(0, 17), st.integers(1001, 1018))
+    @settings(max_examples=200, deadline=None)
+    def test_verdicts_survive_scaling_past_the_certificate(self, drawn, edge, low, k):
+        """(A, B) at 2^low and at 2^(low + k), |k| > 1000, with |lambda|max
+        of B - A at least 1 at both: the certificate (or its Jacobi
+        fallback) decides the first, Jacobi alone the second, and above
+        the max(1, .) floor the gate is homogeneous, so the verdicts agree.
+        B - A = H diag(lam) H for a Householder H; `edge` puts its least
+        eigenvalue near the gate +-psd_tol |lambda|max, where the two
+        routes part. TooLarge only when the larger spectrum overflows."""
+        entries, lam, v = drawn
+        n = len(lam)
+        if edge is not None:
+            lam[0] = edge * max(map(abs, lam))
+        v = np.array(v) + 3.0 * np.eye(n)[0]
+        h = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
+        a0 = np.reshape(entries, (n, n))
+        a0 = (a0 + a0.T) / 2.0
+        b0 = a0 + (h * lam) @ h.T
+        b0 = (b0 + b0.T) / 2.0
+        big = min(low + k, 1018)
+        top = float(np.max(np.abs(linalg.eigvalsh(SymMat(b0) - SymMat(a0)))))
+        assume(math.ldexp(top, low) >= 1.0)
+        overflows = math.frexp(top)[1] + big > 1024
+        pairs = [(SymMat(np.ldexp(a0, e)), SymMat(np.ldexp(b0, e))) for e in (low, big)]
+        for predicate in (linalg.loewner_le, linalg.loewner_lt):
+            small = predicate(*pairs[0])
+            try:
+                assert predicate(*pairs[1]) == small
+            except TooLarge:
+                assert overflows
 
     def test_partial_order_on_sampled_triples(self):
         rng = np.random.default_rng(23)
