@@ -6,15 +6,14 @@ stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
 Exit codes: 0 ok, 2 parse/malformed input (also TooLarge: a dimension
-above 44, a generator whose T^t T overflows, a spectrum or a strength
-that does not fit in a double, or a difference of matrices that
-overflows; `order` answers
-every square symmetric pair, leaving out the witness when an input is not
-PSD), 3 dimension mismatch,
-4 not an automorphism, 5 selftest property failure, 6 internal numerical
-failure (the eigensolver did not converge in 40 sweeps, or evaluating an
-automorphism, in `phi apply` or `phi recover`'s residual check, failed to
-solve with the matrix proved invertible or left [0, I] past its noise gate).
+above 44, a generator whose T^t T overflows, a spectrum that does not
+fit in a double, or a difference of matrices that overflows; `order`
+answers every square symmetric pair, leaving out the witness when an
+input is not PSD), 3 dimension mismatch, 4 not an automorphism, 5
+selftest property failure, 6 internal numerical failure (the eigensolver
+did not converge in 40 sweeps, or evaluating an automorphism, in `phi
+apply` or `phi recover`'s residual check, failed to solve with the matrix
+proved invertible or left [0, I] past its noise gate).
 
 Dimensions above _MAX_N = 44 are refused before any computation. The
 pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input

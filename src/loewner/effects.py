@@ -28,7 +28,6 @@ from .errors import (
     NotPSD,
     OutOfInterval,
     PreconditionViolated,
-    TooLarge,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -165,7 +164,10 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
     for an input that is not PSD, with the pseudo-inverse of the 2^k A of
     linalg._scaled_rows, so that an A near either end of the double range
     is answered as 2^-k / <(2^k A)+ x, x> (bit-identical whenever nothing
-    over- or underflows); TooLarge when that does not fit in a double.
+    over- or underflows). Where that scaling back overflows, the scaled
+    answer is capped at the largest kept eigenvalue of 2^k A first, as
+    strength <= lambda_max: the cap scales back to lambda_max of A, which
+    the spectrum holds, so it fits in a double.
     """
     if A.n != P.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
@@ -175,13 +177,14 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
         alpha = linalg._pivoted_strength(scaled, P.x, tol)
     if alpha is not None:
         return alpha
-    pinv, in_range = linalg._scaled_pinv(A, scaled.k, tol)
+    pinv, in_range, top = linalg._scaled_pinv(A, scaled.k, tol)
     if not in_range(P.x):
         return 0.0
+    alpha = 1.0 / float(P.x @ pinv.a @ P.x)
     try:
-        return math.ldexp(1.0 / float(P.x @ pinv.a @ P.x), -scaled.k)
+        return math.ldexp(alpha, -scaled.k)
     except OverflowError:
-        raise TooLarge("the strength does not fit in a double") from None
+        return math.ldexp(min(alpha, top), -scaled.k)
 
 
 def strength_witness(

@@ -11,9 +11,9 @@ class DimensionMismatch(LoewnerError):
 
 class TooLarge(LoewnerError):
     """An input is too large to process: a dimension above the CLI cap, a
-    generator whose Gram matrix T^t T overflows, a spectrum, a
-    pseudo-inverse or a strength that does not fit in a double, or a sum
-    or difference of matrices that overflows."""
+    generator whose Gram matrix T^t T overflows, a spectrum or a
+    pseudo-inverse that does not fit in a double, or a sum or difference
+    of matrices that overflows."""
 
 
 class NonConvergence(LoewnerError):
@@ -49,7 +49,8 @@ class NotComparable(LoewnerError):
 
 
 class PreconditionViolated(LoewnerError):
-    """A stated order precondition failed; the message names the inequality."""
+    """A stated precondition failed (an order inequality, or orthonormal
+    columns for linalg.complete_basis); the message names it."""
 
 
 class BadParameter(LoewnerError):

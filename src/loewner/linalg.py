@@ -25,7 +25,11 @@ LAPACK's potrf through np.linalg.cholesky from there, as the success side
 of Cholesky's backward error bound holds for any order of the inner
 products. Every factorization whose entries reach an answer or whose
 failure is the proof (the refuting attempt, LDL^t, the pivoted
-factorization) stays on lists, and so does Jacobi.
+factorization) stays on lists, and so does Jacobi. Each certified matrix
+is scaled once (_scaled_rows); from _LAPACK_ORDER on the scaling reads
+the array alone, and only those list paths build its rows as Python
+lists, so a check that LAPACK decides builds none. Below, the scaling's
+own list code forms the rows and keeps them.
 
 Every certificate charges Jacobi the error of the most sweeps it can run,
 _MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
@@ -47,6 +51,7 @@ from .errors import (
     DomainError,
     NonConvergence,
     NotPSD,
+    PreconditionViolated,
     Singular,
     TooLarge,
 )
@@ -199,18 +204,31 @@ def _check_same_dim(A: SymMat, B: SymMat):
 
 
 class _Scaled(NamedTuple):
-    """2^k m as rows of Python lists and as an array, with D = max |m_ii|
-    and F = ||m||_F in those units."""
+    """2^k m as an array, with D = max |m_ii| and F = ||m||_F in those
+    units. Below _LAPACK_ORDER it also holds the same rows as Python lists
+    (`lists`), which its list code forms on the way; from there `lists` is
+    None, and `rows` builds them (array.tolist()) for the list paths that
+    read them: the refuting _cholesky, _ldl, _pivoted_cholesky and
+    _jacobi."""
 
-    rows: list
     array: np.ndarray
     k: int
     diag: float
     frob: float
+    lists: Optional[list] = None
+
+    @property
+    def rows(self) -> list:
+        """2^k m as rows of Python lists: `lists`, or a fresh copy of the
+        array's rows when there are none (a caller that reads them twice
+        keeps them)."""
+        return self.array.tolist() if self.lists is None else self.lists
 
     def negated(self) -> "_Scaled":
-        """-m: the negated rows and array, with the same k, D and F."""
-        return self._replace(rows=[[-x for x in row] for row in self.rows], array=-self.array)
+        """-m: the negated array (and lists, when held), with the same k,
+        D and F."""
+        lists = None if self.lists is None else [[-x for x in row] for row in self.lists]
+        return self._replace(array=-self.array, lists=lists)
 
 
 def _scaled_rows(m: np.ndarray) -> _Scaled:
@@ -219,11 +237,25 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
 
     Scaling by a power of two is exact, so every computation homogeneous
     in m gives the same bits on the scaled copy, while sums of squares of
-    the entries can neither overflow nor underflow. One flat list of the
-    entries, in row order, feeds the rows, D and F; the array is m itself
+    the entries can neither overflow nor underflow. The array is m itself
     when k = 0.
+
+    From _LAPACK_ORDER on, max |m_ij|, D and F come from the array and no
+    Python list is built: the maxima are exact, and np.add.accumulate
+    sums the squares one after another in row order, as the builtin sum
+    of Python 3.11 does (a tier-1 test pins it). Below, where numpy's
+    per-call cost exceeds the list code's, one flat list of the entries,
+    in row order, feeds the rows, D and F, and the rows are kept.
     """
     n = m.shape[0]
+    if n >= _LAPACK_ORDER:
+        top = abs(m).max().item()
+        k = 1 - math.frexp(top)[1] if top else 0
+        if k:
+            m = np.ldexp(m, k)
+        diag = abs(m.diagonal()).max().item()
+        frob = math.sqrt(np.add.accumulate((m * m).ravel())[-1].item())
+        return _Scaled(m, k, diag, frob)
     flat = m.ravel().tolist()
     top = max(max(flat), -min(flat))
     k = 1 - math.frexp(top)[1] if top else 0
@@ -233,7 +265,7 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
     rows = [flat[i:i + n] for i in range(0, n * n, n)]
     diag = max(map(abs, flat[::n + 1]))
     frob = math.sqrt(sum(map(operator.mul, flat, flat)))
-    return _Scaled(rows, m, k, diag, frob)
+    return _Scaled(m, k, diag, frob, rows)
 
 
 def _jacobi(m: np.ndarray, want_vectors: bool):
@@ -247,7 +279,8 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
     NonConvergence past _MAX_SWEEPS sweeps.
     """
     n = m.shape[0]
-    a, _, power, _, scale = _scaled_rows(m)
+    scaled = _scaled_rows(m)
+    a, power, scale = scaled.rows, scaled.k, scaled.frob
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
 
     if scale == 0.0 or n == 1:
@@ -435,10 +468,10 @@ def _gate_band(scaled: _Scaled, relative: float,
                floor: bool = True) -> Optional[Tuple[float, float, float]]:
     """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
     when the exponent range rules the certificate out."""
-    rows, _, k, diag, frob = scaled
+    array, k, diag, frob, _ = scaled
     if abs(k) > 1000:
         return None
-    n = len(rows)
+    n = len(array)
     unit = math.ldexp(1.0, k) if floor else 0.0
     ends = (relative * max(unit, diag, frob / math.sqrt(n)),
             relative * max(unit, frob))
@@ -514,7 +547,7 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     if band is None:
         return None, None
     g_lo, g_hi, delta = band
-    if _cholesky_pivots(g_hi + delta, scaled.rows, scaled.array) is not None:
+    if _cholesky_pivots(g_hi + delta, scaled.lists, scaled.array) is not None:
         return True, None
     if refute:
         factor, pivots = _cholesky(scaled.rows, g_lo - delta)
@@ -577,7 +610,7 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     if band is None:
         return False
     _, g_hi, delta = band
-    pivots = _cholesky_pivots(g_hi + delta, scaled.rows, scaled.array)
+    pivots = _cholesky_pivots(g_hi + delta, scaled.lists, scaled.array)
     if pivots is None:
         return False
     n = len(pivots)
@@ -828,10 +861,11 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     instead of raising; past the keep test every row of L has norm below
     sqrt(2 D + sigma + eps_f), so nothing after it overflows.
     """
-    rows, _, k, diag, frob = scaled
-    n = len(rows)
+    _, k, diag, frob, _ = scaled
     if abs(k) > 1000:
         return None
+    rows = scaled.rows
+    n = len(rows)
     top = max(row[i] for i, row in enumerate(rows))
     rank_tol = tol.rank_tol
     pivots, rest, low = _pivoted_cholesky(rows, rank_tol * top / n)
@@ -948,10 +982,10 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     an end at 0) and the exponent range guard of _certificate leave the
     answer undecided, without forming the product.
     """
-    rows, array, k, _, frob = _scaled_rows(m)
+    array, k, _, frob, _ = _scaled_rows(m)
     if abs(k) > 1000:
         return False
-    n = len(rows)
+    n = len(array)
     j = min(k, 1 - math.frexp(max(abs(lo), abs(hi)))[1])
     lo, hi, frob = math.ldexp(lo, j), math.ldexp(hi, j), math.ldexp(frob, j - k)
     root = math.sqrt(n)
@@ -1043,10 +1077,11 @@ def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
     return SymMat((spec.eigenvectors * np.array(mapped)) @ spec.eigenvectors.T)
 
 
-def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[np.ndarray], bool]]:
-    """pinv_and_range with the pseudo-inverse of 2^k A in place of A's:
-    the kept eigenvalues are scaled by 2^k before they are inverted, so a
-    k that brings A's entries near 1 keeps every entry of the result in
+def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[np.ndarray], bool], float]:
+    """pinv_and_range with the pseudo-inverse of 2^k A in place of A's,
+    and the largest kept eigenvalue of 2^k A (0.0 when none is kept): the
+    kept eigenvalues are scaled by 2^k before they are inverted, so a k
+    that brings A's entries near 1 keeps every entry of the result in
     range. It is 2^-k times A's pseudo-inverse, bit for bit, whenever
     nothing over- or underflows."""
     spec = eigh(A)
@@ -1057,10 +1092,11 @@ def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[
     lam_max = float(np.max(clamped))
     keep = clamped > tol.rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(clamped, dtype=bool)
     basis = spec.eigenvectors[:, keep]
+    kept = np.ldexp(clamped[keep], k)
     if basis.shape[1] > 0:
-        pinv = SymMat((basis / np.ldexp(clamped[keep], k)) @ basis.T)
+        pinv, top = SymMat((basis / kept) @ basis.T), float(kept[-1])
     else:
-        pinv = SymMat.zero(A.n)
+        pinv, top = SymMat.zero(A.n), 0.0
     n = A.n
     rank_tol = tol.rank_tol
 
@@ -1071,7 +1107,7 @@ def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[
         residual = vec - basis @ (basis.T @ vec)
         return float(np.linalg.norm(residual)) <= rank_tol * max(1.0, float(np.linalg.norm(vec)))
 
-    return pinv, in_range
+    return pinv, in_range, top
 
 
 def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Callable[[np.ndarray], bool]]:
@@ -1085,7 +1121,7 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
     range).
     """
     k = _scaled_rows(A.a).k
-    pinv, in_range = _scaled_pinv(A, k, tol)
+    pinv, in_range, _ = _scaled_pinv(A, k, tol)
     with np.errstate(over="ignore"):
         entries = np.ldexp(pinv.a, k)
     if not np.isfinite(entries).all():
@@ -1135,9 +1171,19 @@ def _orthonormalize(M: np.ndarray) -> np.ndarray:
 
 def complete_basis(cols: np.ndarray) -> np.ndarray:
     """Deterministically extend orthonormal columns to a full basis of R^n
-    by sweeping the standard basis."""
-    n = cols.shape[0]
-    out = [cols[:, j].copy() for j in range(cols.shape[1])]
+    by sweeping the standard basis.
+
+    Singular for more columns than rows; PreconditionViolated for columns
+    that are not orthonormal, entrywise to 1e-8 in C^t C - I. For
+    orthonormal columns the sweep completes: a unit vector it skips lies
+    within 1e-8 of the span of the vectors already kept, and the squared
+    distances of all n of them from an s-dimensional span sum to n - s."""
+    n, r = cols.shape
+    if r > n:
+        raise Singular("failed to complete the basis")
+    if not np.allclose(cols.T @ cols, np.eye(r), rtol=0.0, atol=1e-8):
+        raise PreconditionViolated("columns must be orthonormal")
+    out = [cols[:, j].copy() for j in range(r)]
     for i in range(n):
         if len(out) == n:
             break
@@ -1148,6 +1194,4 @@ def complete_basis(cols: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(w))
         if norm > 1e-8:
             out.append(w / norm)
-    if len(out) != n:
-        raise Singular("failed to complete the basis")
     return np.column_stack(out)

@@ -942,6 +942,18 @@ class TestSpectraPerCall:
         assert count(mobius_apply, params, x) == ["eigh"] * 4
 
 
+def lapack_sized_case():
+    """(low, high, t) at n = 12: effects low < high, with high = low +
+    I/2, and a generator t near I."""
+    rng = np.random.default_rng(29)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    low = (q * np.linspace(0.1, 0.4, 12)) @ q.T
+    low = SymMat((low + low.T) / 2.0)
+    high = SymMat(low.a + 0.5 * np.eye(12))
+    t = np.eye(12) + 0.05 * rng.standard_normal((12, 12))
+    return low, high, t
+
+
 class TestFactorizationsPerCall:
     """Pass/fail Cholesky factorizations (_cholesky_pivots) per public
     call, with the list factorizations (_cholesky) run beside them: a
@@ -983,18 +995,51 @@ class TestFactorizationsPerCall:
         assert count(phi.apply, x) == (2, 2)                   # and the input's
 
     def test_at_n_12_every_check_runs_in_lapack(self, count):
-        rng = np.random.default_rng(29)
-        q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        low = (q * np.linspace(0.1, 0.4, 12)) @ q.T
-        low = SymMat((low + low.T) / 2.0)
-        high = SymMat(low.a + 0.5 * np.eye(12))
+        low, high, t = lapack_sized_case()
         assert count(linalg.loewner_le, low, high) == (1, 0)
         # the proving attempt fails in LAPACK, the refuting one runs in lists
         assert count(linalg.loewner_le, high, low) == (1, 1)
-        t = np.eye(12) + 0.05 * rng.standard_normal((12, 12))
         assert count(EffectAutomorphism, t) == (1, 0)
         assert count(make_effect, low) == (1, 0)
         assert count(EffectAutomorphism(t).apply, make_effect(low)) == (1, 0)
+
+
+class TestRowListsPerCall:
+    """Python row lists built per public call at n = 12, counted where
+    _Scaled.rows builds them: the scaled array alone serves every check
+    that runs in LAPACK, and only a list path (here the refuting
+    factorization, whose factor is the witness) reads rows."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        builds = []
+        rows = linalg._Scaled.rows
+
+        def counting(scaled):
+            assert scaled.lists is None             # n >= _LAPACK_ORDER holds none
+            builds.append(scaled.array.shape[0])
+            return rows.fget(scaled)
+
+        monkeypatch.setattr(linalg._Scaled, "rows", property(counting))
+
+        def run(fn, *args):
+            builds.clear()
+            fn(*args)
+            return len(builds)
+
+        return run
+
+    def test_decided_calls_build_none(self, count):
+        low, high, t = lapack_sized_case()
+        assert count(linalg.loewner_le, low, high) == 0
+        assert count(EffectAutomorphism, t) == 0
+        assert count(make_effect, low) == 0
+        assert count(EffectAutomorphism(t).apply, make_effect(low)) == 0
+
+    def test_a_refuted_order_builds_them_once_for_the_witness(self, count):
+        low, high, _ = lapack_sized_case()
+        assert count(linalg.loewner_le, high, low) == 1
+        assert count(strength_witness, high, low) == 1
 
 
 class TestScalingsPerCall:

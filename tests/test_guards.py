@@ -138,6 +138,19 @@ class TestBasisHelpers:
         with pytest.raises(Singular, match="failed to complete the basis"):
             linalg.complete_basis(np.eye(2, 3))
 
+    @pytest.mark.parametrize("cols", [np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
+                                      np.array([[2.0], [0.0]]), np.array([[1.0, 0.6], [0.0, 0.8]])])
+    def test_columns_that_are_not_orthonormal_complete_no_basis(self, cols):
+        with pytest.raises(PreconditionViolated, match="columns must be orthonormal"):
+            linalg.complete_basis(cols)
+
+    def test_orthonormal_columns_complete_to_an_orthogonal_matrix(self):
+        q = np.linalg.qr(np.random.default_rng(53).standard_normal((5, 5)))[0]
+        for r in range(6):
+            full = linalg.complete_basis(q[:, :r])
+            assert np.array_equal(full[:, :r], q[:, :r])
+            assert np.allclose(full.T @ full, np.eye(5), rtol=0.0, atol=1e-14)
+
 
 class TestIdentityBlock:
     E0, E1 = standard_projection(0, 3), standard_projection(1, 3)

@@ -175,17 +175,21 @@ class TestEigh:
 
 
 def row_wise_scaled_rows(m):
-    """_scaled_rows computed row by row, with max |m_ij| from abs and the
-    sums of squares over the rows: the bits its flat list must keep, and
-    the array that holds the same rows."""
+    """_scaled_rows computed row by row, as (array, k, D, F, rows): max
+    |m_ij| from abs, and the squares added one after another in row
+    order, spelled out as a loop (the builtin sum is compensated from
+    Python 3.12 on). The bits both of its paths must keep."""
     rows = m.tolist()
-    top = max(map(abs, [x for row in rows for x in row]))
+    top = max(abs(x) for row in rows for x in row)
     k = 1 - math.frexp(top)[1] if top else 0
     if k:
         rows = np.ldexp(m, k).tolist()
     diag = max(abs(row[i]) for i, row in enumerate(rows))
-    frob = math.sqrt(sum(x * x for row in rows for x in row))
-    return rows, np.array(rows), k, diag, frob
+    total = 0.0
+    for row in rows:
+        for x in row:
+            total += x * x
+    return np.array(rows), k, diag, math.sqrt(total), rows
 
 
 def float_bits(value):
@@ -199,24 +203,82 @@ def float_bits(value):
 
 
 class TestScaledRows:
+    @staticmethod
+    def check(m):
+        """array, k, D, F and the rows as read, for m and for its negation,
+        against the row-wise reference; Python lists held only below
+        _LAPACK_ORDER."""
+        scaled = linalg._scaled_rows(m)
+        array, k, diag, frob, rows = row_wise_scaled_rows(m)
+        held = m.shape[0] < linalg._LAPACK_ORDER
+        assert type(scaled.diag) is type(scaled.frob) is float
+        assert float_bits(scaled[:4]) == float_bits((array, k, diag, frob))
+        assert (scaled.lists is not None) == held
+        assert float_bits(scaled.rows) == float_bits(rows)
+        # the negation negates the array and any held rows, and keeps k, D and F
+        negated = scaled.negated()
+        assert float_bits(negated[:4]) == float_bits((-array, k, diag, frob))
+        assert (negated.lists is not None) == held
+        assert float_bits(negated.rows) == float_bits([[-x for x in row] for row in rows])
+
     @given(st.integers(1, 16).flatmap(lambda n: st.lists(
                st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n)),
            st.integers(-600, 600))
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_the_row_wise_scaling(self, values, k):
         n = math.isqrt(len(values))
-        m = np.ldexp(np.array(values).reshape(n, n), k)
-        scaled = linalg._scaled_rows(m)
-        assert float_bits(tuple(scaled)) == float_bits(row_wise_scaled_rows(m))
-        # the negation negates the rows and the array alike
-        rows, array, *rest = scaled.negated()
-        assert float_bits(array) == float_bits(rows) == float_bits([[-x for x in row] for row in scaled.rows])
-        assert rest == [scaled.k, scaled.diag, scaled.frob]
+        self.check(np.ldexp(np.array(values).reshape(n, n), k))
+
+    @pytest.mark.parametrize("n", [linalg._LAPACK_ORDER - 1, linalg._LAPACK_ORDER, 16])
+    def test_on_both_sides_of_the_lapack_order(self, n):
+        rng = np.random.default_rng(43)
+        for k in (-1070, -600, 0, 600, 1020):
+            self.check(np.ldexp(rng.standard_normal((n, n)), k))
 
     def test_zero_matrix(self):
-        for m in (np.zeros((3, 3)), -np.zeros((2, 2))):
-            assert float_bits(tuple(linalg._scaled_rows(m))) == float_bits(row_wise_scaled_rows(m))
+        for m in (np.zeros((3, 3)), -np.zeros((2, 2)), np.zeros((8, 8)), -np.zeros((12, 12))):
+            self.check(m)
             assert linalg._scaled_rows(m).k == 0
+
+
+class TestLeftToRightSquares:
+    """What _scaled_rows relies on in the installed numpy from
+    _LAPACK_ORDER on: np.add.accumulate adds its input one element after
+    another, as the list path's builtin sum does on Python 3.11, so F
+    keeps its bits across the crossover. A numpy that sums in another
+    order fails here."""
+
+    @staticmethod
+    def loop(squares):
+        total = 0.0
+        for x in squares.tolist():
+            total += x
+        return total
+
+    @pytest.mark.parametrize("family", ["normal", "subnormal", "near overflow", "wide"])
+    def test_accumulate_is_a_left_to_right_loop(self, family):
+        rng = np.random.default_rng(47)
+        for n in range(1, 45):
+            size = n * n
+            sign = rng.choice([-1.0, 1.0], size)
+            mantissa = sign * rng.uniform(1.0, 2.0, size)
+            entries = {
+                "normal": rng.standard_normal(size),
+                "subnormal": np.ldexp(mantissa, rng.integers(-1074, -1000, size)),
+                "near overflow": np.ldexp(mantissa, rng.integers(500, 512, size)),
+                "wide": np.ldexp(mantissa, rng.integers(-1074, 1024, size)),
+            }[family]
+            with np.errstate(over="ignore", under="ignore"):
+                squares = entries * entries
+                total = np.add.accumulate(squares)[-1].item()
+            assert total.hex() == self.loop(squares).hex()
+
+    def test_a_pairwise_sum_would_differ(self):
+        # each 2^-53 rounds away against 1 when added in turn; a pairwise
+        # or blocked sum would add them up first
+        squares = np.array([1.0] + [2.0 ** -53] * 1935)
+        assert np.add.accumulate(squares)[-1] == self.loop(squares) == 1.0
+        assert math.fsum(squares.tolist()) > 1.0
 
 
 class TestLapackCholesky:
