@@ -168,8 +168,15 @@ def _cmd_strength(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    tol = Tolerances(args.tol)
     sub = args.phi_command
+    if sub == "probes":
+        n = _parse_dimension(args.n)
+        if n < 2:
+            raise ValueError("dimension must be at least 2")
+        probes = recovery_probe_effects(n)
+        _emit({"n": n, "probes": [matrix_doc(p.mat) for p in probes]})
+        return 0
+    tol = Tolerances(args.tol)
     if sub == "apply":
         phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
         x = parse_symmetric(load_json(args.x), "effect")
@@ -181,12 +188,6 @@ def _cmd_phi(args) -> int:
     elif sub == "invert":
         phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
         _emit(matrix_doc(phi.inverse().t))
-    elif sub == "probes":
-        n = _parse_dimension(args.n)
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
-        probes = recovery_probe_effects(n)
-        _emit({"n": n, "probes": [matrix_doc(p.mat) for p in probes]})
     else:  # recover
         payload = load_json(args.pairs)
         n = _parse_dimension(payload["n"])
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p_invert)
     p_probes = phi_sub.add_parser("probes", help="emit the recovery probe set")
     p_probes.add_argument("n", type=int)
-    add_tol(p_probes)
     p_recover = phi_sub.add_parser("recover", help="recover a generator from probe images")
     p_recover.add_argument("pairs", help='{"n": int, "pairs": [{"input": doc, "output": doc}]}')
     add_tol(p_recover)

@@ -17,7 +17,10 @@ effects.strength_witness builds its witness. A [lo, hi] check is one
 factorization of (M - lo I)(hi I - M) (_certified_within), and a
 semidefinite pivoted factorization answers strength along a direction off
 the range of a singular matrix (0) or inside it (1 / |y|^2 from its
-factor) when the spectral route provably decides alike (_pivoted_strength).
+factor) when the spectral route provably decides alike (_pivoted_strength),
+both from the gap of one factorization of its pivot block and a vector
+found by back-substitution (_back_solve), which also gives
+_negative_curvature its direction.
 
 A factorization whose only output is "it ran to completion" (and its
 pivots) is _cholesky_pivots's: Python lists below _LAPACK_ORDER,
@@ -414,6 +417,17 @@ def _cholesky_pivots(shift: float, rows: Optional[list] = None,
     return pivots if all(p >= _SMALLEST_NORMAL for p in pivots) else None
 
 
+def _back_solve(rows: list, b: list) -> list:
+    """z with L^t z = b by back-substitution, for the lower triangular L
+    whose row j is rows[j] (l_j0 .. l_jj; only the first len(b) rows, up
+    to their diagonals, are read)."""
+    i = len(b)
+    z = [0.0] * i
+    for j in range(i - 1, -1, -1):
+        z[j] = (b[j] - sum(rows[t][j] * z[t] for t in range(j + 1, i))) / rows[j][j]
+    return z
+
+
 def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     """x = (-L11^-t l, 1, 0, ..., 0) in R^n, normalized, from the L of a
     _cholesky that stopped at pivot i: L11 its first i rows, l the
@@ -425,11 +439,7 @@ def _negative_curvature(factor: list, n: int) -> Optional[np.ndarray]:
     h_ii - l^t l, the failing pivot: a direction of negative curvature
     (Gill, Murray & Wright, Practical Optimization, sec. 4.4.2)."""
     *top, l = factor
-    i = len(top)
-    y = [0.0] * i
-    for j in range(i - 1, -1, -1):
-        y[j] = (-l[j] - sum(top[r][j] * y[r] for r in range(j + 1, i))) / top[j][j]
-    x = y + [1.0] + [0.0] * (n - i - 1)
+    x = _back_solve(top, [-lj for lj in l]) + [1.0] + [0.0] * (n - len(top) - 1)
     size = math.hypot(*x)                       # at least 1, from x_i
     return np.array(x) / size if math.isfinite(size) else None
 
@@ -699,70 +709,15 @@ def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list]:
     return pivots, rest, low
 
 
-def _gram_floor(low: list, r: int) -> Tuple[float, list, float]:
-    """(b, R, t) for the n x r factor L of _pivoted_cholesky (row i is
-    low[i], zero past its end): b a lower bound on lambda_min(L^t L), 0.0
-    when a factorization below fails; R the unshifted Cholesky factor of
-    the computed G = fl(L^t L), as _cholesky returns it; t = trace(G).
-
-    Three steps of inverse iteration through R end in a Rayleigh quotient
-    of G^-1, so in an estimate e >= lambda_min(G) up to rounding. They
-    start from the last unit vector: the pivoting leaves the weakest
-    direction of L last. A Cholesky of G - s I at s = e / 2 that runs to
-    completion proves lambda_min(G) >= s - eps_c, eps_c = 2 r (r + 1) u W
-    (_certificate), where W = 2 t bounds every shifted diagonal: the
-    success side only, so it is _cholesky_pivots's, while R, whose
-    entries the caller solves with, comes from _cholesky. G is
-    within n u ||L||_F^2 <= 2 n u t of L^t L in norm, in any summation
-    order, and only its lower triangle is read; so lambda_min(L^t L) >=
-    b = s - 4 (r (r + 1) + n) u t. The same two terms bound
-    ||R R^t - L^t L|| by d = 4 (r (r + 1) + n) u t."""
-    n = len(low)
-    lmat = np.zeros((n, r))
-    for i, li in enumerate(low):
-        lmat[i, :len(li)] = li
-    gram = lmat.T @ lmat
-    rows = gram.tolist()
-    trace = sum(row[i] for i, row in enumerate(rows))
-    factor, pivots = _cholesky(rows, 0.0)
-    if not pivots[-1] > 0.0:
-        return 0.0, factor, trace
-    below = [[factor[j][i] for j in range(i + 1, r)] for i in range(r)]
-    z = [0.0] * (r - 1) + [1.0]
-    for _ in range(3):
-        v = _forward_solve(factor, z)
-        w = [0.0] * r
-        for i in range(r - 1, -1, -1):
-            w[i] = (v[i] - sum(map(operator.mul, below[i], w[i + 1:]))) / factor[i][i]
-        estimate = sum(map(operator.mul, z, z)) / sum(map(operator.mul, z, w))
-        size = math.sqrt(sum(map(operator.mul, w, w)))
-        z = [wi / size for wi in w]
-    shift = estimate / 2.0
-    if _cholesky_pivots(shift, rows, gram) is None:
-        return 0.0, factor, trace
-    return shift - 4.0 * (r * (r + 1) + n) * _UNIT_ROUNDOFF * trace, factor, trace
-
-
-def _forward_solve(factor: list, z: list) -> list:
-    """R^-1 z for a complete _cholesky factor R."""
-    v = []
-    for li, zi in zip(factor, z):
-        v.append((zi - sum(map(operator.mul, li, v))) / li[-1])
-    return v
-
-
 def _null_direction(pivots: list, rest: list, low: list, g: list) -> list:
     """w = K K^t x for K = [-L11^-t L21^t; I] (in pivot order), whose
     columns span the null space of L^t: the part of x off the factor's
     range, up to the shape of K. Given g = x2 - L21 y with L11 y = x1, one
     more triangular solve, no inverse: L11^t z = L21^t g, w = (-z, g)."""
     r = len(pivots)
-    z = [0.0] * r
-    for j in range(r - 1, -1, -1):
-        h = sum(low[i][j] * gi for i, gi in zip(rest, g))
-        z[j] = (h - sum(low[pivots[t]][j] * z[t] for t in range(j + 1, r))) / low[pivots[j]][j]
+    h = [sum(low[i][j] * gi for i, gi in zip(rest, g)) for j in range(r)]
     w = [0.0] * (r + len(rest))
-    for p, zj in zip(pivots, z):
+    for p, zj in zip(pivots, _back_solve([low[p] for p in pivots], h)):
         w[p] = -zj
     for i, gi in zip(rest, g):
         w[i] = gi
@@ -795,59 +750,50 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
       -psd_tol * max(1, |mu|max): at most r eigenvectors are kept, all
       among the top r, and every other mu has |mu| <= sigma + eps_f +
       eps_j.
-    - Gap: each of the top r mu is at least a beta that each branch
-      below bounds its own way. In the range: the nonzero eigenvalues of
-      L L^t are those of G = L^t L, so by Weyl's inequality lambda_r(M) >=
-      lambda_min(G) - sigma - eps_f, and beta = b - sigma - eps_f - eps_j,
-      b the bound on lambda_min(G) of _gram_floor. Off the range a crude
-      gap serves: M11, the pivot rows and columns of M, has lambda_r(M) >=
-      lambda_min(M11) by interlacing, and a Cholesky of M11 at
+    - Gap: M11, the pivot rows and columns of M, has lambda_r(M) >=
+      lambda_min(M11) by Cauchy interlacing, and a Cholesky of M11 at
       s = l^2 / (2 r), l the least l_jj, that runs to completion gives
       lambda_min(M11) >= s - eps_f (its own eps_c, 2 r (r + 1) u 2 D, is
-      below eps_f; the success side only, so it is _cholesky_pivots's);
-      beta = s - 2 (eps_f + eps_j) leaves room for the roundings.
+      below eps_f; the success side only, so it is _cholesky_pivots's).
+      Each of the top r mu is then at least beta = s - 2 (eps_f + eps_j),
+      which leaves room for the roundings. Both branches below need
+      beta > 0 and that factorization.
     - Vectors: Jacobi's eigenvectors are V = Q + dV with Q orthogonal,
       Q^t (M + dM) Q = diag(mu) + O, ||dM|| + ||O|| <= eps_j, and ||dV||_2
       <= eps_v (each rotation moves V by at most 16 u). B = Q1 + dV1 are
       the kept columns and Q2 the columns of Q of the other mu.
+    - Lean: for any w, |diag(mu) Q^t w| <= |M w| + eps_j |w|, and
+      |Q2^t M w| <= (max over the other mu of |mu| + eps_j) |w|.
 
     With L11 the pivot rows of L, y solves L11 y = x1 and g = x2 - L21 y
     is the rest of x off the factor's range, in pivot order; the route is
     chosen by |g| against the Jacobi route's gate rank_tol * max(1, |x|).
+    Either route picks a w and computes |w|, |x| and M w, the last with an
+    error under (n + 1) u F |w|; the bounds hold for any w, so the rounding
+    of w itself does not enter them. Each test doubles or multiplies by
+    1.01 what it compares, which absorbs the relative roundings of every
+    computed term (each under 100 u) and the norm growth of _jacobi_error
+    (under 1e-9), and adds 4 (n + 1) sqrt(n) u |x| for the rounding of the
+    Jacobi route's own residual and of the products with x.
 
-    Off the range (2 |g| >= gate), the answer is 0.0 when beta > 0, the
-    Cholesky of M11 runs to completion and the test below passes.
-    - Lean: for any w, |diag(mu) Q^t w| <= |M w| + eps_j |w|, so |B^t w|
-      <= (|M w| + eps_j |w|) / beta + eps_v |w|: the lean of the kept
-      eigenvectors into w, here _null_direction's.
+    Off the range (2 |g| >= gate), the answer is 0.0 when the test below
+    passes, with w of _null_direction.
+    - Lean: |B^t w| <= (|M w| + eps_j |w|) / beta + eps_v |w|, the lean of
+      the kept eigenvectors into w.
     - Residual: the Jacobi route's x - B B^t x has norm at least
       (|w^t x| - |B^t w| |B| |x|) / |w|, with |B| <= 1 + eps_v.
-    |w^t x|, |w|, |x| and |M w| are computed, the last with an error under
-    (n + 1) u F |w|. The test doubles the lean and the gate, which absorbs
-    the relative roundings, and adds 4 (n + 1) sqrt(n) u |x| for the
-    rounding of the Jacobi route's own residual and of w^t x.
 
     In the range (2 |g| < gate), the answer is 2^-k / |y|^2 when beta >
-    2 rank_tol (F + eps_j), zeta (below) < 1/2 and the test below passes.
+    2 rank_tol (F + eps_j) and the test below passes, with w = L11^-t y on
+    the pivots (_back_solve) and 0 off them: L^t w = y, so M w = L y - E w
+    and x - M w is (x1 - L11 y, g) up to E w and the roundings.
     - Kept: mu_max <= lambda_max(M) + eps_j <= F + eps_j, so the bound on
       beta puts the top r mu above the keep gate: exactly r are kept.
-    - Residual: |x - B B^t x| <= |Q2^t x| + (2 eps_v + eps_v^2) |x|. With
-      e = x - L y, |e| <= |g| + 2 (r + 1) u (|x| + ||L||_F |y|) covers the
-      roundings of y and g (||L||_F^2 <= 1.01 t), and Q2^t x = Q2^t L y +
-      Q2^t e. With z = L G^-1 y, L^t z = y, and L L^t = M + E - S, so
-      Q2^t L y = Q2^t (M + E - S) z, where |Q2^t M z| <= (max over the
-      other mu of |mu| + eps_j) |z|: |Q2^t L y| <= 2 (sigma + eps_f +
-      eps_j) |z|, the lean of the discarded eigenvectors into the range.
-    - |z|: |z|^2 = y^t G^-1 y. With R, t and d of _gram_floor and G >= b I,
-      R R^t <= (1 + d / b) G, so |z|^2 <= (1 + d / b) |R^-1 y|^2; the
-      computed v = R^-1 y has |R^-1 y| <= |v| (1 + 2 (r + 1) u sqrt(t / b))
-      when d <= b / 2 (||R||_F^2 <= 2 t, ||R^-1||^2 <= 2 / b). As t >= b,
-      both factors together are at most 1 + zeta, zeta = 4 ((r + 1)^2 + n)
-      u t / b, and zeta < 1/2 gives d <= b / 2.
-    The test adds these bounds, multiplies them by 1.01, which absorbs the
-    relative roundings of every computed term (each under 100 u) and the
-    norm growth of _jacobi_error (under 1e-9), adds the same 4 (n + 1)
-    sqrt(n) u |x|, and compares the sum with the gate.
+    - Residual: |x - B B^t x| <= |Q2^t x| + (2 eps_v + eps_v^2) |x|, and
+      Q2^t x = Q2^t (x - M w) + Q2^t M w, so by the lean |Q2^t x| <=
+      |x - M w| + (sigma + eps_f + 2 eps_j) |w|: the lean of the
+      discarded eigenvectors into the range. The sum of these, with the
+      error of M w, must stay below the gate.
     - Answer: for x = L y, x^t (L L^t)^+ x = |y|^2, the closed form on the
       factor; in the units of m it is 2^k |y|^2. The spectral route's
       answer comes from the truncated spectrum instead: for an x in the
@@ -879,6 +825,12 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     eps_j = _jacobi_error(n, frob)
     if not 2.0 * (sigma + eps_f + eps_j) < rank_tol * (top - 2.0 * eps_j):
         return None
+    least = min(low[p][j] for j, p in enumerate(pivots))
+    shift = least * least / (2.0 * r)
+    beta = shift - 2.0 * (eps_f + eps_j)
+    block = [[rows[i][j] for j in pivots] for i in pivots]
+    if not (beta > 0.0 and _cholesky_pivots(shift, block) is not None):
+        return None
     xs = x.tolist()
     y = []
     for j, p in enumerate(pivots):
@@ -890,32 +842,29 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     gate = rank_tol * max(1.0, xn)
     eps_v = _ROTATION_ERROR * u * _rotations(n)
     rounding = 4.0 * (n + 1) * math.sqrt(n) * u * xn
-    if 2.0 * gn < gate:
-        floor, gram, trace = _gram_floor(low, r)
-        beta = floor - sigma - eps_f - eps_j
+    inside = 2.0 * gn < gate
+    if inside:
         if not beta > 2.0 * rank_tol * (frob + eps_j):
             return None
-        zeta = 4.0 * ((r + 1) ** 2 + n) * u * trace / floor
-        v = _forward_solve(gram, y)
-        zn = math.sqrt(sum(map(operator.mul, v, v)))
-        size = sum(map(operator.mul, y, y))
-        lean = 2.0 * (sigma + eps_f + eps_j) * zn * (1.0 + zeta)
-        off = gn + 2.0 * (r + 1) * u * (xn + math.sqrt(trace * size)) + (2.0 + eps_v) * eps_v * xn
-        if not (zeta < 0.5 and 1.01 * (lean + off) + rounding < gate):
-            return None
-        return math.ldexp(1.0 / size, -k)
-    least = min(low[p][j] for j, p in enumerate(pivots))
-    shift = least * least / (2.0 * r)
-    beta = shift - 2.0 * (eps_f + eps_j)
-    block = [[rows[i][j] for j in pivots] for i in pivots]
-    if not (beta > 0.0 and _cholesky_pivots(shift, block) is not None):
-        return None
-    w = _null_direction(pivots, rest, low, g)
-    wx = abs(sum(map(operator.mul, w, xs)))
+        w = [0.0] * n
+        for p, wj in zip(pivots, _back_solve([low[p] for p in pivots], y)):
+            w[p] = wj
+    else:
+        w = _null_direction(pivots, rest, low, g)
     wn = math.sqrt(sum(map(operator.mul, w, w)))
     mws = [sum(map(operator.mul, row, w)) for row in rows]
+    noise = ((n + 1) * u * frob + eps_j) * wn
+    if inside:
+        rs = [xi - mi for xi, mi in zip(xs, mws)]
+        rn = math.sqrt(sum(map(operator.mul, rs, rs)))
+        lean = (sigma + eps_f + eps_j) * wn + noise
+        off = rn + (2.0 + eps_v) * eps_v * xn
+        if not 1.01 * (lean + off) + rounding < gate:
+            return None
+        return math.ldexp(1.0 / sum(map(operator.mul, y, y)), -k)
+    wx = abs(sum(map(operator.mul, w, xs)))
     mw = math.sqrt(sum(map(operator.mul, mws, mws)))
-    lean = 2.0 * ((mw + ((n + 1) * u * frob + eps_j) * wn) / beta + eps_v * wn)
+    lean = 2.0 * ((mw + noise) / beta + eps_v * wn)
     return 0.0 if (wx - lean * xn) / wn > 2.0 * gate + rounding else None
 
 
@@ -1155,15 +1104,24 @@ def _as_columns(M) -> np.ndarray:
 
 
 def _orthonormalize(M: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on columns, dropping nothing (raises if rank-deficient)."""
+    """Gram-Schmidt on columns, dropping nothing: Singular when a column is
+    zero or within 1e-12 of the span of those before it, relative to its
+    own norm. Each column is first scaled by the power of two that brings
+    its largest entry into [1/2, 1), as RankOneProjection does, so its
+    products neither overflow nor underflow, and a 2^j multiple of a column
+    gives the same bits."""
     M = _as_columns(M)
     cols = []
     for j in range(M.shape[1]):
-        w = M[:, j].copy()
+        top = float(np.abs(M[:, j]).max(initial=0.0))
+        if top == 0.0:
+            raise Singular("columns are numerically dependent")
+        w = np.ldexp(M[:, j], -math.frexp(top)[1])
+        size = float(np.linalg.norm(w))
         for c in cols:
             w -= c * float(c @ w)
         norm = float(np.linalg.norm(w))
-        if norm <= 1e-12:
+        if norm <= 1e-12 * size:
             raise Singular("columns are numerically dependent")
         cols.append(w / norm)
     return np.column_stack(cols)

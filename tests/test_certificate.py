@@ -391,7 +391,7 @@ def test_in_range_strength_on_the_singular_corpus_takes_no_spectrum(monkeypatch)
     # are answered from the factor
     spectra = []
     jacobi = linalg._jacobi
-    monkeypatch.setattr(linalg, "_jacobi", lambda m, want: spectra.append(m.shape[0]) or jacobi(m, want))
+    monkeypatch.setattr(linalg, "_jacobi", lambda m, want_vectors: spectra.append(m.shape[0]) or jacobi(m, want_vectors))
     cases = [(m, directions[0]) for m, directions in _singular_corpus(19) if 8 <= m.shape[0] <= 16]
     for m, x in cases:
         assert strength(SymMat(m), RankOneProjection(x)) > 0.0
@@ -1002,6 +1002,19 @@ class TestFactorizationsPerCall:
         assert count(EffectAutomorphism, t) == (1, 0)
         assert count(make_effect, low) == (1, 0)
         assert count(EffectAutomorphism(t).apply, make_effect(low)) == (1, 0)
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_strength_on_a_singular_a_checks_the_pivot_block_once(self, count, n):
+        # the definite certificate's failed attempt, then one check of the
+        # r x r pivot block, which gives both branches their gap (in lists,
+        # as r < _LAPACK_ORDER)
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))[0]
+        r = n // 2
+        a = (q[:, :r] * np.linspace(0.5, 1.0, r)) @ q[:, :r].T
+        a = SymMat((a + a.T) / 2.0)
+        lists = 2 if n < linalg._LAPACK_ORDER else 1
+        assert count(strength, a, RankOneProjection(q[:, 0])) == (2, lists)          # in the range
+        assert count(strength, a, RankOneProjection(q[:, 0] + q[:, r])) == (2, lists)    # off it
 
 
 class TestRowListsPerCall:

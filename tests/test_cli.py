@@ -436,6 +436,13 @@ class TestToleranceFloor:
         assert code == 2 and out == ""
         assert "tolerance must be strictly positive" in err
 
+    def test_probes_take_no_tolerance(self, capsys):
+        # the probe set depends on n alone, so `phi probes` has no --tol
+        with pytest.raises(SystemExit) as exit_info:
+            main(["phi", "probes", "2", "--tol", "1e-9"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 class TestStdinAndFiles:
     def test_file_argument(self, capsys, tmp_path):

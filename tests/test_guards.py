@@ -74,55 +74,34 @@ def spectra(monkeypatch):
     return kinds
 
 
-@pytest.fixture
-def gram_floors(monkeypatch):
-    """The lower bounds _gram_floor returns, in call order."""
-    floors = []
-    gram_floor = linalg._gram_floor
-
-    def recording(low, r):
-        result = gram_floor(low, r)
-        floors.append(result[0])
-        return result
-
-    monkeypatch.setattr(linalg, "_gram_floor", recording)
-    return floors
-
-
 class TestStrengthFallbacks:
     def test_a_gap_below_the_gate_takes_the_spectrum(self, spectra):
-        # in the range of diag(1, 3e-9, 0), but the Gram floor 3e-9 less
-        # the error terms is below 2 rank_tol (F + eps_j)
+        # in the range of diag(1, 3e-9, 0), but the pivot block's gap,
+        # 3e-9 / 4 less the error terms, is below 2 rank_tol (F + eps_j)
         alpha = strength(SymMat.diagonal([1.0, 3e-9, 0.0]), RankOneProjection([1.0, 1.0, 0.0]))
         assert alpha == pytest.approx(6e-9 / (1.0 + 3e-9), rel=1e-12)
         assert spectra == [True]
 
-    def test_an_overestimated_gram_floor_takes_the_spectrum(self, spectra, gram_floors):
-        # L = [e_0, (0, 0.9, 0.9, 0.9, 0.9)] in pivot order: G = diag(1, 3.24)
-        # has its weak direction first, so the inverse iteration from the
-        # last unit vector stays at 3.24, and G - 1.62 I does not factor
+    def test_a_pivot_that_jacobi_drops_takes_the_spectrum(self, spectra):
+        # 5e-4 is a pivot (above rank_tol / n) but not above the keep gate
+        # rank_tol * 1, so the spectral route keeps one eigenvector and x
+        # is off its range; the lean of w = L11^-t y is tiny at this
+        # tolerance, so only the keep test (beta > 2 rank_tol (F + eps_j))
+        # stops the factor from answering 1 / |y|^2
+        alpha = strength(SymMat.diagonal([1.0, 5e-4, 0.0]), RankOneProjection([1.0, 1.0, 0.0]),
+                         Tolerances(1e-3))
+        assert alpha == 0.0 and spectra == [True]
+
+    def test_a_weak_direction_pivoted_first_takes_no_spectrum(self, spectra):
+        # L = [e_0, (0, 0.9, 0.9, 0.9, 0.9)] in pivot order, so L^t L =
+        # diag(1, 3.24) has its weak direction first; the pivot block
+        # diag(1, 0.81) gives the gap and w = L11^-t y the preimage
         a = np.zeros((5, 5))
         a[0, 0] = 1.0
         a[1:, 1:] = 0.81
         alpha = strength(SymMat(a), RankOneProjection([1.0, 0.5, 0.5, 0.5, 0.5]))
-        assert alpha == pytest.approx(2.0 * 3.24 / 4.24, rel=1e-12)
-        assert gram_floors == [0.0] and spectra == [True]
-
-    def test_a_gram_matrix_that_does_not_factor_takes_the_spectrum(self, monkeypatch, spectra,
-                                                                   gram_floors):
-        # fault injection: the unshifted Cholesky of L^t L reports failure
-        a, x = SymMat.diagonal([1.0, 2.0, 0.0]), RankOneProjection([1.0, 1.0, 0.0])
-        expected = strength(a, x)
-        assert spectra == [] and gram_floors[0] > 0.0
-        cholesky = linalg._cholesky
-
-        def refusing(rows, shift):
-            factor, pivots = cholesky(rows, shift)
-            return (factor, pivots[:-1] + [-1.0]) if shift == 0.0 else (factor, pivots)
-
-        monkeypatch.setattr(linalg, "_cholesky", refusing)
-        assert strength(a, x) == pytest.approx(expected, rel=1e-14)
-        assert gram_floors[1:] == [0.0] and spectra == [True]
+        assert alpha == pytest.approx(2.0 * 3.24 / 4.24, rel=1e-15)
+        assert spectra == []
 
     def test_a_direction_given_as_an_object_in_process(self, capsys):
         code, out, _ = run(capsys, ["strength", '{"n":2,"data":[1,0,0,1]}', '{"x":[1,0]}'])

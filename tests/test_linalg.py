@@ -613,6 +613,35 @@ def test_principal_angle_between_lines():
     assert linalg.principal_angle(u, u) <= 1e-8
 
 
+class TestPrincipalAngleScale:
+    """The span of a column does not change under 2^j scaling, and neither
+    does the angle: each column is scaled by a power of two before it is
+    orthonormalized, so no norm or product overflows or underflows."""
+
+    def test_equal_lines_at_the_ends_of_the_range(self):
+        for column in ([[1e160], [0.0]], [[1e-13], [0.0]], [[1e-170], [0.0]], [[0.0], [-1e300]]):
+            line = np.array(column) / abs(np.array(column)).max()
+            assert linalg.principal_angle(column, line) == 0.0
+
+    def test_the_angle_is_unchanged_under_power_of_two_column_scaling(self):
+        rng = np.random.default_rng(41)
+        for n, r in ((2, 1), (3, 2), (5, 2), (6, 3)):
+            u = rng.uniform(0.5, 2.0, (n, r)) * rng.choice([-1.0, 1.0], (n, r))
+            w = rng.uniform(0.5, 2.0, (n, r)) * rng.choice([-1.0, 1.0], (n, r))
+            want = linalg.principal_angle(u, w)
+            assert 0.0 < want < math.pi / 2.0
+            for j in (-1000, -600, -53, -1, 1, 53, 600, 1000):
+                powers = rng.integers(-abs(j), abs(j) + 1, r)
+                powers[0] = j
+                assert linalg.principal_angle(np.ldexp(u, powers), w) == want
+                assert linalg.principal_angle(u, np.ldexp(w, powers[::-1])) == want
+
+    @pytest.mark.parametrize("u", [np.zeros((3, 1)), np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])])
+    def test_a_zero_column_is_singular(self, u):
+        with pytest.raises(Singular, match="numerically dependent"):
+            linalg.principal_angle(u, np.eye(3)[:, :u.shape[1]])
+
+
 @pytest.mark.parametrize("call", [
     lambda: SymMat(np.zeros((0, 0))),
     lambda: linalg.pinv_and_range(SymMat.identity(2))[1](np.ones(3)),
