@@ -5,15 +5,17 @@ from files, inline JSON, or stdin ('-'), and write one JSON document to
 stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
-Exit codes: 0 ok, 2 parse/malformed input (also TooLarge: a dimension
-above 44, a generator whose T^t T overflows, a spectrum that does not
-fit in a double, or a difference of matrices that overflows; `order`
-answers every square symmetric pair, leaving out the witness when an
-input is not PSD), 3 dimension mismatch, 4 not an automorphism, 5
-selftest property failure, 6 internal numerical failure (the eigensolver
-did not converge in 40 sweeps, or evaluating an automorphism, in `phi
-apply` or `phi recover`'s residual check, failed to solve with the matrix
-proved invertible or left [0, I] past its noise gate).
+Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1),
+a dimension that is not a whole JSON number or, for probes, below 2, no
+selftest trials; also TooLarge: a dimension above 44, a generator whose
+T^t T overflows, a spectrum that does not fit in a double, or a
+difference of matrices that overflows; `order` answers every square
+symmetric pair, leaving out the witness when an input is not PSD), 3
+dimension mismatch, 4 not an automorphism, 5 selftest property failure,
+6 internal numerical failure (the eigensolver did not converge in 40
+sweeps, or evaluating an automorphism, in `phi apply` or `phi recover`'s
+residual check, failed to solve with the matrix proved invertible or
+left [0, I] past its noise gate).
 
 Dimensions above _MAX_N = 44 are refused before any computation. The
 pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
@@ -100,8 +102,8 @@ def load_json(source: str):
 
 
 def _parse_dimension(value) -> int:
-    """A document's dimension n, a finite whole number; TooLarge above _MAX_N."""
-    if isinstance(value, float) and not value.is_integer():
+    """A document's dimension n, a JSON number with a whole value; TooLarge above _MAX_N."""
+    if type(value) not in (int, float) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"dimension {value!r} is not a whole number")
     n = int(value)
     if n > _MAX_N:
@@ -191,6 +193,8 @@ def _cmd_phi(args) -> int:
     else:  # recover
         payload = load_json(args.pairs)
         n = _parse_dimension(payload["n"])
+        if n < 2:           # malformed input, as for `phi probes`, not a mismatch (exit 3)
+            raise ValueError("dimension must be at least 2")
         table = {}
         for pair in payload["pairs"]:
             key = _probe_key(parse_symmetric(pair["input"], "probe input"))
@@ -261,7 +265,9 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(int(args.seed), int(args.trials))
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    results = run_selftest(args.seed, args.trials)
     all_ok = True
     for result in results:
         status = "PASS" if result.ok else "FAIL"
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="base tolerance (default 1e-9)")
+                       help="base tolerance, in [1e-14, 1) (default 1e-9)")
 
     order = sub.add_parser("order", help="compare two symmetric matrices")
     order.add_argument("a", help="matrix document (file, inline JSON, or -)")

@@ -44,7 +44,7 @@ class Effect:
 
 
 class RankOneProjection:
-    """xx^t for a unit vector x; the matrix is cached at construction.
+    """xx^t for a unit vector x, its only state: `mat` is formed on each read.
 
     The direction is first scaled by the power of two that brings its
     largest entry into [1/2, 1), so that x.x can neither overflow nor
@@ -54,7 +54,7 @@ class RankOneProjection:
     nonzero direction spans a line, so only the zero vector and non-finite
     entries are refused."""
 
-    __slots__ = ("x", "mat")
+    __slots__ = ("x",)
 
     def __init__(self, direction):
         vec = np.array(direction, dtype=float).reshape(-1)
@@ -69,7 +69,11 @@ class RankOneProjection:
         vec = vec / float(np.linalg.norm(vec))
         vec.flags.writeable = False
         self.x = vec
-        self.mat = SymMat(np.outer(vec, vec))
+
+    @property
+    def mat(self) -> SymMat:
+        """xx^t, bitwise symmetric as x_i x_j = x_j x_i."""
+        return SymMat(np.outer(self.x, self.x))
 
     @property
     def n(self) -> int:
@@ -379,7 +383,7 @@ def maximal_diagonals(A, tol: Tolerances = DEFAULT_TOL) -> MaxDiagonalSet:
     Accepts an Effect or any PSD SymMat whose diagonal entries lie in
     [0, 1]; the analysis depends only on the diagonal entries and the
     determinant slack, so matrices with norm above one (but unit-bounded
-    diagonal) are legitimate inputs.
+    diagonal) are legitimate inputs; PSD at the gate of linalg.is_psd.
     """
     mat = A.mat if isinstance(A, Effect) else A
     if mat.n != 2:
@@ -387,7 +391,7 @@ def maximal_diagonals(A, tol: Tolerances = DEFAULT_TOL) -> MaxDiagonalSet:
     m = mat.a
     t, s, u = float(m[0, 0]), float(m[1, 1]), float(m[0, 1])
     lam = linalg.eigvalsh(mat)
-    if float(lam[0]) < -tol.psd_tol:
+    if not linalg._spectral_verdict(lam, False, tol):
         raise NotPSD("input must be positive semidefinite")
     for entry in (t, s):
         if entry > 1.0 + tol.psd_tol:

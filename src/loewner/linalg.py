@@ -4,23 +4,23 @@ calculus.
 
 Every operation here is a pure function over immutable values. The
 eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
-small dimensions this package targets. Order predicates that only need
-the sign of lambda_min minus a gate are first decided by a shifted
-Cholesky certificate (_certificate)
-and fall back to the Jacobi spectrum inside its undecided band; the same
-factorization certifies a generator regular (_certify_regular) and, without
-the max(1, .) floor of its gate, a matrix definite within rank tolerance,
-which inv and the strength closed form then factor LDL^t instead of
-diagonalizing (_definite_ldl). A factorization that refutes an order gives
-a direction of negative curvature (_negative_curvature), from which
-effects.strength_witness builds its witness. A [lo, hi] check is one
-factorization of (M - lo I)(hi I - M) (_certified_within), and a
-semidefinite pivoted factorization answers strength along a direction off
-the range of a singular matrix (0) or inside it (1 / |y|^2 from its
-factor) when the spectral route provably decides alike (_pivoted_strength),
-both from the gap of one factorization of its pivot block and a vector
-found by back-substitution (_back_solve), which also gives
-_negative_curvature its direction.
+small dimensions this package targets. Order predicates that only need the
+sign of lambda_min minus a gate are first decided by a shifted Cholesky
+certificate (_certificate) and fall back to the Jacobi spectrum inside its
+undecided band; the same certificate certifies a generator regular
+(_certify_regular) and, without the max(1, .) floor of its gate, a matrix
+positive definite within rank tolerance, which inv and the strength closed
+form then factor LDL^t instead of diagonalizing (_definite_ldl). A
+factorization that refutes an order gives a direction of negative
+curvature (_negative_curvature), from which effects.strength_witness
+builds its witness. A [lo, hi] check is one factorization of
+(M - lo I)(hi I - M) (_certified_within), and a semidefinite pivoted
+factorization answers strength along a direction off the range of a
+singular matrix (0) or inside it (1 / |y|^2 from its factor) when the
+spectral route provably decides alike (_pivoted_strength), both from the
+gap of one factorization of its pivot block and a vector found by
+back-substitution (_back_solve), which also gives _negative_curvature its
+direction.
 
 A factorization whose only output is "it ran to completion" (and its
 pivots) is _cholesky_pivots's: Python lists below _LAPACK_ORDER,
@@ -92,9 +92,10 @@ class Tolerances:
     equality_tol 10 * base: relative threshold for treating two matrices
                  as equal.
 
-    The base may not be below _EIG_TOL: the Jacobi spectrum resolves
-    eigenvalues only to about _EIG_TOL * ||A||_F, so a finer gate would
-    decide order and rank on rounding noise.
+    The base lies in [_EIG_TOL, 1): a finer gate would decide order and
+    rank on the rounding noise of the Jacobi spectrum (about _EIG_TOL *
+    ||A||_F), and at 1 the rank gate keeps no eigenvalue and the psd gate
+    passes -I.
     """
 
     base: float = 1e-9
@@ -104,6 +105,8 @@ class Tolerances:
             raise ValueError("tolerance must be strictly positive")
         if self.base < _EIG_TOL:
             raise ValueError(f"tolerance must not be below eig_tol ({_EIG_TOL:g})")
+        if not self.base < 1.0:
+            raise ValueError("tolerance must be below 1")
 
     @property
     def psd_tol(self) -> float:
@@ -227,12 +230,6 @@ class _Scaled(NamedTuple):
         keeps them)."""
         return self.array.tolist() if self.lists is None else self.lists
 
-    def negated(self) -> "_Scaled":
-        """-m: the negated array (and lists, when held), with the same k,
-        D and F."""
-        lists = None if self.lists is None else [[-x for x in row] for row in self.lists]
-        return self._replace(array=-self.array, lists=lists)
-
 
 def _scaled_rows(m: np.ndarray) -> _Scaled:
     """m scaled by 2^k, with k chosen so that max |2^k m_ij| lies in
@@ -279,59 +276,57 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
     power-of-two scaled copy of _scaled_rows and the eigenvalues are
     scaled back, so the result is exact-scale equivariant; TooLarge when
     one does not fit in a double (entries near the top of the range).
-    NonConvergence past _MAX_SWEEPS sweeps.
+    NonConvergence past _MAX_SWEEPS sweeps. A matrix with no off-diagonal
+    mass (n = 1, the zero matrix) leaves at the first stopping test.
     """
     n = m.shape[0]
     scaled = _scaled_rows(m)
     a, power, scale = scaled.rows, scaled.k, scaled.frob
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
 
-    if scale == 0.0 or n == 1:
-        values = [a[i][i] for i in range(n)]
-    else:
-        stop = _EIG_TOL * scale
-        skip = stop / (2.0 * n * n)
-        for _ in range(_MAX_SWEEPS):
-            off = math.sqrt(2.0 * sum(a[i][j] * a[i][j]
-                                      for i in range(n - 1)
-                                      for j in range(i + 1, n)))
-            if off <= stop:
-                break
-            for p in range(n - 1):
-                ap = a[p]
-                for q in range(p + 1, n):
-                    apq = ap[q]
-                    if abs(apq) <= skip:
+    stop = _EIG_TOL * scale
+    skip = stop / (2.0 * n * n)
+    for _ in range(_MAX_SWEEPS):
+        off = math.sqrt(2.0 * sum(a[i][j] * a[i][j]
+                                  for i in range(n - 1)
+                                  for j in range(i + 1, n)))
+        if off <= stop:
+            break
+        for p in range(n - 1):
+            ap = a[p]
+            for q in range(p + 1, n):
+                apq = ap[q]
+                if abs(apq) <= skip:
+                    continue
+                aq = a[q]
+                app = ap[p]
+                aqq = aq[q]
+                tau = (aqq - app) / (2.0 * apq)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
+                for k in range(n):
+                    if k == p or k == q:
                         continue
-                    aq = a[q]
-                    app = ap[p]
-                    aqq = aq[q]
-                    tau = (aqq - app) / (2.0 * apq)
-                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    ap[p] = app - t * apq
-                    aq[q] = aqq + t * apq
-                    ap[q] = 0.0
-                    aq[p] = 0.0
-                    for k in range(n):
-                        if k == p or k == q:
-                            continue
-                        akp = ap[k]
-                        akq = aq[k]
-                        ap[k] = c * akp - s * akq
-                        aq[k] = s * akp + c * akq
-                        a[k][p] = ap[k]
-                        a[k][q] = aq[k]
-                    if v is not None:
-                        for row in v:
-                            vp = row[p]
-                            vq = row[q]
-                            row[p] = c * vp - s * vq
-                            row[q] = s * vp + c * vq
-        else:
-            raise NonConvergence(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
-        values = [a[i][i] for i in range(n)]
+                    akp = ap[k]
+                    akq = aq[k]
+                    ap[k] = c * akp - s * akq
+                    aq[k] = s * akp + c * akq
+                    a[k][p] = ap[k]
+                    a[k][q] = aq[k]
+                if v is not None:
+                    for row in v:
+                        vp = row[p]
+                        vq = row[q]
+                        row[p] = c * vp - s * vq
+                        row[q] = s * vp + c * vq
+    else:
+        raise NonConvergence(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
+    values = [a[i][i] for i in range(n)]
 
     order = sorted(range(n), key=values.__getitem__)
     try:
@@ -340,8 +335,7 @@ def _jacobi(m: np.ndarray, want_vectors: bool):
         raise TooLarge("an eigenvalue does not fit in a double") from None
     if not want_vectors:
         return lam, None
-    vec = np.array(v)[:, order]
-    return lam, vec
+    return lam, np.array(v)[:, order]
 
 
 def eigh(A: SymMat) -> Spectrum:
@@ -355,11 +349,6 @@ def eigh(A: SymMat) -> Spectrum:
 def eigvalsh(A: SymMat) -> np.ndarray:
     """Eigenvalues only (ascending); skips eigenvector accumulation."""
     return _jacobi(A.a, want_vectors=False)[0]
-
-
-def _psd_threshold(lam: np.ndarray, tol: Tolerances) -> float:
-    scale = float(np.max(np.abs(lam)))
-    return tol.psd_tol * max(1.0, scale)
 
 
 def _cholesky(rows: list, shift: float) -> Tuple[list, list]:
@@ -474,29 +463,9 @@ def _jacobi_error(n: int, frob: float) -> float:
     return (_EIG_TOL + _ROTATION_ERROR * _UNIT_ROUNDOFF * _rotations(n)) * frob
 
 
-def _gate_band(scaled: _Scaled, relative: float,
-               floor: bool = True) -> Optional[Tuple[float, float, float]]:
-    """(g_lo, g_hi, delta) of _certificate for the scaled matrix, or None
-    when the exponent range rules the certificate out."""
-    array, k, diag, frob, _ = scaled
-    if abs(k) > 1000:
-        return None
-    n = len(array)
-    unit = math.ldexp(1.0, k) if floor else 0.0
-    ends = (relative * max(unit, diag, frob / math.sqrt(n)),
-            relative * max(unit, frob))
-    g_lo, g_hi = min(ends), max(ends)
-    eps_c = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (diag + max(abs(g_lo), abs(g_hi)) + frob)
-    eps_j = _jacobi_error(n, frob)
-    delta = 2.0 * (eps_c + (1.0 + abs(relative)) * eps_j)
-    if not math.isfinite(g_lo - g_hi - delta):
-        return None
-    return g_lo, g_hi, delta
-
-
 def _certificate(scaled: _Scaled, relative: float = 0.0,
                  refute: bool = True, floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
-    """(verdict, L): decide lambda_min(m) >= g by shifted Cholesky
+    """(verdict, evidence): decide lambda_min(m) >= g by shifted Cholesky
     factorizations, where g = relative * max(1, |lambda|max), or
     g = relative * |lambda|max when `floor` is False; None when
     undecided.
@@ -550,15 +519,25 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     verdict for 2^j m is the verdict for m (k only enters through the
     exponent-range guard, |k| > 1000).
 
-    L is the factor of the refuting factorization when the verdict is
-    False (_negative_curvature turns it into a direction), else None.
+    Nothing overflows past the exponent-range guard: |relative| < 1 (a
+    tolerance, or its square), 2^k <= 2^1000, D < 2 and F < 2 n.
+
+    The evidence is the proving attempt's pivots l_ii^2 on True, the
+    refuting factor L on False (_negative_curvature's input), else None.
     """
-    band = _gate_band(scaled, relative, floor)
-    if band is None:
+    array, k, diag, frob, _ = scaled
+    if abs(k) > 1000:
         return None, None
-    g_lo, g_hi, delta = band
-    if _cholesky_pivots(g_hi + delta, scaled.lists, scaled.array) is not None:
-        return True, None
+    n = len(array)
+    unit = math.ldexp(1.0, k) if floor else 0.0
+    ends = (relative * max(unit, diag, frob / math.sqrt(n)),
+            relative * max(unit, frob))
+    g_lo, g_hi = min(ends), max(ends)
+    eps_c = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (diag + max(abs(g_lo), abs(g_hi)) + frob)
+    delta = 2.0 * (eps_c + (1.0 + abs(relative)) * _jacobi_error(n, frob))
+    pivots = _cholesky_pivots(g_hi + delta, scaled.lists, array)
+    if pivots is not None:
+        return True, pivots
     if refute:
         factor, pivots = _cholesky(scaled.rows, g_lo - delta)
         if not pivots[-1] > 0.0:
@@ -577,9 +556,10 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     i.e. T is regular within rank tolerance. False means undecided: the
     caller computes the spectrum, which also supplies the Singular verdict.
 
-    One factorization decides both halves. With relative = rank_tol^2 and
-    the band of _certificate (scaled units, G_s = 2^k G), Cholesky of
-    G_s - s I at s = g_hi + delta runs to completion with pivots p_i.
+    One factorization decides both halves: the proving attempt of
+    _certificate at relative = rank_tol^2 (scaled units, G_s = 2^k G),
+    whose Cholesky of G_s - s I at s = g_hi + delta runs to completion
+    with pivots p_i.
 
     - First half: success is _certificate's True for lam_0 >= gate =
       relative * max(1, |lam|max), and leaves lam_0 above the gate by at
@@ -616,12 +596,8 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       (0.9 n + 1) 2^-43.
     """
     scaled = _scaled_rows(gram)
-    band = _gate_band(scaled, tol.rank_tol ** 2)
-    if band is None:
-        return False
-    _, g_hi, delta = band
-    pivots = _cholesky_pivots(g_hi + delta, scaled.lists, scaled.array)
-    if pivots is None:
+    verdict, pivots = _certificate(scaled, tol.rank_tol ** 2, refute=False)
+    if not verdict:
         return False
     n = len(pivots)
     log_det = math.fsum(map(math.log2, pivots)) - scaled.k * n
@@ -880,7 +856,7 @@ def _ldl_inverse(low: list, pivots: list, k: int) -> np.ndarray:
 def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
     """The Jacobi route: lambda_min >= -tau, or > tau when strict, with
     tau = psd_tol * max(1, |lambda|max) on the computed spectrum."""
-    gate = _psd_threshold(lam, tol)
+    gate = tol.psd_tol * max(1.0, float(np.max(np.abs(lam))))
     return float(lam[0]) > gate if strict else float(lam[0]) >= -gate
 
 
@@ -979,7 +955,7 @@ def sqrt_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     """Unique PSD square root. Eigenvalues in [-psd_tol, 0) are clamped to 0."""
     spec = eigh(A)
     lam = spec.eigenvalues
-    if float(lam[0]) < -_psd_threshold(lam, tol):
+    if not _spectral_verdict(lam, False, tol):
         raise NotPSD(f"matrix has eigenvalue {lam[0]:.3e} below -psd_tol")
     clamped = np.sqrt(np.clip(lam, 0.0, None))
     return SymMat((spec.eigenvectors * clamped) @ spec.eigenvectors.T)
@@ -989,20 +965,16 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     """Inverse; Singular when the smallest |eigenvalue| falls at or below
     rank_tol * |lambda|_max.
 
-    A matrix that _definite_ldl certifies, or whose negative it
-    certifies, is inverted through LDL^t (as -inv(-A) when negative
-    definite); every other input through the spectral decomposition,
-    which also gives Singular its verdict."""
-    scaled = _scaled_rows(A.a)
-    for sign in (1.0, -1.0):
-        factor = _definite_ldl(scaled, tol)
-        if factor is not None:
-            return SymMat(sign * _ldl_inverse(*factor))
-        scaled = scaled.negated()
+    A matrix that _definite_ldl certifies positive definite is inverted
+    through LDL^t; every other input, a negative definite one included,
+    through the spectral decomposition, which also gives Singular its
+    verdict."""
+    factor = _definite_ldl(_scaled_rows(A.a), tol)
+    if factor is not None:
+        return SymMat(_ldl_inverse(*factor))
     spec = eigh(A)
     lam = spec.eigenvalues
-    maxabs = float(np.max(np.abs(lam)))
-    if maxabs == 0.0 or float(np.min(np.abs(lam))) <= tol.rank_tol * maxabs:
+    if float(np.min(np.abs(lam))) <= tol.rank_tol * float(np.max(np.abs(lam))):
         raise Singular("matrix is singular within rank tolerance")
     return SymMat((spec.eigenvectors / lam) @ spec.eigenvectors.T)
 
@@ -1035,26 +1007,22 @@ def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[
     nothing over- or underflows."""
     spec = eigh(A)
     lam = spec.eigenvalues
-    if float(lam[0]) < -_psd_threshold(lam, tol):
+    if not _spectral_verdict(lam, False, tol):
         raise NotPSD(f"matrix has eigenvalue {lam[0]:.3e} below -psd_tol")
     clamped = np.clip(lam, 0.0, None)
     lam_max = float(np.max(clamped))
-    keep = clamped > tol.rank_tol * lam_max if lam_max > 0.0 else np.zeros_like(clamped, dtype=bool)
+    keep = clamped > tol.rank_tol * lam_max
     basis = spec.eigenvectors[:, keep]
     kept = np.ldexp(clamped[keep], k)
-    if basis.shape[1] > 0:
-        pinv, top = SymMat((basis / kept) @ basis.T), float(kept[-1])
-    else:
-        pinv, top = SymMat.zero(A.n), 0.0
-    n = A.n
-    rank_tol = tol.rank_tol
+    pinv = SymMat((basis / kept) @ basis.T)     # zero when nothing is kept
+    top = float(kept[-1]) if kept.size else 0.0
 
     def in_range(x) -> bool:
         vec = np.asarray(x, dtype=float)
-        if vec.shape != (n,):
-            raise DimensionMismatch(f"expected a vector of length {n}, got shape {vec.shape}")
+        if vec.shape != (A.n,):
+            raise DimensionMismatch(f"expected a vector of length {A.n}, got shape {vec.shape}")
         residual = vec - basis @ (basis.T @ vec)
-        return float(np.linalg.norm(residual)) <= rank_tol * max(1.0, float(np.linalg.norm(vec)))
+        return float(np.linalg.norm(residual)) <= tol.rank_tol * max(1.0, float(np.linalg.norm(vec)))
 
     return pinv, in_range, top
 

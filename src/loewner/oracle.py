@@ -132,11 +132,12 @@ def strength_bisection(A: SymMat, P: RankOneProjection) -> float:
         raise NotPSD("strength oracle requires a PSD input")
     lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
     hi_decided = False
+    projection = P.mat.a
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or (mid == hi and hi_decided):
             break
-        if linalg.is_psd(SymMat(A.a - mid * P.mat.a)):
+        if linalg.is_psd(SymMat(A.a - mid * projection)):
             lo = mid
         else:
             hi, hi_decided = mid, True

@@ -547,16 +547,18 @@ def test_extreme_scales_fall_back():
     assert linalg.is_psd(SymMat(1e200 * np.eye(2)))
 
 
-def test_a_gate_that_overflows_falls_back():
-    # psd_tol * 2^k overflows in the scaled units of a matrix near 1e-290
-    tol = Tolerances(1e30)
+def test_a_tolerance_whose_gate_would_overflow_is_refused():
+    # psd_tol * 2^k would overflow in the scaled units of a matrix near
+    # 1e-290 only for a tolerance far above 1, which Tolerances refuses;
+    # below 1 the band is finite and the verdict agrees with Jacobi
+    with pytest.raises(ValueError, match="below 1"):
+        Tolerances(1e30)
+    tol = Tolerances(0.5)
     m = SymMat([[1e-290, 3e-291], [3e-291, -2e-290]])
-    scaled = linalg._scaled_rows(m.a)
     for relative in (-tol.psd_tol, tol.psd_tol):
-        assert linalg._gate_band(scaled, relative) is None
-    lam = linalg.eigvalsh(m)                          # -2.0e-290, 1.0e-290
-    assert linalg.is_psd(m, tol) and linalg._spectral_verdict(lam, False, tol)
-    assert not linalg.loewner_lt(SymMat.zero(2), m, tol)
+        verdict = certify(m.a, relative=relative)
+        assert verdict is not None and verdict == jacobi_verdict(m.a, relative)
+    assert linalg.is_psd(m, tol) and not linalg.loewner_lt(SymMat.zero(2), m, tol)
 
 
 def test_generator_beyond_the_exponent_range_falls_back():
@@ -674,7 +676,7 @@ def jacobi_keeps_and_inverts(m, tol):
     lam = linalg.eigvalsh(SymMat(m))
     top = float(np.max(np.abs(lam)))
     clamped = np.clip(lam, 0.0, None)
-    keeps = (float(lam[0]) >= -linalg._psd_threshold(lam, tol) and top > 0.0
+    keeps = (float(lam[0]) >= -tol.psd_tol * max(1.0, top) and top > 0.0
              and bool(np.all(clamped > tol.rank_tol * float(np.max(clamped)))))
     inverts = top > 0.0 and float(np.min(np.abs(lam))) > tol.rank_tol * top
     return keeps, inverts
@@ -860,7 +862,9 @@ class TestSpectraPerCall:
     def test_inv_of_definite_takes_no_spectrum(self, count):
         a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
         assert count(linalg.inv, a) == []
-        assert count(linalg.inv, -a) == []
+        # only a positive definite matrix is factored; its negative takes
+        # the spectral route
+        assert count(linalg.inv, -a) == ["eigh"]
 
     def test_inv_of_indefinite_is_one_eigh(self, count):
         assert count(linalg.inv, SymMat([[1.0, 2.0], [2.0, 1.0]])) == ["eigh"]
@@ -1057,8 +1061,8 @@ class TestRowListsPerCall:
 
 class TestScalingsPerCall:
     """Power-of-two scalings (_scaled_rows) per public call: the certificate
-    and the LDL^t factor share one scaling of each matrix, and its negation
-    reuses it. A Jacobi fallback would add a scaling of its own."""
+    and the LDL^t factor share one scaling of each matrix. A Jacobi
+    fallback adds a scaling of its own."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -1089,7 +1093,8 @@ class TestScalingsPerCall:
     def test_inv_of_a_definite_matrix(self, count):
         a = SymMat([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
         assert count(linalg.inv, a) == 1
-        assert count(linalg.inv, -a) == 1
+        # the negative fails the certificate and falls back to eigh
+        assert count(linalg.inv, -a) == 2
 
     def test_strength_on_full_rank(self, count):
         a = SymMat([[2.0, 0.5], [0.5, 1.0]])

@@ -115,7 +115,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,expected", [
         (["strength", EYE, "[1,0,0]"], 3),
         (["phi", "probes", "1"], 2),
-    ], ids=["strength_vector_length", "probes_n1"])
+        (["phi", "recover", '{"n":1,"pairs":[]}'], 2),
+        (["phi", "recover", '{"n":0,"pairs":[]}'], 2),
+    ], ids=["strength_vector_length", "probes_n1", "recover_n1", "recover_n0"])
     def test_exit_code(self, capsys, argv, expected):
         code, out, err = run(capsys, argv)
         assert code == expected and out == ""
@@ -153,6 +155,13 @@ class TestExitCodes:
         lines = [line for line in out.strip().splitlines()]
         assert len(lines) == 11
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_selftest_of_no_trials_is_refused(self, capsys, trials):
+        # no trial checks nothing, so it may not print PASS
+        code, out, err = run(capsys, ["selftest", "--trials", trials])
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be at least 1\n"
 
 
 class TestOrderOnPairsThatAreNotPSD:
@@ -357,7 +366,8 @@ class TestDimensionField:
                 ["phi", "recover", f'{{"n":{n},"pairs":[]}}']]
 
     @pytest.mark.parametrize("n,shown", [("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan"),
-                                         ("1.5", "1.5")])
+                                         ("1.5", "1.5"), ("true", "True"), ('"1"', "'1'"),
+                                         ('"2"', "'2'")])
     def test_refused_with_exit_two(self, capsys, n, shown):
         for argv in self.argvs(n):
             code, out, err = run(capsys, argv)
@@ -435,6 +445,14 @@ class TestToleranceFloor:
         code, out, err = run(capsys, ["order", "--tol", value, ZERO, EYE])
         assert code == 2 and out == ""
         assert "tolerance must be strictly positive" in err
+
+    @pytest.mark.parametrize("value", ["1", "10", "1e308", "inf"])
+    def test_tolerance_of_one_or_more_is_refused(self, capsys, value):
+        # at 1 the rank gate keeps no eigenvalue (strength divided by
+        # zero) and the psd gate passes -I (order called I <= 0)
+        for argv in (["strength", DIAG_10, "[0,1]"], ["order", EYE, ZERO]):
+            code, out, err = run(capsys, argv + ["--tol", value])
+            assert (code, out, err) == (2, "", "error: tolerance must be below 1\n")
 
     def test_probes_take_no_tolerance(self, capsys):
         # the probe set depends on n alone, so `phi probes` has no --tol

@@ -89,6 +89,21 @@ class TestMakeEffect:
         assert make_effect(a).mat is a
 
 
+class TestRankOneProjection:
+    def test_stores_only_the_unit_vector(self):
+        assert RankOneProjection.__slots__ == ("x",)
+        with pytest.raises(AttributeError):
+            RankOneProjection([1.0, 2.0]).cached = None
+
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(-600, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_is_the_outer_product_of_x(self, n, seed, k):
+        proj = RankOneProjection(np.ldexp(np.random.default_rng(seed).standard_normal(n), k))
+        expected = SymMat(np.outer(proj.x, proj.x))
+        assert proj.mat.a.tobytes() == expected.a.tobytes()
+        assert proj.mat.a.tobytes() == proj.mat.a.T.tobytes()
+
+
 class TestStrength:
     def test_identity_gives_one(self):
         rng = np.random.default_rng(2)
@@ -558,6 +573,16 @@ class TestMaximalDiagonals:
         # (1 - 1/2)(1 - 1/2) = 1/4 = u^2
         assert got.contains(0.5, 0.5)
         assert not got.contains(1.0, 1.0)
+
+    def test_takes_the_relative_psd_gate_of_is_psd(self):
+        # lambda_min = -1.5e-9 clears -psd_tol * max(1, |lambda|max) =
+        # -2.0000000015e-9, but not the absolute gate -psd_tol: is_psd and
+        # strength accept the matrix, and so does maximal_diagonals
+        u = 1.0 + 1.5e-9
+        a = SymMat([[1.0, u], [u, 1.0]])
+        assert linalg.is_psd(a)
+        assert strength(a, RankOneProjection([1.0, 1.0])) == pytest.approx(2.0 + 1.5e-9, rel=1e-12)
+        assert isinstance(maximal_diagonals(a), ZeroOnly)
 
     def test_curve_rejects_points_outside_its_box(self):
         # both points satisfy (t - p)(s - q) = u^2 with t = s = 1/2, u = 1/4

@@ -205,9 +205,8 @@ def float_bits(value):
 class TestScaledRows:
     @staticmethod
     def check(m):
-        """array, k, D, F and the rows as read, for m and for its negation,
-        against the row-wise reference; Python lists held only below
-        _LAPACK_ORDER."""
+        """array, k, D, F and the rows as read against the row-wise
+        reference; Python lists held only below _LAPACK_ORDER."""
         scaled = linalg._scaled_rows(m)
         array, k, diag, frob, rows = row_wise_scaled_rows(m)
         held = m.shape[0] < linalg._LAPACK_ORDER
@@ -215,11 +214,6 @@ class TestScaledRows:
         assert float_bits(scaled[:4]) == float_bits((array, k, diag, frob))
         assert (scaled.lists is not None) == held
         assert float_bits(scaled.rows) == float_bits(rows)
-        # the negation negates the array and any held rows, and keeps k, D and F
-        negated = scaled.negated()
-        assert float_bits(negated[:4]) == float_bits((-array, k, diag, frob))
-        assert (negated.lists is not None) == held
-        assert float_bits(negated.rows) == float_bits([[-x for x in row] for row in rows])
 
     @given(st.integers(1, 16).flatmap(lambda n: st.lists(
                st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n)),
@@ -463,7 +457,8 @@ class TestInv:
         assert np.allclose(linalg.inv(SymMat.identity(2)).a, np.eye(2))
 
     def test_diagonal(self):
-        # exact: the definite route factors without square roots
+        # exact: the definite route factors without square roots, and
+        # Jacobi leaves a diagonal negative as it is
         for values in ([2.0, 1.0], [0.5, 0.5], [3.0, 0.7, 1e-5, 2.0 ** 10]):
             expected = np.diag([1.0 / v for v in values])
             assert np.array_equal(linalg.inv(SymMat.diagonal(values)).a, expected)
@@ -481,6 +476,21 @@ class TestInv:
             got = linalg.inv(m)
             assert np.linalg.norm(m.a @ got.a - np.eye(n)) <= 1e-9 * (1.0 + np.linalg.norm(m.a))
 
+    def test_negative_definite_is_the_negated_inverse(self):
+        # A goes through LDL^t and -A through the spectrum: bit for bit
+        # on diagonal matrices, to 1e-12 of the largest entry otherwise
+        for values in ([2.0, 1.0], [3.0, 0.7, 1e-5, 2.0 ** 10]):
+            a = SymMat.diagonal(values)
+            got, want = linalg.inv(-a).a, -linalg.inv(a).a
+            assert float_bits(np.diag(got)) == float_bits(np.diag(want))
+            assert np.array_equal(got, want)
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 5, 8, 12):
+            b = rng.standard_normal((n, n))
+            a = SymMat(b @ b.T + np.eye(n))
+            want = linalg.inv(a).a
+            assert np.abs(linalg.inv(-a).a + want).max() <= 1e-12 * np.abs(want).max()
+
     def test_singular(self):
         with pytest.raises(Singular):
             linalg.inv(SymMat.diagonal([1.0, 0.0]))
@@ -489,7 +499,8 @@ class TestInv:
            st.integers(-600, 600))
     @settings(max_examples=200, deadline=None)
     def test_power_of_two_scaling_is_exact(self, n, seed, negative, k):
-        # A = +-(B B^t + I/10): definite, inverted through LDL^t
+        # A = +-(B B^t + I/10): the positive one is inverted through
+        # LDL^t, the negative one through the spectrum
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((n, n))
         a = SymMat((-1.0 if negative else 1.0) * (b @ b.T + 0.1 * np.eye(n)))
@@ -598,6 +609,13 @@ class TestTolerances:
         for base in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="strictly positive"):
                 Tolerances(base)
+
+    def test_rejects_a_base_of_one_or_more(self):
+        # at 1 the rank gate keeps no eigenvalue and the psd gate passes -I
+        for base in (1.0, 10.0, 1e308, math.inf):
+            with pytest.raises(ValueError, match="below 1"):
+                Tolerances(base)
+        Tolerances(math.nextafter(1.0, 0.0))
 
     def test_rejects_gates_below_the_eigensolver_resolution(self):
         for base in (1e-15, 1e-16):
