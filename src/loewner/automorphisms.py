@@ -52,11 +52,12 @@ def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
     <= ||T||_F, widened by _SIGN_BAND; the spectral norm (an SVD) is
     computed only for an entry that falls between them. If none passes
     (equality_tol >= 1, as |t_ij| <= ||T||_2), the largest entry decides."""
-    frob = math.hypot(*t.ravel().tolist())
+    values = t.ravel().tolist()
+    frob = math.hypot(*values)
     lo = tol.equality_tol * frob / math.sqrt(t.shape[0]) * (1.0 - _SIGN_BAND)
     hi = tol.equality_tol * frob * (1.0 + _SIGN_BAND)
     gate = None
-    for value in t.ravel().tolist():
+    for value in values:
         size = abs(value)
         if size <= lo:
             continue
@@ -66,7 +67,7 @@ def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
             if size <= gate:
                 continue
         return -t if value < 0.0 else t
-    return -t if max(t.ravel().tolist(), key=abs) < 0.0 else t
+    return -t if max(values, key=abs) < 0.0 else t
 
 
 def _coerce_effect(X, tol: Tolerances) -> Effect:
@@ -110,13 +111,14 @@ class EffectAutomorphism:
         t = np.array(generator, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionMismatch(f"generator must be square, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise Singular("generator entries must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             product = t.T @ t
-        # below 2^1022, symmetrizing in SymMat cannot overflow either
-        if not float(np.max(np.abs(product))) < 2.0 ** 1022:
-            raise TooLarge(f"generator scale {float(np.max(np.abs(t))):.3g} is too large: "
+        # below 2^1022, symmetrizing in SymMat cannot overflow either; an
+        # entry of T that is not finite makes a diagonal entry inf or nan
+        if not abs(product).max() < 2.0 ** 1022:
+            if not np.isfinite(t).all():
+                raise Singular("generator entries must be finite")
+            raise TooLarge(f"generator scale {float(abs(t).max()):.3g} is too large: "
                            f"T^t T overflows")
         gram = SymMat(product)
         if not linalg._certify_regular(gram.a, tol):
@@ -157,7 +159,8 @@ class EffectAutomorphism:
         x = eff.mat.a
         # Invertible for every effect: with G = T^t T > 0 and 0 <= X <= I,
         # X (G - I) + I has the spectrum of X^{1/2} G X^{1/2} + I - X > 0.
-        m = x @ (self.gram.a - np.eye(self.n)) + np.eye(self.n)
+        eye = np.eye(self.n)
+        m = x @ (self.gram.a - eye) + eye
         try:
             z = np.linalg.solve(m, x)
         except np.linalg.LinAlgError as exc:

@@ -66,7 +66,7 @@ class RankOneProjection:
         exponent = math.frexp(top)[1]
         if exponent:
             vec = np.ldexp(vec, -exponent)
-        vec = vec / float(np.linalg.norm(vec))
+        vec = vec / math.sqrt(vec.dot(vec))     # np.linalg.norm(vec), bit for bit
         vec.flags.writeable = False
         self.x = vec
 

@@ -227,11 +227,11 @@ def classify(spec: IntervalSpec) -> CanonicalClass:
 
 
 def _is_zero(M: SymMat) -> bool:
-    return bool(np.all(M.a == 0.0))
+    return not M.a.any()
 
 
 def _is_identity(M: SymMat) -> bool:
-    return bool(np.all(M.a == np.eye(M.n)))
+    return bool((M.a == np.eye(M.n)).all())
 
 
 def _to_zero(M: SymMat) -> list:

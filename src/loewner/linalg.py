@@ -23,16 +23,16 @@ back-substitution (_back_solve), which also gives _negative_curvature its
 direction.
 
 A factorization whose only output is "it ran to completion" (and its
-pivots) is _cholesky_pivots's: Python lists below _LAPACK_ORDER,
-LAPACK's potrf through np.linalg.cholesky from there, as the success side
-of Cholesky's backward error bound holds for any order of the inner
-products. Every factorization whose entries reach an answer or whose
-failure is the proof (the refuting attempt, LDL^t, the pivoted
-factorization) stays on lists, and so does Jacobi. Each certified matrix
-is scaled once (_scaled_rows); from _LAPACK_ORDER on the scaling reads
-the array alone, and only those list paths build its rows as Python
-lists, so a check that LAPACK decides builds none. Below, the scaling's
-own list code forms the rows and keeps them.
+pivots) runs on lists (_cholesky) below _LAPACK_ORDER, in LAPACK's potrf
+from there (_cholesky_pivots), as the success side of Cholesky's
+backward error bound holds for any order of the inner products. Every
+factorization whose entries reach an answer or whose failure is the
+proof (the refuting attempt, LDL^t, the pivoted factorization) stays on
+lists, and so does Jacobi. Each certified matrix is scaled once
+(_scaled_rows); from _LAPACK_ORDER on the scaling reads the array alone,
+only those list paths build its rows as Python lists, and the refuting
+attempt converts only the rows it reads, so a check that LAPACK decides
+converts none. Below, the scaling's own list code forms and keeps them.
 
 Every certificate charges Jacobi the error of the most sweeps it can run,
 _MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
@@ -165,16 +165,19 @@ class SymMat:
         return self.a if dtype is None else self.a.astype(dtype)
 
     def __add__(self, other: "SymMat") -> "SymMat":
-        return _combined(np.add, self, other)
+        return _combined(np.add, self.a, other.a)
 
     def __sub__(self, other: "SymMat") -> "SymMat":
-        return _combined(np.subtract, self, other)
+        return _combined(np.subtract, self.a, other.a)
 
     def __neg__(self) -> "SymMat":
         return SymMat(-self.a)
 
     def __mul__(self, scalar: float) -> "SymMat":
-        return SymMat(self.a * float(scalar))
+        scalar = float(scalar)
+        if not math.isfinite(scalar):
+            raise ValueError("the scalar must be finite")
+        return _combined(np.multiply, self.a, scalar)
 
     __rmul__ = __mul__
 
@@ -183,11 +186,12 @@ class SymMat:
 
 
 @np.errstate(over="ignore")
-def _combined(op, first: SymMat, second: SymMat) -> SymMat:
-    """op(first, second) entrywise: as bitwise symmetric as the operands,
-    so it is frozen as it stands; TooLarge, with no warning, when an entry
-    overflows (the operands' entries are finite)."""
-    m = op(first.a, second.a)
+def _combined(op, first: np.ndarray, second) -> SymMat:
+    """op(first, second) entrywise, on the entries of two SymMats or of one
+    and a finite scalar: as bitwise symmetric as the operands, so it is
+    frozen as it stands; TooLarge, with no warning, when an entry
+    overflows (the operands are finite)."""
+    m = op(first, second)
     if not np.isfinite(m).all():
         raise TooLarge("matrix entries overflow the double range")
     m.flags.writeable = False
@@ -214,8 +218,8 @@ class _Scaled(NamedTuple):
     units. Below _LAPACK_ORDER it also holds the same rows as Python lists
     (`lists`), which its list code forms on the way; from there `lists` is
     None, and `rows` builds them (array.tolist()) for the list paths that
-    read them: the refuting _cholesky, _ldl, _pivoted_cholesky and
-    _jacobi."""
+    read them all: _ldl, _pivoted_cholesky and _jacobi. The refuting
+    _cholesky of _certificate converts them one at a time instead."""
 
     array: np.ndarray
     k: int
@@ -241,19 +245,21 @@ def _scaled_rows(m: np.ndarray) -> _Scaled:
     when k = 0.
 
     From _LAPACK_ORDER on, max |m_ij|, D and F come from the array and no
-    Python list is built: the maxima are exact, and np.add.accumulate
-    sums the squares one after another in row order, as the builtin sum
-    of Python 3.11 does (a tier-1 test pins it). Below, where numpy's
-    per-call cost exceeds the list code's, one flat list of the entries,
-    in row order, feeds the rows, D and F, and the rows are kept.
+    Python list is built: the maxima are exact (D is the ldexp of the one
+    |m| pass's max |m_ii|: correctly rounded ldexp is monotone), and
+    np.add.accumulate sums the squares one after another in row order, as
+    the builtin sum of Python 3.11 does (a tier-1 test pins it). Below,
+    where numpy's per-call cost exceeds the list code's, one flat list of
+    the entries, in row order, feeds the rows, D and F; the rows are kept.
     """
     n = m.shape[0]
     if n >= _LAPACK_ORDER:
-        top = abs(m).max().item()
+        size = abs(m)
+        top = size.max().item()
         k = 1 - math.frexp(top)[1] if top else 0
         if k:
             m = np.ldexp(m, k)
-        diag = abs(m.diagonal()).max().item()
+        diag = math.ldexp(size.diagonal().max().item(), k)
         frob = math.sqrt(np.add.accumulate((m * m).ravel())[-1].item())
         return _Scaled(m, k, diag, frob)
     flat = m.ravel().tolist()
@@ -373,37 +379,31 @@ def _cholesky(rows: list, shift: float) -> Tuple[list, list]:
     return factor, pivots
 
 
-def _cholesky_pivots(shift: float, rows: Optional[list] = None,
-                     array: Optional[np.ndarray] = None) -> Optional[list]:
+def _cholesky_pivots(shift: float, array: np.ndarray) -> Optional[list]:
     """The pivots l_ii^2 of the Cholesky factor L of H = fl(M - shift*I)
-    when the factorization runs to completion, None when it does not. M
-    comes as rows, as an array or as both; each path reads the form it
-    needs, derived from the other when absent, and only the lower
-    triangle of M.
+    when the factorization runs to completion, None when it does not, for
+    M of order _LAPACK_ORDER or more as an array (only its lower triangle
+    is read). Below that order the callers run _cholesky on rows
+    themselves, whose pivots are its own.
 
-    Below _LAPACK_ORDER this is _cholesky on the rows, and the pivots are
-    its own. From there it is np.linalg.cholesky (LAPACK's potrf) on the
-    array, and the pivots are the products l_ii * l_ii of its diagonal;
-    a LinAlgError or a pivot that is not a positive normal number (whose
-    product would lose its relative accuracy) fails, and so does a NaN
-    input, which numpy turns into NaNs without raising. Only success
+    This is np.linalg.cholesky (LAPACK's potrf), and the pivots are the
+    products l_ii * l_ii of its diagonal; a LinAlgError or a pivot that
+    is not a positive normal number (whose product would lose its
+    relative accuracy) fails, and so does a NaN input, which numpy turns
+    into NaNs without raising (a NaN minimum fails the test). Only success
     is evidence on that path: the bound L L^t = H + E of Higham, Accuracy
     and Stability, 2nd ed., Thm 10.3, holds for any order of the inner
     products, LAPACK's blocked one included, with conventional (not
     Strassen-like) BLAS (sec. 10.1). A caller whose proof rests on a
     failure (Demmel's bound) or on the entries of L calls _cholesky."""
-    n = len(rows if array is None else array)
-    if n < _LAPACK_ORDER:
-        pivots = _cholesky(array.tolist() if rows is None else rows, shift)[1]
-        return pivots if pivots[-1] > 0.0 else None
-    h = np.array(rows) if array is None else array.copy()
-    h.flat[::n + 1] -= shift
+    h = array.copy()
+    h.reshape(-1)[::len(h) + 1] -= shift
     try:
-        diagonal = np.linalg.cholesky(h).diagonal().tolist()
+        diagonal = np.linalg.cholesky(h).diagonal()
     except np.linalg.LinAlgError:
         return None
-    pivots = [d * d for d in diagonal]
-    return pivots if all(p >= _SMALLEST_NORMAL for p in pivots) else None
+    pivots = diagonal * diagonal
+    return pivots.tolist() if pivots.min() >= _SMALLEST_NORMAL else None
 
 
 def _back_solve(rows: list, b: list) -> list:
@@ -485,10 +485,10 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
       products, so for LAPACK's blocked potrf with conventional BLAS as
       for the list factorization. Failure of the list factorization gives
       lambda_min(m) <= s + eps_c (Demmel's condition for success). The
-      proving attempt below uses the success side only and runs through
-      _cholesky_pivots (LAPACK from _LAPACK_ORDER on); the refuting one
-      rests on the failure side, and its factor becomes the witness, so
-      it runs on lists (_cholesky) at every n.
+      proving attempt below uses the success side only (_cholesky_pivots
+      from _LAPACK_ORDER on); the refuting one rests on the failure side,
+      and its factor becomes the witness, so it runs on lists (_cholesky)
+      at every n, converting only the rows it reads (i + 1 to fail at i).
     - Jacobi's eigenvalues are within eps_j = (_EIG_TOL + 16 u R) F of the
       true ones: its stopping test leaves _EIG_TOL F of off-diagonal mass,
       and each of its at most R = _MAX_SWEEPS n (n - 1) / 2 rotations has
@@ -535,11 +535,12 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     g_lo, g_hi = min(ends), max(ends)
     eps_c = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (diag + max(abs(g_lo), abs(g_hi)) + frob)
     delta = 2.0 * (eps_c + (1.0 + abs(relative)) * _jacobi_error(n, frob))
-    pivots = _cholesky_pivots(g_hi + delta, scaled.lists, array)
-    if pivots is not None:
+    pivots = (_cholesky(scaled.lists, g_hi + delta)[1] if n < _LAPACK_ORDER
+              else _cholesky_pivots(g_hi + delta, array))
+    if pivots is not None and pivots[-1] > 0.0:
         return True, pivots
     if refute:
-        factor, pivots = _cholesky(scaled.rows, g_lo - delta)
+        factor, pivots = _cholesky(scaled.lists or map(np.ndarray.tolist, array), g_lo - delta)
         if not pivots[-1] > 0.0:
             return False, factor
     return None, None
@@ -573,7 +574,7 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
       lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
       since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
       prod(l_ii^2). Only the success side of the Cholesky bound enters,
-      so either path of _cholesky_pivots serves (LAPACK from
+      so either path of the proving attempt serves (_cholesky_pivots from
       _LAPACK_ORDER on), and either gives l_ii^2 >= p_i (1 - u)^2: the
       list factorization takes l_ii = fl(sqrt(p_i)), LAPACK's pivots are
       p_i = fl(l_ii * l_ii), which _cholesky_pivots keeps only when they
@@ -730,7 +731,8 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
       lambda_min(M11) by Cauchy interlacing, and a Cholesky of M11 at
       s = l^2 / (2 r), l the least l_jj, that runs to completion gives
       lambda_min(M11) >= s - eps_f (its own eps_c, 2 r (r + 1) u 2 D, is
-      below eps_f; the success side only, so it is _cholesky_pivots's).
+      below eps_f; the success side only, so _cholesky_pivots's from
+      _LAPACK_ORDER on).
       Each of the top r mu is then at least beta = s - 2 (eps_f + eps_j),
       which leaves room for the roundings. Both branches below need
       beta > 0 and that factorization.
@@ -805,7 +807,8 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     shift = least * least / (2.0 * r)
     beta = shift - 2.0 * (eps_f + eps_j)
     block = [[rows[i][j] for j in pivots] for i in pivots]
-    if not (beta > 0.0 and _cholesky_pivots(shift, block) is not None):
+    if not (beta > 0.0 and (_cholesky(block, shift)[1][-1] > 0.0 if r < _LAPACK_ORDER
+                            else _cholesky_pivots(shift, np.array(block)) is not None)):
         return None
     xs = x.tolist()
     y = []
@@ -887,9 +890,9 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
       factored matrix (_certificate), with eps_c = 4 n (n + 1) u (S + eta)
       for W = 2 (S + eta), which bounds every shifted diagonal. That is
       the success side of the bound only, which the list factorization
-      and LAPACK's potrf share, so the factorization is
-      _cholesky_pivots's (LAPACK from _LAPACK_ORDER on); both paths
-      read the lower triangle only.
+      and LAPACK's potrf share, so from _LAPACK_ORDER on the
+      factorization is _cholesky_pivots's; both paths read the lower
+      triangle only.
 
     At s = 2 (eta + eps_p + eps_c) success leaves lambda_min(P) >= 2 eta
     + eps_p + eps_c: each eigenvalue of M is at least 2 eps_j inside
@@ -923,9 +926,10 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     eps_c = 4.0 * n * (n + 1) * u * (size + eta)
     shift = 2.0 * (eta + eps_p + eps_c)
     eye = np.eye(n)
-    scaled_m = array if j == k else np.ldexp(m, j)
-    product = (scaled_m - lo * eye) @ (hi * eye - scaled_m)
-    return _cholesky_pivots(shift, array=product) is not None
+    scaled_m = array if j == k else np.ldexp(m, j) if j else m
+    product = (scaled_m - lo * eye if lo else scaled_m) @ (hi * eye - scaled_m)   # m - 0 I is m
+    return (_cholesky(product.tolist(), shift)[1][-1] > 0.0 if n < _LAPACK_ORDER
+            else _cholesky_pivots(shift, product) is not None)
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:

@@ -959,11 +959,12 @@ def lapack_sized_case():
 
 
 class TestFactorizationsPerCall:
-    """Pass/fail Cholesky factorizations (_cholesky_pivots) per public
-    call, with the list factorizations (_cholesky) run beside them: a
-    [lo, hi] check is one factorization of (M - lo I)(hi I - M), in lists
+    """Cholesky factorizations per public call, as (pass/fail checks in
+    LAPACK (_cholesky_pivots), factorizations on lists (_cholesky)): a
+    [lo, hi] check is one factorization of (M - lo I)(hi I - M), on lists
     below _LAPACK_ORDER and in LAPACK from there, and a refuting attempt
-    stays in lists at every n."""
+    stays on lists at every n. Below _LAPACK_ORDER the callers run the
+    pass/fail check as _cholesky itself, so it counts as a list one."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -989,14 +990,14 @@ class TestFactorizationsPerCall:
         return run
 
     def test_make_effect_on_a_certified_effect(self, count):
-        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == (1, 1)
+        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == (0, 1)
         assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == (1, 0)
 
     def test_apply_with_an_interior_image(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         x = SymMat([[0.5, 0.1], [0.1, 0.4]])
-        assert count(phi.apply, make_effect(x)) == (1, 1)      # the image's check
-        assert count(phi.apply, x) == (2, 2)                   # and the input's
+        assert count(phi.apply, make_effect(x)) == (0, 1)      # the image's check
+        assert count(phi.apply, x) == (0, 2)                   # and the input's
 
     def test_at_n_12_every_check_runs_in_lapack(self, count):
         low, high, t = lapack_sized_case()
@@ -1010,53 +1011,82 @@ class TestFactorizationsPerCall:
     @pytest.mark.parametrize("n", [2, 12])
     def test_strength_on_a_singular_a_checks_the_pivot_block_once(self, count, n):
         # the definite certificate's failed attempt, then one check of the
-        # r x r pivot block, which gives both branches their gap (in lists,
+        # r x r pivot block, which gives both branches their gap (on lists,
         # as r < _LAPACK_ORDER)
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))[0]
         r = n // 2
         a = (q[:, :r] * np.linspace(0.5, 1.0, r)) @ q[:, :r].T
         a = SymMat((a + a.T) / 2.0)
-        lists = 2 if n < linalg._LAPACK_ORDER else 1
-        assert count(strength, a, RankOneProjection(q[:, 0])) == (2, lists)          # in the range
-        assert count(strength, a, RankOneProjection(q[:, 0] + q[:, r])) == (2, lists)    # off it
+        checks = (0, 2) if n < linalg._LAPACK_ORDER else (1, 1)
+        assert count(strength, a, RankOneProjection(q[:, 0])) == checks              # in the range
+        assert count(strength, a, RankOneProjection(q[:, 0] + q[:, r])) == checks    # off it
 
 
 class TestRowListsPerCall:
-    """Python row lists built per public call at n = 12, counted where
-    _Scaled.rows builds them: the scaled array alone serves every check
-    that runs in LAPACK, and only a list path (here the refuting
-    factorization, whose factor is the witness) reads rows."""
+    """Python row lists per public call at n = 12, as (row sets that
+    _Scaled.rows builds, single rows that the refuting factorization
+    converts): the scaled array alone serves every check that runs in
+    LAPACK, and the refuting _cholesky, whose factor is the witness,
+    converts a row of the array only when it reaches it, so a failure at
+    pivot i converts i + 1 rows."""
 
     @pytest.fixture
     def count(self, monkeypatch):
-        builds = []
-        rows = linalg._Scaled.rows
+        built, converted = [], []
+        rows, cholesky = linalg._Scaled.rows, linalg._cholesky
 
-        def counting(scaled):
+        def counting_rows(scaled):
             assert scaled.lists is None             # n >= _LAPACK_ORDER holds none
-            builds.append(scaled.array.shape[0])
+            built.append(scaled.array.shape[0])
             return rows.fget(scaled)
 
-        monkeypatch.setattr(linalg._Scaled, "rows", property(counting))
+        def counting_cholesky(source, shift):
+            if isinstance(source, list):            # rows built as a whole
+                return cholesky(source, shift)
+
+            def pulled():
+                for row in source:
+                    converted.append(row)
+                    yield row
+
+            return cholesky(pulled(), shift)
+
+        monkeypatch.setattr(linalg._Scaled, "rows", property(counting_rows))
+        monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
 
         def run(fn, *args):
-            builds.clear()
+            built.clear()
+            converted.clear()
             fn(*args)
-            return len(builds)
+            assert all(type(row) is list for row in converted)
+            return len(built), len(converted)
 
         return run
 
     def test_decided_calls_build_none(self, count):
         low, high, t = lapack_sized_case()
-        assert count(linalg.loewner_le, low, high) == 0
-        assert count(EffectAutomorphism, t) == 0
-        assert count(make_effect, low) == 0
-        assert count(EffectAutomorphism(t).apply, make_effect(low)) == 0
+        assert count(linalg.loewner_le, low, high) == (0, 0)
+        assert count(EffectAutomorphism, t) == (0, 0)
+        assert count(make_effect, low) == (0, 0)
+        assert count(EffectAutomorphism(t).apply, make_effect(low)) == (0, 0)
 
-    def test_a_refuted_order_builds_them_once_for_the_witness(self, count):
+    def test_a_refuted_order_converts_rows_to_the_failing_pivot(self, count):
+        # high - low = I/2: the refuting factorization of low - high fails
+        # at its first pivot
         low, high, _ = lapack_sized_case()
-        assert count(linalg.loewner_le, high, low) == 1
-        assert count(strength_witness, high, low) == 1
+        assert count(linalg.loewner_le, high, low) == (0, 1)
+        assert count(strength_witness, high, low) == (0, 1)
+        # b - a holds a definite 9 x 9 block and -1/4 at index 9, with no
+        # coupling between them: it fails at pivot 9 of 12
+        rng = np.random.default_rng(59)
+        g = rng.standard_normal((9, 9))
+        d = np.diag([0.5] * 9 + [-0.25, 0.5, 0.5])
+        d[:9, :9] += 0.02 * (g + g.T)
+        a, b = SymMat(np.eye(12)), SymMat(np.eye(12) + d)
+        pivots = linalg._cholesky((b - a).a.tolist(), 0.0)[1]
+        assert len(pivots) == 10 and pivots[-1] < 0.0
+        assert count(linalg.loewner_le, a, b) == (0, 10)
+        assert count(strength_witness, a, b) == (0, 10)
 
 
 class TestScalingsPerCall:

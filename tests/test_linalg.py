@@ -81,6 +81,35 @@ class TestSymMat:
                 big - small
             assert (big + small).a[0, 0] == 0.0
 
+    def test_a_product_that_overflows_is_too_large(self):
+        m = SymMat([[1e300, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge):
+                m * 1e10
+            with pytest.raises(TooLarge):
+                1e10 * m
+            assert (m * 1e-10).a[0, 0] == 1e290
+
+    @pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf])
+    def test_a_product_with_a_scalar_that_is_not_finite_is_refused(self, scalar):
+        m = SymMat([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                m * scalar
+            with pytest.raises(ValueError, match="finite"):
+                scalar * m
+
+    def test_doubling_keeps_the_bits_of_the_entrywise_product(self):
+        rng = np.random.default_rng(53)
+        for n in (1, 3, 12):
+            g = np.ldexp(rng.standard_normal((n, n)), rng.integers(-1070, 1020, (n, n)))
+            m = SymMat((g + g.T) / 2.0)
+            for doubled in (m * 2.0, 2.0 * m):
+                assert doubled.a.tobytes() == SymMat(m.a * 2.0).a.tobytes()
+                assert not doubled.a.flags.writeable
+
 
 class TestSweepCap:
     @staticmethod
@@ -275,6 +304,25 @@ class TestLeftToRightSquares:
         assert math.fsum(squares.tolist()) > 1.0
 
 
+class TestLeftToRightSum:
+    """What every list path relies on in the interpreter: the builtin sum
+    of floats adds them one after another, uncompensated, as CPython up
+    to 3.11 does. _scaled_rows' F below _LAPACK_ORDER, _jacobi's
+    off-diagonal mass, _cholesky and _ldl sum that way, and the n >= 8
+    np.add.accumulate is pinned to the same order
+    (TestLeftToRightSquares). CPython 3.12 made float sum compensated,
+    which moves those bits: such an interpreter fails here, and
+    pyproject.toml requires Python below 3.12."""
+
+    def test_builtin_float_sum_adds_left_to_right(self):
+        values = [1.0, 1e100, 1.0, -1e100]
+        total = 0.0
+        for x in values:
+            total += x
+        assert sum(values) == total == 0.0
+        assert math.fsum(values) == 2.0
+
+
 class TestLapackCholesky:
     """What _cholesky_pivots relies on in the installed numpy from
     _LAPACK_ORDER on. A numpy that changes any of it fails here instead of
@@ -321,7 +369,7 @@ class TestLapackCholesky:
             lam = np.linalg.eigvalsh(h)
             for shift in (0.0, 0.5 * lam[0], 2.0 * lam[0], 0.5 * (lam[0] + lam[-1])):
                 pivots = linalg._cholesky(h.tolist(), shift)[1]
-                got = linalg._cholesky_pivots(shift, h.tolist(), h)
+                got = linalg._cholesky_pivots(shift, h)
                 assert (got is not None) == (pivots[-1] > 0.0) == (shift < lam[0])
                 if got is not None:
                     assert np.allclose(got, pivots, rtol=1e-13, atol=0.0)
