@@ -315,14 +315,10 @@ def recover_generator(
             raise NotAutomorphism("degenerate image of a basis projection")
         columns.append(u / norm)
 
-    # Fix the overall sign on the first column, then align the rest.
+    # Align the rest with the first column. Its own sign is left open:
+    # flipping it swaps the two scores of every choice below, so O turns
+    # into -O, and EffectAutomorphism's canonical sign maps -M O to M O.
     u1 = columns[0]
-    for value in u1:
-        if abs(float(value)) > 1e-8:
-            if float(value) < 0.0:
-                u1 = -u1
-            break
-    columns[0] = u1
     for j in range(1, n):
         w = _dominant_direction(oracle(mixed[j - 1]), tol)
         z = M_inv.a @ w
@@ -422,9 +418,10 @@ def mobius_apply(params: MobiusParams, X) -> Effect:
     inner = SymMat(t @ eff.mat.a @ t.T)
     gram = SymMat(t @ t.T)
     f_inner = linalg.apply_fn(inner, clamped_mobius)
-    f_gram = linalg.apply_fn(gram, clamped_mobius)
+    # f_p(T T^t)^{-1/2} is a function of T T^t: one spectrum, not two
     floor = tol.rank_tol ** 2
-    normalizer = linalg.apply_fn(f_gram, lambda level: 1.0 / math.sqrt(max(level, floor)))
+    normalizer = linalg.apply_fn(
+        gram, lambda level: 1.0 / math.sqrt(max(clamped_mobius(level), floor)))
     middle = SymMat(normalizer.a @ f_inner.a @ normalizer.a)
     return make_effect(linalg.apply_fn(middle, outer_mobius), tol)
 

@@ -135,8 +135,9 @@ MaxDiagonalSet = Union[SingletonDiagonal, ZeroOnly, DiagonalCurve]
 def make_effect(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:
     """Certify 0 <= A <= I; OutOfInterval carries the offending eigenvalue.
 
-    The Cholesky certificate settles inputs clear of the gates without a
-    spectrum; the rest go to eigvalsh, which reaches the same verdict."""
+    Two shifted Cholesky factorizations, one at each end, settle inputs
+    clear of the gates without a spectrum (linalg._certified_within); the
+    rest go to eigvalsh, which reaches the same verdict."""
     if linalg._certified_within(A.a, -tol.psd_tol, 1.0 + tol.psd_tol):
         return Effect(mat=A)
     lam = linalg.eigvalsh(A)

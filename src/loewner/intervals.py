@@ -25,6 +25,7 @@ from .errors import (
     NotIsomorphic,
     OutOfDomain,
     Singular,
+    TooLarge,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -128,7 +129,7 @@ class Translate:
     reverses = False
 
     def apply(self, X: SymMat) -> SymMat:
-        return SymMat(X.a + self.shift.a)
+        return X + self.shift
 
     def inverse(self) -> "Translate":
         return Translate(shift=-self.shift)
@@ -370,5 +371,9 @@ class AffineAutomorphism:
 def affine_automorphism_apply(auto: AffineAutomorphism, X: SymMat) -> SymMat:
     if X.n != auto.s.n:
         raise DimensionMismatch("input dimension differs from the automorphism")
-    y = auto.t @ X.a @ auto.t.T
-    return SymMat((y + y.T) / 2.0 + auto.s.a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = auto.t @ X.a @ auto.t.T
+        image = (y + y.T) / 2.0 + auto.s.a
+    if not np.isfinite(image).all():
+        raise TooLarge("the image does not fit in a double")
+    return SymMat(image)

@@ -13,8 +13,8 @@ positive definite within rank tolerance, which inv and the strength closed
 form then factor LDL^t instead of diagonalizing (_definite_ldl). A
 factorization that refutes an order gives a direction of negative
 curvature (_negative_curvature), from which effects.strength_witness
-builds its witness. A [lo, hi] check is one factorization of
-(M - lo I)(hi I - M) (_certified_within), and a semidefinite pivoted
+builds its witness. A [lo, hi] check is two proving attempts, at
+M - lo I and hi I - M (_certified_within), and a semidefinite pivoted
 factorization answers strength along a direction off the range of a
 singular matrix (0) or inside it (1 / |y|^2 from its factor) when the
 spectral route provably decides alike (_pivoted_strength), both from the
@@ -36,8 +36,8 @@ converts none. Below, the scaling's own list code forms and keeps them.
 
 Every certificate charges Jacobi the error of the most sweeps it can run,
 _MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
-double, and a sum or difference of SymMats whose entries overflow, raise
-TooLarge.
+double, a sum or difference of SymMats whose entries overflow, and an
+inverse that does not fit raise TooLarge.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ _SMALLEST_NORMAL = 2.0 ** -1022
 # Backward error of one two-sided plane rotation, in units of
 # u * ||A||_F (Higham, Accuracy and Stability, 2nd ed., ch. 19).
 _ROTATION_ERROR = 16.0
-# Least size of the product a [lo, hi] check factors (_certified_within).
-_SMALLEST_PRODUCT = 2.0 ** -600
 # Least order at which a pass/fail Cholesky runs in LAPACK
 # (_cholesky_pivots). On a 2-core x86-64 machine the list factorization
 # takes 8, 29 and 112 us at n = 4, 8 and 16, numpy's call with its shift
@@ -864,72 +862,42 @@ def _spectral_verdict(lam: np.ndarray, strict: bool, tol: Tolerances) -> bool:
 
 
 def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
-    """True when one Cholesky factorization proves that the Jacobi
-    spectrum of m (eigvalsh) lies in [lo, hi], lo < hi; False when that is
+    """True when two shifted Cholesky factorizations prove that the Jacobi
+    spectrum of m (eigvalsh) lies in [lo, hi]; False when that is
     undecided or untrue.
 
-    Work is on M = 2^j m, with lo and hi scaled alike and j chosen so
-    that the largest of max |m_ij|, |lo| and |hi| lands in [1, 2): the
-    k of _scaled_rows(m) when m's entries are the largest, else the
-    power that brings the wider end there. F = ||M||_F, u = 2^-53 and
-    eps_j is the Jacobi error of _certificate.
-
-    - P = (M - lo I)(hi I - M) is symmetric with eigenvalues
-      p(lambda) = (lambda - lo)(hi - lambda). If every p(lambda) >= eta > 0,
-      every lambda lies in (lo, hi), and each factor is at least
-      eta / (hi - lo), since the other is at most hi - lo. With
-      eta = (hi - lo) eps_j, every Jacobi eigenvalue is then in [lo, hi].
-    - The matrix factored is the lower triangle of the computed product.
-      With S = (F + sqrt(n) |lo|)(F + sqrt(n) |hi|), which bounds
-      ||M - lo I||_F ||hi I - M||_F and so ||P||_2, it is within
-      eps_p = 2 (n + 2) u S of P in norm, for any summation order: n u
-      for the inner products, 2 u for the rounded diagonals of the two
-      factors, and a factor 2 for mirroring a triangle of a product that
-      need not come out symmetric.
-    - Cholesky at shift s: success gives lambda_min >= s - eps_c for the
-      factored matrix (_certificate), with eps_c = 4 n (n + 1) u (S + eta)
-      for W = 2 (S + eta), which bounds every shifted diagonal. That is
-      the success side of the bound only, which the list factorization
-      and LAPACK's potrf share, so from _LAPACK_ORDER on the
-      factorization is _cholesky_pivots's; both paths read the lower
-      triangle only.
-
-    At s = 2 (eta + eps_p + eps_c) success leaves lambda_min(P) >= 2 eta
-    + eps_p + eps_c: each eigenvalue of M is at least 2 eps_j inside
-    (lo, hi), and the second eps_j (with eps_p + eps_c > 0 when eta = 0)
-    absorbs the rounding of F, S, the shift and the scaled ends. For
-    m = 0 (eta = 0) Jacobi returns the diagonal exactly.
-
-    Every entry of M and both ends are at most 2, so S stays below
-    (2 n + 2 sqrt(n))^2 and nothing overflows. An m tiny next to its
-    ends leaves entries or products below the normal range, whose
-    absolute errors are a few n^2 2^-1074 each (in the ends, F, eta, the
-    product and the factorization; n^2 2^-1022 if the BLAS flushes
-    subnormals to zero). When S >= 2^-600 the slack eps_p + eps_c >
-    2^-650 covers them; a smaller S (a tiny m against
-    an end at 0) and the exponent range guard of _certificate leave the
-    answer undecided, without forming the product.
+    Work is on M = 2^k m of _scaled_rows(m), with D, F, u and eps_j of
+    _certificate (F >= 1 for m != 0). The callers' ends have |lo| < 1 and
+    hi < 2 (the Tolerances base is below 1), so e' = 2^k e cannot overflow
+    at either end e once |k| <= 1000. With S = 1 at lo and -1 at hi, the
+    success side of _certificate's bound is applied to S M: a Cholesky of
+    S M - s I at s = S e' + delta, delta = 2 (eps_c + eps_j), that runs to
+    completion gives lambda_min(S M) >= s - eps_c, for eps_c =
+    2 n (n + 1) u W with W = D + |e'| + F (its factor 2 also takes up the
+    delta in the shifted diagonals). So S times each Jacobi eigenvalue of
+    M is at least S e' + eps_c + eps_j less roundings: those of s and of
+    e' (an end below the normal range moves by at most 2^-1075) stay
+    below eps_c >= 4 u (|e'| + 1). Scaling the eigenvalues back by 2^-k
+    is monotone, so they lie in [lo, hi]. For m = 0 (F = 0) Jacobi
+    returns the diagonal and both factorizations are exact. Only the
+    success side enters, so from _LAPACK_ORDER on they run in LAPACK.
     """
-    array, k, _, frob, _ = _scaled_rows(m)
+    array, k, diag, frob, rows = _scaled_rows(m)
     if abs(k) > 1000:
         return False
     n = len(array)
-    j = min(k, 1 - math.frexp(max(abs(lo), abs(hi)))[1])
-    lo, hi, frob = math.ldexp(lo, j), math.ldexp(hi, j), math.ldexp(frob, j - k)
-    root = math.sqrt(n)
-    size = (frob + root * abs(lo)) * (frob + root * abs(hi))
-    if not size >= _SMALLEST_PRODUCT:
-        return False
-    u = _UNIT_ROUNDOFF
-    eta = (hi - lo) * _jacobi_error(n, frob)
-    eps_p = 2.0 * (n + 2) * u * size
-    eps_c = 4.0 * n * (n + 1) * u * (size + eta)
-    shift = 2.0 * (eta + eps_p + eps_c)
-    eye = np.eye(n)
-    scaled_m = array if j == k else np.ldexp(m, j) if j else m
-    product = (scaled_m - lo * eye if lo else scaled_m) @ (hi * eye - scaled_m)   # m - 0 I is m
-    return (_cholesky(product.tolist(), shift)[1][-1] > 0.0 if n < _LAPACK_ORDER
-            else _cholesky_pivots(shift, product) is not None)
+    eps_j = _jacobi_error(n, frob)
+    for sign, end in ((1.0, lo), (-1.0, hi)):
+        end = sign * math.ldexp(end, k)
+        eps_c = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (diag + abs(end) + frob)
+        shift = end + 2.0 * (eps_c + eps_j)
+        if n < _LAPACK_ORDER:
+            factored = rows if sign > 0.0 else [[-x for x in row] for row in rows]
+            if not _cholesky(factored, shift)[1][-1] > 0.0:
+                return False
+        elif _cholesky_pivots(shift, array if sign > 0.0 else -array) is None:
+            return False
+    return True
 
 
 def _order_verdict(M: SymMat, strict: bool, tol: Tolerances) -> bool:
@@ -972,15 +940,20 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     A matrix that _definite_ldl certifies positive definite is inverted
     through LDL^t; every other input, a negative definite one included,
     through the spectral decomposition, which also gives Singular its
-    verdict."""
+    verdict. TooLarge, with no warning, when the inverse does not fit in
+    a double."""
     factor = _definite_ldl(_scaled_rows(A.a), tol)
-    if factor is not None:
-        return SymMat(_ldl_inverse(*factor))
-    spec = eigh(A)
-    lam = spec.eigenvalues
-    if float(np.min(np.abs(lam))) <= tol.rank_tol * float(np.max(np.abs(lam))):
-        raise Singular("matrix is singular within rank tolerance")
-    return SymMat((spec.eigenvectors / lam) @ spec.eigenvectors.T)
+    if factor is None:
+        spec = eigh(A)
+        lam = spec.eigenvalues
+        if float(np.min(np.abs(lam))) <= tol.rank_tol * float(np.max(np.abs(lam))):
+            raise Singular("matrix is singular within rank tolerance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (_ldl_inverse(*factor) if factor is not None
+                   else (spec.eigenvectors / lam) @ spec.eigenvectors.T)
+    if not np.isfinite(entries).all():
+        raise TooLarge("the inverse does not fit in a double")
+    return SymMat(entries)
 
 
 def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:

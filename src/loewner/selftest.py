@@ -54,13 +54,12 @@ def _violations_detail(bad: int, total: int, worst: float = None) -> str:
     return base
 
 
-def check_order_preservation(seed: int, trials: int,
-                             dims=(2, 3, 4, 5, 6)) -> PropertyResult:
+def check_order_preservation(seed: int, trials: int) -> PropertyResult:
     s = oracle.Sampler(seed)
     gate = Tolerances(1e-8)
     bad = 0
     for i in range(trials):
-        n = dims[i % len(dims)]
+        n = 2 + i % 5
         phi = EffectAutomorphism(oracle.sample_invertible(s, n))
         low, high = oracle.sample_comparable_pair(s, n)
         if not linalg.loewner_le(phi.apply(low).mat, phi.apply(high).mat, gate):
@@ -199,14 +198,13 @@ def check_witness_biconditional(seed: int, trials: int) -> PropertyResult:
     return PropertyResult("witness_biconditional", bad == 0, _violations_detail(bad, trials))
 
 
-def check_recovery_round_trip(seed: int, trials: int, count: int = None,
-                              dims=(2, 3, 4, 5)) -> PropertyResult:
+def check_recovery_round_trip(seed: int, trials: int, count: int = None) -> PropertyResult:
     s = oracle.Sampler(seed)
     if count is None:
         count = max(5, min(trials, 20))
     bad = 0
     for i in range(count):
-        n = dims[i % len(dims)]
+        n = 2 + i % 4
         phi = EffectAutomorphism(oracle.sample_invertible(s, n))
         try:
             rebuilt = recover_generator(phi.apply, n)
@@ -359,10 +357,9 @@ def open_unit_interval(n: int) -> IntervalSpec:
                         Endpoint.finite(SymMat.identity(n), closed=False), n)
 
 
-def check_conjugation_identity(seed: int, trials: int, count: int = None) -> PropertyResult:
+def check_conjugation_identity(seed: int, trials: int) -> PropertyResult:
     s = oracle.Sampler(seed)
-    if count is None:
-        count = min(trials, 100)
+    count = min(trials, 100)
     worst = 0.0
     for i in range(count):
         n = 2 + i % 4

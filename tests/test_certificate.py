@@ -139,17 +139,17 @@ def corpus_calls():
         patch.setattr(linalg, "_pivoted_strength", pivoted_recorder(pivoted))
         selftest.run_selftest(0, 200)
         s = ACCEPTANCE_SEED
-        selftest.check_order_preservation(s, 1000, dims=(2, 3, 4, 5, 6))
+        selftest.check_order_preservation(s, 1000)
         selftest.check_group_law(s + 1, 200)
         selftest.check_fixed_points(s + 2, 100)
         selftest.check_projection_law(s + 3, 200)
         selftest.check_strength_oracle(s + 4, 500)
         selftest.check_witness_biconditional(s + 5, 200)
-        selftest.check_recovery_round_trip(s + 6, 50, count=50, dims=(2, 3, 4, 5))
+        selftest.check_recovery_round_trip(s + 6, 50, count=50)
         selftest.check_mobius_bridge(s + 7, 30, count=30)
         selftest.check_two_by_two_fixtures(s + 8, 1)
         selftest.check_interval_atlas(s + 9, 200, per_shape=5)
-        selftest.check_conjugation_identity(s + 10, 100, count=100)
+        selftest.check_conjugation_identity(s + 10, 100)
     return order, generator, within, pivoted
 
 
@@ -292,8 +292,8 @@ def test_within_is_undecided_past_the_exponent_range(j):
 
 @pytest.mark.parametrize("j", [-600, -990])
 def test_within_certifies_a_tiny_m_against_wide_ends(j):
-    # 2^j m against [-tau, 1 + tau]: scaled by the ends rather than by m,
-    # the product neither overflows nor falls below the least size
+    # 2^j m against [-tau, 1 + tau]: the ends scaled by 2^k of m are large
+    # next to m's entries, and neither overflows
     m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), j)
     ends = (-DEFAULT_TOL.psd_tol, 1.0 + DEFAULT_TOL.psd_tol)
     with warnings.catch_warnings():
@@ -302,49 +302,89 @@ def test_within_certifies_a_tiny_m_against_wide_ends(j):
     assert jacobi_within(m, *ends)
 
 
-def test_within_is_undecided_for_a_tiny_m_against_an_end_at_zero():
-    # 2^-700 m against [0, 1]: the product is about ||m||_F, below the
-    # size at which the proof covers underflow, so the check leaves it
-    # to the spectral route, which finds it inside
+def test_within_is_certified_for_a_tiny_m_against_an_end_at_zero():
+    # 2^-700 m against [0, 1]: each end is checked on its own at m's
+    # scale, so nothing is formed that could fall below the normal range,
+    # and the spectral route agrees that it is inside
     m = np.ldexp(np.array([[0.5, 0.1], [0.1, 0.4]]), -700)
-    assert not linalg._certified_within(m, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg._certified_within(m, 0.0, 1.0)
     assert jacobi_within(m, 0.0, 1.0)
 
 
 def within_shift(m, lo, hi):
-    """(s, lo, hi) in the scaled units of the [lo, hi] check: its
-    Cholesky shift 2 (eta + eps_p + eps_c), from the margins its proof
-    names."""
+    """[(s, e, k) at lo, (s, e, k) at hi]: the Cholesky shift of each of
+    the two proving attempts of the [lo, hi] check, s = e + 2 (eps_c +
+    eps_j), with e = 2^k lo at lo and -2^k hi at hi (the attempt at hi
+    factors -2^k m), from the margins its proof names."""
     scaled = linalg._scaled_rows(m)
-    j = min(scaled.k, 1 - math.frexp(max(abs(lo), abs(hi)))[1])
-    n, f = m.shape[0], math.ldexp(scaled.frob, j - scaled.k)
-    lo, hi = math.ldexp(lo, j), math.ldexp(hi, j)
-    u = 2.0 ** -53
-    size = (f + math.sqrt(n) * abs(lo)) * (f + math.sqrt(n) * abs(hi))
-    eta = (hi - lo) * linalg._jacobi_error(n, f)
-    eps_p = 2.0 * (n + 2) * u * size
-    eps_c = 4.0 * n * (n + 1) * u * (size + eta)
-    return 2.0 * (eta + eps_p + eps_c), lo, hi
+    n, k = m.shape[0], scaled.k
+    eps_j = linalg._jacobi_error(n, scaled.frob)
+    shifts = []
+    for e in (math.ldexp(lo, k), -math.ldexp(hi, k)):
+        eps_c = 2.0 * n * (n + 1) * 2.0 ** -53 * (scaled.diag + abs(e) + scaled.frob)
+        shifts.append((e + 2.0 * (eps_c + eps_j), e, k))
+    return shifts
 
 
 @pytest.mark.parametrize("rest, lo, hi", [
-    ([], -1.0, 1.0),                    # n = 1: eps_p is a tenth of the shift
-    ([1.0, 1.0], 0.0, 2.0 ** 10),       # hi - lo = 2^10 in scaled units
+    ([], -1.0, 1.0),                                    # n = 1
+    ([1.0, 1.0], 0.0, 2.0 ** 10),                       # hi - lo = 2^10
+    ([0.25], -DEFAULT_TOL.psd_tol, 1.0 + DEFAULT_TOL.psd_tol),   # make_effect's ends
 ])
 def test_within_band_is_as_wide_as_its_proof(rest, lo, hi):
-    # A diagonal m has an exact Jacobi spectrum and a product exact to
-    # rounding, so the check passes exactly when the least
-    # (lambda - lo)(hi - lambda) clears the shift: 2% short of it is
-    # undecided, 2% past it is certified.
-    base = np.diag([lo] + rest)
-    for factor, certified in ((0.98, False), (1.02, True)):
-        shift, lo_s, hi_s = within_shift(base, lo, hi)
-        unit = (hi_s - lo_s) / (hi - lo)                # 2^j
-        m = np.diag([lo + factor * shift / (hi_s - lo_s) / unit] + rest)
-        shift, lo_s, hi_s = within_shift(m, lo, hi)
-        gap = (m[0, 0] - lo) * (hi_s - lo_s) / (hi - lo)
-        assert abs(gap * (hi_s - lo_s - gap) / shift - factor) < 0.005
-        assert linalg._certified_within(m, lo, hi) is certified
+    # A diagonal m has an exact Jacobi spectrum and pivots exact to
+    # rounding, so the attempt at an end passes exactly when the entry
+    # next to it lies inside by more than that end's margin s - e (in
+    # scaled units): 2% short of it is undecided, 2% past it is
+    # certified, at each end in turn while every entry is far from the
+    # other.
+    for at_hi, end, sign in ((0, lo, 1.0), (1, hi, -1.0)):
+        for factor, certified in ((0.98, False), (1.02, True)):
+            shift, e, k = within_shift(np.diag([end] + rest), lo, hi)[at_hi]
+            m = np.diag([end + sign * factor * math.ldexp(shift - e, -k)] + rest)
+            shift, e, k = within_shift(m, lo, hi)[at_hi]
+            inside = sign * math.ldexp(m[0, 0], k) - e
+            assert abs(inside / (shift - e) - factor) < 0.005
+            assert linalg._certified_within(m, lo, hi) is certified
+            assert jacobi_within(m, lo, hi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12])
+def test_within_never_passes_what_jacobi_refuses_at_any_scale(n):
+    # spectra with an eigenvalue within 1e-15 .. 1e-8 of the low end of
+    # make_effect's or apply's interval, of the high end, or one at each,
+    # inside it (3 in 4) or outside, the rest in its interior; scaled with
+    # the ends by 2^j for j in [-1000, 1000], where a j that puts the
+    # scaled rows past the exponent-range guard (|k| > 1000, tested above)
+    # is skipped
+    rng = np.random.default_rng(41 + n)
+    tau = DEFAULT_TOL.psd_tol
+    seen = set()
+    for trial in range(32):
+        lo, hi = ((-tau, 1.0 + tau), (0.0, 1.0))[int(rng.integers(2))]
+        lam = np.sort(rng.uniform(0.1, 0.9, n))
+        inward = 10.0 ** rng.uniform(-15.0, -8.0, 2) * rng.choice([-1.0, 1.0, 1.0, 1.0], 2)
+        if trial % 3 != 1:
+            lam[0] = lo + inward[0]
+        if trial % 3 != 0:
+            lam[-1] = hi - inward[1]
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        m = (q * lam) @ q.T
+        m = (m + m.T) / 2.0
+        k = linalg._scaled_rows(m).k
+        verdicts = set()
+        for j in [-1000, 0, 1000] + rng.integers(-1000, 1001, 3).tolist():
+            if abs(k - j) > 1000:
+                continue
+            mj, ends = np.ldexp(m, j), (math.ldexp(lo, j), math.ldexp(hi, j))
+            verdict = linalg._certified_within(mj, *ends)
+            assert not verdict or jacobi_within(mj, *ends)
+            verdicts.add(verdict)
+        assert len(verdicts) == 1
+        seen |= verdicts
+    assert seen == {False, True}
 
 
 def _singular_corpus(seed):
@@ -937,13 +977,14 @@ class TestSpectraPerCall:
         projection = RankOneProjection([1.0, 2.0, 3.0])
         assert count(phi.apply, projection.mat) == ["eigh"]
 
-    def test_mobius_apply_is_four_eigh(self, count):
-        # f_p of T X T^t and of T T^t, the normalizer, and f_q of the
-        # middle term, whose [0, I] check reads the same spectrum; the
-        # interior result is certified without one
+    def test_mobius_apply_is_three_eigh(self, count):
+        # f_p of T X T^t, the normalizer f_p(T T^t)^{-1/2} from one
+        # spectrum of T T^t, and f_q of the middle term, whose [0, I]
+        # check reads the same spectrum; the interior result is certified
+        # without one
         params = MobiusParams(0.3, -0.5, np.array([[0.8, 0.1], [0.0, 0.6]]))
         x = SymMat([[0.5, 0.1], [0.1, 0.4]])
-        assert count(mobius_apply, params, x) == ["eigh"] * 4
+        assert count(mobius_apply, params, x) == ["eigh"] * 3
 
 
 def lapack_sized_case():
@@ -961,10 +1002,11 @@ def lapack_sized_case():
 class TestFactorizationsPerCall:
     """Cholesky factorizations per public call, as (pass/fail checks in
     LAPACK (_cholesky_pivots), factorizations on lists (_cholesky)): a
-    [lo, hi] check is one factorization of (M - lo I)(hi I - M), on lists
-    below _LAPACK_ORDER and in LAPACK from there, and a refuting attempt
-    stays on lists at every n. Below _LAPACK_ORDER the callers run the
-    pass/fail check as _cholesky itself, so it counts as a list one."""
+    [lo, hi] check is two proving attempts, of M - s I near lo and of
+    s' I - M near hi, on lists below _LAPACK_ORDER and in LAPACK from
+    there, and a refuting attempt stays on lists at every n. Below
+    _LAPACK_ORDER the callers run the pass/fail check as _cholesky
+    itself, so it counts as a list one."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -990,14 +1032,14 @@ class TestFactorizationsPerCall:
         return run
 
     def test_make_effect_on_a_certified_effect(self, count):
-        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == (0, 1)
-        assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == (1, 0)
+        assert count(make_effect, SymMat([[0.5, 0.1], [0.1, 0.4]])) == (0, 2)
+        assert count(make_effect, SymMat(0.1 * np.eye(12) + 0.01)) == (2, 0)
 
     def test_apply_with_an_interior_image(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         x = SymMat([[0.5, 0.1], [0.1, 0.4]])
-        assert count(phi.apply, make_effect(x)) == (0, 1)      # the image's check
-        assert count(phi.apply, x) == (0, 2)                   # and the input's
+        assert count(phi.apply, make_effect(x)) == (0, 2)      # the image's check
+        assert count(phi.apply, x) == (0, 4)                   # and the input's
 
     def test_at_n_12_every_check_runs_in_lapack(self, count):
         low, high, t = lapack_sized_case()
@@ -1005,8 +1047,8 @@ class TestFactorizationsPerCall:
         # the proving attempt fails in LAPACK, the refuting one runs in lists
         assert count(linalg.loewner_le, high, low) == (1, 1)
         assert count(EffectAutomorphism, t) == (1, 0)
-        assert count(make_effect, low) == (1, 0)
-        assert count(EffectAutomorphism(t).apply, make_effect(low)) == (1, 0)
+        assert count(make_effect, low) == (2, 0)
+        assert count(EffectAutomorphism(t).apply, make_effect(low)) == (2, 0)
 
     @pytest.mark.parametrize("n", [2, 12])
     def test_strength_on_a_singular_a_checks_the_pivot_block_once(self, count, n):

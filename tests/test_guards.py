@@ -225,7 +225,8 @@ class TestRecovery:
             recover_generator(lambda e: midpoint if np.array_equal(e.mat.a, half) else line, 2)
 
     def test_a_first_column_that_starts_with_zero(self):
-        # the sign of the first column is read past its zero first entry
+        # the first column starts with a zero entry, and its sign is left
+        # to the generator's canonical sign (read past that zero)
         swap = EffectAutomorphism(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert recover_generator(swap.apply, 2).equals(swap)
 
@@ -289,7 +290,7 @@ class TestMobiusFaults:
 
     def test_a_middle_term_outside_the_unit_interval(self, monkeypatch):
         # fault injection: every spectral function comes back doubled, so
-        # the normalized middle term is four times its value
+        # the normalized middle term is eight times its value
         apply_fn = linalg.apply_fn
         monkeypatch.setattr(linalg, "apply_fn", lambda a, f: SymMat(2.0 * apply_fn(a, f).a))
         with pytest.raises(InternalInversionFailure, match="left"):

@@ -13,6 +13,7 @@ from loewner.errors import (
     NotIsomorphic,
     OutOfDomain,
     Singular,
+    TooLarge,
 )
 from loewner.intervals import (
     AffineAutomorphism,
@@ -306,6 +307,22 @@ class TestAffineAutomorphism:
             high = SymMat(low.a + oracle._sample_psd(s, n))
             assert linalg.loewner_le(affine_automorphism_apply(auto, low),
                                      affine_automorphism_apply(auto, high))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_image_past_the_range_is_too_large(self):
+        auto = AffineAutomorphism(t=1e200 * np.eye(2), s=ZERO2)
+        with pytest.raises(TooLarge):
+            affine_automorphism_apply(auto, SymMat([[1e200, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_translate_past_the_range_is_too_large():
+    # a translate is the SymMat sum, with its bits and its TooLarge
+    x = SymMat([[1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(TooLarge):
+        Translate(shift=x).apply(x)
+    y = SymMat([[0.5, 0.25], [0.25, -1.0]])
+    assert np.array_equal(Translate(shift=y).apply(x).a, x.a + y.a)
 
 
 class TestChainSoundness:

@@ -334,7 +334,7 @@ class TestLapackCholesky:
         return g @ g.T + n * np.eye(n)
 
     def test_reads_only_the_lower_triangle(self):
-        # a [lo, hi] check factors a product that need not be symmetric
+        # the strict upper triangle is never read, as the docstring states
         rng = np.random.default_rng(31)
         for n in (8, 12, 16):
             h = self.definite(rng, n)
@@ -542,6 +542,22 @@ class TestInv:
     def test_singular(self):
         with pytest.raises(Singular):
             linalg.inv(SymMat.diagonal([1.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_inverse_past_the_range_on_the_spectral_route_is_too_large(self):
+        # |k| > 1000 leaves the certificate undecided; 1 / 1e-310 overflows
+        a = SymMat(np.diag([1e-310, 1e-310]))
+        assert linalg._definite_ldl(linalg._scaled_rows(a.a), DEFAULT_TOL) is None
+        with pytest.raises(TooLarge):
+            linalg.inv(a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_inverse_past_the_range_on_the_ldl_route_is_too_large(self):
+        # the factor's inverse fits at scale 2^k, and scaling it back overflows
+        a = SymMat(np.diag([1e-301, 5e-309]))
+        assert linalg._definite_ldl(linalg._scaled_rows(a.a), DEFAULT_TOL) is not None
+        with pytest.raises(TooLarge):
+            linalg.inv(a)
 
     @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.integers(-600, 600))
