@@ -154,8 +154,7 @@ class EffectAutomorphism:
         """Evaluate T (X (T^t T - I) + I)^{-1} X T^t, certified back into [0, I]."""
         tol = self._tol
         eff = _coerce_effect(X, tol)
-        if eff.n != self.n:
-            raise DimensionMismatch(f"dimensions differ: {eff.n} vs {self.n}")
+        linalg._check_same_dim(eff, self)
         x = eff.mat.a
         # Invertible for every effect: with G = T^t T > 0 and 0 <= X <= I,
         # X (G - I) + I has the spectrum of X^{1/2} G X^{1/2} + I - X > 0.
@@ -184,23 +183,20 @@ class EffectAutomorphism:
 
     def compose(self, other: "EffectAutomorphism") -> "EffectAutomorphism":
         """Generator product: applying `other` first, then `self`."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
+        linalg._check_same_dim(self, other)
         return EffectAutomorphism(self.t @ other.t, self._tol)
 
     def inverse(self) -> "EffectAutomorphism":
         return EffectAutomorphism(np.linalg.inv(self.t), self._tol)
 
     def equals(self, other: "EffectAutomorphism") -> bool:
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
+        linalg._check_same_dim(self, other)
         return float(np.linalg.norm(self.t - other.t)) <= self._tol.equality_tol * float(np.linalg.norm(self.t))
 
     def project_image(self, P: RankOneProjection) -> RankOneProjection:
         """Projection onto T x for x spanning Im P; certified against the
         direction of the mapped projection (_dominant_direction)."""
-        if P.n != self.n:
-            raise DimensionMismatch(f"dimensions differ: {P.n} vs {self.n}")
+        linalg._check_same_dim(P, self)
         image = RankOneProjection(self.t @ P.x)
         dominant = _dominant_direction(self.apply(Effect(mat=P.mat)), self._tol)
         cosine = min(1.0, abs(float(image.x @ dominant)))
@@ -397,8 +393,7 @@ def mobius_apply(params: MobiusParams, X) -> Effect:
     """
     tol = params.tol
     eff = _coerce_effect(X, tol)
-    if eff.n != params.n:
-        raise DimensionMismatch(f"dimensions differ: {eff.n} vs {params.n}")
+    linalg._check_same_dim(eff, params)
     p, q, t = params.p, params.q, params.t
 
     # Upper slack admits the contraction check's own tolerance on ||T||.

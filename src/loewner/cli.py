@@ -8,8 +8,8 @@ newline, so every emitted value re-parses exactly.
 Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1),
 a dimension that is not a whole JSON number or, for probes, below 2, no
 selftest trials; also TooLarge: a dimension above 44, a generator whose
-T^t T overflows, a spectrum that does not fit in a double, or a
-difference of matrices that overflows; `order` answers every square
+T^t T overflows, or a matrix the package computes that does not fit in a
+double, with no warning; `order` answers every square
 symmetric pair, leaving out the witness when an input is not PSD), 3
 dimension mismatch, 4 not an automorphism, 5 selftest property failure,
 6 internal numerical failure (the eigensolver did not converge in 40

@@ -174,8 +174,7 @@ def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> 
     strength <= lambda_max: the cap scales back to lambda_max of A, which
     the spectrum holds, so it fits in a double.
     """
-    if A.n != P.n:
-        raise DimensionMismatch(f"dimensions differ: {A.n} vs {P.n}")
+    linalg._check_same_dim(A, P)
     scaled = linalg._scaled_rows(A.a)
     alpha = linalg._reciprocal_form(scaled, P.x, tol)
     if alpha is None:

@@ -11,9 +11,9 @@ class DimensionMismatch(LoewnerError):
 
 class TooLarge(LoewnerError):
     """An input is too large to process: a dimension above the CLI cap, a
-    generator whose Gram matrix T^t T overflows, a spectrum or a
-    pseudo-inverse that does not fit in a double, or a sum or difference
-    of matrices that overflows."""
+    generator whose Gram matrix T^t T overflows, or a matrix the package
+    computes (or a spectrum) that does not fit in a double, which raises
+    TooLarge with no warning."""
 
 
 class NonConvergence(LoewnerError):

@@ -25,7 +25,6 @@ from .errors import (
     NotIsomorphic,
     OutOfDomain,
     Singular,
-    TooLarge,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -98,8 +97,7 @@ class IntervalSpec:
                 raise InvalidSpec("finite endpoints must satisfy lower < upper strictly")
 
     def contains(self, X: SymMat) -> bool:
-        if X.n != self.n:
-            raise DimensionMismatch(f"dimensions differ: {X.n} vs {self.n}")
+        linalg._check_same_dim(X, self)
         if self.lower.is_finite:
             ok = (linalg.loewner_le(self.lower.matrix, X, self.tol) if self.lower.closed
                   else linalg.loewner_lt(self.lower.matrix, X, self.tol))
@@ -154,10 +152,16 @@ class Congruence:
         object.__setattr__(self, "generator", t)
 
     def apply(self, X: SymMat) -> SymMat:
-        return SymMat(self.generator @ X.a @ self.generator.T)
+        return _congruent(self.generator, X)
 
     def inverse(self) -> "Congruence":
         return Congruence(generator=np.linalg.inv(self.generator))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _congruent(t: np.ndarray, X: SymMat) -> SymMat:
+    """T X T^t, the image of X under the Congruence with generator T."""
+    return linalg._computed(t @ X.a @ t.T, "the image does not fit in a double")
 
 
 @dataclass(frozen=True)
@@ -371,9 +375,4 @@ class AffineAutomorphism:
 def affine_automorphism_apply(auto: AffineAutomorphism, X: SymMat) -> SymMat:
     if X.n != auto.s.n:
         raise DimensionMismatch("input dimension differs from the automorphism")
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = auto.t @ X.a @ auto.t.T
-        image = (y + y.T) / 2.0 + auto.s.a
-    if not np.isfinite(image).all():
-        raise TooLarge("the image does not fit in a double")
-    return SymMat(image)
+    return _congruent(auto.t, X) + auto.s

@@ -35,9 +35,9 @@ attempt converts only the rows it reads, so a check that LAPACK decides
 converts none. Below, the scaling's own list code forms and keeps them.
 
 Every certificate charges Jacobi the error of the most sweeps it can run,
-_MAX_SWEEPS (_jacobi_error). A spectrum whose eigenvalues do not fit in a
-double, a sum or difference of SymMats whose entries overflow, and an
-inverse that does not fit raise TooLarge.
+_MAX_SWEEPS (_jacobi_error). A matrix the package computes (or a
+spectrum) that does not fit in a double raises TooLarge, with no warning;
+every computed matrix is frozen by _computed, which decides it.
 """
 
 from __future__ import annotations
@@ -162,20 +162,26 @@ class SymMat:
     def __array__(self, dtype=None):
         return self.a if dtype is None else self.a.astype(dtype)
 
+    # entrywise, so as bitwise symmetric as the operands: no test needed
+    @np.errstate(over="ignore")
     def __add__(self, other: "SymMat") -> "SymMat":
-        return _combined(np.add, self.a, other.a)
+        _check_same_dim(self, other)
+        return _computed(self.a + other.a, _OVERFLOW, symmetric=True)
 
+    @np.errstate(over="ignore")
     def __sub__(self, other: "SymMat") -> "SymMat":
-        return _combined(np.subtract, self.a, other.a)
+        _check_same_dim(self, other)
+        return _computed(self.a - other.a, _OVERFLOW, symmetric=True)
 
     def __neg__(self) -> "SymMat":
         return SymMat(-self.a)
 
+    @np.errstate(over="ignore")
     def __mul__(self, scalar: float) -> "SymMat":
         scalar = float(scalar)
         if not math.isfinite(scalar):
             raise ValueError("the scalar must be finite")
-        return _combined(np.multiply, self.a, scalar)
+        return _computed(self.a * scalar, _OVERFLOW, symmetric=True)
 
     __rmul__ = __mul__
 
@@ -183,19 +189,22 @@ class SymMat:
         return f"SymMat({self.a.tolist()!r})"
 
 
-@np.errstate(over="ignore")
-def _combined(op, first: np.ndarray, second) -> SymMat:
-    """op(first, second) entrywise, on the entries of two SymMats or of one
-    and a finite scalar: as bitwise symmetric as the operands, so it is
-    frozen as it stands; TooLarge, with no warning, when an entry
-    overflows (the operands are finite)."""
-    m = op(first, second)
+_OVERFLOW = "matrix entries overflow the double range"
+
+
+def _computed(m: np.ndarray, what: str, symmetric: bool = False) -> SymMat:
+    """SymMat(m) for an m just formed from finite operands under an
+    np.errstate that silences overflow (and invalid, for a product): the
+    same test and average, unless the caller knows m is symmetric, no
+    copy, and TooLarge(what), with no warning, for an entry that overflowed."""
+    if not symmetric and m.tobytes() != m.T.tobytes():
+        m = (m + m.T) / 2.0
     if not np.isfinite(m).all():
-        raise TooLarge("matrix entries overflow the double range")
+        raise TooLarge(what)
     m.flags.writeable = False
-    combined = object.__new__(SymMat)
-    combined.a, combined.n = m, m.shape[0]
-    return combined
+    computed = object.__new__(SymMat)
+    computed.a, computed.n = m, m.shape[0]
+    return computed
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +215,7 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _check_same_dim(A: SymMat, B: SymMat):
+def _check_same_dim(A, B):
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
 
@@ -940,8 +949,7 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     A matrix that _definite_ldl certifies positive definite is inverted
     through LDL^t; every other input, a negative definite one included,
     through the spectral decomposition, which also gives Singular its
-    verdict. TooLarge, with no warning, when the inverse does not fit in
-    a double."""
+    verdict; TooLarge when the inverse does not fit in a double."""
     factor = _definite_ldl(_scaled_rows(A.a), tol)
     if factor is None:
         spec = eigh(A)
@@ -951,9 +959,7 @@ def inv(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:
     with np.errstate(over="ignore", invalid="ignore"):
         entries = (_ldl_inverse(*factor) if factor is not None
                    else (spec.eigenvectors / lam) @ spec.eigenvectors.T)
-    if not np.isfinite(entries).all():
-        raise TooLarge("the inverse does not fit in a double")
-    return SymMat(entries)
+        return _computed(entries, "the inverse does not fit in a double")
 
 
 def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
@@ -972,7 +978,9 @@ def apply_fn(A: SymMat, f: Callable[[float], float]) -> SymMat:
         if not math.isfinite(value):
             raise DomainError(f"function non-finite at eigenvalue {level!r}")
         mapped.append(value)
-    return SymMat((spec.eigenvectors * np.array(mapped)) @ spec.eigenvectors.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _computed((spec.eigenvectors * np.array(mapped)) @ spec.eigenvectors.T,
+                         "the image does not fit in a double")
 
 
 def _scaled_pinv(A: SymMat, k: int, tol: Tolerances) -> Tuple[SymMat, Callable[[np.ndarray], bool], float]:
@@ -1017,10 +1025,8 @@ def pinv_and_range(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Tuple[SymMat, Ca
     k = _scaled_rows(A.a).k
     pinv, in_range, _ = _scaled_pinv(A, k, tol)
     with np.errstate(over="ignore"):
-        entries = np.ldexp(pinv.a, k)
-    if not np.isfinite(entries).all():
-        raise TooLarge("the pseudo-inverse does not fit in a double")
-    return SymMat(entries), in_range
+        return _computed(np.ldexp(pinv.a, k),      # 2^k times a SymMat's entries
+                         "the pseudo-inverse does not fit in a double", symmetric=True), in_range
 
 
 def spectral_norm(A: SymMat) -> float:

@@ -18,6 +18,13 @@ from loewner.errors import (
     Singular,
     TooLarge,
 )
+from loewner.intervals import (
+    AffineAutomorphism,
+    Congruence,
+    Translate,
+    affine_automorphism_apply,
+    cone_automorphism_apply,
+)
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 
@@ -81,6 +88,19 @@ class TestSymMat:
                 big - small
             assert (big + small).a[0, 0] == 0.0
 
+    def test_a_sum_or_difference_across_dimensions_is_a_mismatch(self):
+        one, two, three = SymMat([[1.0]]), SymMat(np.eye(2)), SymMat(np.eye(3))
+        # numpy would broadcast the 1 x 1 operand into [[2, 1], [1, 2]]
+        with pytest.raises(DimensionMismatch, match="^dimensions differ: 1 vs 2$"):
+            one + two
+        with pytest.raises(DimensionMismatch, match="^dimensions differ: 2 vs 1$"):
+            Translate(shift=one).apply(two)
+        # numpy would raise its own ValueError
+        with pytest.raises(DimensionMismatch, match="^dimensions differ: 2 vs 3$"):
+            two + three
+        with pytest.raises(DimensionMismatch, match="^dimensions differ: 2 vs 3$"):
+            two - three
+
     def test_a_product_that_overflows_is_too_large(self):
         m = SymMat([[1e300, 0.0], [0.0, 1.0]])
         with warnings.catch_warnings():
@@ -109,6 +129,87 @@ class TestSymMat:
             for doubled in (m * 2.0, 2.0 * m):
                 assert doubled.a.tobytes() == SymMat(m.a * 2.0).a.tobytes()
                 assert not doubled.a.flags.writeable
+
+
+class TestOverflowRule:
+    """A matrix the package computes that does not fit in a double raises
+    TooLarge, with no warning (pyproject.toml turns a RuntimeWarning into
+    an error): never numpy's broadcast, its overflow or SymMat's
+    ValueError."""
+
+    @staticmethod
+    def scaled(rng, g, low=-1000, high=1023):
+        """g at a power of two 2^j, j in [low, high], half the draws at
+        high: its largest entry first brought into [1, 2), so that every j
+        keeps it finite."""
+        j = int(rng.integers(low, high + 1)) if rng.random() < 0.5 else high
+        return np.ldexp(g, j - math.frexp(float(np.abs(g).max()))[1] + 1)
+
+    @staticmethod
+    def outcome(call) -> str:
+        try:
+            out = call()
+        except TooLarge:
+            return "too large"
+        assert isinstance(out, SymMat) and np.isfinite(out.a).all()
+        return "finite"
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_every_computed_matrix_is_finite_or_too_large(self, n):
+        rng = np.random.default_rng(1000 + n)
+        seen = {}
+        for _ in range(32):
+            g, h, c = (rng.standard_normal((n, n)) for _ in range(3))
+            # y is near +-x up to scale, so a sum or a difference at the
+            # top of the range overflows
+            sign = rng.choice([-1.0, 1.0])
+            x = SymMat(self.scaled(rng, g + g.T))
+            y = SymMat(self.scaled(rng, sign * (g + g.T) + 0.01 * (h + h.T)))
+            psd = SymMat(self.scaled(rng, g @ g.T))
+            # Congruence's SVD gate refuses a generator whose least
+            # singular value is below 1e-12 (out of this rule's scope)
+            t = self.scaled(rng, c + 3.0 * np.eye(n), -30, 500)
+            scalar = float(self.scaled(rng, rng.uniform(1.0, 2.0, 1))[0])
+            level = float(self.scaled(rng, rng.uniform(1.0, 2.0, 1))[0])
+            calls = {
+                "+": lambda: x + y,
+                "-": lambda: x - y,
+                "*": lambda: x * scalar,
+                "inv": lambda: linalg.inv(x),
+                "pinv_and_range": lambda: linalg.pinv_and_range(psd)[0],
+                "apply_fn": lambda: linalg.apply_fn(x, lambda lam: level * math.tanh(lam)),
+                "Congruence.apply": lambda: Congruence(generator=t).apply(x),
+                "Translate.apply": lambda: Translate(shift=y).apply(x),
+                "cone_automorphism_apply": lambda: cone_automorphism_apply(t, psd),
+                "affine_automorphism_apply": lambda: affine_automorphism_apply(
+                    AffineAutomorphism(t=t, s=y), x),
+            }
+            for name, call in calls.items():
+                seen.setdefault(name, set()).add(self.outcome(call))
+        # the draws reach past the top of the range wherever a sum or a
+        # congruence can take them
+        for name in ("+", "-", "*", "Congruence.apply", "Translate.apply",
+                     "cone_automorphism_apply", "affine_automorphism_apply"):
+            assert seen[name] == {"finite", "too large"}, name
+
+    def test_a_congruence_past_the_range_is_too_large(self):
+        big, eye = 1e200 * np.eye(2), SymMat.identity(2)
+        with pytest.raises(TooLarge):
+            Congruence(generator=big).apply(eye)
+        with pytest.raises(TooLarge):
+            cone_automorphism_apply(big, eye)
+
+    def test_the_identity_affine_map_returns_its_input_at_the_top_of_the_range(self):
+        x = SymMat(np.diag([1.7e308, 1.0]))
+        image = affine_automorphism_apply(AffineAutomorphism(t=np.eye(2), s=SymMat.zero(2)), x)
+        assert image.a.tobytes() == x.a.tobytes()
+
+    @pytest.mark.parametrize("value", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_a_function_at_the_largest_double_is_finite_or_too_large(self, value):
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            g = rng.standard_normal((5, 5))
+            self.outcome(lambda: linalg.apply_fn(SymMat(g + g.T), lambda lam: value))
 
 
 class TestSweepCap:
