@@ -6,8 +6,9 @@ stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
 Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1),
-a dimension that is not a whole JSON number or, for probes, below 2, no
-selftest trials; also TooLarge: a dimension above 44, a generator whose
+a dimension that is not a whole JSON number or, for probes, below 2, a
+matrix entry that is not finite (JSON's Infinity or NaN), no selftest
+trials; also TooLarge: a dimension above 44, a generator whose
 T^t T overflows, or a matrix the package computes that does not fit in a
 double, with no warning; `order` answers every square
 symmetric pair, leaving out the witness when an input is not PSD), 3
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -116,12 +118,15 @@ def parse_square(doc: dict) -> np.ndarray:
     data = [float(v) for v in doc["data"]]
     if n < 1 or len(data) != n * n:
         raise ValueError(f"data length {len(data)} does not match n={n}")
+    if not all(map(math.isfinite, data)):      # json reads Infinity and NaN
+        raise ValueError("matrix entries must be finite")
     return np.array(data, dtype=float).reshape(n, n)
 
 
 def parse_symmetric(doc: dict, warn_label: str = "matrix") -> SymMat:
     raw = parse_square(doc)
-    asymmetry = float(np.max(np.abs(raw - raw.T)))
+    with np.errstate(over="ignore"):            # an asymmetry past the range reads inf
+        asymmetry = float(np.max(np.abs(raw - raw.T)))
     if asymmetry > _ASYMMETRY_WARN:
         name = doc.get("name", warn_label)
         print(f"warning: {name} symmetrized on load (asymmetry {asymmetry:.3g})",

@@ -246,6 +246,27 @@ class TestTopOfTheFloatRange:
         assert code == 2 and out == ""
         assert "matrix entries must be finite" in err
 
+    @pytest.mark.parametrize("data", ["[Infinity]", "[NaN]", "[-Infinity]"])
+    def test_a_diagonal_entry_that_is_not_finite_is_refused(self, capsys, data):
+        code, out, err = self.run_quietly(capsys, ["order", '{"n":1,"data":[1]}',
+                                                   f'{{"n":1,"data":{data}}}'])
+        assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+
+    @pytest.mark.parametrize("data", ["[1,Infinity,1,1]", "[1,NaN,NaN,1]", "[1,-Infinity,0,1]"])
+    def test_an_off_diagonal_entry_that_is_not_finite_is_refused(self, capsys, data):
+        # refused as read, before any asymmetry is measured or reported
+        for argv in (["order", f'{{"n":2,"data":{data}}}', EYE],
+                     ["phi", "apply", f'{{"n":2,"data":{data}}}', HALF]):
+            code, out, err = self.run_quietly(capsys, argv)
+            assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+
+    def test_an_asymmetry_past_the_range_is_reported_without_a_warning(self, capsys):
+        # 1.7e308 - (-1.7e308) overflows; the average, 0, is the identity
+        code, out, err = self.run_quietly(capsys, ["order", '{"n":2,"data":[1,1.7e308,-1.7e308,1]}',
+                                                   EYE])
+        assert (code, out) == (0, '{"le":true,"lt":false}\n')
+        assert err == "warning: first input symmetrized on load (asymmetry inf)\n"
+
     def test_order_whose_difference_has_an_eigenvalue_past_the_range(self, capsys):
         # B - A = -1e308 [[1, 1], [1, 1]] has the eigenvalue -2e308
         code, out, err = self.run_quietly(capsys, ["order", '{"n":2,"data":[1e308,1e308,1e308,1e308]}',

@@ -303,6 +303,28 @@ class TestEigh:
                 theirs = np.linalg.eigvalsh(m.a)
                 assert np.allclose(ours, theirs, atol=1e-11)
 
+    @pytest.mark.parametrize("n", [12, 16, 32])
+    def test_matches_lapack_within_the_charged_error(self, n):
+        # every certificate charges a Jacobi eigenvalue _jacobi_error(n, F);
+        # 4 n u F covers LAPACK's own backward error
+        rng = np.random.default_rng(100 + n)
+        for m in TestSweepCap.spectra(rng, n):
+            frob = float(np.linalg.norm(m.a))
+            bound = linalg._jacobi_error(n, frob) + 4.0 * n * linalg._UNIT_ROUNDOFF * frob
+            ours = linalg.eigvalsh(m)
+            assert np.max(np.abs(ours - np.linalg.eigvalsh(m.a))) <= bound
+            assert np.array_equal(linalg.eigh(m).eigenvalues, ours)
+
+    @pytest.mark.parametrize("n", [12, 16, 32])
+    def test_reconstruction_and_orthogonality_at_larger_sizes(self, n):
+        rng = np.random.default_rng(200 + n)
+        for m in TestSweepCap.spectra(rng, n):
+            spec = linalg.eigh(m)
+            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+            norm = np.linalg.norm(m.a)
+            assert np.linalg.norm(rebuilt - m.a) <= 1e-10 * (1.0 + norm)
+            assert np.linalg.norm(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n)) <= 1e-12
+
 
 def row_wise_scaled_rows(m):
     """_scaled_rows computed row by row, as (array, k, D, F, rows): max
