@@ -260,14 +260,14 @@ class TestEigh:
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(11)
-        for n in range(1, 9):
-            for _ in range(10):
-                m = random_symmetric(rng, n)
-                spec = linalg.eigh(m)
-                rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-                norm = np.linalg.norm(m.a)
-                assert np.linalg.norm(rebuilt - m.a) <= 1e-10 * (1.0 + norm)
-                assert np.linalg.norm(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n)) <= 1e-12
+        cases = [random_symmetric(rng, n) for n in range(1, 9) for _ in range(10)]
+        cases += [m for n in (12, 16, 32) for m in TestSweepCap.spectra(rng, n)]
+        for m in cases:
+            spec = linalg.eigh(m)
+            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+            norm = np.linalg.norm(m.a)
+            assert np.linalg.norm(rebuilt - m.a) <= 1e-10 * (1.0 + norm)
+            assert np.linalg.norm(spec.eigenvectors.T @ spec.eigenvectors - np.eye(m.n)) <= 1e-12
 
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
                st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
@@ -302,28 +302,15 @@ class TestEigh:
                 ours = linalg.eigvalsh(m)
                 theirs = np.linalg.eigvalsh(m.a)
                 assert np.allclose(ours, theirs, atol=1e-11)
-
-    @pytest.mark.parametrize("n", [12, 16, 32])
-    def test_matches_lapack_within_the_charged_error(self, n):
-        # every certificate charges a Jacobi eigenvalue _jacobi_error(n, F);
-        # 4 n u F covers LAPACK's own backward error
-        rng = np.random.default_rng(100 + n)
-        for m in TestSweepCap.spectra(rng, n):
-            frob = float(np.linalg.norm(m.a))
-            bound = linalg._jacobi_error(n, frob) + 4.0 * n * linalg._UNIT_ROUNDOFF * frob
-            ours = linalg.eigvalsh(m)
-            assert np.max(np.abs(ours - np.linalg.eigvalsh(m.a))) <= bound
-            assert np.array_equal(linalg.eigh(m).eigenvalues, ours)
-
-    @pytest.mark.parametrize("n", [12, 16, 32])
-    def test_reconstruction_and_orthogonality_at_larger_sizes(self, n):
-        rng = np.random.default_rng(200 + n)
-        for m in TestSweepCap.spectra(rng, n):
-            spec = linalg.eigh(m)
-            rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-            norm = np.linalg.norm(m.a)
-            assert np.linalg.norm(rebuilt - m.a) <= 1e-10 * (1.0 + norm)
-            assert np.linalg.norm(spec.eigenvectors.T @ spec.eigenvectors - np.eye(n)) <= 1e-12
+        # at the api-large sizes and past them, within the _jacobi_error
+        # that every certificate charges, plus 4 n u F for LAPACK's own
+        for n in (12, 16, 32):
+            for m in TestSweepCap.spectra(rng, n):
+                frob = float(np.linalg.norm(m.a))
+                bound = linalg._jacobi_error(n, frob) + 4.0 * n * linalg._UNIT_ROUNDOFF * frob
+                ours = linalg.eigvalsh(m)
+                assert np.max(np.abs(ours - np.linalg.eigvalsh(m.a))) <= bound
+                assert np.array_equal(linalg.eigh(m).eigenvalues, ours)
 
 
 def row_wise_scaled_rows(m):
