@@ -81,28 +81,14 @@ def _coerce_effect(X, tol: Tolerances) -> Effect:
     raise NotAnEffect(f"expected an Effect or SymMat, got {type(X).__name__}")
 
 
-def _require_regular(lam: np.ndarray, tol: Tolerances) -> None:
-    """The Jacobi route of the generator test, on the spectrum of T^t T:
-    sigma_min > rank_tol * max(1, sigma_max) and |det T| > rank_tol, the
-    latter as log|det T| = fsum(log(lam_i)) / 2, which cannot underflow.
-    Any lam_i <= 0 is Singular."""
-    values = lam.tolist()
-    if not values[0] > 0.0:
-        raise Singular("generator is singular within rank tolerance")
-    sigma_min, sigma_max = math.sqrt(values[0]), math.sqrt(values[-1])
-    if (math.fsum(map(math.log, values)) / 2.0 <= math.log(tol.rank_tol)
-            or sigma_min <= tol.rank_tol * max(1.0, sigma_max)):
-        raise Singular("generator is singular within rank tolerance")
-
-
 class EffectAutomorphism:
     """phi_T with the generator stored in canonical sign.
 
-    Construction decides "T is regular within rank tolerance" by the
-    Cholesky certificate of linalg._certify_regular and computes the
-    spectrum of T^t T only when that is undecided. Every method works at
-    the tolerances given at construction, and compose and inverse build
-    their result at them.
+    Construction raises Singular unless T is regular within rank
+    tolerance (linalg._require_regular), which computes the spectrum of
+    T^t T only when its Cholesky certificate is undecided. Every method
+    works at the tolerances given at construction, and compose and
+    inverse build their result at them.
     """
 
     __slots__ = ("t", "n", "gram", "_tol")
@@ -121,8 +107,7 @@ class EffectAutomorphism:
             raise TooLarge(f"generator scale {float(abs(t).max()):.3g} is too large: "
                            f"T^t T overflows")
         gram = SymMat(product)
-        if not linalg._certify_regular(gram.a, tol):
-            _require_regular(linalg.eigvalsh(gram), tol)
+        linalg._require_regular(gram, tol)
         t = _canonical_sign(t, tol)
         t.flags.writeable = False
         self.t = t

@@ -5,10 +5,7 @@ that drive the order-automorphism machinery.
 The strength of a positive A along a rank-one projection P = xx^t is the
 largest t with tP <= A. For x in the range of A it has the closed form
 1 / <A+ x, x> (A+ the pseudoinverse); for x outside the range it is 0.
-Both are read off a factorization when a certificate proves that the
-spectral route decides alike: LDL^t for an A definite within rank
-tolerance, a semidefinite pivoted Cholesky A ~ L L^t for a singular one
-(1 / |y|^2 with L11 y = x1 inside the range).
+linalg._strength decides which factor or spectrum answers.
 """
 
 from __future__ import annotations
@@ -157,38 +154,15 @@ def _require_psd(A: SymMat, tol: Tolerances, who: str) -> None:
 def strength(A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL) -> float:
     """max { t : t P <= A } for PSD A and a rank-one projection P.
 
-    Closed form: 0 when the direction of P leaves the range of A, else
-    1 / <A+ x, x>. An A certified definite within rank tolerance has full
-    range and A+ = A^-1, so an LDL^t solve answers without a spectrum.
-    Otherwise a semidefinite pivoted Cholesky factorization A ~ L L^t
-    answers without a spectrum when it proves that the spectral route
-    would find A PSD, keep the r eigenvalues the factor separates and
-    decide x alike (linalg._pivoted_strength): 0 off the range, and
-    1 / |y|^2 with L11 y = x1 (the pivot rows) inside it. Every other
-    input takes one spectrum: pinv_and_range, which also raises NotPSD
-    for an input that is not PSD, with the pseudo-inverse of the 2^k A of
-    linalg._scaled_rows, so that an A near either end of the double range
-    is answered as 2^-k / <(2^k A)+ x, x> (bit-identical whenever nothing
-    over- or underflows). Where that scaling back overflows, the scaled
-    answer is capped at the largest kept eigenvalue of 2^k A first, as
-    strength <= lambda_max: the cap scales back to lambda_max of A, which
-    the spectrum holds, so it fits in a double.
+    Closed form: 0 when the direction x of P leaves the range of A, else
+    1 / <A+ x, x>; NotPSD when A is not PSD at psd_tol. It takes at most
+    one spectrum, and none where a factor proves that the spectral route
+    decides alike (linalg._strength). An A near either end of the double
+    range is answered at a power of two and scaled back, capped at
+    lambda_max of A where the answer would overflow.
     """
     linalg._check_same_dim(A, P)
-    scaled = linalg._scaled_rows(A.a)
-    alpha = linalg._reciprocal_form(scaled, P.x, tol)
-    if alpha is None:
-        alpha = linalg._pivoted_strength(scaled, P.x, tol)
-    if alpha is not None:
-        return alpha
-    pinv, in_range, top = linalg._scaled_pinv(A, scaled.k, tol)
-    if not in_range(P.x):
-        return 0.0
-    alpha = 1.0 / float(P.x @ pinv.a @ P.x)
-    try:
-        return math.ldexp(alpha, -scaled.k)
-    except OverflowError:
-        return math.ldexp(min(alpha, top), -scaled.k)
+    return linalg._strength(A, P.x, tol)
 
 
 def strength_witness(
@@ -204,16 +178,12 @@ def strength_witness(
     while <(B - tQ)x, x> = <Bx, x> - <Ax, x> = -c, so tQ <= B fails by at
     least c: the strength of A along Q strictly exceeds that of B.
 
-    The order certificate on M = B - A (linalg._certificate) decides A <= B.
-    When it refutes, the Cholesky of M - sI failed at a pivot p <= 0, and
-    linalg._negative_curvature gives a unit x with x^t (M - sI) x <= 0,
-    scaled from one whose form is p. That x is used when it clears the gate
+    The order certificate on M = B - A decides A <= B. The direction of
+    negative curvature of its refuting factor is used when it clears
 
         fl(<(A - B)x, x>) > gamma ||x||^2,  gamma = sqrt(psd_tol) max(1, ||A||_F, ||B||_F),
 
-    and otherwise the most negative eigenvector of M (eigh) is. When the
-    certificate is undecided, one eigh of M decides A <= B by the Jacobi
-    route (_spectral_verdict) and supplies that eigenvector.
+    and otherwise the most negative eigenvector of M (linalg._witness_direction).
 
     The gate makes both parts of the witness robust, not only c > 0:
     - The gate's own rounding (forming M, Mx and <Mx, x>) is at most
@@ -231,21 +201,10 @@ def strength_witness(
     """
     _require_psd(A, tol, "first argument")
     _require_psd(B, tol, "second argument")
-    M = B - A
-    verdict, factor = linalg._certificate(linalg._scaled_rows(M.a), relative=-tol.psd_tol)
-    if verdict:
-        return None
-    x = None
-    if verdict is False:
-        x = linalg._negative_curvature(factor, M.n)
-        gamma = math.sqrt(tol.psd_tol) * max(1.0, _frobenius(A.a), _frobenius(B.a))
-        if x is None or not -float(M.a @ x @ x) > gamma * float(x @ x):
-            x = None
+    gamma = math.sqrt(tol.psd_tol) * max(1.0, _frobenius(A.a), _frobenius(B.a))
+    x = linalg._witness_direction(B - A, gamma, tol)
     if x is None:
-        spec = linalg.eigh(M)
-        if verdict is None and linalg._spectral_verdict(spec.eigenvalues, False, tol):
-            return None
-        x = spec.eigenvectors[:, 0]
+        return None
     ax = A.a @ x
     quad = float(ax @ x)
     if quad <= 0.0:

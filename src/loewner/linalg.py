@@ -4,23 +4,20 @@ calculus.
 
 Every operation here is a pure function over immutable values. The
 eigensolver is a hand-rolled cyclic Jacobi iteration, adequate for the
-small dimensions this package targets. Order predicates that only need the
-sign of lambda_min minus a gate are first decided by a shifted Cholesky
-certificate (_certificate) and fall back to the Jacobi spectrum inside its
-undecided band; the same certificate certifies a generator regular
-(_certify_regular) and, without the max(1, .) floor of its gate, a matrix
-positive definite within rank tolerance, which inv and the strength closed
-form then factor LDL^t instead of diagonalizing (_definite_ldl). A
-factorization that refutes an order gives a direction of negative
-curvature (_negative_curvature), from which effects.strength_witness
-builds its witness. A [lo, hi] check is two proving attempts, at
-M - lo I and hi I - M (_certified_within), and a semidefinite pivoted
-factorization answers strength along a direction off the range of a
-singular matrix (0) or inside it (1 / |y|^2 from its factor) when the
-spectral route provably decides alike (_pivoted_strength), both from the
-gap of one factorization of its pivot block and a vector found by
-back-substitution (_back_solve), which also gives _negative_curvature its
-direction.
+small dimensions this package targets. Each decision that a Cholesky
+certificate or factor answers without a spectrum, and the Jacobi route
+otherwise, is one function here, beside the proof that both decide alike:
+
+- _order_verdict (loewner_le, loewner_lt, is_psd): the shifted Cholesky
+  certificate _certificate, else the sign of lambda_min against its gate;
+- _certified_within (make_effect, EffectAutomorphism.apply): two
+  proving attempts, at M - lo I and hi I - M, else the caller's spectrum;
+- inv: LDL^t of a matrix _definite_ldl certifies definite, else eigh;
+- _strength (effects.strength): that LDL^t, then a semidefinite pivoted
+  factor (_pivoted_strength), else one spectrum (_scaled_pinv);
+- _witness_direction (effects.strength_witness): a refuting factor's
+  direction of negative curvature (_negative_curvature), else eigh;
+- _require_regular (EffectAutomorphism): _certify_regular, else eigvalsh.
 
 A factorization whose only output is "it ran to completion" (and its
 pivots) runs on lists (_cholesky) below _LAPACK_ORDER, in LAPACK's potrf
@@ -495,7 +492,7 @@ def _jacobi_error(n: int, frob: float) -> float:
     return (_EIG_TOL + _ROTATION_ERROR * _UNIT_ROUNDOFF * _rotations(n)) * frob
 
 
-def _certificate(scaled: _Scaled, relative: float = 0.0,
+def _certificate(scaled: _Scaled, relative: float,
                  refute: bool = True, floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
     """(verdict, evidence): decide lambda_min(m) >= g by shifted Cholesky
     factorizations, where g = relative * max(1, |lambda|max), or
@@ -578,16 +575,36 @@ def _certificate(scaled: _Scaled, relative: float = 0.0,
     return None, None
 
 
+def _witness_direction(M: SymMat, gamma: float, tol: Tolerances) -> Optional[np.ndarray]:
+    """The direction x of effects.strength_witness for M = B - A, None when
+    A <= B (loewner_le's verdict). When the order certificate on M
+    refutes, its Cholesky of M - sI failed at a pivot p <= 0, and
+    _negative_curvature gives a unit x with x^t (M - sI) x <= 0, scaled
+    from one whose form is p. That x is used when fl(<-M x, x>) >
+    gamma ||x||^2, and otherwise the most negative eigenvector of M (eigh)
+    is; when the certificate is undecided, that eigh decides A <= B."""
+    verdict, factor = _certificate(_scaled_rows(M.a), -tol.psd_tol)
+    if verdict:
+        return None
+    if verdict is False:
+        x = _negative_curvature(factor, M.n)
+        if x is not None and -float(M.a @ x @ x) > gamma * float(x @ x):
+            return x
+    spec = eigh(M)
+    if verdict is None and _spectral_verdict(spec.eigenvalues, False, tol):
+        return None
+    return spec.eigenvectors[:, 0]
+
+
 def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     """True when a shifted Cholesky factorization proves that the Jacobi
     spectrum lam of the Gram matrix G = T^t T (eigvalsh, ascending) passes
-    the generator test of EffectAutomorphism (_require_regular):
+    the generator test of _require_regular, T regular within rank_tol:
 
         sqrt(lam_0) > rank_tol * max(1, sqrt(lam_-1))  and
-        fsum(log(lam_i)) / 2 > log(rank_tol),
+        fsum(log(lam_i)) / 2 > log(rank_tol);
 
-    i.e. T is regular within rank tolerance. False means undecided: the
-    caller computes the spectrum, which also supplies the Singular verdict.
+    False means undecided.
 
     One factorization decides both halves: the proving attempt of
     _certificate at relative = rank_tol^2 (scaled units, G_s = 2^k G),
@@ -637,6 +654,18 @@ def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
     return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -39
 
 
+def _require_regular(gram: SymMat, tol: Tolerances) -> None:
+    """Singular unless T is regular within rank tolerance (G = T^t T):
+    _certify_regular, else its test on lam = eigvalsh(G), where the log of
+    |det T| cannot underflow and any lam_i <= 0 is Singular."""
+    if _certify_regular(gram.a, tol):
+        return
+    values = eigvalsh(gram).tolist()
+    if not (values[0] > 0.0 and math.fsum(map(math.log, values)) / 2.0 > math.log(tol.rank_tol)
+            and math.sqrt(values[0]) > tol.rank_tol * max(1.0, math.sqrt(values[-1]))):
+        raise Singular("generator is singular within rank tolerance")
+
+
 def _ldl(rows: list) -> Optional[Tuple[list, list]]:
     """(L, d) with rows = L diag(d) L^t, L unit lower triangular (row i
     holds l_i0 .. l_i,i-1), run in floating point without pivoting; None
@@ -672,21 +701,6 @@ def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list
     if not _certificate(scaled, relative=tol.rank_tol, refute=False, floor=False)[0]:
         return None
     return (*_ldl(scaled.rows), scaled.k)
-
-
-def _reciprocal_form(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Optional[float]:
-    """1 / (x^t m^-1 x) by an LDL^t solve when _definite_ldl certifies m
-    (scaled = _scaled_rows(m)); None otherwise. With L y = x and
-    2^k m = L D L^t, x^t m^-1 x = 2^k sum(y_i^2 / d_i)."""
-    factor = _definite_ldl(scaled, tol)
-    if factor is None:
-        return None
-    low, pivots, k = factor
-    y = []
-    for xi, li in zip(x.tolist(), low):
-        y.append(xi - sum(map(operator.mul, li, y)))
-    q = math.fsum(yi * yi / di for yi, di in zip(y, pivots))
-    return math.ldexp(1.0 / q, -k)
 
 
 def _pivoted_cholesky(rows: list, stop: float) -> Tuple[list, list, list]:
@@ -877,6 +891,39 @@ def _pivoted_strength(scaled: _Scaled, x: np.ndarray, tol: Tolerances) -> Option
     mw = math.sqrt(sum(map(operator.mul, mws, mws)))
     lean = 2.0 * ((mw + noise) / beta + eps_v * wn)
     return 0.0 if (wx - lean * xn) / wn > 2.0 * gate + rounding else None
+
+
+def _strength(A: SymMat, x: np.ndarray, tol: Tolerances) -> float:
+    """strength(A, x x^t) for a unit x, on one scaling 2^k A (_scaled_rows).
+
+    An A that _definite_ldl certifies has A+ = A^-1, so with L y = x and
+    2^k A = L D L^t the answer is 2^-k / sum(y_i^2 / d_i). Otherwise
+    _pivoted_strength answers when its factor proves that the spectral
+    route decides alike, and else that route does: _scaled_pinv (NotPSD
+    for an A that is not PSD), then 0 off the range and
+    2^-k / <(2^k A)+ x, x> in it. Where scaling back overflows, the answer
+    is capped at the largest kept eigenvalue of 2^k A first, as strength
+    <= lambda_max: the cap scales back to lambda_max of A, which the
+    spectrum holds, so it fits in a double."""
+    scaled = _scaled_rows(A.a)
+    factor = _definite_ldl(scaled, tol)
+    if factor is not None:
+        low, pivots, k = factor
+        y = []
+        for xi, li in zip(x.tolist(), low):
+            y.append(xi - sum(map(operator.mul, li, y)))
+        return math.ldexp(1.0 / math.fsum(yi * yi / di for yi, di in zip(y, pivots)), -k)
+    alpha = _pivoted_strength(scaled, x, tol)
+    if alpha is not None:
+        return alpha
+    pinv, in_range, top = _scaled_pinv(A, scaled.k, tol)
+    if not in_range(x):
+        return 0.0
+    alpha = 1.0 / float(x @ pinv.a @ x)
+    try:
+        return math.ldexp(alpha, -scaled.k)
+    except OverflowError:
+        return math.ldexp(min(alpha, top), -scaled.k)
 
 
 def _ldl_inverse(low: list, pivots: list, k: int) -> np.ndarray:
