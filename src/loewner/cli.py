@@ -5,18 +5,18 @@ from files, inline JSON, or stdin ('-'), and write one JSON document to
 stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly.
 
-Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1),
-a dimension that is not a whole JSON number or, for probes, below 2, a
-matrix entry that is not finite (JSON's Infinity or NaN), no selftest
-trials; also TooLarge: a dimension above 44, a generator whose
-T^t T overflows, or a matrix the package computes that does not fit in a
-double, with no warning; `order` answers every square
-symmetric pair, leaving out the witness when an input is not PSD), 3
-dimension mismatch, 4 not an automorphism, 5 selftest property failure,
-6 internal numerical failure (the eigensolver did not converge in 40
-sweeps, or evaluating an automorphism, in `phi apply` or `phi recover`'s
-residual check, failed to solve with the matrix proved invertible or
-left [0, I] past its noise gate).
+Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1), a
+dimension that is not a whole JSON number or, for probes, below 2, a matrix
+entry or direction component that is a string, a boolean, JSON's Infinity or
+NaN or an integer past the double range, a "closed" that is not a JSON boolean,
+JSON nested too deeply, no selftest trials; also TooLarge: a dimension above
+44, a generator whose T^t T overflows, or a matrix the package computes that
+does not fit in a double, with no warning; `order` answers every square
+symmetric pair, leaving out the witness when an input is not PSD), 3 dimension
+mismatch, 4 not an automorphism, 5 selftest property failure, 6 internal
+numerical failure (the eigensolver did not converge in 40 sweeps, or evaluating
+an automorphism, in `phi apply` or `phi recover`'s residual check, failed to
+solve with the matrix proved invertible or left [0, I] past its noise gate).
 
 Dimensions above _MAX_N = 44 are refused before any computation. The
 pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -69,13 +68,7 @@ _MAX_N = 44
 
 def dumps_stable(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -100,7 +93,10 @@ def _read_source(source: str) -> str:
 
 
 def load_json(source: str):
-    return json.loads(_read_source(source))
+    try:
+        return json.loads(_read_source(source))
+    except RecursionError:      # json decodes nested arrays and objects recursively
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _parse_dimension(value) -> int:
@@ -113,13 +109,22 @@ def _parse_dimension(value) -> int:
     return n
 
 
+def _number(value, field: str) -> float:
+    """A JSON number that is not a boolean, as a finite double; ValueError
+    naming the field (plural) for anything else."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be numbers, got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # exact for an int of any size
+        raise ValueError(f"{field} must be finite" if type(value) is float
+                         else f"{field} must fit in a double")
+    return float(value)
+
+
 def parse_square(doc: dict) -> np.ndarray:
     n = _parse_dimension(doc["n"])
-    data = [float(v) for v in doc["data"]]
+    data = [_number(v, "matrix entries") for v in doc["data"]]
     if n < 1 or len(data) != n * n:
         raise ValueError(f"data length {len(data)} does not match n={n}")
-    if not all(map(math.isfinite, data)):      # json reads Infinity and NaN
-        raise ValueError("matrix entries must be finite")
     return np.array(data, dtype=float).reshape(n, n)
 
 
@@ -167,7 +172,7 @@ def _cmd_strength(args) -> int:
     mat = parse_symmetric(load_json(args.a), "input matrix")
     payload = load_json(args.x)
     vector = payload["x"] if isinstance(payload, dict) else payload
-    proj = RankOneProjection([float(v) for v in vector])
+    proj = RankOneProjection([_number(v, "direction components") for v in vector])
     if proj.n != mat.n:
         raise DimensionMismatch(f"vector length {proj.n} vs matrix dimension {mat.n}")
     _emit({"alpha": effects.strength(mat, proj, tol)})
@@ -233,7 +238,10 @@ def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
         kind = spec["kind"]
         matrix = (parse_symmetric(spec["matrix"], f"{side} endpoint")
                   if kind == "finite" else None)
-        ends.append(Endpoint(kind=kind, closed=bool(spec.get("closed", False)), matrix=matrix))
+        closed = spec.get("closed", False)
+        if type(closed) is not bool:
+            raise ValueError(f"{side} \"closed\" must be true or false, got {closed!r}")
+        ends.append(Endpoint(kind=kind, closed=closed, matrix=matrix))
     return IntervalSpec(lower=ends[0], upper=ends[1], n=n, tol=tol)
 
 

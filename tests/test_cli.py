@@ -2,6 +2,7 @@
 stable-output guarantees (sorted keys, 17-significant-digit numbers,
 newline termination, exact re-parse)."""
 
+import io
 import json
 import pathlib
 import time
@@ -398,6 +399,72 @@ class TestDimensionField:
     def test_a_whole_float_is_a_dimension(self, capsys):
         code, out, _ = run(capsys, self.argvs("1.0")[0])
         assert code == 0 and json.loads(out) == {"le": True, "lt": False}
+
+
+class TestNumberFields:
+    """A matrix entry or a direction component is a JSON number that is
+    not a boolean and fits in a double, and an endpoint's "closed" is a
+    JSON boolean: anything else, and JSON nested too deeply to decode, is
+    malformed input (exit 2) with a message naming the field, and no
+    warning or traceback."""
+
+    BIG = "1" + "0" * 400                      # a 401-digit integer
+
+    def run_strictly(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, argv)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["order", '{"n":1,"data":["1e3"]}', '{"n":1,"data":[true]}'],
+         "matrix entries must be numbers, got '1e3'"),
+        (["order", '{"n":1,"data":[1]}', '{"n":1,"data":[true]}'],
+         "matrix entries must be numbers, got True"),
+        (["phi", "apply", '{"n":2,"data":[2,0,0,null]}', HALF],
+         "matrix entries must be numbers, got None"),
+        (["order", f'{{"n":1,"data":[{BIG}]}}', '{"n":1,"data":[1]}'],
+         "matrix entries must fit in a double"),
+        (["order", f'{{"n":1,"data":[-{BIG}]}}', '{"n":1,"data":[1]}'],
+         "matrix entries must fit in a double"),
+        (["strength", EYE, '["1",true]'], "direction components must be numbers, got '1'"),
+        (["strength", EYE, '{"x":[1,false]}'], "direction components must be numbers, got False"),
+        (["strength", EYE, f"[1,{BIG}]"], "direction components must fit in a double"),
+        (["strength", EYE, "[1,Infinity]"], "direction components must be finite"),
+        (["strength", EYE, "[NaN,1]"], "direction components must be finite"),
+    ])
+    def test_a_value_that_is_not_a_number_is_refused(self, capsys, argv, message):
+        assert self.run_strictly(capsys, argv) == (2, "", f"error: {message}\n")
+
+    def test_every_double_is_a_number(self, capsys):
+        # an integer up to the largest double is read exactly as float() reads it
+        top = int(np.finfo(float).max)
+        code, out, err = self.run_strictly(capsys, ["order", '{"n":1,"data":[1]}',
+                                                    f'{{"n":1,"data":[{top}]}}'])
+        assert (code, out, err) == (0, '{"le":true,"lt":true}\n', "")
+        code, out, _ = self.run_strictly(capsys, ["strength", EYE, f"[{top},0]"])
+        assert (code, out) == (0, '{"alpha":1}\n')
+
+    @pytest.mark.parametrize("closed", ['"false"', '"true"', "0", "1", "null"])
+    def test_closed_is_a_boolean(self, capsys, closed):
+        spec = ('{"n":1,"lower":{"kind":"finite","closed":true,"matrix":{"n":1,"data":[0]}},'
+                f'"upper":{{"kind":"finite","closed":{closed},"matrix":{{"n":1,"data":[1]}}}}}}')
+        code, out, err = self.run_strictly(capsys, ["interval", "classify", spec])
+        shown = repr(json.loads(closed))
+        assert (code, out, err) == (2, "", f'error: upper "closed" must be true or false, '
+                                           f"got {shown}\n")
+
+    def test_an_open_endpoint_may_leave_closed_out(self, capsys):
+        spec = '{"n":1,"lower":{"kind":"finite","matrix":{"n":1,"data":[0]}},"upper":{"kind":"plus_infinity"}}'
+        assert self.run_strictly(capsys, ["interval", "classify", spec]) == (
+            0, '{"class":"positive_open"}\n', "")
+
+    @pytest.mark.parametrize("doc", ["[" * 100000 + "]" * 100000,
+                                     '{"x":' * 100000 + "1" + "}" * 100000],
+                             ids=["arrays", "objects"])
+    def test_nesting_past_the_decoder_is_refused(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert self.run_strictly(capsys, ["strength", EYE, "-"]) == (
+            2, "", "error: JSON input is nested too deeply\n")
 
 
 class TestIntervalTolerance:
