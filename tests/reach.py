@@ -9,6 +9,9 @@ the tier-1 suite (the testpaths of pyproject.toml). Only lines are traced,
 not branches, and the CLI tests that start a subprocess are not traced.
 Timing gates are not meaningful under the tracer (it slows the suite by
 about 12x), so their failures are expected; the exit status is pytest's.
+Each source file is read once, before the run: the executable lines and
+the source shown come from that text, so editing a file during the run
+cannot shift the report.
 
 The file name keeps pytest from collecting it.
 """
@@ -32,10 +35,10 @@ def _code_objects(code: types.CodeType):
             yield from _code_objects(const)
 
 
-def executable_lines(path: str) -> dict:
-    """{line: qualified name of the innermost code object holding it}."""
-    with open(path, encoding="utf-8") as handle:
-        code = compile(handle.read(), path, "exec")
+def executable_lines(path: str, text: str) -> dict:
+    """{line: qualified name of the innermost code object holding it}, for
+    the source `text` of the file at `path`."""
+    code = compile(text, path, "exec")
     lines = {}
     for obj in _code_objects(code):      # parents come before their children
         for _, line in dis.findlinestarts(obj):
@@ -45,6 +48,11 @@ def executable_lines(path: str) -> dict:
 
 
 def main(argv) -> int:
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                sources[name] = handle.read()
     reached = set()
     prefix = PACKAGE + os.sep
 
@@ -71,13 +79,10 @@ def main(argv) -> int:
         threading.settrace(None)
 
     missed = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
+    for name, text in sources.items():
         path = os.path.join(PACKAGE, name)
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read().splitlines()
-        for line, where in sorted(executable_lines(path).items()):
+        source = text.splitlines()
+        for line, where in sorted(executable_lines(path, text).items()):
             if (path, line) not in reached:
                 missed += 1
                 print(f"{name}:{line}  {where}  {source[line - 1].strip()}")
