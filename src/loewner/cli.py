@@ -3,20 +3,25 @@
 Commands read matrix documents {"n": int, "data": [row-major numbers]}
 from files, inline JSON, or stdin ('-'), and write one JSON document to
 stdout with sorted keys, 17-significant-digit numbers, and a trailing
-newline, so every emitted value re-parses exactly.
+newline, so every emitted value re-parses exactly. Only the `selftest`
+command loads the `selftest` and `oracle` modules, so the other commands
+neither compile nor run them.
 
 Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1), a
 dimension that is not a whole JSON number or, for probes, below 2, a matrix
 entry or direction component that is a string, a boolean, JSON's Infinity or
 NaN or an integer past the double range, a "closed" that is not a JSON boolean,
-JSON nested too deeply, no selftest trials; also TooLarge: a dimension above
-44, a generator whose T^t T overflows, or a matrix the package computes that
-does not fit in a double, with no warning; `order` answers every square
-symmetric pair, leaving out the witness when an input is not PSD), 3 dimension
-mismatch, 4 not an automorphism, 5 selftest property failure, 6 internal
-numerical failure (the eigensolver did not converge in 40 sweeps, or evaluating
-an automorphism, in `phi apply` or `phi recover`'s residual check, failed to
-solve with the matrix proved invertible or left [0, I] past its noise gate).
+a document that is not a JSON object or lacks a key the command reads, a
+"data", "pairs" or direction that is not an array, an infinite interval
+endpoint that carries a "matrix", JSON nested too deeply, no selftest trials;
+also TooLarge: a dimension above 44, a generator whose T^t T overflows, or a
+matrix the package computes that does not fit in a double, with no warning;
+`order` answers every square symmetric pair, leaving out the witness when an
+input is not PSD), 3 dimension mismatch, 4 not an automorphism, 5 selftest
+property failure, 6 internal numerical failure (the eigensolver did not
+converge in 40 sweeps, or evaluating an automorphism, in `phi apply` or `phi
+recover`'s residual check, failed to solve with the matrix proved invertible or
+left [0, I] past its noise gate).
 
 Dimensions above _MAX_N = 44 are refused before any computation. The
 pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
@@ -60,7 +65,6 @@ from .intervals import (
     classify,
 )
 from .linalg import SymMat, Tolerances
-from .selftest import run_selftest
 
 _ASYMMETRY_WARN = 1e-9
 _MAX_N = 44
@@ -99,6 +103,29 @@ def load_json(source: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _field(doc, key: str, name: str):
+    """doc[key] from the JSON object `doc`, called `name` in messages;
+    ValueError naming the document and the key when `doc` is not an object
+    or has no `key`."""
+    if type(doc) is not dict:
+        raise ValueError(f'{name} must be a JSON object with "{key}", '
+                         f"got {_JSON_TYPES[type(doc)]}")
+    if key not in doc:
+        raise ValueError(f'{name} has no "{key}"')
+    return doc[key]
+
+
+def _array(value, name: str) -> list:
+    """`value` if it is a JSON array; ValueError naming it otherwise."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a JSON array, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def _parse_dimension(value) -> int:
     """A document's dimension n, a JSON number with a whole value; TooLarge above _MAX_N."""
     if type(value) not in (int, float) or isinstance(value, float) and not value.is_integer():
@@ -120,16 +147,17 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def parse_square(doc: dict) -> np.ndarray:
-    n = _parse_dimension(doc["n"])
-    data = [_number(v, "matrix entries") for v in doc["data"]]
+def parse_square(doc: dict, name: str = "matrix") -> np.ndarray:
+    n = _parse_dimension(_field(doc, "n", name))
+    data = [_number(v, "matrix entries")
+            for v in _array(_field(doc, "data", name), f'{name} "data"')]
     if n < 1 or len(data) != n * n:
-        raise ValueError(f"data length {len(data)} does not match n={n}")
+        raise ValueError(f'{name} "data" length {len(data)} does not match n={n}')
     return np.array(data, dtype=float).reshape(n, n)
 
 
 def parse_symmetric(doc: dict, warn_label: str = "matrix") -> SymMat:
-    raw = parse_square(doc)
+    raw = parse_square(doc, warn_label)
     with np.errstate(over="ignore"):            # an asymmetry past the range reads inf
         asymmetry = float(np.max(np.abs(raw - raw.T)))
     if asymmetry > _ASYMMETRY_WARN:
@@ -171,8 +199,9 @@ def _cmd_strength(args) -> int:
     tol = Tolerances(args.tol)
     mat = parse_symmetric(load_json(args.a), "input matrix")
     payload = load_json(args.x)
-    vector = payload["x"] if isinstance(payload, dict) else payload
-    proj = RankOneProjection([_number(v, "direction components") for v in vector])
+    vector = _field(payload, "x", "direction") if type(payload) is dict else payload
+    proj = RankOneProjection([_number(v, "direction components")
+                              for v in _array(vector, "direction")])
     if proj.n != mat.n:
         raise DimensionMismatch(f"vector length {proj.n} vs matrix dimension {mat.n}")
     _emit({"alpha": effects.strength(mat, proj, tol)})
@@ -190,25 +219,26 @@ def _cmd_phi(args) -> int:
         return 0
     tol = Tolerances(args.tol)
     if sub == "apply":
-        phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
+        phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), tol)
         x = parse_symmetric(load_json(args.x), "effect")
         _emit(matrix_doc(phi.apply(x).mat))
     elif sub == "compose":
-        first = EffectAutomorphism(parse_square(load_json(args.s)), tol)
-        second = EffectAutomorphism(parse_square(load_json(args.r)), tol)
+        first = EffectAutomorphism(parse_square(load_json(args.s), "first generator"), tol)
+        second = EffectAutomorphism(parse_square(load_json(args.r), "second generator"), tol)
         _emit(matrix_doc(first.compose(second).t))
     elif sub == "invert":
-        phi = EffectAutomorphism(parse_square(load_json(args.t)), tol)
+        phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), tol)
         _emit(matrix_doc(phi.inverse().t))
     else:  # recover
         payload = load_json(args.pairs)
-        n = _parse_dimension(payload["n"])
+        n = _parse_dimension(_field(payload, "n", "recover payload"))
         if n < 2:           # malformed input, as for `phi probes`, not a mismatch (exit 3)
             raise ValueError("dimension must be at least 2")
         table = {}
-        for pair in payload["pairs"]:
-            key = _probe_key(parse_symmetric(pair["input"], "probe input"))
-            image = parse_symmetric(pair["output"], "probe output")
+        for pair in _array(_field(payload, "pairs", "recover payload"),
+                           'recover payload "pairs"'):
+            key = _probe_key(parse_symmetric(_field(pair, "input", "probe pair"), "probe input"))
+            image = parse_symmetric(_field(pair, "output", "probe pair"), "probe output")
             try:
                 table[key] = make_effect(image, tol)
             except OutOfInterval as exc:
@@ -231,13 +261,18 @@ def _probe_key(mat: SymMat) -> bytes:
 
 
 def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
-    n = _parse_dimension(doc["n"])
+    n = _parse_dimension(_field(doc, "n", "interval"))
     ends = []
     for side in ("lower", "upper"):
-        spec = doc[side]
-        kind = spec["kind"]
-        matrix = (parse_symmetric(spec["matrix"], f"{side} endpoint")
-                  if kind == "finite" else None)
+        spec = _field(doc, side, "interval")
+        name = f"{side} endpoint"
+        kind = _field(spec, "kind", name)
+        if kind == "finite":
+            matrix = parse_symmetric(_field(spec, "matrix", name), name)
+        elif "matrix" in spec:
+            raise ValueError(f"{name} is {kind!r}: only a finite endpoint carries a matrix")
+        else:
+            matrix = None
         closed = spec.get("closed", False)
         if type(closed) is not bool:
             raise ValueError(f"{side} \"closed\" must be true or false, got {closed!r}")
@@ -270,8 +305,8 @@ def _cmd_interval(args) -> int:
         _emit(chain_doc(build_chain(spec)))
     else:  # map
         payload = load_json(args.payload)
-        spec = parse_interval_spec(payload["interval"], tol)
-        x = parse_symmetric(payload["x"], "input matrix")
+        spec = parse_interval_spec(_field(payload, "interval", "map payload"), tol)
+        x = parse_symmetric(_field(payload, "x", "map payload"), "input matrix")
         image = apply_chain(build_chain(spec), x, spec)
         _emit(matrix_doc(image))
     return 0
@@ -280,6 +315,7 @@ def _cmd_interval(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
+    from .selftest import run_selftest   # only this command uses selftest and oracle
     results = run_selftest(args.seed, args.trials)
     all_ok = True
     for result in results:

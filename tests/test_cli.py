@@ -4,7 +4,10 @@ newline termination, exact re-parse)."""
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
@@ -336,6 +339,10 @@ class TestIntervalParsing:
     @pytest.mark.parametrize("lower,message", [
         ({"kind": "bogus"}, "unknown endpoint kind 'bogus'"),
         ({"kind": "minus_infinity", "closed": True}, "infinite endpoints are always open"),
+        ({"kind": "minus_infinity", "matrix": {"n": 2, "data": [5, 0, 0, 5]}},
+         "lower endpoint is 'minus_infinity': only a finite endpoint carries a matrix"),
+        ({"kind": "minus_infinity", "matrix": "junk"},
+         "lower endpoint is 'minus_infinity': only a finite endpoint carries a matrix"),
     ])
     def test_bad_endpoints_exit_two(self, capsys, lower, message):
         code, out, err = run(capsys, ["interval", "chain",
@@ -465,6 +472,62 @@ class TestNumberFields:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert self.run_strictly(capsys, ["strength", EYE, "-"]) == (
             2, "", "error: JSON input is nested too deeply\n")
+
+
+class TestDocumentFields:
+    """A document that is not a JSON object, or that lacks a key the command
+    reads, is malformed input (exit 2) with a message naming the document
+    and the key; so is a "data", "pairs" or direction that is not an array,
+    and a "data" whose length is not n squared names its document."""
+
+    WHOLE = '{"n":1,"lower":{"kind":"minus_infinity"},"upper":{"kind":"plus_infinity"}}'
+
+    @pytest.mark.parametrize("argv, message", [
+        (["order", '{"n":2}', EYE], 'first input has no "data"'),
+        (["order", EYE, '{"data":[1]}'], 'second input has no "n"'),
+        (["order", "[1]", EYE], 'first input must be a JSON object with "n", got an array'),
+        (["order", '{"n":1,"data":5}', EYE], 'first input "data" must be a JSON array, got a number'),
+        (["order", '{"n":1,"data":"1"}', EYE],
+         'first input "data" must be a JSON array, got a string'),
+        (["order", EYE, '{"n":2,"data":[1,0,0]}'],
+         'second input "data" length 3 does not match n=2'),
+        (["strength", EYE, '{"y":[1,0]}'], 'direction has no "x"'),
+        (["strength", EYE, '{"x":{"0":1}}'], "direction must be a JSON array, got an object"),
+        (["phi", "apply", "[]", HALF], 'generator must be a JSON object with "n", got an array'),
+        (["phi", "compose", GEN_21, '{"n":2}'], 'second generator has no "data"'),
+        (["phi", "recover", '{"pairs":[]}'], 'recover payload has no "n"'),
+        (["phi", "recover", '{"n":2}'], 'recover payload has no "pairs"'),
+        (["phi", "recover", '{"n":2,"pairs":{}}'],
+         'recover payload "pairs" must be a JSON array, got an object'),
+        (["phi", "recover", '{"n":2,"pairs":[[]]}'],
+         'probe pair must be a JSON object with "input", got an array'),
+        (["phi", "recover", f'{{"n":2,"pairs":[{{"input":{EYE}}}]}}'], 'probe pair has no "output"'),
+        (["interval", "classify", '{"n":1,"upper":{"kind":"plus_infinity"}}'],
+         'interval has no "lower"'),
+        (["interval", "classify", '{"n":1,"lower":{"kind":"minus_infinity"},"upper":null}'],
+         'upper endpoint must be a JSON object with "kind", got null'),
+        (["interval", "chain", '{"n":1,"lower":{},"upper":{"kind":"plus_infinity"}}'],
+         'lower endpoint has no "kind"'),
+        (["interval", "chain", '{"n":1,"lower":{"kind":"finite"},"upper":{"kind":"plus_infinity"}}'],
+         'lower endpoint has no "matrix"'),
+        (["interval", "map", "[]"], 'map payload must be a JSON object with "interval", got an array'),
+        (["interval", "map", '{"x":{"n":1,"data":[1]}}'], 'map payload has no "interval"'),
+        (["interval", "map", f'{{"interval":{WHOLE}}}'], 'map payload has no "x"'),
+    ])
+    def test_refused_naming_the_field(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+class TestImportSet:
+    def test_selftest_and_oracle_load_only_for_selftest(self):
+        # a cold call compiles and runs every module it imports
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        for target in ("loewner", "loewner.cli"):
+            code = (f"import sys, {target}; "
+                    "print([m for m in ('loewner.selftest', 'loewner.oracle') if m in sys.modules])")
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            assert proc.stdout == "[]\n", target
 
 
 class TestIntervalTolerance:
