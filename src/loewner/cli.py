@@ -7,27 +7,10 @@ newline, so every emitted value re-parses exactly. Only the `selftest`
 command loads the `selftest` and `oracle` modules, so the other commands
 neither compile nor run them.
 
-Exit codes: 0 ok, 2 parse/malformed input (a tolerance outside [1e-14, 1), a
-dimension that is not a whole JSON number or, for probes, below 2, a matrix
-entry or direction component that is a string, a boolean, JSON's Infinity or
-NaN or an integer past the double range, a "closed" that is not a JSON boolean,
-a document that is not a JSON object or lacks a key the command reads, a
-"data", "pairs" or direction that is not an array, an infinite interval
-endpoint that carries a "matrix", JSON nested too deeply, no selftest trials;
-also TooLarge: a dimension above 44, a generator whose T^t T overflows, or a
-matrix the package computes that does not fit in a double, with no warning;
-`order` answers every square symmetric pair, leaving out the witness when an
-input is not PSD), 3 dimension mismatch, 4 not an automorphism, 5 selftest
-property failure, 6 internal numerical failure (the eigensolver did not
-converge in 40 sweeps, or evaluating an automorphism, in `phi apply` or `phi
-recover`'s residual check, failed to solve with the matrix proved invertible or
-left [0, I] past its noise gate).
-
-Dimensions above _MAX_N = 44 are refused before any computation. The
-pure-Python Jacobi kernel grows as n^3 per sweep, and the slowest input
-found, a `phi recover` payload whose probe images are boundary projections
-(one spectrum per image, twice), took 35 s at n = 44 and 51 s at n = 48 on
-a 2-core x86-64 machine whose speed drifts by up to 35%.
+Dimensions above _MAX_N = 44 are refused before any computation, since the
+pure-Python Jacobi kernel grows as n^3 per sweep. The last measurement at
+n = 44 (ROADMAP item 7) took 0.9 s for a valid `phi recover` payload and
+0.7 s for one whose probe images are boundary non-projections.
 """
 
 from __future__ import annotations
@@ -156,12 +139,11 @@ def parse_square(doc: dict, name: str = "matrix") -> np.ndarray:
     return np.array(data, dtype=float).reshape(n, n)
 
 
-def parse_symmetric(doc: dict, warn_label: str = "matrix") -> SymMat:
-    raw = parse_square(doc, warn_label)
+def parse_symmetric(doc: dict, name: str = "matrix") -> SymMat:
+    raw = parse_square(doc, name)
     with np.errstate(over="ignore"):            # an asymmetry past the range reads inf
         asymmetry = float(np.max(np.abs(raw - raw.T)))
     if asymmetry > _ASYMMETRY_WARN:
-        name = doc.get("name", warn_label)
         print(f"warning: {name} symmetrized on load (asymmetry {asymmetry:.3g})",
               file=sys.stderr)
     return SymMat(raw)
@@ -172,92 +154,81 @@ def matrix_doc(matrix) -> dict:
     return {"n": int(arr.shape[0]), "data": [float(v) for v in arr.ravel()]}
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(dumps_stable(obj) + "\n")
-
-
-def _cmd_order(args) -> int:
-    tol = Tolerances(args.tol)
+def _order(args) -> dict:
     first = parse_symmetric(load_json(args.a), "first input")
     second = parse_symmetric(load_json(args.b), "second input")
-    le = linalg.loewner_le(first, second, tol)
-    lt = linalg.loewner_lt(first, second, tol)
+    le = linalg.loewner_le(first, second, args.tol)
+    lt = linalg.loewner_lt(first, second, args.tol)
     out = {"le": le, "lt": lt}
     if not le:
         try:
-            witness = effects.strength_witness(first, second, tol)
+            witness = effects.strength_witness(first, second, args.tol)
         except NotPSD:      # the rank-one witness needs PSD inputs; le and lt do not
             witness = None
         if witness is not None:
             proj, t = witness
             out["witness"] = {"q": [float(v) for v in proj.x], "t": float(t)}
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_strength(args) -> int:
-    tol = Tolerances(args.tol)
+def _strength(args) -> dict:
     mat = parse_symmetric(load_json(args.a), "input matrix")
     payload = load_json(args.x)
     vector = _field(payload, "x", "direction") if type(payload) is dict else payload
     proj = RankOneProjection([_number(v, "direction components")
                               for v in _array(vector, "direction")])
-    if proj.n != mat.n:
-        raise DimensionMismatch(f"vector length {proj.n} vs matrix dimension {mat.n}")
-    _emit({"alpha": effects.strength(mat, proj, tol)})
-    return 0
+    return {"alpha": effects.strength(mat, proj, args.tol)}
 
 
-def _cmd_phi(args) -> int:
-    sub = args.phi_command
-    if sub == "probes":
-        n = _parse_dimension(args.n)
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
-        probes = recovery_probe_effects(n)
-        _emit({"n": n, "probes": [matrix_doc(p.mat) for p in probes]})
-        return 0
-    tol = Tolerances(args.tol)
-    if sub == "apply":
-        phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), tol)
-        x = parse_symmetric(load_json(args.x), "effect")
-        _emit(matrix_doc(phi.apply(x).mat))
-    elif sub == "compose":
-        first = EffectAutomorphism(parse_square(load_json(args.s), "first generator"), tol)
-        second = EffectAutomorphism(parse_square(load_json(args.r), "second generator"), tol)
-        _emit(matrix_doc(first.compose(second).t))
-    elif sub == "invert":
-        phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), tol)
-        _emit(matrix_doc(phi.inverse().t))
-    else:  # recover
-        payload = load_json(args.pairs)
-        n = _parse_dimension(_field(payload, "n", "recover payload"))
-        if n < 2:           # malformed input, as for `phi probes`, not a mismatch (exit 3)
-            raise ValueError("dimension must be at least 2")
-        table = {}
-        for pair in _array(_field(payload, "pairs", "recover payload"),
-                           'recover payload "pairs"'):
-            key = _probe_key(parse_symmetric(_field(pair, "input", "probe pair"), "probe input"))
-            image = parse_symmetric(_field(pair, "output", "probe pair"), "probe output")
-            try:
-                table[key] = make_effect(image, tol)
-            except OutOfInterval as exc:
-                raise NotAutomorphism(f"probe image is not an effect: {exc}") from exc
+def _phi_apply(args) -> dict:
+    phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), args.tol)
+    return matrix_doc(phi.apply(parse_symmetric(load_json(args.x), "effect")).mat)
 
-        def oracle_fn(eff: Effect) -> Effect:
-            key = _probe_key(eff.mat)
-            if key not in table:
-                raise ValueError("probe image missing; supply every pair "
-                                 "emitted by `phi probes`")
-            return table[key]
 
-        phi = recover_generator(oracle_fn, n, tol)
-        _emit(matrix_doc(phi.t))
-    return 0
+def _phi_compose(args) -> dict:
+    first = EffectAutomorphism(parse_square(load_json(args.s), "first generator"), args.tol)
+    second = EffectAutomorphism(parse_square(load_json(args.r), "second generator"), args.tol)
+    return matrix_doc(first.compose(second).t)
+
+
+def _phi_invert(args) -> dict:
+    phi = EffectAutomorphism(parse_square(load_json(args.t), "generator"), args.tol)
+    return matrix_doc(phi.inverse().t)
+
+
+def _phi_probes(args) -> dict:
+    n = _parse_dimension(args.n)
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    return {"n": n, "probes": [matrix_doc(p.mat) for p in recovery_probe_effects(n)]}
+
+
+def _phi_recover(args) -> dict:
+    payload = load_json(args.pairs)
+    n = _parse_dimension(_field(payload, "n", "recover payload"))
+    if n < 2:           # malformed input, as for `phi probes`, not a mismatch (exit 3)
+        raise ValueError("dimension must be at least 2")
+    table = {}
+    for pair in _array(_field(payload, "pairs", "recover payload"), 'recover payload "pairs"'):
+        key = _probe_key(parse_symmetric(_field(pair, "input", "probe pair"), "probe input"))
+        image = parse_symmetric(_field(pair, "output", "probe pair"), "probe output")
+        try:
+            table[key] = make_effect(image, args.tol)
+        except OutOfInterval as exc:
+            raise NotAutomorphism(f"probe image is not an effect: {exc}") from exc
+
+    def oracle_fn(eff: Effect) -> Effect:
+        key = _probe_key(eff.mat)
+        if key not in table:
+            raise ValueError("probe image missing; supply every pair emitted by `phi probes`")
+        return table[key]
+
+    return matrix_doc(recover_generator(oracle_fn, n, args.tol).t)
 
 
 def _probe_key(mat: SymMat) -> bytes:
-    return np.round(mat.a, 12).tobytes()
+    with np.errstate(over="ignore"):    # an entry past 1e296 rounds to inf, matching no probe
+        return np.round(mat.a, 12).tobytes()
 
 
 def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
@@ -294,25 +265,22 @@ def chain_doc(chain: MapChain) -> dict:
     return {"parity": "odd" if chain.parity else "even", "steps": steps}
 
 
-def _cmd_interval(args) -> int:
-    tol = Tolerances(args.tol)
-    sub = args.interval_command
-    if sub == "classify":
-        spec = parse_interval_spec(load_json(args.spec), tol)
-        _emit({"class": classify(spec).value})
-    elif sub == "chain":
-        spec = parse_interval_spec(load_json(args.spec), tol)
-        _emit(chain_doc(build_chain(spec)))
-    else:  # map
-        payload = load_json(args.payload)
-        spec = parse_interval_spec(_field(payload, "interval", "map payload"), tol)
-        x = parse_symmetric(_field(payload, "x", "map payload"), "input matrix")
-        image = apply_chain(build_chain(spec), x, spec)
-        _emit(matrix_doc(image))
-    return 0
+def _interval_classify(args) -> dict:
+    return {"class": classify(parse_interval_spec(load_json(args.spec), args.tol)).value}
 
 
-def _cmd_selftest(args) -> int:
+def _interval_chain(args) -> dict:
+    return chain_doc(build_chain(parse_interval_spec(load_json(args.spec), args.tol)))
+
+
+def _interval_map(args) -> dict:
+    payload = load_json(args.payload)
+    spec = parse_interval_spec(_field(payload, "interval", "map payload"), args.tol)
+    x = parse_symmetric(_field(payload, "x", "map payload"), "input matrix")
+    return matrix_doc(apply_chain(build_chain(spec), x, spec))
+
+
+def _selftest(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     from .selftest import run_selftest   # only this command uses selftest and oracle
@@ -340,11 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("a", help="matrix document (file, inline JSON, or -)")
     order.add_argument("b", help="matrix document")
     add_tol(order)
+    order.set_defaults(run=_order)
 
     strength = sub.add_parser("strength", help="strength along a direction")
     strength.add_argument("a", help="PSD matrix document")
     strength.add_argument("x", help="direction vector (JSON array or {\"x\": [...]})")
     add_tol(strength)
+    strength.set_defaults(run=_strength)
 
     phi = sub.add_parser("phi", help="effect-algebra automorphisms")
     phi_sub = phi.add_subparsers(dest="phi_command", required=True)
@@ -352,63 +322,87 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("t", help="generator document")
     p_apply.add_argument("x", help="effect document")
     add_tol(p_apply)
+    p_apply.set_defaults(run=_phi_apply)
     p_compose = phi_sub.add_parser("compose", help="compose two generators")
     p_compose.add_argument("s")
     p_compose.add_argument("r")
     add_tol(p_compose)
+    p_compose.set_defaults(run=_phi_compose)
     p_invert = phi_sub.add_parser("invert", help="invert a generator")
     p_invert.add_argument("t")
     add_tol(p_invert)
+    p_invert.set_defaults(run=_phi_invert)
     p_probes = phi_sub.add_parser("probes", help="emit the recovery probe set")
     p_probes.add_argument("n", type=int)
+    p_probes.set_defaults(run=_phi_probes)
     p_recover = phi_sub.add_parser("recover", help="recover a generator from probe images")
     p_recover.add_argument("pairs", help='{"n": int, "pairs": [{"input": doc, "output": doc}]}')
     add_tol(p_recover)
+    p_recover.set_defaults(run=_phi_recover)
 
     interval = sub.add_parser("interval", help="matrix-interval classification and maps")
     interval_sub = interval.add_subparsers(dest="interval_command", required=True)
     i_classify = interval_sub.add_parser("classify")
     i_classify.add_argument("spec", help="interval specification document")
     add_tol(i_classify)
+    i_classify.set_defaults(run=_interval_classify)
     i_chain = interval_sub.add_parser("chain")
     i_chain.add_argument("spec")
     add_tol(i_chain)
+    i_chain.set_defaults(run=_interval_chain)
     i_map = interval_sub.add_parser("map")
     i_map.add_argument("payload", help='{"interval": spec, "x": matrix doc}')
     add_tol(i_map)
+    i_map.set_defaults(run=_interval_map)
 
     selftest = sub.add_parser("selftest", help="run the seeded invariant suite")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--trials", type=int, default=200)
+    selftest.set_defaults(run=_selftest)
     return parser
 
 
-_HANDLERS = {
-    "order": _cmd_order,
-    "strength": _cmd_strength,
-    "phi": _cmd_phi,
-    "interval": _cmd_interval,
-    "selftest": _cmd_selftest,
-}
+# The exit code and message prefix of each exception that ends a command;
+# the first row whose classes match wins. Exit 0 is success and 5 a failed
+# selftest property; any other exception is a bug, left as a traceback.
+_EXIT_CODES = (
+    # operands of different dimensions: the two `order` inputs, a `strength`
+    # direction and its matrix, the effect and generator of `phi apply`, the
+    # generators of `phi compose`, an `interval map` input and its interval
+    (DimensionMismatch, 3, ""),
+    # `phi recover`'s probe images are not those of an automorphism: an image
+    # outside [0, I], or a recovered generator that fails its checks
+    (NotAutomorphism, 4, ""),
+    # the eigensolver did not converge in 40 sweeps, or evaluating an
+    # automorphism (`phi apply`, `phi recover`'s residual check) failed to
+    # solve with the matrix proved invertible or left [0, I] past its noise gate
+    ((NonConvergence, InternalInversionFailure), 6, "internal numerical failure: "),
+    # malformed input: an unreadable file, invalid JSON (json.JSONDecodeError
+    # is a ValueError), a field the readers above refuse, a tolerance outside
+    # [1e-14, 1), a missing probe pair or no selftest trials; and every other
+    # package error, such as TooLarge (a dimension above _MAX_N, a generator
+    # whose T^t T overflows, a computed matrix past the double range), NotPSD
+    # from `strength` or an interval that is not well formed
+    ((LoewnerError, ValueError, OSError), 2, ""),
+)
 
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotAutomorphism as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NonConvergence, InternalInversionFailure) as exc:
-        print(f"error: internal numerical failure: {exc}", file=sys.stderr)
-        return 6
-    except (LoewnerError, ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if "tol" in args:
+            args.tol = Tolerances(args.tol)
+        out = args.run(args)
+    except Exception as exc:
+        for classes, code, prefix in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
+    if type(out) is int:    # selftest printed its own lines
+        return out
+    sys.stdout.write(dumps_stable(out) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -161,11 +161,7 @@ def check_strength_oracle(seed: int, trials: int) -> PropertyResult:
             elif mode == 1:
                 proj = RankOneProjection(kernel[:, 0])  # exact kernel direction
             else:
-                w = mat.a @ s.rng.standard_normal(n)
-                if np.linalg.norm(w) < 1e-9:
-                    proj = RankOneProjection(spec.eigenvectors[:, -1])
-                else:
-                    proj = RankOneProjection(w)  # in-range direction
+                proj = RankOneProjection(mat.a @ s.rng.standard_normal(n))  # in-range direction
         direct = effects.strength(mat, proj)
         brute = oracle.strength_bisection(mat, proj)
         worst = max(worst, abs(direct - brute))

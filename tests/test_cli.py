@@ -2,6 +2,8 @@
 stable-output guarantees (sorted keys, 17-significant-digit numbers,
 newline termination, exact re-parse)."""
 
+import copy
+import functools
 import io
 import json
 import os
@@ -133,6 +135,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["phi", "recover", json.dumps(payload)])
         assert code == 2
 
+    def test_probe_input_past_the_range_is_missing_without_a_warning(self, capsys):
+        # the probe key rounds at 12 decimals: 1e308 * 1e12 overflows to inf
+        payload = json.loads(golden("phi_recover_payload.json"))
+        payload["pairs"][0]["input"]["data"][0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["phi", "recover", json.dumps(payload)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: probe image missing") and err.count("\n") == 1
+
     @pytest.mark.parametrize("failure", [NonConvergence, InternalInversionFailure])
     def test_internal_numerical_failure(self, capsys, monkeypatch, failure):
         def failing(m, want_vectors):
@@ -152,6 +164,16 @@ class TestExitCodes:
         code, out, err = run(capsys, ["phi", "probes", "2"])
         assert code == 6 and out == ""
         assert err == "error: internal numerical failure: Jacobi iteration did not converge in 1 sweeps\n"
+
+    @pytest.mark.parametrize("bug", [KeyError, TypeError])
+    def test_a_bug_is_not_reported_as_bad_input(self, capsys, monkeypatch, bug):
+        def broken(*args):
+            raise bug("injected")
+
+        monkeypatch.setattr(cli.effects, "strength", broken)
+        with pytest.raises(bug, match="injected"):
+            main(["strength", EYE, "[1,0]"])
+        assert capsys.readouterr() == ("", "")
 
     def test_selftest_exit_zero(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--seed", "1", "--trials", "20"])
@@ -633,6 +655,10 @@ class TestStdinAndFiles:
         assert code == 0
         assert "symmetrized" in err
 
+    def test_a_name_key_does_not_rename_the_warning(self, capsys):
+        code, _, err = run(capsys, ["order", '{"n":2,"data":[1,0.5,0,1],"name":"A"}', EYE])
+        assert (code, err) == (0, "warning: first input symmetrized on load (asymmetry 0.5)\n")
+
 
 class TestStableOutput:
     def test_newline_terminated_and_sorted(self, capsys):
@@ -752,3 +778,127 @@ class TestAcrossTheDoubleRange:
         print(f"{self.TRIALS} runs in {elapsed:.2f} s, exit codes {sorted(codes.items())}")
         assert codes.get(0, 0) > self.TRIALS // 4
         assert elapsed < 3.0
+
+
+class TestMutationFuzzer:
+    """A seeded mutation fuzzer over the JSON inputs of the golden commands.
+
+    Each case changes one field of one input document: a value of another
+    JSON type; for a number, a 401-digit integer, 1e308 or NaN; a missing
+    or an extra key, a wrong "n", an empty list; or, for a whole document,
+    nesting too deep to decode. Paths that
+    differ only in their list indices form one group, such as
+    pairs[*].input.data[*], and the seeded draw takes CASES_PER_GROUP cases
+    of every group and mutation, so each shape of field meets each mutation.
+    Every case runs main in-process with warnings as errors and must end
+    with an exit code of cli._EXIT_CODES or 0, never with an exception; a
+    failure prints nothing on stdout and ends stderr with its one error
+    line, after any warning lines."""
+
+    GOLDEN_ARGVS = [
+        ["order", DIAG_10, DIAG_01],
+        ["order", ZERO, EYE],
+        ["strength", EYE, "[1,0]"],
+        ["phi", "apply", GEN_21, HALF],
+        ["phi", "compose", GEN_21, GEN_21],
+        ["phi", "invert", GEN_21],
+        ["interval", "classify", HALF_OPEN_SPEC],
+        ["interval", "chain", HALF_OPEN_SPEC],
+        ["interval", "map",
+         json.dumps({"interval": json.loads(HALF_OPEN_SPEC), "x": json.loads(HALF)})],
+        ["phi", "recover", (GOLDEN / "phi_recover_payload.json").read_text()],
+    ]
+    HUGE = int("1" + "0" * 400)
+    NESTED = "[" * 100000 + "]" * 100000
+    SENTINEL = "@nested@"
+    DELETE = object()
+    CASES_PER_GROUP = 1
+    SEED = 24
+
+    @classmethod
+    def fields(cls, value, path=()):
+        """(path, value) for `value` and every value inside it."""
+        yield path, value
+        items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+        for key, child in items:
+            yield from cls.fields(child, path + (key,))
+
+    @classmethod
+    def replacements(cls, value, path):
+        """(mutation, new value) for the field at `path`; DELETE deletes it.
+        Nesting is refused while the document is decoded, wherever it is, so
+        it replaces only whole documents."""
+        swaps = {dict: [[], "x"], list: [{}, "[]"], str: [1, None], bool: [1, "true"],
+                 int: ["1", True, None], float: ["1", False, []]}
+        yield from (("swap", v) for v in swaps[type(value)])
+        if type(value) in (int, float):
+            yield from (("huge", cls.HUGE), ("1e308", 1e308), ("nan", float("nan")))
+        if not path:
+            yield "nested", cls.SENTINEL
+        elif type(path[-1]) is str:
+            yield "missing", cls.DELETE
+        if path[-1:] == ("n",):
+            yield from (("wrong n", value + d) for d in (-1, 1, cli._MAX_N))
+            yield "wrong n", 0
+        if type(value) is dict:
+            yield "extra key", {**value, "extra": 1}
+        if type(value) is list and value:
+            yield "empty list", []
+
+    @classmethod
+    def groups(cls):
+        """{(command, argument, path with indices as *, mutation): [case, ...]},
+        a case being (argv, argument, document, path, new value)."""
+        groups = {}
+        for argv in cls.GOLDEN_ARGVS:
+            command = " ".join(word for word in argv if not word.startswith(("{", "[")))
+            for slot, text in enumerate(argv):
+                if not text.startswith(("{", "[")):
+                    continue
+                doc = json.loads(text)
+                for path, value in cls.fields(doc):
+                    for mutation, new in cls.replacements(value, path):
+                        shape = tuple("*" if type(k) is int else k for k in path)
+                        groups.setdefault((command, slot, shape, mutation), []).append(
+                            (argv, slot, doc, path, new))
+        return groups
+
+    @classmethod
+    def mutated_argv(cls, argv, slot, doc, path, new):
+        """argv with its document at `slot` changed at `path` to `new`
+        (deleted if DELETE)."""
+        if path:
+            doc = copy.deepcopy(doc)
+            parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
+            if new is cls.DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+        else:
+            doc = new
+        text = json.dumps(doc).replace(json.dumps(cls.SENTINEL), cls.NESTED)
+        return argv[:slot] + [text] + argv[slot + 1:]
+
+    def test_no_mutation_crashes_or_warns(self, capsys):
+        rng = np.random.default_rng(self.SEED)
+        allowed = {0} | {code for _, code, _ in cli._EXIT_CODES}
+        codes = {}
+        start = time.perf_counter()
+        for group, cases in sorted(self.groups().items(), key=repr):
+            for pick in rng.permutation(len(cases))[:self.CASES_PER_GROUP]:
+                argv = self.mutated_argv(*cases[pick])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, out, err = run(capsys, argv)
+                assert code in allowed, (group, code, err)
+                lines = err.splitlines()
+                if code == 0:
+                    _strict_json(out)
+                else:
+                    assert out == "" and lines[-1].startswith("error: "), (group, err)
+                    lines.pop()
+                assert all(line.startswith("warning: ") for line in lines), (group, err)
+                codes[code] = codes.get(code, 0) + 1
+        elapsed = time.perf_counter() - start
+        print(f"{sum(codes.values())} cases in {elapsed:.2f} s, exit codes {sorted(codes.items())}")
+        assert elapsed < 5.0
