@@ -135,12 +135,10 @@ class EffectAutomorphism:
         cond = float(lam[-1]) / float(lam[0])
         return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
-    def apply(self, X) -> Effect:
-        """Evaluate T (X (T^t T - I) + I)^{-1} X T^t, certified back into [0, I]."""
-        tol = self._tol
-        eff = _coerce_effect(X, tol)
-        linalg._check_same_dim(eff, self)
-        x = eff.mat.a
+    def _image(self, x: np.ndarray) -> SymMat:
+        """T (X (T^t T - I) + I)^{-1} X T^t for the matrix x of an effect,
+        not certified into [0, I]; InternalInversionFailure when the solve
+        fails."""
         # Invertible for every effect: with G = T^t T > 0 and 0 <= X <= I,
         # X (G - I) + I has the spectrum of X^{1/2} G X^{1/2} + I - X > 0.
         eye = np.eye(self.n)
@@ -150,7 +148,16 @@ class EffectAutomorphism:
         except np.linalg.LinAlgError as exc:
             raise InternalInversionFailure(
                 "certified-invertible matrix was numerically intractable") from exc
-        image = SymMat(self.t @ z @ self.t.T)
+        return SymMat(self.t @ z @ self.t.T)
+
+    def apply(self, X) -> Effect:
+        """Evaluate T (X (T^t T - I) + I)^{-1} X T^t (_image), certified
+        back into [0, I]: InternalInversionFailure when the image leaves it
+        past the noise gate, else the image clamped onto it."""
+        tol = self._tol
+        eff = _coerce_effect(X, tol)
+        linalg._check_same_dim(eff, self)
+        image = self._image(eff.mat.a)
         if linalg._certified_within(image.a, 0.0, 1.0):
             return Effect(mat=image)
         spec = linalg.eigh(image)
@@ -205,8 +212,22 @@ def _mixed_projection(j: int, n: int) -> RankOneProjection:
 
 
 def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
-    """Deterministic effects used for residual checks; spectrum squeezed
-    into (0, 1) so probes stay away from the boundary."""
+    """Deterministic effects used for residual checks: each symmetrized
+    Gaussian S is squeezed affinely from the ends lo, hi of its Jacobi
+    spectrum onto [0.1, 0.9], so probes stay away from the boundary.
+
+    Each is an effect by the bound below, so none is certified. The
+    computed lo and hi lie within eps = linalg._jacobi_error(n, ||S||_F)
+    of the ends of the true spectrum, so c (S - lo I) + 0.1 I, with
+    c = 0.8 / (hi - lo), has its spectrum in [0.1 - c eps, 0.9 + c eps].
+    Forming it in floating point (c included) rounds each entry at most
+    three times, which moves each eigenvalue by at most about 3 u sqrt(n)
+    (Weyl's inequality). Past the guard hi - lo > 16 eps, c eps < 0.05,
+    so the spectrum stays inside (0, 1) at every n; below it the effect
+    is (1/2)I. Over both seeds (_RESIDUAL_PROBE_SEED, ten draws, and
+    _CONVERSION_CHECK_SEED, twenty) and every n in 2..44, c eps is at most
+    1.01e-10 and hi - lo at least 0.287, so the guard takes no seeded
+    draw."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -214,19 +235,20 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
         sym = SymMat(g)
         lam = linalg.eigvalsh(sym)
         lo, hi = float(lam[0]), float(lam[-1])
-        if hi - lo < 1e-9:
-            out.append(make_effect(SymMat(0.5 * np.eye(n))))
+        if hi - lo <= 16.0 * linalg._jacobi_error(n, float(np.linalg.norm(sym.a))):
+            out.append(Effect(mat=SymMat(0.5 * np.eye(n))))
             continue
         scaled = (sym.a - lo * np.eye(n)) * (0.8 / (hi - lo)) + 0.1 * np.eye(n)
-        out.append(make_effect(SymMat(scaled)))
+        out.append(Effect(mat=SymMat(scaled)))
     return out
 
 
 def recovery_probe_effects(n: int) -> List[Effect]:
     """The exact ordered list of effects recover_generator feeds to its
     oracle: (1/2)I, the basis projections, the mixed two-index
-    projections, then the ten deterministic residual-check effects."""
-    probes: List[Effect] = [make_effect(SymMat(0.5 * np.eye(n)))]
+    projections, then the ten deterministic residual-check effects. Each
+    is an effect by construction (_random_effects), so none is certified."""
+    probes: List[Effect] = [Effect(mat=SymMat(0.5 * np.eye(n)))]
     probes.extend(Effect(mat=standard_projection(i, n).mat) for i in range(n))
     probes.extend(Effect(mat=_mixed_projection(j, n).mat) for j in range(1, n))
     probes.extend(_random_effects(n, 10, _RESIDUAL_PROBE_SEED))
@@ -263,8 +285,10 @@ def recover_generator(
     The image of (1/2)I determines T T^t; probing the basis projections
     recovers the orthogonal factor column by column, with per-column sign
     ambiguity resolved through the mixed (e_1 + e_j) projections. A final
-    residual check compares the rebuilt map against the oracle on ten
-    deterministic effects at 1e-6.
+    residual check compares the rebuilt map's uncertified image
+    (EffectAutomorphism._image) against the oracle's on ten deterministic
+    effects: a Frobenius residual that is not at most 1e-6, NaN included,
+    raises NotAutomorphism, and a failed solve InternalInversionFailure.
     """
     if n < 2:
         raise DimensionMismatch("dimension must be at least 2")
@@ -322,7 +346,7 @@ def recover_generator(
     phi = EffectAutomorphism(M.a @ O, tol)
     for probe in residual_probes:
         image = oracle(probe)
-        if float(np.linalg.norm(phi.apply(probe).mat.a - image.mat.a)) > 1e-6:
+        if not float(np.linalg.norm(phi._image(probe.mat.a).a - image.mat.a)) <= 1e-6:
             raise NotAutomorphism("residual check against the oracle failed")
     return phi
 
@@ -353,7 +377,15 @@ class MobiusParams:
         t = np.array(self.t, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise BadParameter("T must be a square matrix")
-        lam = linalg.eigvalsh(SymMat(t.T @ t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = t.T @ t
+        # as in EffectAutomorphism; every entry of T^t T is at most
+        # ||T||_2^2 in size, so a finite T past the gate is no contraction
+        if not abs(product).max() < 2.0 ** 1022:
+            if not np.isfinite(t).all():
+                raise BadParameter("T entries must be finite")
+            raise BadParameter("T must be a contraction (largest singular value <= 1)")
+        lam = linalg.eigvalsh(SymMat(product))
         sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
         sigma_min = math.sqrt(max(float(lam[0]), 0.0))
         if sigma_max > 1.0 + self.tol.equality_tol:
@@ -409,10 +441,12 @@ def mobius_apply(params: MobiusParams, X) -> Effect:
 def mobius_to_canonical(params: MobiusParams) -> EffectAutomorphism:
     """Convert the fractional-linear form to generator form by running the
     recovery algorithm against it at the tolerances of params, then
-    verify on twenty deterministic effects at 1e-6."""
+    verify on twenty deterministic effects (_random_effects) that the
+    generator's uncertified image (EffectAutomorphism._image) is within
+    1e-6 of the fractional-linear one in the Frobenius norm; NaN fails."""
     phi = recover_generator(lambda E: mobius_apply(params, E), params.n, params.tol)
     for probe in _random_effects(params.n, 20, _CONVERSION_CHECK_SEED):
         direct = mobius_apply(params, probe)
-        if float(np.linalg.norm(phi.apply(probe).mat.a - direct.mat.a)) > 1e-6:
+        if not float(np.linalg.norm(phi._image(probe.mat.a).a - direct.mat.a)) <= 1e-6:
             raise NotAutomorphism("canonical form does not reproduce the fractional-linear map")
     return phi

@@ -373,9 +373,10 @@ _EXIT_CODES = (
     # `phi recover`'s probe images are not those of an automorphism: an image
     # outside [0, I], or a recovered generator that fails its checks
     (NotAutomorphism, 4, ""),
-    # the eigensolver did not converge in 40 sweeps, or evaluating an
+    # the eigensolver did not converge in 40 sweeps, evaluating an
     # automorphism (`phi apply`, `phi recover`'s residual check) failed to
-    # solve with the matrix proved invertible or left [0, I] past its noise gate
+    # solve with the matrix proved invertible, or a `phi apply` image left
+    # [0, I] past its noise gate
     ((NonConvergence, InternalInversionFailure), 6, "internal numerical failure: "),
     # malformed input: an unreadable file, invalid JSON (json.JSONDecodeError
     # is a ValueError), a field the readers above refuse, a tolerance outside
@@ -387,8 +388,16 @@ _EXIT_CODES = (
 )
 
 
+# The parser, built by the first main call: it depends on nothing but this
+# module's constants, and building it at import would slow every start.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if "tol" in args:
             args.tol = Tolerances(args.tol)

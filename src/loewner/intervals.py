@@ -135,7 +135,9 @@ class Translate:
 
 @dataclass(frozen=True, eq=False)
 class Congruence:
-    """X -> T X T^t for invertible T; order preserving."""
+    """X -> T X T^t for invertible T; order preserving. T is refused as
+    Singular when an entry is not finite or sigma_min <= 1e-12 sigma_max,
+    a gate on its condition number alone, with no floor at small scales."""
 
     generator: np.ndarray
 
@@ -145,8 +147,10 @@ class Congruence:
         t = np.array(self.generator, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidSpec("congruence generator must be square")
+        if not np.isfinite(t).all():
+            raise Singular("congruence generator entries must be finite")
         sv = np.linalg.svd(t, compute_uv=False)
-        if float(sv[-1]) <= 1e-12 * max(1.0, float(sv[0])):
+        if float(sv[-1]) <= 1e-12 * float(sv[0]):
             raise Singular("congruence generator is singular")
         t.flags.writeable = False
         object.__setattr__(self, "generator", t)

@@ -2,13 +2,14 @@
 recovery, and the fractional-linear parametrization bridge."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import linalg, oracle
+from loewner import automorphisms, linalg, oracle
 from loewner.automorphisms import (
     EffectAutomorphism,
     MobiusParams,
@@ -387,6 +388,14 @@ class TestRecoverGenerator:
         with pytest.raises(NotAutomorphism):
             recover_generator(collapse, 2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 44])
+    def test_every_seeded_probe_is_an_effect(self, n):
+        # recovery_probe_effects and the conversion check build these with
+        # no certificate, on _random_effects' proof; make_effect agrees
+        conversion = automorphisms._random_effects(n, 20, automorphisms._CONVERSION_CHECK_SEED)
+        for probe in recovery_probe_effects(n) + conversion:
+            assert make_effect(probe.mat).mat.a.tobytes() == probe.mat.a.tobytes()
+
     def test_probe_list_layout(self):
         probes = recovery_probe_effects(3)
         assert len(probes) == 1 + 3 + 2 + 10
@@ -453,6 +462,19 @@ class TestMobiusForm:
     def test_rejects_bad_scalars(self):
         with pytest.raises(BadParameter):
             MobiusParams(p=1.0, q=0.0, t=np.eye(2))
+
+    @pytest.mark.parametrize("t, message", [
+        (1e200 * np.eye(2), "contraction"),
+        (np.array([[1e200, 1e200], [1e200, -1e200]]), "contraction"),   # inf - inf
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), "finite"),
+        (np.array([[np.inf, 0.0], [0.0, 0.5]]), "finite"),
+    ], ids=["huge", "huge_cancelling", "nan", "inf"])
+    def test_rejects_a_huge_or_non_finite_generator_without_a_warning(self, t, message):
+        # T^t T past the double range is no contraction's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameter, match=message):
+                MobiusParams(p=0.5, q=0.5, t=t)
 
     def test_stays_inside_unit_interval(self):
         s = oracle.Sampler(20)

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from loewner import linalg, selftest
-from loewner.automorphisms import EffectAutomorphism, MobiusParams, mobius_apply, recover_generator
+from loewner.automorphisms import (
+    EffectAutomorphism,
+    MobiusParams,
+    mobius_apply,
+    recover_generator,
+    recovery_probe_effects,
+)
 from loewner.effects import (
     RankOneProjection,
     make_effect,
@@ -935,6 +941,20 @@ class TestSpectraPerCall:
         t = np.array([[2.0, 0.3, 0.0, 0.1], [0.1, 1.0, 0.2, 0.0],
                       [0.0, 0.4, 0.7, 0.3], [0.2, 0.0, 0.1, 1.5]])
         assert count(recover_generator, ops.black_box(t), 4) == ["eigh"] + ["eigvalsh"] * 10
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_recovery_certifies_no_effect(self, count, monkeypatch, n):
+        # the probes are effects by construction and the residual check
+        # reads the uncertified images, so nothing runs the [lo, hi] check
+        monkeypatch.syspath_prepend(str(BENCH))
+        ops = importlib.import_module("ops")
+        within = []
+        monkeypatch.setattr(linalg, "_certified_within", within_recorder(within))
+        t = 2.0 * np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))
+        assert count(recover_generator, ops.black_box(t), n) == ["eigh"] + ["eigvalsh"] * 10
+        assert within == []
+        assert count(recovery_probe_effects, n) == ["eigvalsh"] * 10
+        assert within == []
 
     def test_project_image_is_the_spectrum_of_apply(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))

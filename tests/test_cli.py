@@ -552,6 +552,29 @@ class TestImportSet:
             assert proc.stdout == "[]\n", target
 
 
+class TestOneParser:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run(capsys, ["order", DIAG_10, DIAG_01])[:2] == (0, golden("order_witness.json"))
+        assert run(capsys, ["phi", "invert", GEN_21])[:2] == (0, golden("phi_invert_diag.json"))
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        # a cold start pays for the parser only when main runs
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", "import loewner.cli as c; print(c._parser)"],
+                              env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "None\n"
+
+
 class TestIntervalTolerance:
     # the closed interval [0, 1e-10 I]: lower < upper holds at psd_tol 1e-12
     # (lambda_min 1e-10 > 1e-12) and fails at the default 1e-9

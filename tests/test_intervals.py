@@ -134,6 +134,15 @@ class TestBuildChain:
         assert kinds == ["Negate", "Translate", "Invert", "Translate"]
         assert not chain.parity
 
+    def test_a_wide_well_conditioned_interval(self):
+        # the gap's condition number is 2; its congruence generator,
+        # gap^{-1/2}, is about 1e-13 I
+        upper = SymMat(np.diag([1e26, 2e26]))
+        spec = IntervalSpec(closed(ZERO2), closed(upper), 2)
+        chain = build_chain(spec)
+        assert np.array_equal(apply_chain(chain, ZERO2, spec).a, np.zeros((2, 2)))
+        assert np.array_equal(apply_chain(chain, upper, spec).a, np.eye(2))
+
     def test_translation_only_for_cones(self):
         shift = SymMat([[1.0, 0.25], [0.25, 2.0]])
         spec = IntervalSpec(closed(shift), Endpoint.plus_infinity(), 2)
@@ -285,6 +294,26 @@ class TestConeAutomorphism:
             cone_automorphism_apply(np.eye(2), SymMat.diagonal([-1.0, 1.0]))
         with pytest.raises(OutOfDomain):
             cone_automorphism_apply(np.eye(2), SymMat.diagonal([0.0, 1.0]), open_cone=True)
+
+
+class TestCongruenceGate:
+    """Congruence refuses a generator on its condition number alone."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-200, 1.0, 1e200])
+    def test_every_multiple_of_the_identity_is_regular(self, scale):
+        assert np.array_equal(Congruence(generator=scale * np.eye(2)).generator, scale * np.eye(2))
+
+    @pytest.mark.parametrize("generator", [np.diag([1.0, 1e-13]), np.zeros((2, 2))],
+                             ids=["condition_1e13", "zero"])
+    def test_a_singular_generator(self, generator):
+        with pytest.raises(Singular, match="congruence generator is singular"):
+            Congruence(generator=generator)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_a_non_finite_generator(self, entry):
+        # its singular values are nan, which no gate compares against
+        with pytest.raises(Singular, match="entries must be finite"):
+            Congruence(generator=np.diag([entry, 1.0]))
 
 
 class TestAffineAutomorphism:
