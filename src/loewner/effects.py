@@ -31,7 +31,20 @@ from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
 @dataclass(frozen=True)
 class Effect:
-    """A symmetric matrix certified to satisfy 0 <= A <= I at construction."""
+    """A symmetric matrix A with 0 <= A <= I.
+
+    Construction checks nothing: make_effect is the checked constructor.
+    Inside the package an Effect(mat=...) is built directly only on a
+    proof that its caller keeps:
+    - make_effect: _certified_within, else the ends of eigvalsh;
+    - sharp: diag(s, t), each checked within psd_tol of [0, 1], turned by
+      the orthogonal Hadamard basis;
+    - EffectAutomorphism.apply: the image certified into [0, 1], else its
+      spectrum held to the noise gate and clamped;
+    - EffectAutomorphism.project_image: a rank-one projection;
+    - recovery_probe_effects: (1/2)I, projections, and the Gaussians that
+      _random_effects squeezes onto [0.1, 0.9] by its bound.
+    """
 
     mat: SymMat
 
@@ -202,7 +215,7 @@ def strength_witness(
     _require_psd(A, tol, "first argument")
     _require_psd(B, tol, "second argument")
     gamma = math.sqrt(tol.psd_tol) * max(1.0, _frobenius(A.a), _frobenius(B.a))
-    x = linalg._witness_direction(B - A, gamma, tol)
+    x = linalg._witness_direction(A, B, gamma, tol)
     if x is None:
         return None
     ax = A.a @ x

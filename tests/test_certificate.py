@@ -1194,3 +1194,61 @@ class TestScalingsPerCall:
     def test_strength_on_full_rank(self, count):
         a = SymMat([[2.0, 0.5], [0.5, 1.0]])
         assert count(strength, a, RankOneProjection([1.0, 1.0])) == 1
+
+    def test_decided_order_predicates(self, count):
+        low = SymMat([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.3]])
+        high = SymMat(low.a + np.eye(3))
+        assert count(linalg.loewner_le, low, high) == 1
+        assert count(linalg.loewner_lt, low, high) == 1
+
+    def test_a_refused_witness(self, count):
+        # the PSD checks of A and B, then B - A
+        first, second = SymMat.diagonal([1.0, 0.0]), SymMat.diagonal([0.0, 1.0])
+        assert count(strength_witness, first, second) == 3
+
+
+class TestDifferencesPerCall:
+    """SymMat constructions (SymMat() and linalg._computed) per order
+    predicate and witness: each reads B - A as a bare array
+    (linalg._difference), on the certificate's route and on the Jacobi
+    fallback alike, so none is built."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        made = []
+        init, computed = SymMat.__init__, linalg._computed
+
+        def counting_init(self, entries):
+            made.append("SymMat")
+            init(self, entries)
+
+        def counting_computed(*args, **kwargs):
+            made.append("_computed")
+            return computed(*args, **kwargs)
+
+        monkeypatch.setattr(SymMat, "__init__", counting_init)
+        monkeypatch.setattr(linalg, "_computed", counting_computed)
+
+        def run(fn, *args):
+            made.clear()
+            fn(*args)
+            return made
+
+        return run
+
+    def test_decided_calls(self, count):
+        low = SymMat([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.3]])
+        high = SymMat(low.a + np.eye(3))
+        for first, second in ((low, high), (high, low)):
+            assert count(linalg.loewner_le, first, second) == []
+            assert count(linalg.loewner_lt, first, second) == []
+            assert count(strength_witness, first, second) == []
+
+    def test_undecided_calls(self, count):
+        # the pair of test_witness_on_an_undecided_pair_is_one_eigh, where
+        # loewner_le and the witness fall back to Jacobi on the array
+        first = SymMat.diagonal([0.3, 0.3])
+        second = SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 + 1e-6)])
+        assert certify(second.a - first.a, relative=-DEFAULT_TOL.psd_tol) is None
+        assert count(linalg.loewner_le, first, second) == []
+        assert count(strength_witness, first, second) == []

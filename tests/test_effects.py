@@ -265,14 +265,17 @@ class TestWitnessDirections:
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
+        """Spectra with eigenvectors, counted at the kernel: the witness
+        takes its fallback from _jacobi on the bare array B - A."""
         calls = []
-        eigh = linalg.eigh
+        jacobi = linalg._jacobi
 
-        def counting(a):
-            calls.append(a)
-            return eigh(a)
+        def counting(m, want_vectors):
+            if want_vectors:
+                calls.append(m)
+            return jacobi(m, want_vectors)
 
-        monkeypatch.setattr(linalg, "eigh", counting)
+        monkeypatch.setattr(linalg, "_jacobi", counting)
         return calls
 
     def test_seeded_corpus(self, eigh_calls):

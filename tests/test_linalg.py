@@ -211,6 +211,49 @@ class TestOverflowRule:
             g = rng.standard_normal((5, 5))
             self.outcome(lambda: linalg.apply_fn(SymMat(g + g.T), lambda lam: value))
 
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("predicate", [linalg.loewner_le, linalg.loewner_lt])
+    def test_an_order_whose_difference_overflows_is_too_large(self, predicate, n):
+        # B - A = -2 a holds -3.4e308 off the diagonal, past the double
+        # range, on the list scaling (n = 3) and the array one (n = 12)
+        a = np.eye(n)
+        a[0, 1] = a[1, 0] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge, match="^matrix entries overflow the double range$"):
+                predicate(SymMat(a), SymMat(-a))
+
+
+class TestFinite:
+    """linalg._finite, the finiteness test of SymMat() and _computed,
+    answers as np.isfinite(m).all(): by a builtin sum below
+    _LAPACK_ORDER, by numpy from there and wherever the sum is not
+    finite."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_agrees_with_numpy(self, n):
+        rng = np.random.default_rng(400 + n)
+        spread = np.ldexp(rng.standard_normal((n, n)), rng.integers(-1074, 1020, (n, n)))
+        # finite entries whose sum overflows (to inf, or to nan past an
+        # opposite inf) take numpy's test and pass it
+        bases = [spread, np.full((n, n), -0.0), np.full((n, n), 1.7e308),
+                 np.full((n, n), -1.7e308)]
+        cases = list(bases)
+        for base in bases:
+            for i in range(n * n):
+                for bad in (np.inf, -np.inf, np.nan):
+                    m = base.copy()
+                    m.flat[i] = bad
+                    cases.append(m)
+        for m in cases:
+            assert linalg._finite(m) is bool(np.isfinite(m).all())
+        assert sum(linalg._finite(m) for m in cases) == len(bases)
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        m = SymMat([[1.7e308] * 2] * 2)
+        assert np.array_equal(m.a, np.full((2, 2), 1.7e308))
+        assert SymMat([[-0.0]]).a.tobytes() == np.array([[-0.0]]).tobytes()
+
 
 class TestSweepCap:
     @staticmethod

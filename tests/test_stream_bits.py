@@ -2,8 +2,10 @@
 Jacobi work behind them.
 
 bench/workloads.attempt runs each op of bench/ops.stream(11, dims, 2400)
-for the api-small (n in {2, 3, 4}) and api-large (n in {8, 12, 16}) mixes
-and bench/workloads.digest hashes every (answer, error) pair; the
+for the api-small (n in {2, 3, 4}) and api-large (n in {8, 12, 16}) mixes,
+and of bench/ops.stream(13, dims, 2400) for api-small, the second seed
+on which a speed claim is checked, and bench/workloads.digest hashes
+every (answer, error) pair; the
 benchmark's modules are imported read-only, as tests/test_certificate.py
 imports ops. Alongside each digest the number of linalg._jacobi calls
 (eigvalsh and eigh) the stream makes is pinned.
@@ -31,8 +33,13 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(EXPECTED))
-def test_stream_keeps_its_bits_and_its_spectra(workload, monkeypatch):
+# the same for seed 13
+EXPECTED_SEED_13 = {
+    "api-small": ("2d9b2988efc39f2657eddf288bf4c1231b4e4b183a4fd54f47bc9839919cd655", 361),
+}
+
+
+def digest_and_spectra(workload, seed, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     ops = importlib.import_module("ops")
     workloads = importlib.import_module("workloads")
@@ -44,5 +51,15 @@ def test_stream_keeps_its_bits_and_its_spectra(workload, monkeypatch):
         return jacobi(m, want_vectors)
 
     monkeypatch.setattr(linalg, "_jacobi", counting)
-    outcomes = [workloads.attempt(op) for op in ops.stream(SEED, ops.DIMS[workload], COUNT)]
-    assert (workloads.digest(outcomes), len(calls)) == EXPECTED[workload]
+    outcomes = [workloads.attempt(op) for op in ops.stream(seed, ops.DIMS[workload], COUNT)]
+    return workloads.digest(outcomes), len(calls)
+
+
+@pytest.mark.parametrize("workload", sorted(EXPECTED))
+def test_stream_keeps_its_bits_and_its_spectra(workload, monkeypatch):
+    assert digest_and_spectra(workload, SEED, monkeypatch) == EXPECTED[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(EXPECTED_SEED_13))
+def test_seed_13_stream_keeps_its_bits_and_its_spectra(workload, monkeypatch):
+    assert digest_and_spectra(workload, 13, monkeypatch) == EXPECTED_SEED_13[workload]
