@@ -14,18 +14,13 @@ from .linalg import (
     inv,
     loewner_le,
     loewner_lt,
-    pinv_and_range,
     sqrt_psd,
 )
 from .effects import (
     Effect,
     RankOneProjection,
-    identity_block,
     make_effect,
-    maximal_diagonals,
     one_third_decompose,
-    prescribed_strength_pair,
-    rank_one_segment,
     sharp,
     standard_projection,
     strength,
@@ -41,7 +36,6 @@ from .automorphisms import (
     unit_mobius,
 )
 from .intervals import (
-    AffineAutomorphism,
     CanonicalClass,
     Congruence,
     Endpoint,
@@ -50,14 +44,11 @@ from .intervals import (
     MapChain,
     Negate,
     Translate,
-    affine_automorphism_apply,
     apply_chain,
     build_chain,
     canonical_interval,
     chain_of,
     classify,
-    compose_chains,
-    cone_automorphism_apply,
     invert_chain,
     iso_between,
 )

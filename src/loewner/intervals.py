@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionMismatch,
     IntermediateSingular,
     InvalidSpec,
     NotIsomorphic,
@@ -314,11 +313,6 @@ def invert_chain(chain: MapChain) -> MapChain:
     return chain_of(*(step.inverse() for step in reversed(chain.steps)))
 
 
-def compose_chains(outer: MapChain, inner: MapChain) -> MapChain:
-    """Chain applying `inner` first, then `outer`; parities combine by XOR."""
-    return chain_of(*(inner.steps + outer.steps))
-
-
 def iso_between(spec_a: IntervalSpec, spec_b: IntervalSpec) -> MapChain:
     """Order isomorphism from the first interval onto the second, routed
     through the shared canonical representative."""
@@ -330,7 +324,7 @@ def iso_between(spec_a: IntervalSpec, spec_b: IntervalSpec) -> MapChain:
             message = ("intervals are not order isomorphic: positive_closed vs "
                        "negative_closed (negation gives an order anti-isomorphism)")
         raise NotIsomorphic(cls_a, cls_b, message)
-    return compose_chains(invert_chain(build_chain(spec_b)), build_chain(spec_a))
+    return chain_of(*(build_chain(spec_a).steps + invert_chain(build_chain(spec_b)).steps))
 
 
 def canonical_interval(cls: CanonicalClass, n: int) -> IntervalSpec:
@@ -346,37 +340,3 @@ def canonical_interval(cls: CanonicalClass, n: int) -> IntervalSpec:
     if cls is CanonicalClass.POSITIVE_OPEN:
         return IntervalSpec(Endpoint.finite(zero, closed=False), Endpoint.plus_infinity(), n)
     return IntervalSpec(Endpoint.minus_infinity(), Endpoint.plus_infinity(), n)
-
-
-def cone_automorphism_apply(T, X: SymMat, open_cone: bool = False,
-                            tol: Tolerances = DEFAULT_TOL) -> SymMat:
-    """Congruence automorphism X -> T X T^t of the positive cone
-    (open_cone=True demands definiteness of the input)."""
-    congruence = Congruence(generator=np.asarray(T, dtype=float))
-    if congruence.generator.shape[0] != X.n:
-        raise DimensionMismatch("generator dimension differs from the input")
-    zero = SymMat.zero(X.n)
-    inside = linalg.loewner_lt(zero, X, tol) if open_cone else linalg.loewner_le(zero, X, tol)
-    if not inside:
-        raise OutOfDomain("input lies outside the cone")
-    return congruence.apply(X)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineAutomorphism:
-    """X -> T X T^t + S, the automorphism form of the whole space."""
-
-    t: np.ndarray
-    s: SymMat
-
-    def __post_init__(self):
-        congruence = Congruence(generator=np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "t", congruence.generator)
-        if self.t.shape[0] != self.s.n:
-            raise DimensionMismatch("shift dimension differs from the generator")
-
-
-def affine_automorphism_apply(auto: AffineAutomorphism, X: SymMat) -> SymMat:
-    if X.n != auto.s.n:
-        raise DimensionMismatch("input dimension differs from the automorphism")
-    return _congruent(auto.t, X) + auto.s

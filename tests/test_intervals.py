@@ -7,7 +7,6 @@ from loewner import linalg, oracle
 from loewner.automorphisms import EffectAutomorphism
 from loewner.effects import make_effect
 from loewner.errors import (
-    DimensionMismatch,
     IntermediateSingular,
     InvalidSpec,
     NotIsomorphic,
@@ -16,7 +15,6 @@ from loewner.errors import (
     TooLarge,
 )
 from loewner.intervals import (
-    AffineAutomorphism,
     CanonicalClass,
     Congruence,
     Endpoint,
@@ -24,14 +22,11 @@ from loewner.intervals import (
     Invert,
     Negate,
     Translate,
-    affine_automorphism_apply,
     apply_chain,
     build_chain,
     canonical_interval,
     chain_of,
     classify,
-    compose_chains,
-    cone_automorphism_apply,
     invert_chain,
     iso_between,
 )
@@ -227,9 +222,8 @@ class TestChainAlgebra:
                 assert np.linalg.norm(returned.a - x.a) <= 1e-8
 
     def test_compose_parity_xor(self):
-        reversing = chain_of(Negate())
-        assert compose_chains(reversing, reversing).parity is False
-        assert compose_chains(reversing, chain_of()).parity is True
+        assert chain_of(Negate(), Negate()).parity is False
+        assert chain_of(Negate()).parity is True
 
     def test_anti_chain_reverses_order(self):
         # (0, inf) -> (0, I) through X -> (I + X)^{-1}; odd parity
@@ -272,13 +266,16 @@ class TestIsoBetween:
 
 
 class TestConeAutomorphism:
+    """X -> T X T^t, a Congruence, maps the PSD cone onto itself and the
+    open cone onto itself."""
+
     def test_identity(self):
         x = SymMat([[1.0, 0.2], [0.2, 0.7]])
-        assert np.allclose(cone_automorphism_apply(np.eye(2), x).a, x.a)
+        assert np.allclose(Congruence(generator=np.eye(2)).apply(x).a, x.a)
 
     def test_rank_one_scaling(self):
         e11 = SymMat([[1.0, 0.0], [0.0, 0.0]])
-        got = cone_automorphism_apply(np.diag([2.0, 1.0]), e11)
+        got = Congruence(generator=np.diag([2.0, 1.0])).apply(e11)
         assert np.allclose(got.a, 4.0 * e11.a)
 
     def test_openness_preserved(self):
@@ -286,14 +283,8 @@ class TestConeAutomorphism:
         for _ in range(10):
             t = oracle.sample_invertible(s, 3)
             x = SymMat(oracle._sample_psd(s, 3) + 0.2 * np.eye(3))
-            got = cone_automorphism_apply(t, x, open_cone=True)
+            got = Congruence(generator=t).apply(x)
             assert linalg.loewner_lt(SymMat.zero(3), got)
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            cone_automorphism_apply(np.eye(2), SymMat.diagonal([-1.0, 1.0]))
-        with pytest.raises(OutOfDomain):
-            cone_automorphism_apply(np.eye(2), SymMat.diagonal([0.0, 1.0]), open_cone=True)
 
 
 class TestCongruenceGate:
@@ -317,31 +308,19 @@ class TestCongruenceGate:
 
 
 class TestAffineAutomorphism:
-    def test_identity(self):
-        auto = AffineAutomorphism(t=np.eye(2), s=ZERO2)
-        x = SymMat([[1.0, -0.3], [-0.3, 2.0]])
-        assert np.allclose(affine_automorphism_apply(auto, x).a, x.a)
-
-    def test_pure_shift(self):
-        auto = AffineAutomorphism(t=np.eye(2), s=EYE2)
-        assert np.allclose(affine_automorphism_apply(auto, ZERO2).a, np.eye(2))
+    """X -> T X T^t + S, a Congruence then a Translate, preserves the order
+    of the whole space."""
 
     def test_order_preservation(self):
         s = oracle.Sampler(37)
         for _ in range(15):
             n = int(s.rng.integers(2, 5))
-            auto = AffineAutomorphism(t=oracle.sample_invertible(s, n),
-                                      s=SymMat(s.rng.standard_normal((n, n))))
+            congruence = Congruence(generator=oracle.sample_invertible(s, n))
+            translate = Translate(shift=SymMat(s.rng.standard_normal((n, n))))
             low = SymMat(s.rng.standard_normal((n, n)))
             high = SymMat(low.a + oracle._sample_psd(s, n))
-            assert linalg.loewner_le(affine_automorphism_apply(auto, low),
-                                     affine_automorphism_apply(auto, high))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_an_image_past_the_range_is_too_large(self):
-        auto = AffineAutomorphism(t=1e200 * np.eye(2), s=ZERO2)
-        with pytest.raises(TooLarge):
-            affine_automorphism_apply(auto, SymMat([[1e200, 0.0], [0.0, 1.0]]))
+            assert linalg.loewner_le(translate.apply(congruence.apply(low)),
+                                     translate.apply(congruence.apply(high)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -403,13 +382,8 @@ class TestConjugationBridge:
     (lambda: Endpoint(kind="plus_infinity", matrix=ZERO2), InvalidSpec),
     (lambda: Congruence(generator=np.ones((2, 3))), InvalidSpec),
     (lambda: Congruence(generator=np.diag([1.0, 0.0])), Singular),
-    (lambda: cone_automorphism_apply(np.eye(3), ZERO2), DimensionMismatch),
-    (lambda: AffineAutomorphism(np.eye(3), ZERO2), DimensionMismatch),
-    (lambda: affine_automorphism_apply(AffineAutomorphism(np.eye(2), ZERO2), SymMat.zero(3)),
-     DimensionMismatch),
 ], ids=["dimension_zero", "upper_minus_infinity", "endpoint_dimension",
-        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular",
-        "cone_automorphism_dimensions", "affine_shift_dimension", "affine_apply_dimensions"])
+        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()

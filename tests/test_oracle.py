@@ -1,11 +1,13 @@
 """Sampler determinism and brute-force oracle tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from loewner import linalg, oracle, selftest
 from loewner.automorphisms import EffectAutomorphism
-from loewner.effects import RankOneProjection, make_effect, prescribed_strength_pair, standard_projection
+from loewner.effects import RankOneProjection, make_effect, standard_projection
 from loewner.errors import NotPSD
 from loewner.intervals import CanonicalClass, canonical_interval
 from loewner.linalg import SymMat
@@ -40,9 +42,12 @@ class TestStrengthBisection:
         assert oracle.strength_bisection(SymMat(2.0 * proj.mat.a), proj) == pytest.approx(2.0, abs=1e-8)
 
     def test_prescribed_pair_threshold(self):
+        # (1/2)P + Q = I - (1/2)xx^t for the orthogonal pair P = xx^t,
+        # Q = yy^t with x = (1/sqrt(3), sqrt(2/3)): its strength along e_0
+        # is det / (2/3) = 3/4
         r = standard_projection(0, 2)
-        p, q = prescribed_strength_pair(r, 0.75)
-        combined = SymMat(0.5 * p.mat.a + q.mat.a)
+        off = math.sqrt(2.0) / 6.0
+        combined = SymMat([[5.0 / 6.0, -off], [-off, 2.0 / 3.0]])
         assert oracle.strength_bisection(combined, r) == pytest.approx(0.75, abs=1e-8)
 
     def test_rejects_indefinite(self):

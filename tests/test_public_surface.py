@@ -1,0 +1,79 @@
+"""Every name loewner/__init__.py exports is reached by the package or the
+bench: some code outside its defining module, in src/loewner or bench/,
+refers to it, either as <module>.<name> or as a name imported from its
+module (or from the package) and then used. A docstring or a comment that
+names it does not count, and neither does __init__.py's own import. A
+helper that only its unit tests call is not part of the public surface."""
+
+import ast
+import pathlib
+
+import loewner
+
+SOURCES = pathlib.Path(loewner.__file__).resolve().parent
+BENCH = SOURCES.parent.parent / "bench"
+
+# Exports that no code outside their module names, each with its reason.
+UNREFERENCED = {
+    "Spectrum": "the type eigh returns, read through its fields",
+    "unit_mobius": "selftest reaches it through mobius_apply",
+    "identity_automorphism": "the identity element of the automorphism group",
+}
+
+
+def exports():
+    """{exported name: short name of its defining module}."""
+    tree = ast.parse((SOURCES / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def references(path, names):
+    """The (module, name) pairs of `names` that the code of `path` refers to."""
+    imported, used, found = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            imported.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and (node.value.id, node.attr) in names):
+            found.add((node.value.id, node.attr))
+    for module, name in names:
+        if name in used and ({(module, name), ("loewner", name)} & imported):
+            found.add((module, name))
+    return found
+
+
+def unreferenced():
+    names = {(module, name) for name, module in exports().items()}
+    paths = [p for p in sorted(SOURCES.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(BENCH.glob("*.py"))
+    reached = set()
+    for path in paths:
+        reached |= {pair for pair in references(path, names) if pair[0] != path.stem}
+    return sorted(name for module, name in names - reached)
+
+
+def test_every_export_is_reached_outside_its_module():
+    assert unreferenced() == sorted(UNREFERENCED)
+
+
+def test_the_export_list_is_read():
+    found = exports()
+    assert len(found) == 41
+    assert found["SymMat"] == "linalg" and found["iso_between"] == "intervals"
+
+
+def test_the_scan_sees_a_use_in_code_and_not_in_a_docstring(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text('"""linalg.eigh and strength in prose."""\n'
+                      "from .effects import strength\n"
+                      "from .intervals import chain_of\n"
+                      "x = linalg.inv(1)\n"
+                      "y = other.sharp\n"
+                      "z = strength\n", encoding="utf-8")
+    names = {("linalg", "eigh"), ("linalg", "inv"), ("effects", "strength"),
+             ("effects", "sharp"), ("intervals", "chain_of")}
+    assert references(source, names) == {("linalg", "inv"), ("effects", "strength")}
