@@ -1,6 +1,8 @@
 """The unit matrix interval [0, I]: membership, rank-one projections, the
-strength function along a projection and its order witness, and the 2x2
-one-third decomposition and sharp rotation.
+strength function along a projection and its order witness, rank-one
+segments, the identity block of an effect, and the explicit 2x2
+constructions (prescribed-strength pairs, the one-third decomposition,
+maximal diagonals and the sharp rotation).
 
 The strength of a positive A along a rank-one projection P = xx^t is the
 largest t with tP <= A. For x in the range of A it has the closed form
@@ -11,8 +13,8 @@ linalg._strength decides which factor or spectrum answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,9 +22,11 @@ from . import linalg
 from .errors import (
     BadParameter,
     DimensionMismatch,
+    NotComparable,
     NotDiagonal,
     NotPSD,
     OutOfInterval,
+    PreconditionViolated,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -100,6 +104,41 @@ def standard_projection(i: int, n: int) -> RankOneProjection:
 # The Hadamard-basis pair summing to the identity.
 BASIS_PLUS = SymMat([[0.5, 0.5], [0.5, 0.5]])
 BASIS_MINUS = SymMat([[0.5, -0.5], [-0.5, 0.5]])
+
+
+@dataclass(frozen=True)
+class SingletonDiagonal:
+    """The only maximal diagonal below A is A itself (A diagonal)."""
+
+    effect: Effect
+
+
+@dataclass(frozen=True)
+class ZeroOnly:
+    """Zero is the only diagonal below A (A rank one, off-diagonal nonzero)."""
+
+
+@dataclass(frozen=True)
+class DiagonalCurve:
+    """Maximal diagonals of [[t, u], [u, s]] form the hyperbola arc
+    { diag(p, q) : 0 <= p <= t, 0 <= q <= s, (t - p)(s - q) = u^2 },
+    tested by contains at the tolerances `tol` of maximal_diagonals."""
+
+    t: float
+    s: float
+    u: float
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False, repr=False)
+
+    def contains(self, p: float, q: float) -> bool:
+        tol = self.tol
+        if p < -tol.psd_tol or q < -tol.psd_tol:
+            return False
+        if p > self.t + tol.psd_tol or q > self.s + tol.psd_tol:
+            return False
+        return abs((self.t - p) * (self.s - q) - self.u * self.u) <= tol.equality_tol
+
+
+MaxDiagonalSet = Union[SingletonDiagonal, ZeroOnly, DiagonalCurve]
 
 
 def make_effect(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:
@@ -190,6 +229,101 @@ def _frobenius(m: np.ndarray) -> float:
     return math.hypot(*m.ravel().tolist())
 
 
+def rank_one_segment(
+    A: Effect, B: Effect, tol: Tolerances = DEFAULT_TOL
+) -> Optional[Tuple[float, RankOneProjection]]:
+    """Detect B = A + tP along a single projection.
+
+    Requires A <= B (NotComparable otherwise). Returns (t, P) when B - A
+    has rank at most one, None otherwise. Rank is decided by the
+    second-largest eigenvalue against rank_tol * (1 + ||B - A||_2). One
+    spectrum of B - A decides both.
+    """
+    linalg._check_same_dim(A.mat, B.mat)
+    spec = linalg.eigh(B.mat - A.mat)
+    lam = spec.eigenvalues
+    if not linalg._spectral_verdict(lam, False, tol):
+        raise NotComparable("lower effect is not below upper effect")
+    top = float(lam[-1])
+    if top <= tol.rank_tol:
+        return 0.0, standard_projection(0, A.n)
+    second = float(lam[-2]) if A.n >= 2 else 0.0
+    if abs(second) > tol.rank_tol * (1.0 + top):
+        return None
+    return top, RankOneProjection(spec.eigenvectors[:, -1])
+
+
+def identity_block(
+    A: Effect,
+    P: RankOneProjection,
+    Q: RankOneProjection,
+    tol: Tolerances = DEFAULT_TOL,
+) -> Tuple[np.ndarray, Optional[SymMat]]:
+    """Split A as the identity on K = span(Im P, Im Q) plus a block B on
+    the orthocomplement.
+
+    Preconditions P <= A, Q <= A, A <= I force A to act as the identity
+    on K; the returned pair is an orthonormal basis of K (n x 2 columns)
+    and the compression B of A to the complement (None when n = 2).
+    Residuals of the certificate scale like the square root of the
+    allowed order slack, so the check runs at 10 * sqrt(psd_tol).
+    """
+    n = A.n
+    if P.n != n or Q.n != n:
+        raise DimensionMismatch("projection dimensions differ from the effect")
+    if abs(float(P.x @ Q.x)) > 1.0 - 1e-10:
+        raise PreconditionViolated("P != Q is required")
+    for name, proj in (("P <= A", P), ("Q <= A", Q)):
+        if not linalg.loewner_le(proj.mat, A.mat, tol):
+            raise PreconditionViolated(f"{name} fails")
+    if not linalg.loewner_le(A.mat, SymMat.identity(n), tol):
+        raise PreconditionViolated("A <= I fails")
+
+    k1 = P.x
+    w = Q.x - k1 * float(k1 @ Q.x)
+    k2 = w / float(np.linalg.norm(w))
+    K = np.column_stack([k1, k2])
+    full = linalg.complete_basis(K)
+    W = full[:, 2:]
+
+    cert = 10.0 * math.sqrt(tol.psd_tol)
+    for k in (k1, k2):
+        if float(np.linalg.norm(A.mat.a @ k - k)) > cert:
+            raise PreconditionViolated("A does not act as the identity on K at tolerance")
+    if W.shape[1] == 0:
+        return K, None
+    off = K.T @ A.mat.a @ W
+    if float(np.linalg.norm(off)) > cert:
+        raise PreconditionViolated("off-diagonal block of A does not vanish at tolerance")
+    B = SymMat(W.T @ A.mat.a @ W)
+    if not linalg.is_psd(B, tol):
+        raise PreconditionViolated("compressed block is not PSD at tolerance")
+    if not linalg.loewner_le(B, SymMat.identity(B.n), tol):
+        raise PreconditionViolated("compressed block exceeds the identity at tolerance")
+    return K, B
+
+
+def prescribed_strength_pair(R: RankOneProjection, s: float) -> Tuple[RankOneProjection, RankOneProjection]:
+    """Orthogonal projections P, Q with strength((1/2)P + Q, R) = s.
+
+    Works for 1/2 < s < 1: pick a unit x in a 2-plane through Im R with
+    <Rx, x> = (1 - s)/s, complete it with y orthogonal to x inside the
+    plane, and take P = xx^t, Q = yy^t. Then pR <= (1/2)P + Q iff p <= s.
+    The plane is spanned by Im R and the second column of
+    linalg.complete_basis(R.x), so the output is reproducible.
+    """
+    if not (0.5 < s < 1.0):
+        raise BadParameter("s must lie strictly between 1/2 and 1")
+    if R.n < 2:
+        raise DimensionMismatch("dimension must be at least 2")
+    r = R.x
+    g = linalg.complete_basis(r[:, None])[:, 1]
+    c = math.sqrt((1.0 - s) / s)
+    x = c * r + math.sqrt(1.0 - c * c) * g
+    y = -math.sqrt(1.0 - c * c) * r + c * g
+    return RankOneProjection(x), RankOneProjection(y)
+
+
 def one_third_decompose(
     A: SymMat, P: RankOneProjection, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[RankOneProjection]:
@@ -212,6 +346,34 @@ def one_third_decompose(
     if abs(float(np.trace(P.mat.a @ q_mat)) - 0.5) > gate:
         return None
     return RankOneProjection(spec.eigenvectors[:, -1])
+
+
+def maximal_diagonals(A, tol: Tolerances = DEFAULT_TOL) -> MaxDiagonalSet:
+    """Describe the maximal diagonal effects below a 2x2 matrix A.
+
+    Accepts an Effect or any PSD SymMat whose diagonal entries lie in
+    [0, 1]; the analysis depends only on the diagonal entries and the
+    determinant slack, so matrices with norm above one (but unit-bounded
+    diagonal) are legitimate inputs; PSD at the gate of linalg.is_psd.
+    """
+    mat = A.mat if isinstance(A, Effect) else A
+    if mat.n != 2:
+        raise DimensionMismatch("maximal diagonals are defined for 2x2 matrices")
+    m = mat.a
+    t, s, u = float(m[0, 0]), float(m[1, 1]), float(m[0, 1])
+    lam = linalg.eigvalsh(mat)
+    if not linalg._spectral_verdict(lam, False, tol):
+        raise NotPSD("input must be positive semidefinite")
+    for entry in (t, s):
+        if entry > 1.0 + tol.psd_tol:
+            raise OutOfInterval(f"diagonal entry {entry!r} above 1",
+                                offending_eigenvalue=entry)
+    if abs(u) <= tol.equality_tol:
+        effect = A if isinstance(A, Effect) else make_effect(mat, tol)
+        return SingletonDiagonal(effect=effect)
+    if abs(float(lam[0])) <= tol.rank_tol * (1.0 + abs(float(lam[1]))):
+        return ZeroOnly()
+    return DiagonalCurve(t=t, s=s, u=u, tol=tol)
 
 
 def sharp(X: SymMat, tol: Tolerances = DEFAULT_TOL) -> Effect:

@@ -44,6 +44,15 @@ class NotAnEffect(LoewnerError):
     """An input expected to lie in [0, I] does not."""
 
 
+class NotComparable(LoewnerError):
+    """Two matrices expected to be Loewner-comparable are not."""
+
+
+class PreconditionViolated(LoewnerError):
+    """A stated precondition failed (an order inequality, or orthonormal
+    columns for linalg.complete_basis); the message names it."""
+
+
 class BadParameter(LoewnerError):
     """A scalar parameter lies outside its admissible range."""
 

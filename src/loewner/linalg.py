@@ -55,6 +55,7 @@ from .errors import (
     DomainError,
     NonConvergence,
     NotPSD,
+    PreconditionViolated,
     Singular,
     TooLarge,
 )
@@ -1189,3 +1190,31 @@ def _orthonormalize(M: np.ndarray) -> np.ndarray:
             raise Singular("columns are numerically dependent")
         cols.append(w / norm)
     return np.column_stack(cols)
+
+
+def complete_basis(cols: np.ndarray) -> np.ndarray:
+    """Deterministically extend orthonormal columns to a full basis of R^n
+    by sweeping the standard basis.
+
+    Singular for more columns than rows; PreconditionViolated for columns
+    that are not orthonormal, entrywise to 1e-8 in C^t C - I. For
+    orthonormal columns the sweep completes: a unit vector it skips lies
+    within 1e-8 of the span of the vectors already kept, and the squared
+    distances of all n of them from an s-dimensional span sum to n - s."""
+    n, r = cols.shape
+    if r > n:
+        raise Singular("failed to complete the basis")
+    if not np.allclose(cols.T @ cols, np.eye(r), rtol=0.0, atol=1e-8):
+        raise PreconditionViolated("columns must be orthonormal")
+    out = [cols[:, j].copy() for j in range(r)]
+    for i in range(n):
+        if len(out) == n:
+            break
+        w = np.zeros(n)
+        w[i] = 1.0
+        for c in out:
+            w -= c * float(c @ w)
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-8:
+            out.append(w / norm)
+    return np.column_stack(out)

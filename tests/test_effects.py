@@ -1,6 +1,5 @@
 """Effect-algebra tests: strength closed form vs the bisection oracle,
-order witnesses, the order along rank-one segments, and the 2x2
-constructions with their exact fixtures."""
+order witnesses, and the 2x2 constructions with their exact fixtures."""
 
 import math
 
@@ -9,13 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import linalg, oracle
+from loewner import effects, linalg, oracle
 from loewner.effects import (
     BASIS_MINUS,
     BASIS_PLUS,
+    DiagonalCurve,
     RankOneProjection,
+    SingletonDiagonal,
+    ZeroOnly,
     make_effect,
+    maximal_diagonals,
     one_third_decompose,
+    prescribed_strength_pair,
+    rank_one_segment,
     sharp,
     standard_projection,
     strength,
@@ -24,11 +29,13 @@ from loewner.effects import (
 from loewner.errors import (
     BadParameter,
     DimensionMismatch,
+    NotComparable,
     NotDiagonal,
     NotPSD,
     OutOfInterval,
+    PreconditionViolated,
 )
-from loewner.linalg import DEFAULT_TOL, SymMat
+from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 E1 = standard_projection(0, 2)
 
@@ -337,8 +344,29 @@ class TestWitnessDirections:
 
 
 class TestRankOneSegment:
-    """The order along B = A + tP: points of one segment are comparable,
-    and two rank-one steps into a rank-two gap are not."""
+    def test_zero_difference(self):
+        eff = make_effect(SymMat(0.5 * np.eye(2)))
+        t, proj = rank_one_segment(eff, eff)
+        assert t == 0.0
+        assert proj.n == 2
+
+    def test_single_direction(self):
+        zero = make_effect(SymMat.zero(2))
+        upper = make_effect(SymMat(0.5 * E1.mat.a))
+        t, proj = rank_one_segment(zero, upper)
+        assert t == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(proj.mat.a, E1.mat.a, atol=1e-10)
+
+    def test_rank_two_difference(self):
+        zero = make_effect(SymMat.zero(2))
+        upper = make_effect(SymMat.diagonal([0.5, 0.5]))
+        assert rank_one_segment(zero, upper) is None
+
+    def test_not_comparable(self):
+        a = make_effect(SymMat.diagonal([1.0, 0.0]))
+        b = make_effect(SymMat.diagonal([0.0, 1.0]))
+        with pytest.raises(NotComparable):
+            rank_one_segment(a, b)
 
     def test_segment_pairs_always_comparable(self):
         s = oracle.Sampler(55)
@@ -348,7 +376,9 @@ class TestRankOneSegment:
             direction = RankOneProjection(s.rng.standard_normal(n))
             room = 1.0 - float(linalg.eigvalsh(base.mat)[-1])
             t = 0.9 * room
-            make_effect(SymMat(base.mat.a + t * direction.mat.a))     # the top stays in [0, I]
+            top = make_effect(SymMat(base.mat.a + t * direction.mat.a))
+            got = rank_one_segment(base, top)
+            assert got is not None
             for _ in range(30):
                 p, q = s.rng.uniform(0.0, t, size=2)
                 c = SymMat(base.mat.a + p * direction.mat.a)
@@ -366,6 +396,7 @@ class TestRankOneSegment:
             spec = linalg.eigh(gap)
             if float(spec.eigenvalues[-2]) < 1e-6:
                 continue
+            assert rank_one_segment(low, high) is None
             c = SymMat(low.mat.a + float(spec.eigenvalues[-1])
                        * np.outer(spec.eigenvectors[:, -1], spec.eigenvectors[:, -1]))
             d = SymMat(low.mat.a + float(spec.eigenvalues[-2])
@@ -376,18 +407,85 @@ class TestRankOneSegment:
             assert not linalg.loewner_le(d, c)
 
 
+class TestIdentityBlock:
+    def test_identity_input(self):
+        eff = make_effect(SymMat.identity(3))
+        basis, block = effects.identity_block(eff, standard_projection(0, 3),
+                                              standard_projection(1, 3))
+        assert basis.shape == (3, 2)
+        assert block.n == 1
+        assert block.a[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_block_read_off(self):
+        eff = make_effect(SymMat.diagonal([1.0, 1.0, 0.5]))
+        basis, block = effects.identity_block(eff, standard_projection(0, 3),
+                                              standard_projection(1, 3))
+        assert np.allclose(np.abs(basis), np.eye(3)[:, :2], atol=1e-12)
+        assert block.a[0, 0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_two_dimensional_block_is_empty(self):
+        eff = make_effect(SymMat.identity(2))
+        _, block = effects.identity_block(eff, standard_projection(0, 2),
+                                          standard_projection(1, 2))
+        assert block is None
+
+    def test_precondition_violation(self):
+        eff = make_effect(SymMat.diagonal([1.0, 0.5, 0.5]))
+        with pytest.raises(PreconditionViolated, match="Q <= A"):
+            effects.identity_block(eff, standard_projection(0, 3),
+                                   standard_projection(1, 3))
+
+    def test_rotated_inputs(self):
+        s = oracle.Sampler(70)
+        for _ in range(10):
+            n = int(s.rng.integers(3, 6))
+            frame = oracle.sample_orthogonal(s, n)
+            rest = s.rng.uniform(0.0, 1.0, size=n - 2)
+            lam = np.concatenate([[1.0, 1.0], rest])
+            mat = SymMat((frame * lam) @ frame.T)
+            eff = make_effect(mat)
+            p = RankOneProjection(frame[:, 0])
+            q = RankOneProjection(frame[:, 1])
+            basis, block = effects.identity_block(eff, p, q)
+            assert linalg.principal_angle(basis, frame[:, :2]) <= 1e-6
+            got = np.sort(linalg.eigvalsh(block))
+            assert np.allclose(got, np.sort(rest), atol=1e-9)
+
+
 class TestPrescribedStrengthPair:
+    def test_fixture_three_quarters(self):
+        p, q = prescribed_strength_pair(E1, 0.75)
+        combined = SymMat(0.5 * p.mat.a + q.mat.a)
+        assert strength(combined, E1) == pytest.approx(0.75, abs=1e-10)
+        assert abs(float(p.x @ q.x)) <= 1e-12
+
+    def test_boundary_parameters_rejected(self):
+        with pytest.raises(BadParameter):
+            prescribed_strength_pair(E1, 0.5)
+        with pytest.raises(BadParameter):
+            prescribed_strength_pair(E1, 1.0)
+
     def test_iff_threshold_by_bisection(self):
         # [DERIVED] the threshold for p R <= (1/2)P + Q is s, located by
-        # bisection over p against the PSD predicate: P = e_0 e_0^t and
-        # Q = e_1 e_1^t have <R e_0, e_0> = 1/2 = (1 - s)/s at s = 2/3
+        # bisection over p against the PSD predicate
         proj = RankOneProjection([1.0, 1.0])
         s_target = 2.0 / 3.0
-        combined = SymMat.diagonal([0.5, 1.0])
+        p, q = prescribed_strength_pair(proj, s_target)
+        combined = SymMat(0.5 * p.mat.a + q.mat.a)
         threshold = oracle.strength_bisection(combined, proj)
         assert threshold == pytest.approx(s_target, abs=1e-7)
         assert linalg.loewner_le(SymMat((s_target - 1e-6) * proj.mat.a), combined)
         assert not linalg.loewner_le(SymMat((s_target + 1e-6) * proj.mat.a), combined)
+
+    def test_round_trip_random(self):
+        s = oracle.Sampler(81)
+        for i in range(100):
+            n = 2 + i % 4
+            proj = RankOneProjection(s.rng.standard_normal(n))
+            target = float(s.rng.uniform(0.5 + 1e-3, 1.0 - 1e-3))
+            p, q = prescribed_strength_pair(proj, target)
+            combined = SymMat(0.5 * p.mat.a + q.mat.a)
+            assert strength(combined, proj) == pytest.approx(target, abs=1e-8)
 
 
 def three_condition_route(a: SymMat, p: RankOneProjection) -> bool:
@@ -452,24 +550,54 @@ class TestOneThirdDecompose:
 
 
 class TestMaximalDiagonals:
-    """2x2 matrices [[t, u], [u, s]] with u != 0: the maximal diagonals
-    below one form the arc (t - p)(s - q) = u^2, 0 <= p <= t, 0 <= q <= s,
-    and a singular one on the relative PSD gate is PSD."""
+    def test_diagonal_is_singleton(self):
+        eff = make_effect(SymMat.diagonal([0.5, 1.0 / 3.0]))
+        got = maximal_diagonals(eff)
+        assert isinstance(got, SingletonDiagonal)
+        assert got.effect is eff
+
+    def test_rank_one_off_diagonal(self):
+        eff = make_effect(SymMat([[0.5, 0.5], [0.5, 0.5]]))
+        assert isinstance(maximal_diagonals(eff), ZeroOnly)
+
+    def test_rank_two_curve(self):
+        # unit-bounded diagonal, though the matrix norm exceeds one
+        got = maximal_diagonals(SymMat([[1.0, 0.5], [0.5, 1.0]]))
+        assert isinstance(got, DiagonalCurve)
+        assert (got.t, got.s, got.u) == (1.0, 1.0, 0.5)
+        # (1 - 1/2)(1 - 1/2) = 1/4 = u^2
+        assert got.contains(0.5, 0.5)
+        assert not got.contains(1.0, 1.0)
 
     def test_takes_the_relative_psd_gate_of_is_psd(self):
         # lambda_min = -1.5e-9 clears -psd_tol * max(1, |lambda|max) =
         # -2.0000000015e-9, but not the absolute gate -psd_tol: is_psd and
-        # strength accept the matrix
+        # strength accept the matrix, and so does maximal_diagonals
         u = 1.0 + 1.5e-9
         a = SymMat([[1.0, u], [u, 1.0]])
         assert linalg.is_psd(a)
         assert strength(a, RankOneProjection([1.0, 1.0])) == pytest.approx(2.0 + 1.5e-9, rel=1e-12)
+        assert isinstance(maximal_diagonals(a), ZeroOnly)
+
+    def test_curve_rejects_points_outside_its_box(self):
+        # both points satisfy (t - p)(s - q) = u^2 with t = s = 1/2, u = 1/4
+        a = SymMat([[0.5, 0.25], [0.25, 0.5]])
+        curve = maximal_diagonals(a)
+        assert not curve.contains(-0.25, 0.5 - 1.0 / 12.0)          # p < 0
+        assert not curve.contains(0.75, 0.75)                       # p > t
+        # the curve tests at the tolerances it was built with: p = -5e-4
+        # lies inside the box at 1e-3, outside it at the default
+        p, q = -5e-4, 0.5 - 0.0625 / 0.5005
+        assert not curve.contains(p, q)
+        assert maximal_diagonals(a, Tolerances(1e-3)).contains(p, q)
 
     def test_curve_points_are_maximal(self):
-        t, s, u = 0.7, 0.5, 0.25
-        eff = make_effect(SymMat([[t, u], [u, s]]))
-        for p in np.linspace(0.0, t - u ** 2 / s, 7):
-            q = s - u ** 2 / (t - p)
+        eff = make_effect(SymMat([[0.7, 0.25], [0.25, 0.5]]))
+        curve = maximal_diagonals(eff)
+        assert isinstance(curve, DiagonalCurve)
+        for p in np.linspace(0.0, curve.t - curve.u ** 2 / curve.s, 7):
+            q = curve.s - curve.u ** 2 / (curve.t - p)
+            assert curve.contains(p, q)
             assert linalg.loewner_le(SymMat.diagonal([p, q]), eff.mat)
             bumped = SymMat.diagonal([p + 1e-4, q])
             assert not linalg.loewner_le(bumped, eff.mat)
@@ -508,11 +636,18 @@ _M3 = SymMat.identity(3)
 @pytest.mark.parametrize("call,error", [
     (lambda: RankOneProjection([0.0, 0.0]), BadParameter),
     (lambda: strength(SymMat.identity(2), RankOneProjection([1.0, 0.0, 0.0])), DimensionMismatch),
+    (lambda: effects.identity_block(make_effect(SymMat.identity(2)), _P2, _P2), PreconditionViolated),
+    (lambda: maximal_diagonals(_M3), DimensionMismatch),
     (lambda: sharp(_M3), DimensionMismatch),
     (lambda: one_third_decompose(_M3, _P2), DimensionMismatch),
+    (lambda: maximal_diagonals(SymMat.diagonal([-1.0, 1.0])), NotPSD),
+    (lambda: maximal_diagonals(SymMat([[2.0, 0.5], [0.5, 1.0]])), OutOfInterval),
     (lambda: sharp(SymMat.diagonal([2.0, 0.0])), OutOfInterval),
-], ids=["zero_direction", "strength_dimensions", "sharp_3x3", "one_third_decompose_3x3",
-        "sharp_entry_above_one"])
+    (lambda: prescribed_strength_pair(RankOneProjection([1.0]), 0.75), DimensionMismatch),
+], ids=["zero_direction", "strength_dimensions", "identity_block_p_equals_q",
+        "maximal_diagonals_3x3", "sharp_3x3", "one_third_decompose_3x3",
+        "maximal_diagonals_not_psd", "maximal_diagonals_entry_above_one",
+        "sharp_entry_above_one", "prescribed_pair_n1"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()

@@ -9,6 +9,7 @@ CLI command gets there. `python tests/reach.py` lists the lines no test
 reaches."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +27,12 @@ from loewner.cli import main
 from loewner.effects import (
     Effect,
     RankOneProjection,
+    SingletonDiagonal,
+    identity_block,
     make_effect,
+    maximal_diagonals,
     one_third_decompose,
+    rank_one_segment,
     standard_projection,
     strength,
     strength_witness,
@@ -39,6 +44,7 @@ from loewner.errors import (
     NotAutomorphism,
     NotIsomorphic,
     NotPSD,
+    PreconditionViolated,
     Singular,
 )
 from loewner.intervals import CanonicalClass, canonical_interval, iso_between
@@ -107,6 +113,76 @@ class TestBasisHelpers:
         with pytest.raises(Singular, match="numerically dependent"):
             linalg.principal_angle(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), np.eye(3)[:, :2])
 
+    def test_more_columns_than_rows_complete_no_basis(self):
+        with pytest.raises(Singular, match="failed to complete the basis"):
+            linalg.complete_basis(np.eye(2, 3))
+
+    @pytest.mark.parametrize("cols", [np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
+                                      np.array([[2.0], [0.0]]), np.array([[1.0, 0.6], [0.0, 0.8]])])
+    def test_columns_that_are_not_orthonormal_complete_no_basis(self, cols):
+        with pytest.raises(PreconditionViolated, match="columns must be orthonormal"):
+            linalg.complete_basis(cols)
+
+    def test_orthonormal_columns_complete_to_an_orthogonal_matrix(self):
+        q = np.linalg.qr(np.random.default_rng(53).standard_normal((5, 5)))[0]
+        for r in range(6):
+            full = linalg.complete_basis(q[:, :r])
+            assert np.array_equal(full[:, :r], q[:, :r])
+            assert np.allclose(full.T @ full, np.eye(5), rtol=0.0, atol=1e-14)
+
+
+class TestIdentityBlock:
+    E0, E1 = standard_projection(0, 3), standard_projection(1, 3)
+
+    def test_projections_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            identity_block(make_effect(SymMat.identity(3)), standard_projection(0, 2), self.E1)
+
+    def test_a_matrix_above_the_identity(self):
+        # an Effect built without make_effect; P <= A and Q <= A hold
+        with pytest.raises(PreconditionViolated, match="A <= I fails"):
+            identity_block(Effect(mat=SymMat.diagonal([1.0, 1.0, 2.0])), self.E0, self.E1)
+
+    def test_nearly_parallel_projections_amplify_the_residual(self):
+        # P <= A, Q <= A and A <= I hold for this effect, but k2 = e_1 and
+        # A e_1 - e_1 has norm 1e-3, above 10 sqrt(psd_tol)
+        s = 5e-4
+        with pytest.raises(PreconditionViolated, match="does not act as the identity"):
+            identity_block(make_effect(SymMat.diagonal([1.0, 1.0 - 1e-3])), standard_projection(0, 2),
+                           RankOneProjection([math.sqrt(1.0 - s * s), s]))
+
+    def test_an_off_diagonal_block_at_the_residual_gate(self):
+        # an effect at psd_tol 1e-6 (certificate 1e-2): A e_1 - e_1 has norm
+        # just below the gate, nearly all of it in the complement, and
+        # A e_0 - e_0 adds 5e-4 there, which puts |K^t A W| above the gate
+        tol = Tolerances(1e-6)
+        a = make_effect(SymMat([[1.0 + 5e-7, 0.0, 5e-4, 0.0], [0.0, 1.0 - 1.2e-4, 0.0, 0.009999],
+                                [5e-4, 0.0, 0.3, 0.0], [0.0, 0.009999, 0.0, 0.01]]), tol)
+        q = RankOneProjection([math.sqrt(1.0 - 1e-6), 1e-3, 0.0, 0.0])
+        with pytest.raises(PreconditionViolated, match="off-diagonal block"):
+            identity_block(a, standard_projection(0, 4), q, tol)
+
+    def test_a_compressed_block_below_the_gate(self):
+        # A - P and A - Q have |lambda|max above 1, which widens their PSD
+        # gates past the -1.0000000001e-9 that the compression keeps alone
+        a = SymMat.diagonal([1.0, 1.0 + 5e-10, -1e-9 * (1.0 + 1e-10)])
+        with pytest.raises(PreconditionViolated, match="not PSD"):
+            identity_block(Effect(mat=a), self.E0, RankOneProjection([1.0, 1.0, 0.0]))
+
+    def test_a_compressed_block_above_the_identity(self):
+        # at psd_tol 1e-3: A has the eigenvalue -h, h = 5e-4, along a
+        # direction that leans 0.1 into K, which widens the gate of A <= I
+        # past the eigenvalue 1 + g of the complement, g = 1.00025e-3
+        tol, h = Tolerances(1e-3), 5e-4
+        g = 1e-3 * (1.0 + h / 2.0)
+        lean = 0.1
+        up = np.array([0.0, math.sqrt(1.0 - lean * lean), -lean, 0.0])
+        down = np.array([0.0, lean, math.sqrt(1.0 - lean * lean), 0.0])
+        a = np.diag([1.0, 0.0, 0.0, 1.0 + g]) + np.outer(up, up) - h * np.outer(down, down)
+        q = RankOneProjection([math.sqrt(1.0 - 0.005 ** 2), 0.005, 0.0, 0.0])
+        with pytest.raises(PreconditionViolated, match="exceeds the identity"):
+            identity_block(Effect(mat=SymMat(a)), standard_projection(0, 4), q, tol)
+
 
 class TestTwoByTwoConstructions:
     def test_one_third_form_with_the_wrong_trace_pairing(self):
@@ -114,6 +190,15 @@ class TestTwoByTwoConstructions:
         assert one_third_decompose(a, standard_projection(0, 2)) is None      # tr(PQ) = 1
         q = one_third_decompose(a, RankOneProjection([1.0, 1.0]))             # tr(PQ) = 1/2
         assert np.allclose(np.abs(q.x), [1.0, 0.0])
+
+    def test_rank_one_segment_in_dimension_one(self):
+        t, p = rank_one_segment(make_effect(SymMat([[0.25]])), make_effect(SymMat([[0.75]])))
+        assert t == 0.5 and p.x.tolist() == [1.0]
+
+    def test_maximal_diagonals_of_a_diagonal_matrix(self):
+        d = SymMat.diagonal([0.3, 0.6])
+        result = maximal_diagonals(d)
+        assert isinstance(result, SingletonDiagonal) and result.effect.mat is d
 
     def test_a_witness_direction_in_the_kernel_of_the_first_argument(self):
         # both PSD at psd_tol max(1, 1000); B - A = diag(0, -2e-9) refutes

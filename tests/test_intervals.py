@@ -7,6 +7,7 @@ from loewner import linalg, oracle
 from loewner.automorphisms import EffectAutomorphism
 from loewner.effects import make_effect
 from loewner.errors import (
+    DimensionMismatch,
     IntermediateSingular,
     InvalidSpec,
     NotIsomorphic,
@@ -267,7 +268,7 @@ class TestIsoBetween:
 
 class TestConeAutomorphism:
     """X -> T X T^t, a Congruence, maps the PSD cone onto itself and the
-    open cone onto itself."""
+    open cone onto itself; apply_chain refuses an input off the cone."""
 
     def test_identity(self):
         x = SymMat([[1.0, 0.2], [0.2, 0.7]])
@@ -285,6 +286,15 @@ class TestConeAutomorphism:
             x = SymMat(oracle._sample_psd(s, 3) + 0.2 * np.eye(3))
             got = Congruence(generator=t).apply(x)
             assert linalg.loewner_lt(SymMat.zero(3), got)
+
+    def test_out_of_domain(self):
+        congruence = chain_of(Congruence(generator=np.eye(2)))
+        with pytest.raises(OutOfDomain):
+            apply_chain(congruence, SymMat.diagonal([-1.0, 1.0]),
+                        canonical_interval(CanonicalClass.POSITIVE_CLOSED, 2))
+        with pytest.raises(OutOfDomain):
+            apply_chain(congruence, SymMat.diagonal([0.0, 1.0]),
+                        canonical_interval(CanonicalClass.POSITIVE_OPEN, 2))
 
 
 class TestCongruenceGate:
@@ -307,9 +317,25 @@ class TestCongruenceGate:
             Congruence(generator=np.diag([entry, 1.0]))
 
 
+def affine(t, shift):
+    """X -> T X T^t + S as a chain: a Congruence, then a Translate."""
+    return chain_of(Congruence(generator=t), Translate(shift=shift))
+
+
+def whole(n):
+    return canonical_interval(CanonicalClass.WHOLE, n)
+
+
 class TestAffineAutomorphism:
     """X -> T X T^t + S, a Congruence then a Translate, preserves the order
     of the whole space."""
+
+    def test_identity(self):
+        x = SymMat([[1.0, -0.3], [-0.3, 2.0]])
+        assert np.allclose(apply_chain(affine(np.eye(2), ZERO2), x, whole(2)).a, x.a)
+
+    def test_pure_shift(self):
+        assert np.allclose(apply_chain(affine(np.eye(2), EYE2), ZERO2, whole(2)).a, np.eye(2))
 
     def test_order_preservation(self):
         s = oracle.Sampler(37)
@@ -321,6 +347,11 @@ class TestAffineAutomorphism:
             high = SymMat(low.a + oracle._sample_psd(s, n))
             assert linalg.loewner_le(translate.apply(congruence.apply(low)),
                                      translate.apply(congruence.apply(high)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_image_past_the_range_is_too_large(self):
+        with pytest.raises(TooLarge):
+            apply_chain(affine(1e200 * np.eye(2), ZERO2), SymMat([[1e200, 0.0], [0.0, 1.0]]), whole(2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -382,8 +413,13 @@ class TestConjugationBridge:
     (lambda: Endpoint(kind="plus_infinity", matrix=ZERO2), InvalidSpec),
     (lambda: Congruence(generator=np.ones((2, 3))), InvalidSpec),
     (lambda: Congruence(generator=np.diag([1.0, 0.0])), Singular),
+    (lambda: apply_chain(chain_of(Congruence(generator=np.eye(3))), ZERO2,
+                         canonical_interval(CanonicalClass.POSITIVE_CLOSED, 3)), DimensionMismatch),
+    (lambda: apply_chain(affine(np.eye(3), ZERO2), SymMat.zero(3), whole(3)), DimensionMismatch),
+    (lambda: apply_chain(affine(np.eye(2), ZERO2), SymMat.zero(3), whole(2)), DimensionMismatch),
 ], ids=["dimension_zero", "upper_minus_infinity", "endpoint_dimension",
-        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular"])
+        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular",
+        "cone_automorphism_dimensions", "affine_shift_dimension", "affine_apply_dimensions"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()

@@ -186,9 +186,10 @@ class TestOverflowRule:
         with pytest.raises(TooLarge):
             Congruence(generator=1e200 * np.eye(2)).apply(SymMat.identity(2))
 
-    def test_the_identity_congruence_returns_a_top_of_range_input(self):
+    def test_the_identity_affine_map_returns_its_input_at_the_top_of_the_range(self):
+        # X -> T X T^t + S with T = I, S = 0: a Congruence, then a Translate
         x = SymMat(np.diag([1.7e308, 1.0]))
-        image = Congruence(generator=np.eye(2)).apply(x)
+        image = Translate(shift=SymMat.zero(2)).apply(Congruence(generator=np.eye(2)).apply(x))
         assert image.a.tobytes() == x.a.tobytes()
 
     @pytest.mark.parametrize("value", [1.7976931348623157e308, -1.7976931348623157e308])
