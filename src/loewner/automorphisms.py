@@ -135,20 +135,33 @@ class EffectAutomorphism:
         cond = float(lam[-1]) / float(lam[0])
         return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
-    def _image(self, x: np.ndarray) -> SymMat:
-        """T (X (T^t T - I) + I)^{-1} X T^t for the matrix x of an effect,
-        not certified into [0, I]; InternalInversionFailure when the solve
-        fails."""
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        """T (X (T^t T - I) + I)^{-1} X T^t for each matrix X of the stack
+        xs, of shape (..., n, n), averaged with its transpose: one stacked
+        solve and one pair of products, with the bits of one matrix at a
+        time. The average has SymMat's bits, and a bitwise symmetric
+        matrix keeps its own, unless an entry reaches 2^1023 and the sum
+        overflows to inf. Not certified into [0, I] and not tested for
+        finiteness: _image's SymMat refuses an image that is not finite,
+        and so does the residual check of a recovery, whose norm is then
+        not at most 1e-6. InternalInversionFailure when the solve fails."""
         # Invertible for every effect: with G = T^t T > 0 and 0 <= X <= I,
         # X (G - I) + I has the spectrum of X^{1/2} G X^{1/2} + I - X > 0.
         eye = np.eye(self.n)
-        m = x @ (self.gram.a - eye) + eye
+        m = xs @ (self.gram.a - eye) + eye
         try:
-            z = np.linalg.solve(m, x)
+            z = np.linalg.solve(m, xs)
         except np.linalg.LinAlgError as exc:
             raise InternalInversionFailure(
                 "certified-invertible matrix was numerically intractable") from exc
-        return SymMat(self.t @ z @ self.t.T)
+        w = self.t @ z @ self.t.T
+        # an average that overflows reads inf, refused as above with no warning
+        with np.errstate(over="ignore"):
+            return (w + np.swapaxes(w, -1, -2)) / 2.0
+
+    def _image(self, x: np.ndarray) -> SymMat:
+        """_images of the matrix x of one effect, as a SymMat."""
+        return SymMat(self._images(x))
 
     def apply(self, X) -> Effect:
         """Evaluate T (X (T^t T - I) + I)^{-1} X T^t (_image), certified
@@ -216,6 +229,11 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     Gaussian S is squeezed affinely from the ends lo, hi of its Jacobi
     spectrum onto [0.1, 0.9], so probes stay away from the boundary.
 
+    The count Gaussians are one (count, n, n) draw, which takes the same
+    values from the generator's stream, in the same order, as count draws
+    of (n, n); they are symmetrized and squeezed as one stack, with the
+    bits of one matrix at a time, and each spectrum is one eigvalsh.
+
     Each is an effect by the bound below, so none is certified. The
     computed lo and hi lie within eps = linalg._jacobi_error(n, ||S||_F)
     of the ends of the true spectrum, so c (S - lo I) + 0.1 I, with
@@ -228,19 +246,18 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     _CONVERSION_CHECK_SEED, twenty) and every n in 2..44, c eps is at most
     1.01e-10 and hi - lo at least 0.287, so the guard takes no seeded
     draw."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        g = rng.standard_normal((n, n))
-        sym = SymMat(g)
-        lam = linalg.eigvalsh(sym)
-        lo, hi = float(lam[0]), float(lam[-1])
-        if hi - lo <= 16.0 * linalg._jacobi_error(n, float(np.linalg.norm(sym.a))):
-            out.append(Effect(mat=SymMat(0.5 * np.eye(n))))
-            continue
-        scaled = (sym.a - lo * np.eye(n)) * (0.8 / (hi - lo)) + 0.1 * np.eye(n)
-        out.append(Effect(mat=SymMat(scaled)))
-    return out
+    draws = np.random.default_rng(seed).standard_normal((count, n, n))
+    syms = (draws + np.swapaxes(draws, 1, 2)) / 2.0
+    spectra = [linalg.eigvalsh(SymMat(s)) for s in syms]
+    lo, hi = np.array([(lam[0], lam[-1]) for lam in spectra]).T
+    flat = hi - lo <= 16.0 * linalg._jacobi_error(n, np.linalg.norm(syms, axis=(1, 2)))
+    eye = np.eye(n)
+    # a flat spectrum divides by zero here; its effect is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = ((syms - lo[:, None, None] * eye) * (0.8 / (hi - lo))[:, None, None]
+                  + 0.1 * eye)
+    scaled[flat] = 0.5 * eye
+    return [Effect(mat=SymMat(s)) for s in scaled]
 
 
 def recovery_probe_effects(n: int) -> List[Effect]:
@@ -285,10 +302,13 @@ def recover_generator(
     The image of (1/2)I determines T T^t; probing the basis projections
     recovers the orthogonal factor column by column, with per-column sign
     ambiguity resolved through the mixed (e_1 + e_j) projections. A final
-    residual check compares the rebuilt map's uncertified image
-    (EffectAutomorphism._image) against the oracle's on ten deterministic
-    effects: a Frobenius residual that is not at most 1e-6, NaN included,
-    raises NotAutomorphism, and a failed solve InternalInversionFailure.
+    residual check compares the rebuilt map's uncertified images of ten
+    deterministic effects, formed as one stack (EffectAutomorphism._images)
+    before the check, against the oracle's: a Frobenius residual that is
+    not at most 1e-6, NaN included, raises NotAutomorphism, and a failed
+    solve InternalInversionFailure. The oracle sees the probes in the
+    order of recovery_probe_effects, one call each, and none after the
+    first residual that fails.
     """
     if n < 2:
         raise DimensionMismatch("dimension must be at least 2")
@@ -344,9 +364,9 @@ def recover_generator(
         raise NotAutomorphism("recovered frame is not orthogonal")
 
     phi = EffectAutomorphism(M.a @ O, tol)
-    for probe in residual_probes:
-        image = oracle(probe)
-        if not float(np.linalg.norm(phi._image(probe.mat.a).a - image.mat.a)) <= 1e-6:
+    mine = phi._images(np.array([probe.mat.a for probe in residual_probes]))
+    for probe, image in zip(residual_probes, mine):
+        if not float(np.linalg.norm(image - oracle(probe).mat.a)) <= 1e-6:
             raise NotAutomorphism("residual check against the oracle failed")
     return phi
 
@@ -442,11 +462,13 @@ def mobius_to_canonical(params: MobiusParams) -> EffectAutomorphism:
     """Convert the fractional-linear form to generator form by running the
     recovery algorithm against it at the tolerances of params, then
     verify on twenty deterministic effects (_random_effects) that the
-    generator's uncertified image (EffectAutomorphism._image) is within
-    1e-6 of the fractional-linear one in the Frobenius norm; NaN fails."""
+    generator's uncertified images, formed as one stack before the check
+    (EffectAutomorphism._images), are each within 1e-6 of the
+    fractional-linear one in the Frobenius norm, in order; NaN fails."""
     phi = recover_generator(lambda E: mobius_apply(params, E), params.n, params.tol)
-    for probe in _random_effects(params.n, 20, _CONVERSION_CHECK_SEED):
-        direct = mobius_apply(params, probe)
-        if not float(np.linalg.norm(phi._image(probe.mat.a).a - direct.mat.a)) <= 1e-6:
+    probes = _random_effects(params.n, 20, _CONVERSION_CHECK_SEED)
+    mine = phi._images(np.array([probe.mat.a for probe in probes]))
+    for probe, image in zip(probes, mine):
+        if not float(np.linalg.norm(image - mobius_apply(params, probe).mat.a)) <= 1e-6:
             raise NotAutomorphism("canonical form does not reproduce the fractional-linear map")
     return phi

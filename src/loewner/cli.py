@@ -119,21 +119,23 @@ def _parse_dimension(value) -> int:
     return n
 
 
-def _number(value, field: str) -> float:
+def _number(value, name: str, index: int) -> float:
     """A JSON number that is not a boolean, as a finite double; ValueError
-    naming the field (plural) for anything else."""
+    naming the entry, name[index], for anything else. The message is
+    formed only on refusal."""
     if type(value) not in (int, float):
-        raise ValueError(f"{field} must be numbers, got {value!r}")
+        raise ValueError(f"{name}[{index}] must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:   # exact for an int of any size
-        raise ValueError(f"{field} must be finite" if type(value) is float
-                         else f"{field} must fit in a double")
+        raise ValueError(f"{name}[{index}] must be finite" if type(value) is float
+                         else f"{name}[{index}] must fit in a double")
     return float(value)
 
 
 def parse_square(doc: dict, name: str = "matrix") -> np.ndarray:
     n = _parse_dimension(_field(doc, "n", name))
-    data = [_number(v, "matrix entries")
-            for v in _array(_field(doc, "data", name), f'{name} "data"')]
+    entries = f'{name} "data"'
+    data = [_number(v, entries, i)
+            for i, v in enumerate(_array(_field(doc, "data", name), entries))]
     if n < 1 or len(data) != n * n:
         raise ValueError(f'{name} "data" length {len(data)} does not match n={n}')
     return np.array(data, dtype=float).reshape(n, n)
@@ -175,8 +177,8 @@ def _strength(args) -> dict:
     mat = parse_symmetric(load_json(args.a), "input matrix")
     payload = load_json(args.x)
     vector = _field(payload, "x", "direction") if type(payload) is dict else payload
-    proj = RankOneProjection([_number(v, "direction components")
-                              for v in _array(vector, "direction")])
+    proj = RankOneProjection([_number(v, "direction", i)
+                              for i, v in enumerate(_array(vector, "direction"))])
     return {"alpha": effects.strength(mat, proj, args.tol)}
 
 

@@ -1,8 +1,8 @@
 """The unit matrix interval [0, I]: membership, rank-one projections, the
 strength function along a projection and its order witness, rank-one
 segments, the identity block of an effect, and the explicit 2x2
-constructions (prescribed-strength pairs, the one-third decomposition,
-maximal diagonals and the sharp rotation).
+constructions (the one-third decomposition, maximal diagonals and the
+sharp rotation).
 
 The strength of a positive A along a rank-one projection P = xx^t is the
 largest t with tP <= A. For x in the range of A it has the closed form
@@ -301,27 +301,6 @@ def identity_block(
     if not linalg.loewner_le(B, SymMat.identity(B.n), tol):
         raise PreconditionViolated("compressed block exceeds the identity at tolerance")
     return K, B
-
-
-def prescribed_strength_pair(R: RankOneProjection, s: float) -> Tuple[RankOneProjection, RankOneProjection]:
-    """Orthogonal projections P, Q with strength((1/2)P + Q, R) = s.
-
-    Works for 1/2 < s < 1: pick a unit x in a 2-plane through Im R with
-    <Rx, x> = (1 - s)/s, complete it with y orthogonal to x inside the
-    plane, and take P = xx^t, Q = yy^t. Then pR <= (1/2)P + Q iff p <= s.
-    The plane is spanned by Im R and the second column of
-    linalg.complete_basis(R.x), so the output is reproducible.
-    """
-    if not (0.5 < s < 1.0):
-        raise BadParameter("s must lie strictly between 1/2 and 1")
-    if R.n < 2:
-        raise DimensionMismatch("dimension must be at least 2")
-    r = R.x
-    g = linalg.complete_basis(r[:, None])[:, 1]
-    c = math.sqrt((1.0 - s) / s)
-    x = c * r + math.sqrt(1.0 - c * c) * g
-    y = -math.sqrt(1.0 - c * c) * r + c * g
-    return RankOneProjection(x), RankOneProjection(y)
 
 
 def one_third_decompose(

@@ -1,6 +1,7 @@
 """Automorphism-group tests: the defining formula, group laws, generator
 recovery, and the fractional-linear parametrization bridge."""
 
+import hashlib
 import math
 import warnings
 
@@ -403,6 +404,60 @@ class TestRecoverGenerator:
         assert np.allclose(probes[1].mat.a, np.diag([1.0, 0.0, 0.0]))
         mixed = probes[4].mat.a
         assert mixed[0, 1] == pytest.approx(0.5)
+
+    def test_probe_protocol_keeps_its_bits(self):
+        # `phi recover` finds each probe image by the exact bits of its
+        # input, so the probes are pinned at every n the CLI takes a
+        # payload for, and the conversion check's effects with them
+        digest = hashlib.sha256()
+        for n in [*range(2, 17), 24, 44]:
+            for probe in recovery_probe_effects(n):
+                digest.update(probe.mat.a.tobytes())
+        for n in range(2, 7):
+            for probe in automorphisms._random_effects(n, 20, automorphisms._CONVERSION_CHECK_SEED):
+                digest.update(probe.mat.a.tobytes())
+        assert digest.hexdigest() == (
+            "f53ae28737ac2461d6024270edade73714fba096f00b0aa6d2b1671ff8a269c2")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16, 44])
+    def test_stacked_images_keep_the_bits_of_one_at_a_time(self, n):
+        phi = EffectAutomorphism(oracle.sample_invertible(oracle.Sampler(n), n))
+        probes = [probe.mat.a for probe in recovery_probe_effects(n)]
+        stacked = phi._images(np.array(probes))
+        eye = np.eye(n)
+        for x, image in zip(probes, stacked):
+            # the defining formula on one matrix, as a loop would form it
+            one = SymMat(phi.t @ np.linalg.solve(x @ (phi.gram.a - eye) + eye, x) @ phi.t.T)
+            assert image.tobytes() == one.a.tobytes() == phi._image(x).a.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_oracle_sees_the_probes_in_order(self, n):
+        phi = EffectAutomorphism(oracle.sample_invertible(oracle.Sampler(n), n))
+        seen = []
+
+        def recording(e: Effect) -> Effect:
+            seen.append(e.mat.a.tobytes())
+            return phi.apply(e)
+
+        assert recover_generator(recording, n).equals(phi)
+        assert seen == [probe.mat.a.tobytes() for probe in recovery_probe_effects(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_first_failed_residual_stops_the_oracle(self, n):
+        # 1 + n + (n - 1) probes come before the ten residual ones; the
+        # third of those gets a wrong image, and no probe after it is asked
+        phi = EffectAutomorphism(oracle.sample_invertible(oracle.Sampler(n), n))
+        calls = []
+
+        def wrong_third_residual(e: Effect) -> Effect:
+            calls.append(e)
+            if len(calls) == 2 * n + 3:
+                return half_identity(n)
+            return phi.apply(e)
+
+        with pytest.raises(NotAutomorphism, match="residual check"):
+            recover_generator(wrong_third_residual, n)
+        assert len(calls) == 2 * n + 3
 
 
 class TestUnitMobius:

@@ -276,15 +276,15 @@ class TestTopOfTheFloatRange:
     def test_a_diagonal_entry_that_is_not_finite_is_refused(self, capsys, data):
         code, out, err = self.run_quietly(capsys, ["order", '{"n":1,"data":[1]}',
                                                    f'{{"n":1,"data":{data}}}'])
-        assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+        assert (code, out, err) == (2, "", 'error: second input "data"[0] must be finite\n')
 
     @pytest.mark.parametrize("data", ["[1,Infinity,1,1]", "[1,NaN,NaN,1]", "[1,-Infinity,0,1]"])
     def test_an_off_diagonal_entry_that_is_not_finite_is_refused(self, capsys, data):
         # refused as read, before any asymmetry is measured or reported
-        for argv in (["order", f'{{"n":2,"data":{data}}}', EYE],
-                     ["phi", "apply", f'{{"n":2,"data":{data}}}', HALF]):
+        for argv, name in ((["order", f'{{"n":2,"data":{data}}}', EYE], "first input"),
+                           (["phi", "apply", f'{{"n":2,"data":{data}}}', HALF], "generator")):
             code, out, err = self.run_quietly(capsys, argv)
-            assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+            assert (code, out, err) == (2, "", f'error: {name} "data"[1] must be finite\n')
 
     def test_an_asymmetry_past_the_range_is_reported_without_a_warning(self, capsys):
         # 1.7e308 - (-1.7e308) overflows; the average, 0, is the identity
@@ -434,8 +434,8 @@ class TestNumberFields:
     """A matrix entry or a direction component is a JSON number that is
     not a boolean and fits in a double, and an endpoint's "closed" is a
     JSON boolean: anything else, and JSON nested too deeply to decode, is
-    malformed input (exit 2) with a message naming the field, and no
-    warning or traceback."""
+    malformed input (exit 2) with a message naming the entry, by its
+    document, key and index, and no warning or traceback."""
 
     BIG = "1" + "0" * 400                      # a 401-digit integer
 
@@ -444,22 +444,34 @@ class TestNumberFields:
             warnings.simplefilter("error")
             return run(capsys, argv)
 
+    # Each id names the kind of field and the refusal; the message pinned
+    # names the entry itself, by document, key and index.
     @pytest.mark.parametrize("argv, message", [
-        (["order", '{"n":1,"data":["1e3"]}', '{"n":1,"data":[true]}'],
-         "matrix entries must be numbers, got '1e3'"),
-        (["order", '{"n":1,"data":[1]}', '{"n":1,"data":[true]}'],
-         "matrix entries must be numbers, got True"),
-        (["phi", "apply", '{"n":2,"data":[2,0,0,null]}', HALF],
-         "matrix entries must be numbers, got None"),
-        (["order", f'{{"n":1,"data":[{BIG}]}}', '{"n":1,"data":[1]}'],
-         "matrix entries must fit in a double"),
-        (["order", f'{{"n":1,"data":[-{BIG}]}}', '{"n":1,"data":[1]}'],
-         "matrix entries must fit in a double"),
-        (["strength", EYE, '["1",true]'], "direction components must be numbers, got '1'"),
-        (["strength", EYE, '{"x":[1,false]}'], "direction components must be numbers, got False"),
-        (["strength", EYE, f"[1,{BIG}]"], "direction components must fit in a double"),
-        (["strength", EYE, "[1,Infinity]"], "direction components must be finite"),
-        (["strength", EYE, "[NaN,1]"], "direction components must be finite"),
+        pytest.param(["order", '{"n":1,"data":["1e3"]}', '{"n":1,"data":[true]}'],
+                     """first input "data"[0] must be a number, got '1e3'""",
+                     id="argv0-matrix entries must be numbers, got '1e3'"),
+        pytest.param(["order", '{"n":1,"data":[1]}', '{"n":1,"data":[true]}'],
+                     'second input "data"[0] must be a number, got True',
+                     id="argv1-matrix entries must be numbers, got True"),
+        pytest.param(["phi", "apply", '{"n":2,"data":[2,0,0,null]}', HALF],
+                     'generator "data"[3] must be a number, got None',
+                     id="argv2-matrix entries must be numbers, got None"),
+        pytest.param(["order", f'{{"n":1,"data":[{BIG}]}}', '{"n":1,"data":[1]}'],
+                     'first input "data"[0] must fit in a double',
+                     id="argv3-matrix entries must fit in a double"),
+        pytest.param(["order", f'{{"n":1,"data":[-{BIG}]}}', '{"n":1,"data":[1]}'],
+                     'first input "data"[0] must fit in a double',
+                     id="argv4-matrix entries must fit in a double"),
+        pytest.param(["strength", EYE, '["1",true]'], "direction[0] must be a number, got '1'",
+                     id="argv5-direction components must be numbers, got '1'"),
+        pytest.param(["strength", EYE, '{"x":[1,false]}'], "direction[1] must be a number, got False",
+                     id="argv6-direction components must be numbers, got False"),
+        pytest.param(["strength", EYE, f"[1,{BIG}]"], "direction[1] must fit in a double",
+                     id="argv7-direction components must fit in a double"),
+        pytest.param(["strength", EYE, "[1,Infinity]"], "direction[1] must be finite",
+                     id="argv8-direction components must be finite"),
+        pytest.param(["strength", EYE, "[NaN,1]"], "direction[0] must be finite",
+                     id="argv9-direction components must be finite"),
     ])
     def test_a_value_that_is_not_a_number_is_refused(self, capsys, argv, message):
         assert self.run_strictly(capsys, argv) == (2, "", f"error: {message}\n")

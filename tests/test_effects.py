@@ -19,7 +19,6 @@ from loewner.effects import (
     make_effect,
     maximal_diagonals,
     one_third_decompose,
-    prescribed_strength_pair,
     rank_one_segment,
     sharp,
     standard_projection,
@@ -452,42 +451,6 @@ class TestIdentityBlock:
             assert np.allclose(got, np.sort(rest), atol=1e-9)
 
 
-class TestPrescribedStrengthPair:
-    def test_fixture_three_quarters(self):
-        p, q = prescribed_strength_pair(E1, 0.75)
-        combined = SymMat(0.5 * p.mat.a + q.mat.a)
-        assert strength(combined, E1) == pytest.approx(0.75, abs=1e-10)
-        assert abs(float(p.x @ q.x)) <= 1e-12
-
-    def test_boundary_parameters_rejected(self):
-        with pytest.raises(BadParameter):
-            prescribed_strength_pair(E1, 0.5)
-        with pytest.raises(BadParameter):
-            prescribed_strength_pair(E1, 1.0)
-
-    def test_iff_threshold_by_bisection(self):
-        # [DERIVED] the threshold for p R <= (1/2)P + Q is s, located by
-        # bisection over p against the PSD predicate
-        proj = RankOneProjection([1.0, 1.0])
-        s_target = 2.0 / 3.0
-        p, q = prescribed_strength_pair(proj, s_target)
-        combined = SymMat(0.5 * p.mat.a + q.mat.a)
-        threshold = oracle.strength_bisection(combined, proj)
-        assert threshold == pytest.approx(s_target, abs=1e-7)
-        assert linalg.loewner_le(SymMat((s_target - 1e-6) * proj.mat.a), combined)
-        assert not linalg.loewner_le(SymMat((s_target + 1e-6) * proj.mat.a), combined)
-
-    def test_round_trip_random(self):
-        s = oracle.Sampler(81)
-        for i in range(100):
-            n = 2 + i % 4
-            proj = RankOneProjection(s.rng.standard_normal(n))
-            target = float(s.rng.uniform(0.5 + 1e-3, 1.0 - 1e-3))
-            p, q = prescribed_strength_pair(proj, target)
-            combined = SymMat(0.5 * p.mat.a + q.mat.a)
-            assert strength(combined, proj) == pytest.approx(target, abs=1e-8)
-
-
 def three_condition_route(a: SymMat, p: RankOneProjection) -> bool:
     """Independent check: a - p/2, a - (I-p)/2, I - a all PSD of rank <= 1."""
     eye = np.eye(2)
@@ -643,11 +606,10 @@ _M3 = SymMat.identity(3)
     (lambda: maximal_diagonals(SymMat.diagonal([-1.0, 1.0])), NotPSD),
     (lambda: maximal_diagonals(SymMat([[2.0, 0.5], [0.5, 1.0]])), OutOfInterval),
     (lambda: sharp(SymMat.diagonal([2.0, 0.0])), OutOfInterval),
-    (lambda: prescribed_strength_pair(RankOneProjection([1.0]), 0.75), DimensionMismatch),
 ], ids=["zero_direction", "strength_dimensions", "identity_block_p_equals_q",
         "maximal_diagonals_3x3", "sharp_3x3", "one_third_decompose_3x3",
         "maximal_diagonals_not_psd", "maximal_diagonals_entry_above_one",
-        "sharp_entry_above_one", "prescribed_pair_n1"])
+        "sharp_entry_above_one"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()
