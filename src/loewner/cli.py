@@ -8,9 +8,9 @@ command loads the `selftest` and `oracle` modules, so the other commands
 neither compile nor run them.
 
 Dimensions above _MAX_N = 44 are refused before any computation, since the
-pure-Python Jacobi kernel grows as n^3 per sweep. The last measurement at
-n = 44 (ROADMAP item 7) took 0.9 s for a valid `phi recover` payload and
-0.7 s for one whose probe images are boundary non-projections.
+pure-Python Jacobi kernel grows as n^3 per sweep. At n = 44, on a 2-core
+x86-64 machine (best of 3 cold runs of the whole command), `phi probes 44`
+took 0.60 s and a valid `phi recover` payload 0.70 s.
 """
 
 from __future__ import annotations
