@@ -157,7 +157,7 @@ class EffectAutomorphism:
         w = self.t @ z @ self.t.T
         # an average that overflows reads inf, refused as above with no warning
         with np.errstate(over="ignore"):
-            return (w + np.swapaxes(w, -1, -2)) / 2.0
+            return (w + w.swapaxes(-1, -2)) / 2.0
 
     def _image(self, x: np.ndarray) -> SymMat:
         """_images of the matrix x of one effect, as a SymMat."""
@@ -247,7 +247,7 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     1.01e-10 and hi - lo at least 0.287, so the guard takes no seeded
     draw."""
     draws = np.random.default_rng(seed).standard_normal((count, n, n))
-    syms = (draws + np.swapaxes(draws, 1, 2)) / 2.0
+    syms = (draws + draws.swapaxes(1, 2)) / 2.0
     spectra = [linalg.eigvalsh(SymMat(s)) for s in syms]
     lo, hi = np.array([(lam[0], lam[-1]) for lam in spectra]).T
     flat = hi - lo <= 16.0 * linalg._jacobi_error(n, np.linalg.norm(syms, axis=(1, 2)))
