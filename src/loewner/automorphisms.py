@@ -135,16 +135,12 @@ class EffectAutomorphism:
         cond = float(lam[-1]) / float(lam[0])
         return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
 
-    def _images(self, xs: np.ndarray) -> np.ndarray:
+    def _formula(self, xs: np.ndarray) -> np.ndarray:
         """T (X (T^t T - I) + I)^{-1} X T^t for each matrix X of the stack
-        xs, of shape (..., n, n), averaged with its transpose: one stacked
-        solve and one pair of products, with the bits of one matrix at a
-        time. The average has SymMat's bits, and a bitwise symmetric
-        matrix keeps its own, unless an entry reaches 2^1023 and the sum
-        overflows to inf. Not certified into [0, I] and not tested for
-        finiteness: _image's SymMat refuses an image that is not finite,
-        and so does the residual check of a recovery, whose norm is then
-        not at most 1e-6. InternalInversionFailure when the solve fails."""
+        xs, of shape (..., n, n): one stacked solve and one pair of
+        products, with the bits of one matrix at a time. Not symmetrized,
+        not certified into [0, I] and not tested for finiteness;
+        InternalInversionFailure when the solve fails."""
         # Invertible for every effect: with G = T^t T > 0 and 0 <= X <= I,
         # X (G - I) + I has the spectrum of X^{1/2} G X^{1/2} + I - X > 0.
         eye = np.eye(self.n)
@@ -154,14 +150,23 @@ class EffectAutomorphism:
         except np.linalg.LinAlgError as exc:
             raise InternalInversionFailure(
                 "certified-invertible matrix was numerically intractable") from exc
-        w = self.t @ z @ self.t.T
-        # an average that overflows reads inf, refused as above with no warning
-        with np.errstate(over="ignore"):
-            return (w + w.swapaxes(-1, -2)) / 2.0
+        return self.t @ z @ self.t.T
 
     def _image(self, x: np.ndarray) -> SymMat:
-        """_images of the matrix x of one effect, as a SymMat."""
-        return SymMat(self._images(x))
+        """_formula of the matrix x of one effect, as a SymMat."""
+        return SymMat(self._formula(x))
+
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        """_image of each matrix of the stack xs, as one array: the average
+        of each _formula with its transpose has SymMat's bits, and a
+        bitwise symmetric matrix keeps its own, unless an entry reaches
+        2^1023 and the sum overflows to inf. An image that is not finite
+        fails a residual check, whose norm is then not at most 1e-6, where
+        _image's SymMat refuses it."""
+        w = self._formula(xs)
+        # an average that overflows reads inf, as above, with no warning
+        with np.errstate(over="ignore"):
+            return (w + w.swapaxes(-1, -2)) / 2.0
 
     def apply(self, X) -> Effect:
         """Evaluate T (X (T^t T - I) + I)^{-1} X T^t (_image), certified
