@@ -237,7 +237,10 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     The count Gaussians are one (count, n, n) draw, which takes the same
     values from the generator's stream, in the same order, as count draws
     of (n, n); they are symmetrized and squeezed as one stack, with the
-    bits of one matrix at a time, and each spectrum is one eigvalsh.
+    bits of one matrix at a time, and each spectrum is one eigvalsh. Each
+    matrix of both stacks is bitwise symmetric, since a sum commutes and
+    the squeeze is entrywise, so each is frozen as it is (linalg._computed
+    with symmetric=True), with SymMat's bits and no copy.
 
     Each is an effect by the bound below, so none is certified. The
     computed lo and hi lie within eps = linalg._jacobi_error(n, ||S||_F)
@@ -253,7 +256,8 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     draw."""
     draws = np.random.default_rng(seed).standard_normal((count, n, n))
     syms = (draws + draws.swapaxes(1, 2)) / 2.0
-    spectra = [linalg.eigvalsh(SymMat(s)) for s in syms]
+    spectra = [linalg.eigvalsh(linalg._computed(s, linalg._OVERFLOW, symmetric=True))
+               for s in syms]
     lo, hi = np.array([(lam[0], lam[-1]) for lam in spectra]).T
     flat = hi - lo <= 16.0 * linalg._jacobi_error(n, np.linalg.norm(syms, axis=(1, 2)))
     eye = np.eye(n)
@@ -262,7 +266,7 @@ def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
         scaled = ((syms - lo[:, None, None] * eye) * (0.8 / (hi - lo))[:, None, None]
                   + 0.1 * eye)
     scaled[flat] = 0.5 * eye
-    return [Effect(mat=SymMat(s)) for s in scaled]
+    return [Effect(mat=linalg._computed(s, linalg._OVERFLOW, symmetric=True)) for s in scaled]
 
 
 def recovery_probe_effects(n: int) -> List[Effect]:
