@@ -10,7 +10,7 @@ neither compile nor run them.
 Dimensions above _MAX_N = 44 are refused before any computation, since the
 pure-Python Jacobi kernel grows as n^3 per sweep. At n = 44, on a 2-core
 x86-64 machine (best of 3 cold runs of the whole command), `phi probes 44`
-took 0.60 s and a valid `phi recover` payload 0.70 s.
+took 0.61 s and a valid `phi recover` payload 0.73 s.
 """
 
 from __future__ import annotations
