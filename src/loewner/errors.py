@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package. Each subclass of
+LoewnerError is raised by some code of the package, and cli._EXIT_CODES
+maps them to the CLI's exit codes."""
 
 
 class LoewnerError(Exception):
@@ -42,15 +44,6 @@ class OutOfInterval(LoewnerError):
 
 class NotAnEffect(LoewnerError):
     """An input expected to lie in [0, I] does not."""
-
-
-class NotComparable(LoewnerError):
-    """Two matrices expected to be Loewner-comparable are not."""
-
-
-class PreconditionViolated(LoewnerError):
-    """A stated precondition failed (an order inequality, or orthonormal
-    columns for linalg.complete_basis); the message names it."""
 
 
 class BadParameter(LoewnerError):

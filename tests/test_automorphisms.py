@@ -316,6 +316,22 @@ class TestInvariants:
             assert linalg.loewner_lt(SymMat.zero(n), image)
             assert linalg.loewner_lt(image, SymMat.identity(n))
 
+    def test_the_sign_of_the_generator_gives_the_same_bits(self):
+        # phi_T = phi_-T, and negation is exact: every product that apply
+        # forms from -T is that of T, or its negation. Every third input
+        # is a projection, whose image apply takes by a spectrum.
+        s = oracle.Sampler(16)
+        for i in range(300):
+            n = 2 + i % 11
+            t = oracle.sample_invertible(s, n)
+            if i % 3 == 0:
+                x = make_effect(RankOneProjection(s.rng.standard_normal(n)).mat)
+            else:
+                x = oracle.sample_effect(s, n)
+            plus = EffectAutomorphism(t).apply(x).mat.a
+            minus = EffectAutomorphism(-t).apply(x).mat.a
+            assert plus.tobytes() == minus.tobytes()
+
     def test_extended_domain_invertibility(self):
         s = oracle.Sampler(15)
         for _ in range(25):

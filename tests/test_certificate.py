@@ -25,7 +25,6 @@ from loewner.effects import (
     RankOneProjection,
     make_effect,
     one_third_decompose,
-    rank_one_segment,
     strength,
     strength_witness,
 )
@@ -977,15 +976,6 @@ class TestSpectraPerCall:
     def test_apply_on_interior_input_takes_no_spectrum(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))
         assert count(phi.apply, SymMat([[0.5, 0.1], [0.1, 0.4]])) == []
-
-    def test_rank_one_segment_is_one_eigh(self, count):
-        # B - A = diag(0.4, -psd_tol (1 - 1e-6)) sits on the order gate,
-        # where loewner_le's certificate is undecided
-        low = make_effect(SymMat.diagonal([0.3, 0.3]))
-        high = make_effect(SymMat.diagonal([0.7, 0.3 - 1e-9 * (1.0 - 1e-6)]))
-        assert certify((high.mat - low.mat).a, relative=-DEFAULT_TOL.psd_tol) is None
-        assert count(rank_one_segment, low, high) == ["eigh"]
-        assert count(rank_one_segment, low, low) == ["eigh"]
 
     def test_one_third_decompose_is_one_eigh(self, count):
         a = SymMat([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])

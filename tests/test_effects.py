@@ -8,18 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import effects, linalg, oracle
+from loewner import linalg, oracle
 from loewner.effects import (
     BASIS_MINUS,
     BASIS_PLUS,
-    DiagonalCurve,
     RankOneProjection,
-    SingletonDiagonal,
-    ZeroOnly,
     make_effect,
-    maximal_diagonals,
     one_third_decompose,
-    rank_one_segment,
     sharp,
     standard_projection,
     strength,
@@ -28,13 +23,11 @@ from loewner.effects import (
 from loewner.errors import (
     BadParameter,
     DimensionMismatch,
-    NotComparable,
     NotDiagonal,
     NotPSD,
     OutOfInterval,
-    PreconditionViolated,
 )
-from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
+from loewner.linalg import DEFAULT_TOL, SymMat
 
 E1 = standard_projection(0, 2)
 
@@ -147,6 +140,36 @@ class TestStrength:
         scaled = RankOneProjection(np.ldexp(x, j))
         assert np.array_equal(scaled.x, RankOneProjection(x).x)
         assert strength(a, scaled) == strength(a, RankOneProjection(x))
+
+    def test_orthogonal_congruence_keeps_the_answer(self):
+        # strength(Q A Q^t, Qx) = strength(A, x) for orthogonal Q. The
+        # nonzero eigenvalues of A lie in [0.1, 1], so the rounding of the
+        # congruence moves the answer by about n u cond = 1e-14 relative. A
+        # third of the A are singular, with x in their range or drawn
+        # freely (then off it, where both sides answer 0).
+        rng = np.random.default_rng(29)
+        for i in range(300):
+            n = 2 + i % 11
+            lam = rng.uniform(0.1, 1.0, size=n)
+            lam[0] = 0.0 if i % 3 == 0 else lam[0]
+            v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = SymMat((v * lam) @ v.T)
+            b = v[:, 1:] if i % 3 == 0 else v
+            x = b @ rng.standard_normal(b.shape[1]) if i % 6 != 0 else rng.standard_normal(n)
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            want = strength(a, RankOneProjection(x))
+            got = strength(SymMat(q @ a.a @ q.T), RankOneProjection(q @ x))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (want == 0.0) == (i % 6 == 0)
+
+    def test_takes_the_relative_psd_gate_of_is_psd(self):
+        # lambda_min = -1.5e-9 clears -psd_tol * max(1, |lambda|max) =
+        # -2.0000000015e-9, but not the absolute gate -psd_tol: is_psd and
+        # strength accept the matrix
+        u = 1.0 + 1.5e-9
+        a = SymMat([[1.0, u], [u, 1.0]])
+        assert linalg.is_psd(a)
+        assert strength(a, RankOneProjection([1.0, 1.0])) == pytest.approx(2.0 + 1.5e-9, rel=1e-12)
 
     def test_direction_must_be_finite_and_nonzero(self):
         for direction in ([0.0, 0.0], [], [1.0, math.inf], [math.nan, 1.0]):
@@ -342,30 +365,9 @@ class TestWitnessDirections:
         assert np.array_equal(proj.x, [1.0, 0.0]) and t == 2.0 ** 600
 
 
-class TestRankOneSegment:
-    def test_zero_difference(self):
-        eff = make_effect(SymMat(0.5 * np.eye(2)))
-        t, proj = rank_one_segment(eff, eff)
-        assert t == 0.0
-        assert proj.n == 2
-
-    def test_single_direction(self):
-        zero = make_effect(SymMat.zero(2))
-        upper = make_effect(SymMat(0.5 * E1.mat.a))
-        t, proj = rank_one_segment(zero, upper)
-        assert t == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(proj.mat.a, E1.mat.a, atol=1e-10)
-
-    def test_rank_two_difference(self):
-        zero = make_effect(SymMat.zero(2))
-        upper = make_effect(SymMat.diagonal([0.5, 0.5]))
-        assert rank_one_segment(zero, upper) is None
-
-    def test_not_comparable(self):
-        a = make_effect(SymMat.diagonal([1.0, 0.0]))
-        b = make_effect(SymMat.diagonal([0.0, 1.0]))
-        with pytest.raises(NotComparable):
-            rank_one_segment(a, b)
+class TestOrderFacts:
+    """Rank-one and 2x2 facts of the paper's proof, as seeded loewner_le
+    properties."""
 
     def test_segment_pairs_always_comparable(self):
         s = oracle.Sampler(55)
@@ -375,9 +377,7 @@ class TestRankOneSegment:
             direction = RankOneProjection(s.rng.standard_normal(n))
             room = 1.0 - float(linalg.eigvalsh(base.mat)[-1])
             t = 0.9 * room
-            top = make_effect(SymMat(base.mat.a + t * direction.mat.a))
-            got = rank_one_segment(base, top)
-            assert got is not None
+            make_effect(SymMat(base.mat.a + t * direction.mat.a))
             for _ in range(30):
                 p, q = s.rng.uniform(0.0, t, size=2)
                 c = SymMat(base.mat.a + p * direction.mat.a)
@@ -395,7 +395,6 @@ class TestRankOneSegment:
             spec = linalg.eigh(gap)
             if float(spec.eigenvalues[-2]) < 1e-6:
                 continue
-            assert rank_one_segment(low, high) is None
             c = SymMat(low.mat.a + float(spec.eigenvalues[-1])
                        * np.outer(spec.eigenvectors[:, -1], spec.eigenvectors[:, -1]))
             d = SymMat(low.mat.a + float(spec.eigenvalues[-2])
@@ -405,50 +404,38 @@ class TestRankOneSegment:
             assert not linalg.loewner_le(c, d)
             assert not linalg.loewner_le(d, c)
 
-
-class TestIdentityBlock:
-    def test_identity_input(self):
-        eff = make_effect(SymMat.identity(3))
-        basis, block = effects.identity_block(eff, standard_projection(0, 3),
-                                              standard_projection(1, 3))
-        assert basis.shape == (3, 2)
-        assert block.n == 1
-        assert block.a[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_block_read_off(self):
-        eff = make_effect(SymMat.diagonal([1.0, 1.0, 0.5]))
-        basis, block = effects.identity_block(eff, standard_projection(0, 3),
-                                              standard_projection(1, 3))
-        assert np.allclose(np.abs(basis), np.eye(3)[:, :2], atol=1e-12)
-        assert block.a[0, 0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_two_dimensional_block_is_empty(self):
-        eff = make_effect(SymMat.identity(2))
-        _, block = effects.identity_block(eff, standard_projection(0, 2),
-                                          standard_projection(1, 2))
-        assert block is None
-
-    def test_precondition_violation(self):
-        eff = make_effect(SymMat.diagonal([1.0, 0.5, 0.5]))
-        with pytest.raises(PreconditionViolated, match="Q <= A"):
-            effects.identity_block(eff, standard_projection(0, 3),
-                                   standard_projection(1, 3))
-
-    def test_rotated_inputs(self):
+    def test_rank_one_below_an_effect_lies_in_its_unit_eigenspace(self):
+        # For A <= I, P <= A exactly when Im P lies in the eigenspace of A
+        # for 1. A direction at angle theta >= 0.1 off that eigenspace has
+        # <A^-1 x, x> >= 1 + sin^2(theta) (1 / 0.9 - 1), so A - P has an
+        # eigenvalue below -2e-6, far past the gate.
         s = oracle.Sampler(70)
         for _ in range(10):
             n = int(s.rng.integers(3, 6))
             frame = oracle.sample_orthogonal(s, n)
-            rest = s.rng.uniform(0.0, 1.0, size=n - 2)
-            lam = np.concatenate([[1.0, 1.0], rest])
-            mat = SymMat((frame * lam) @ frame.T)
-            eff = make_effect(mat)
-            p = RankOneProjection(frame[:, 0])
-            q = RankOneProjection(frame[:, 1])
-            basis, block = effects.identity_block(eff, p, q)
-            assert linalg.principal_angle(basis, frame[:, :2]) <= 1e-6
-            got = np.sort(linalg.eigvalsh(block))
-            assert np.allclose(got, np.sort(rest), atol=1e-9)
+            rest = s.rng.uniform(0.05, 0.9, size=n - 2)
+            mat = SymMat((frame * np.concatenate([[1.0, 1.0], rest])) @ frame.T)
+            assert linalg.loewner_le(mat, SymMat.identity(n))
+            for _ in range(5):
+                inside = frame[:, :2] @ s.rng.standard_normal(2)
+                inside /= np.linalg.norm(inside)
+                assert linalg.loewner_le(RankOneProjection(inside).mat, mat)
+                outside = frame[:, 2:] @ s.rng.standard_normal(n - 2)
+                outside /= np.linalg.norm(outside)
+                theta = s.rng.uniform(0.1, math.pi / 2.0)
+                off = RankOneProjection(math.cos(theta) * inside + math.sin(theta) * outside)
+                assert not linalg.loewner_le(off.mat, mat)
+
+    def test_curve_points_are_maximal(self):
+        # the maximal diagonals below [[t, u], [u, s]] with u != 0 and
+        # ts > u^2 are the points of (t - p)(s - q) = u^2 in the box
+        a = make_effect(SymMat([[0.7, 0.25], [0.25, 0.5]])).mat
+        t, s, u = float(a.a[0, 0]), float(a.a[1, 1]), float(a.a[0, 1])
+        for p in np.linspace(0.0, t - u ** 2 / s, 7):
+            q = s - u ** 2 / (t - p)
+            assert linalg.loewner_le(SymMat.diagonal([p, q]), a)
+            bumped = SymMat.diagonal([p + 1e-4, q])
+            assert not linalg.loewner_le(bumped, a)
 
 
 def three_condition_route(a: SymMat, p: RankOneProjection) -> bool:
@@ -512,60 +499,6 @@ class TestOneThirdDecompose:
                 assert float(np.trace(p.mat.a @ got.mat.a)) == pytest.approx(0.5, abs=1e-7)
 
 
-class TestMaximalDiagonals:
-    def test_diagonal_is_singleton(self):
-        eff = make_effect(SymMat.diagonal([0.5, 1.0 / 3.0]))
-        got = maximal_diagonals(eff)
-        assert isinstance(got, SingletonDiagonal)
-        assert got.effect is eff
-
-    def test_rank_one_off_diagonal(self):
-        eff = make_effect(SymMat([[0.5, 0.5], [0.5, 0.5]]))
-        assert isinstance(maximal_diagonals(eff), ZeroOnly)
-
-    def test_rank_two_curve(self):
-        # unit-bounded diagonal, though the matrix norm exceeds one
-        got = maximal_diagonals(SymMat([[1.0, 0.5], [0.5, 1.0]]))
-        assert isinstance(got, DiagonalCurve)
-        assert (got.t, got.s, got.u) == (1.0, 1.0, 0.5)
-        # (1 - 1/2)(1 - 1/2) = 1/4 = u^2
-        assert got.contains(0.5, 0.5)
-        assert not got.contains(1.0, 1.0)
-
-    def test_takes_the_relative_psd_gate_of_is_psd(self):
-        # lambda_min = -1.5e-9 clears -psd_tol * max(1, |lambda|max) =
-        # -2.0000000015e-9, but not the absolute gate -psd_tol: is_psd and
-        # strength accept the matrix, and so does maximal_diagonals
-        u = 1.0 + 1.5e-9
-        a = SymMat([[1.0, u], [u, 1.0]])
-        assert linalg.is_psd(a)
-        assert strength(a, RankOneProjection([1.0, 1.0])) == pytest.approx(2.0 + 1.5e-9, rel=1e-12)
-        assert isinstance(maximal_diagonals(a), ZeroOnly)
-
-    def test_curve_rejects_points_outside_its_box(self):
-        # both points satisfy (t - p)(s - q) = u^2 with t = s = 1/2, u = 1/4
-        a = SymMat([[0.5, 0.25], [0.25, 0.5]])
-        curve = maximal_diagonals(a)
-        assert not curve.contains(-0.25, 0.5 - 1.0 / 12.0)          # p < 0
-        assert not curve.contains(0.75, 0.75)                       # p > t
-        # the curve tests at the tolerances it was built with: p = -5e-4
-        # lies inside the box at 1e-3, outside it at the default
-        p, q = -5e-4, 0.5 - 0.0625 / 0.5005
-        assert not curve.contains(p, q)
-        assert maximal_diagonals(a, Tolerances(1e-3)).contains(p, q)
-
-    def test_curve_points_are_maximal(self):
-        eff = make_effect(SymMat([[0.7, 0.25], [0.25, 0.5]]))
-        curve = maximal_diagonals(eff)
-        assert isinstance(curve, DiagonalCurve)
-        for p in np.linspace(0.0, curve.t - curve.u ** 2 / curve.s, 7):
-            q = curve.s - curve.u ** 2 / (curve.t - p)
-            assert curve.contains(p, q)
-            assert linalg.loewner_le(SymMat.diagonal([p, q]), eff.mat)
-            bumped = SymMat.diagonal([p + 1e-4, q])
-            assert not linalg.loewner_le(bumped, eff.mat)
-
-
 class TestSharp:
     def test_identity_and_zero(self):
         assert np.allclose(sharp(SymMat.identity(2)).mat.a, np.eye(2))
@@ -599,17 +532,11 @@ _M3 = SymMat.identity(3)
 @pytest.mark.parametrize("call,error", [
     (lambda: RankOneProjection([0.0, 0.0]), BadParameter),
     (lambda: strength(SymMat.identity(2), RankOneProjection([1.0, 0.0, 0.0])), DimensionMismatch),
-    (lambda: effects.identity_block(make_effect(SymMat.identity(2)), _P2, _P2), PreconditionViolated),
-    (lambda: maximal_diagonals(_M3), DimensionMismatch),
     (lambda: sharp(_M3), DimensionMismatch),
     (lambda: one_third_decompose(_M3, _P2), DimensionMismatch),
-    (lambda: maximal_diagonals(SymMat.diagonal([-1.0, 1.0])), NotPSD),
-    (lambda: maximal_diagonals(SymMat([[2.0, 0.5], [0.5, 1.0]])), OutOfInterval),
     (lambda: sharp(SymMat.diagonal([2.0, 0.0])), OutOfInterval),
-], ids=["zero_direction", "strength_dimensions", "identity_block_p_equals_q",
-        "maximal_diagonals_3x3", "sharp_3x3", "one_third_decompose_3x3",
-        "maximal_diagonals_not_psd", "maximal_diagonals_entry_above_one",
-        "sharp_entry_above_one"])
+], ids=["zero_direction", "strength_dimensions", "sharp_3x3",
+        "one_third_decompose_3x3", "sharp_entry_above_one"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()

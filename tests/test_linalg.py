@@ -44,6 +44,19 @@ class TestSymMat:
         with pytest.raises(ValueError):
             m.a[0, 0] = 5.0
 
+    def test_converts_to_an_array_with_no_warning(self):
+        m = SymMat([[1.0, 2.0], [2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            view = np.asarray(m)
+            copy = np.array(m)
+            assert np.array(m, copy=False) is m.a
+            assert np.asarray(m, dtype=np.float32).dtype == np.float32
+        assert view is m.a
+        assert copy is not m.a and np.array_equal(copy, m.a)
+        copy[0, 0] = 5.0
+        assert m.a[0, 0] == 1.0
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_always_exactly_symmetric(self, values):
