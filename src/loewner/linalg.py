@@ -8,8 +8,10 @@ small dimensions this package targets. Each decision that a Cholesky
 certificate or factor answers without a spectrum, and the Jacobi route
 otherwise, is one function here, beside the proof that both decide alike:
 
-- _order_verdict (loewner_le, loewner_lt, is_psd): the shifted Cholesky
-  certificate _certificate, else the sign of lambda_min against its gate;
+- _order_verdict (loewner_le, loewner_lt, is_psd, the strength oracle's
+  bisection): the shifted Cholesky certificate _certificate, else the sign
+  of lambda_min against its gate, or that sign alone when the caller asks
+  for no certificate; it also says which route decided;
 - _certified_within (make_effect, EffectAutomorphism.apply): two
   proving attempts, at M - lo I and hi I - M, else the caller's spectrum;
 - inv: LDL^t of a matrix _definite_ldl certifies definite, else eigh;
@@ -1020,27 +1022,33 @@ def _certified_within(m: np.ndarray, lo: float, hi: float) -> bool:
     return True
 
 
-def _order_verdict(m: np.ndarray, strict: bool, tol: Tolerances) -> bool:
-    """The certificate on the array m, else the sign of its Jacobi
-    lambda_min (as eigvalsh) against the gate."""
-    verdict = _certificate(_scaled_rows(m), relative=tol.psd_tol if strict else -tol.psd_tol)[0]
-    if verdict is None:
-        verdict = _spectral_verdict(_jacobi(m, want_vectors=False)[0], strict, tol)
-    return verdict
+def _order_verdict(m: np.ndarray, strict: bool, tol: Tolerances,
+                   certify: bool = True) -> Tuple[bool, bool]:
+    """(verdict, certified): the certificate on the array m, else the sign
+    of its Jacobi lambda_min (as eigvalsh) against the gate; certified is
+    True when the certificate decided. With certify False the Jacobi route
+    runs alone, for a caller that expects the certificate to be undecided.
+    The verdict is the same either way, as a True or False certificate is
+    proved to be the Jacobi route's verdict (_certificate)."""
+    if certify:
+        verdict = _certificate(_scaled_rows(m), relative=tol.psd_tol if strict else -tol.psd_tol)[0]
+        if verdict is not None:
+            return verdict, True
+    return _spectral_verdict(_jacobi(m, want_vectors=False)[0], strict, tol), False
 
 
 def loewner_le(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A <= B in the Loewner order: lambda_min(B - A) >= -psd_tol (scaled)."""
-    return _order_verdict(_difference(A, B), False, tol)
+    return _order_verdict(_difference(A, B), False, tol)[0]
 
 
 def loewner_lt(A: SymMat, B: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
     """A < B in the Loewner order: lambda_min(B - A) > psd_tol (scaled)."""
-    return _order_verdict(_difference(A, B), True, tol)
+    return _order_verdict(_difference(A, B), True, tol)[0]
 
 
 def is_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return _order_verdict(A.a, False, tol)
+    return _order_verdict(A.a, False, tol)[0]
 
 
 def sqrt_psd(A: SymMat, tol: Tolerances = DEFAULT_TOL) -> SymMat:

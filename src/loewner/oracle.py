@@ -8,6 +8,7 @@ bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
@@ -62,18 +63,22 @@ def sample_effect(s: Sampler, n: int) -> Effect:
 
 
 def sample_orthogonal(s: Sampler, n: int) -> np.ndarray:
-    """Product of random plane rotations over every index pair."""
+    """Product of random plane rotations over every index pair (i, j),
+    i < j, in row order. The n(n - 1)/2 angles come from one uniform draw,
+    with the values and the stream position of one draw per rotation. One
+    rotation matrix is reused: its four entries are set for each pair and
+    reset to the identity's after the product."""
+    theta = s.rng.uniform(0.0, 2.0 * np.pi, size=n * (n - 1) // 2)
+    cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
     out = np.eye(n)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            theta = float(s.rng.uniform(0.0, 2.0 * np.pi))
-            c, sn = np.cos(theta), np.sin(theta)
-            rot = np.eye(n)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = -sn
-            rot[j, i] = sn
-            out = out @ rot
+    rot = np.eye(n)
+    for (i, j), c, sn in zip(itertools.combinations(range(n), 2), cos, sin):
+        rot[i, i] = rot[j, j] = c
+        rot[i, j] = -sn
+        rot[j, i] = sn
+        out = out @ rot
+        rot[i, i] = rot[j, j] = 1.0
+        rot[i, j] = rot[j, i] = 0.0
     return out
 
 
@@ -127,17 +132,27 @@ def strength_bisection(A: SymMat, P: RankOneProjection) -> float:
     at an endpoint whose verdict is known: every later step would repeat
     that verdict and leave both endpoints as they are. lo's verdict is
     known from the start (t = 0 is the is_psd(A) check); hi's only once a
-    step has set it."""
+    step has set it.
+
+    Each step decides the bare array A - tP, bitwise symmetric as A and P
+    are, so a SymMat would not change it (linalg._order_verdict, is_psd's
+    decision). Once a step's certificate is undecided, the midpoints lie
+    near the crossing, inside the certificate's gate band, and every later
+    step takes the Jacobi route alone: the verdict is the same on either
+    route."""
     if not linalg.is_psd(A):
         raise NotPSD("strength oracle requires a PSD input")
     lo, hi = 0.0, linalg.spectral_norm(A) + 1.0
     hi_decided = False
+    certify = True
     projection = P.mat.a
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or (mid == hi and hi_decided):
             break
-        if linalg.is_psd(SymMat(A.a - mid * projection)):
+        psd, certify = linalg._order_verdict(A.a - mid * projection, False, linalg.DEFAULT_TOL,
+                                             certify)
+        if psd:
             lo = mid
         else:
             hi, hi_decided = mid, True

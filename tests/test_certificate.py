@@ -570,6 +570,50 @@ def test_agrees_with_jacobi_at_the_gates(recorded):
     assert sum(call[-1] is None for call in recorded) >= 12
 
 
+def _bisection_arrays():
+    """The 60 bare arrays A - tP of a bisection of t over [0, ||A|| + 1]
+    on the certificate-first verdict of A - tP >= 0, as the strength
+    oracle decides them, for seeded (A, P): n = 2..8, a third of the A
+    singular. Its midpoints close in on the verdict's crossing, inside
+    the certificate's gate band."""
+    rng = np.random.default_rng(30)
+    arrays = []
+    for k in range(21):
+        n = 2 + k % 7
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.exp(rng.uniform(-4.0, 0.0, size=n))
+        if k % 3 == 2:
+            lam[:1 + k % (n - 1)] = 0.0
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2.0
+        projection = RankOneProjection(rng.standard_normal(n)).mat.a
+        lo, hi = 0.0, float(np.max(np.abs(lam))) + 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            arrays.append(a - mid * projection)
+            if linalg._order_verdict(arrays[-1], False, DEFAULT_TOL)[0]:
+                lo = mid
+            else:
+                hi = mid
+    return arrays
+
+
+def test_the_jacobi_route_alone_gives_the_certified_verdict():
+    # _order_verdict with certify=False (the strength oracle's bisection
+    # past its first undecided certificate) gives the verdict of the
+    # certificate-first route on both sides of, and inside, the gate band
+    undecided = 0
+    arrays = _bisection_arrays()
+    for m in arrays:
+        for strict in (False, True):
+            verdict, certified = linalg._order_verdict(m, strict, DEFAULT_TOL)
+            alone = linalg._order_verdict(m, strict, DEFAULT_TOL, certify=False)
+            assert alone == (verdict, False)
+            undecided += not certified
+    print(f"route contract: {2 * len(arrays)} verdicts, {undecided} left to Jacobi by the certificate")
+    assert 0 < undecided < 2 * len(arrays)
+
+
 def test_certificate_is_decided_away_from_the_gates():
     rng = np.random.default_rng(3)
     for n in (2, 4, 8, 16):
