@@ -22,7 +22,6 @@ from .effects import (
     make_effect,
     one_third_decompose,
     sharp,
-    standard_projection,
     strength,
     strength_witness,
 )

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import linalg
-from .effects import Effect, RankOneProjection, make_effect, standard_projection
+from .effects import Effect, RankOneProjection, make_effect
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -222,13 +222,6 @@ def identity_automorphism(n: int) -> EffectAutomorphism:
     return EffectAutomorphism(np.eye(n))
 
 
-def _mixed_projection(j: int, n: int) -> RankOneProjection:
-    e = np.zeros(n)
-    e[0] = 1.0
-    e[j] = 1.0
-    return RankOneProjection(e)
-
-
 def _random_effects(n: int, count: int, seed: int) -> List[Effect]:
     """Deterministic effects used for residual checks: each symmetrized
     Gaussian S is squeezed affinely from the ends lo, hi of its Jacobi
@@ -273,10 +266,18 @@ def recovery_probe_effects(n: int) -> List[Effect]:
     """The exact ordered list of effects recover_generator feeds to its
     oracle: (1/2)I, the basis projections, the mixed two-index
     projections, then the ten deterministic residual-check effects. Each
-    is an effect by construction (_random_effects), so none is certified."""
-    probes: List[Effect] = [Effect(mat=SymMat(0.5 * np.eye(n)))]
-    probes.extend(Effect(mat=standard_projection(i, n).mat) for i in range(n))
-    probes.extend(Effect(mat=_mixed_projection(j, n).mat) for j in range(1, n))
+    is an effect by construction (_random_effects), so none is certified.
+    The projections are the outer products x x^t of x = e_i and of
+    x = (e_1 + e_j) / sqrt(2), whose two entries are 0.5 / sqrt(0.5): the
+    unit vectors RankOneProjection forms from e_i and e_1 + e_j, bit for
+    bit (it halves both, and 0.25 + 0.25 is exact)."""
+    eye = np.eye(n)
+    probes: List[Effect] = [Effect(mat=SymMat(0.5 * eye))]
+    probes.extend(Effect(mat=SymMat(np.outer(e, e))) for e in eye)
+    for j in range(1, n):
+        x = np.zeros(n)
+        x[0] = x[j] = 0.5 / math.sqrt(0.5)
+        probes.append(Effect(mat=SymMat(np.outer(x, x))))
     probes.extend(_random_effects(n, 10, _RESIDUAL_PROBE_SEED))
     return probes
 
@@ -335,8 +336,7 @@ def recover_generator(
 
     try:
         shifted = linalg.inv(C.mat, tol) - SymMat.identity(n)
-        M = linalg.sqrt_psd(linalg.inv(shifted, tol), tol)
-        M_inv = linalg.inv(M, tol)
+        M, M_inv = linalg._definite_root_pair(linalg.inv(shifted, tol), tol)
     except (Singular, NotPSD) as exc:
         raise NotAutomorphism(f"midpoint image is inconsistent: {exc}") from exc
 

@@ -110,13 +110,17 @@ def _array(value, name: str) -> list:
 
 
 def _parse_dimension(value) -> int:
-    """A document's dimension n, a JSON number with a whole value; TooLarge above _MAX_N."""
+    """A document's dimension n, a JSON number with a whole value; TooLarge
+    above _MAX_N, naming the value as given (1e+308 for a float), and an
+    integer of more than 40 digits by its first 20 and its length."""
     if type(value) not in (int, float) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"dimension {value!r} is not a whole number")
-    n = int(value)
-    if n > _MAX_N:
-        raise TooLarge(f"dimension {n} is above the cap of {_MAX_N}")
-    return n
+    if value > _MAX_N:
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = f"{shown[:20]}... ({len(shown)} digits)"
+        raise TooLarge(f"dimension {shown} is above the cap of {_MAX_N}")
+    return int(value)
 
 
 def _number(value, name: str, index: int) -> float:

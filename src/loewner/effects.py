@@ -92,12 +92,6 @@ class RankOneProjection:
         return f"RankOneProjection({self.x.tolist()!r})"
 
 
-def standard_projection(i: int, n: int) -> RankOneProjection:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return RankOneProjection(e)
-
-
 # The Hadamard-basis pair summing to the identity.
 BASIS_PLUS = SymMat([[0.5, 0.5], [0.5, 0.5]])
 BASIS_MINUS = SymMat([[0.5, -0.5], [-0.5, 0.5]])

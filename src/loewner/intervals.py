@@ -254,7 +254,7 @@ def _affine_to_unit(spec: IntervalSpec) -> list:
     steps = _to_zero(lower)
     gap = upper - lower
     if not _is_identity(gap):
-        steps.append(Congruence(generator=linalg.inv(linalg.sqrt_psd(gap, tol), tol).a))
+        steps.append(Congruence(generator=linalg._definite_root_pair(gap, tol)[1].a))
     return steps
 
 

@@ -21,7 +21,7 @@ from loewner.automorphisms import (
     recovery_probe_effects,
     unit_mobius,
 )
-from loewner.effects import Effect, RankOneProjection, make_effect, standard_projection
+from loewner.effects import Effect, RankOneProjection, make_effect
 from loewner.errors import (
     BadParameter,
     DimensionMismatch,
@@ -258,8 +258,8 @@ class TestProjectImage:
 
     def test_eigenvector_preserved(self):
         phi = EffectAutomorphism(np.diag([2.0, 1.0]))
-        got = phi.project_image(standard_projection(0, 2))
-        assert np.allclose(got.mat.a, standard_projection(0, 2).mat.a, atol=1e-12)
+        got = phi.project_image(RankOneProjection([1.0, 0.0]))
+        assert np.allclose(got.mat.a, RankOneProjection([1.0, 0.0]).mat.a, atol=1e-12)
 
     def test_skew_direction(self):
         phi = EffectAutomorphism(np.diag([2.0, 1.0]))
@@ -373,7 +373,7 @@ class TestRecoverGenerator:
         # Images shrunk by 1e-7 are no projections at rank_tol = 1e-9: each
         # of the 2n - 1 = 5 column directions fails its rank-one residual
         # test and comes from eigh, while the 1e-6 residual check passes.
-        # Exact images take only sqrt_psd's eigh.
+        # Exact images take only the root pair's eigh (below _LAPACK_ORDER).
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
         images = {p.mat.a.tobytes(): phi.apply(p).mat.a for p in recovery_probe_effects(3)}
         calls = []

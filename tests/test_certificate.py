@@ -29,6 +29,7 @@ from loewner.effects import (
     strength_witness,
 )
 from loewner.errors import NotPSD, Singular
+from loewner.intervals import Endpoint, IntervalSpec, build_chain
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
 ACCEPTANCE_SEED = 20260811  # tests/test_acceptance.py
@@ -775,8 +776,9 @@ def jacobi_keeps_and_inverts(m, tol):
 
 
 def definite_route_calls(calls):
-    """The floor-free certificate calls, those of linalg._definite_ldl, as
-    (m, tol, verdict): their gate is relative = rank_tol, the base of tol."""
+    """The floor-free certificate calls, those of linalg._definite_ldl and
+    linalg._definite_root_pair, as (m, tol, verdict): their gate is
+    relative = rank_tol, the base of tol."""
     return [(m, Tolerances(relative), verdict)
             for m, relative, floor, verdict in calls if not floor]
 
@@ -977,8 +979,9 @@ class TestSpectraPerCall:
         assert np.array_equal(np.abs(proj.x), [0.0, 1.0]) and t == 0.3
 
     def test_recover_on_an_exact_black_box(self, count, monkeypatch):
-        # sqrt_psd's eigh and the residual probes' eigvalsh; every probe
-        # image is a projection to rounding, so no direction takes eigh
+        # the root pair's eigh (linalg._definite_root_pair takes the Jacobi
+        # route below _LAPACK_ORDER) and the residual probes' eigvalsh; every
+        # probe image is a projection to rounding, so no direction takes eigh
         monkeypatch.syspath_prepend(str(BENCH))
         ops = importlib.import_module("ops")
         t = np.array([[2.0, 0.3, 0.0, 0.1], [0.1, 1.0, 0.2, 0.0],
@@ -988,16 +991,30 @@ class TestSpectraPerCall:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_recovery_certifies_no_effect(self, count, monkeypatch, n):
         # the probes are effects by construction and the residual check
-        # reads the uncertified images, so nothing runs the [lo, hi] check
+        # reads the uncertified images, so nothing runs the [lo, hi] check;
+        # the root pair takes one eigh below _LAPACK_ORDER and none from it
+        root = ["eigh"] if n < linalg._LAPACK_ORDER else []
         monkeypatch.syspath_prepend(str(BENCH))
         ops = importlib.import_module("ops")
         within = []
         monkeypatch.setattr(linalg, "_certified_within", within_recorder(within))
         t = 2.0 * np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))
-        assert count(recover_generator, ops.black_box(t), n) == ["eigh"] + ["eigvalsh"] * 10
+        assert count(recover_generator, ops.black_box(t), n) == root + ["eigvalsh"] * 10
         assert within == []
         assert count(recovery_probe_effects, n) == ["eigvalsh"] * 10
         assert within == []
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_a_finite_box_chain_is_its_congruence_gate(self, count, n):
+        # build_chain of [L, U]: the root pair of U - L (one eigh below
+        # _LAPACK_ORDER, none from it) and the Congruence's SVD gate
+        root = ["eigh"] if n < linalg._LAPACK_ORDER else []
+        rng = np.random.default_rng(n)
+        lower = SymMat(rng.standard_normal((n, n)))
+        g = rng.standard_normal((n, n))
+        upper = SymMat(lower.a + g @ g.T + np.eye(n))
+        spec = IntervalSpec(Endpoint.finite(lower), Endpoint.finite(upper), n)
+        assert count(build_chain, spec) == root + ["svd"]
 
     def test_project_image_is_the_spectrum_of_apply(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))

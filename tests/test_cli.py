@@ -425,6 +425,15 @@ class TestDimensionField:
             assert (code, out) == (2, ""), argv
             assert err == f"error: dimension {shown} is not a whole number\n"
 
+    @pytest.mark.parametrize("n,shown", [("1e308", "1e+308"), ("45.0", "45.0"),
+                                         ("1" + "0" * 400, "1" + "0" * 19 + "... (401 digits)")])
+    def test_a_huge_dimension_is_refused_in_one_short_line(self, capsys, n, shown):
+        for argv in self.argvs(n):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: dimension {shown} is above the cap of {cli._MAX_N}\n"
+            assert len(err.encode()) < 200
+
     def test_a_whole_float_is_a_dimension(self, capsys):
         code, out, _ = run(capsys, self.argvs("1.0")[0])
         assert code == 0 and json.loads(out) == {"le": True, "lt": False}

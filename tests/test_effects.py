@@ -16,7 +16,6 @@ from loewner.effects import (
     make_effect,
     one_third_decompose,
     sharp,
-    standard_projection,
     strength,
     strength_witness,
 )
@@ -29,7 +28,7 @@ from loewner.errors import (
 )
 from loewner.linalg import DEFAULT_TOL, SymMat
 
-E1 = standard_projection(0, 2)
+E1 = RankOneProjection([1.0, 0.0])
 
 
 def psd(rng, n, scale=1.0):
@@ -108,7 +107,7 @@ class TestStrength:
 
     @pytest.mark.parametrize("c", [1e8, 1e12])
     def test_closed_form_at_large_scale(self, c):
-        e1 = standard_projection(0, 3)
+        e1 = RankOneProjection([1.0, 0.0, 0.0])
         assert strength(SymMat.diagonal([c, 2.0 * c, 3.0 * c]), e1) == pytest.approx(c, rel=1e-14)
 
     @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
@@ -185,7 +184,7 @@ class TestStrength:
         assert strength(mat, E1) == pytest.approx(2.0, abs=1e-12)
 
     def test_out_of_range_is_zero(self):
-        assert strength(SymMat([[1.0, 0.0], [0.0, 0.0]]), standard_projection(1, 2)) == 0.0
+        assert strength(SymMat([[1.0, 0.0], [0.0, 0.0]]), RankOneProjection([0.0, 1.0])) == 0.0
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):

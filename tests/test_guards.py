@@ -28,7 +28,6 @@ from loewner.effects import (
     RankOneProjection,
     make_effect,
     one_third_decompose,
-    standard_projection,
     strength,
     strength_witness,
 )
@@ -111,7 +110,7 @@ class TestBasisHelpers:
 class TestTwoByTwoConstructions:
     def test_one_third_form_with_the_wrong_trace_pairing(self):
         a = SymMat.diagonal([1.0 / 3.0, 1.0])       # (1/3) Q + (I - Q), Q = e_0 e_0^t
-        assert one_third_decompose(a, standard_projection(0, 2)) is None      # tr(PQ) = 1
+        assert one_third_decompose(a, RankOneProjection([1.0, 0.0])) is None      # tr(PQ) = 1
         q = one_third_decompose(a, RankOneProjection([1.0, 1.0]))             # tr(PQ) = 1/2
         assert np.allclose(np.abs(q.x), [1.0, 0.0])
 
@@ -191,7 +190,7 @@ class TestApplyFaults:
     def test_an_image_direction_off_the_mapped_projection(self, monkeypatch):
         monkeypatch.setattr(automorphisms, "_dominant_direction", lambda e, tol: np.array([0.0, 1.0]))
         with pytest.raises(InternalInversionFailure, match="image direction certificate failed"):
-            EffectAutomorphism(np.eye(2)).project_image(standard_projection(0, 2))
+            EffectAutomorphism(np.eye(2)).project_image(RankOneProjection([1.0, 0.0]))
 
 
 class TestMobiusFaults:

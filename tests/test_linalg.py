@@ -654,6 +654,112 @@ class TestSqrtPsd:
             linalg.sqrt_psd(SymMat.diagonal([-1.0, 1.0]))
 
 
+class TestDefiniteRootPair:
+    """linalg._definite_root_pair: the Jacobi route R = sqrt_psd(A), inv(R)
+    below _LAPACK_ORDER and for every input its iteration does not take;
+    from there, for a certified A, the scaled Denman-Beavers pair that
+    passes the residual bound of its docstring."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        calls = []
+        jacobi = linalg._jacobi
+
+        def counting(m, want_vectors):
+            calls.append(want_vectors)
+            return jacobi(m, want_vectors)
+
+        monkeypatch.setattr(linalg, "_jacobi", counting)
+        return calls
+
+    @staticmethod
+    def conditioned(rng, n, cond):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.exp(rng.uniform(0.0, np.log(cond), n))
+        lam[:2] = 1.0, cond                     # both ends of the spectrum
+        m = (q / lam) @ q.T
+        return SymMat((m + m.T) / 2.0)
+
+    @staticmethod
+    def jacobi_route(A, tol=DEFAULT_TOL):
+        root = linalg.sqrt_psd(A, tol)
+        return root, linalg.inv(root, tol)
+
+    @staticmethod
+    def rounding(A, z):
+        """2 n u ||A||_F ||Z||_F^2, the first term of the residual bound."""
+        return 2.0 * A.n * 2.0 ** -53 * np.linalg.norm(A.a) * np.linalg.norm(z) ** 2
+
+    @pytest.mark.parametrize("n", [*range(8, 17), 24, 44])
+    def test_the_iteration_meets_its_bound_and_the_jacobi_route(self, spectra, n):
+        # Seeded property: condition numbers 10^U(0, 8), scales 2^-500,
+        # 1 and 2^500. The residual stays under the docstring's bound, and
+        # each matrix of the pair agrees with the Jacobi route's within
+        # twice the bound's rounding term, relative: either route's error
+        # is at most half its residual times ||A^{-1/2}||_2 <= ||Z||_F to
+        # first order, and both residuals stay below that term.
+        rng = np.random.default_rng(4000 + n)
+        for exponent in (-500, 0, 500):
+            A = SymMat(np.ldexp(self.conditioned(rng, n, 10.0 ** rng.uniform(0.0, 8.0)).a, exponent))
+            spectra.clear()
+            root, z = linalg._definite_root_pair(A, DEFAULT_TOL)
+            assert spectra == []                # the iteration answered
+            residual = np.linalg.norm(z.a @ A.a @ z.a - np.eye(n))
+            bound = self.rounding(A, z.a)
+            assert residual <= min(bound, DEFAULT_TOL.equality_tol * math.sqrt(n))
+            ref_root, ref_z = self.jacobi_route(A)
+            assert np.linalg.norm(z.a - ref_z.a) <= 2.0 * bound * np.linalg.norm(ref_z.a)
+            assert np.linalg.norm(root.a - ref_root.a) <= 2.0 * bound * np.linalg.norm(ref_root.a)
+
+    def test_a_power_of_four_scales_the_pair_exactly(self):
+        A = self.conditioned(np.random.default_rng(5), 12, 1e3)
+        root, z = linalg._definite_root_pair(A, DEFAULT_TOL)
+        big_root, big_z = linalg._definite_root_pair(SymMat(np.ldexp(A.a, 600)), DEFAULT_TOL)
+        assert np.array_equal(big_root.a, np.ldexp(root.a, 300))
+        assert np.array_equal(big_z.a, np.ldexp(z.a, -300))
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_below_the_lapack_order_it_is_the_jacobi_route(self, spectra, n):
+        A = self.conditioned(np.random.default_rng(n), n, 10.0)
+        pair = linalg._definite_root_pair(A, DEFAULT_TOL)
+        assert spectra == [True]
+        for mine, ref in zip(pair, self.jacobi_route(A)):
+            assert np.array_equal(mine.a, ref.a)
+
+    def test_a_gap_past_rank_tol_takes_the_jacobi_route(self, spectra):
+        # lambda_min / lambda_max = 1e-10 < rank_tol: the certificate
+        # cannot prove definiteness, and the Jacobi route answers
+        A = self.conditioned(np.random.default_rng(6), 8, 1e10)
+        pair = linalg._definite_root_pair(A, DEFAULT_TOL)
+        assert spectra == [True]
+        for mine, ref in zip(pair, self.jacobi_route(A)):
+            assert np.array_equal(mine.a, ref.a)
+
+    def test_a_residual_past_the_bound_takes_the_jacobi_route(self, spectra):
+        # At base 1e-14 the certificate proves a condition number of 1e6
+        # definite, but equality_tol sqrt(n) = 2.8e-13 is below the
+        # iteration's residual (about 1e-11 here): the check refuses it
+        tol = Tolerances(1e-14)
+        A = self.conditioned(np.random.default_rng(7), 8, 1e6)
+        assert linalg._certificate(linalg._scaled_rows(A.a), tol.rank_tol,
+                                   refute=False, floor=False)[0]
+        pair = linalg._definite_root_pair(A, tol)
+        assert spectra == [True]
+        for mine, ref in zip(pair, self.jacobi_route(A, tol)):
+            assert np.array_equal(mine.a, ref.a)
+
+    def test_an_indefinite_input_is_not_psd(self):
+        A = SymMat.diagonal([-1.0] + [1.0] * 7)
+        with pytest.raises(NotPSD, match="below -psd_tol"):
+            linalg._definite_root_pair(A, DEFAULT_TOL)
+
+    def test_a_singular_root_is_singular(self):
+        # lambda = 0 passes sqrt_psd; its root is singular for inv
+        A = SymMat.diagonal([0.0] + [1.0] * 7)
+        with pytest.raises(Singular, match="singular within rank tolerance"):
+            linalg._definite_root_pair(A, DEFAULT_TOL)
+
+
 class TestInv:
     def test_identity(self):
         assert np.allclose(linalg.inv(SymMat.identity(2)).a, np.eye(2))

@@ -8,7 +8,7 @@ import pytest
 
 from loewner import linalg, oracle, selftest
 from loewner.automorphisms import EffectAutomorphism
-from loewner.effects import RankOneProjection, make_effect, standard_projection
+from loewner.effects import RankOneProjection, make_effect
 from loewner.errors import NotPSD
 from loewner.intervals import CanonicalClass, canonical_interval
 from loewner.linalg import SymMat
@@ -39,21 +39,21 @@ class TestStrengthBisection:
         assert oracle.strength_bisection(SymMat.identity(2), proj) == pytest.approx(1.0, abs=1e-8)
 
     def test_scaled_projection(self):
-        proj = standard_projection(0, 2)
+        proj = RankOneProjection([1.0, 0.0])
         assert oracle.strength_bisection(SymMat(2.0 * proj.mat.a), proj) == pytest.approx(2.0, abs=1e-8)
 
     def test_prescribed_pair_threshold(self):
         # (1/2)P + Q = I - (1/2)xx^t for the orthogonal pair P = xx^t,
         # Q = yy^t with x = (1/sqrt(3), sqrt(2/3)): its strength along e_0
         # is det / (2/3) = 3/4
-        r = standard_projection(0, 2)
+        r = RankOneProjection([1.0, 0.0])
         off = math.sqrt(2.0) / 6.0
         combined = SymMat([[5.0 / 6.0, -off], [-off, 2.0 / 3.0]])
         assert oracle.strength_bisection(combined, r) == pytest.approx(0.75, abs=1e-8)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
-            oracle.strength_bisection(SymMat.diagonal([-1.0, 1.0]), standard_projection(0, 2))
+            oracle.strength_bisection(SymMat.diagonal([-1.0, 1.0]), RankOneProjection([1.0, 0.0]))
 
     # seed 4 is the strength property of run_selftest(0, 200) (the
     # selftest golden), seed 11004 that of the first op of the bench's

@@ -29,8 +29,15 @@ COUNT = 2400
 
 EXPECTED = {
     "api-small": ("871183b16c6bc55c546ee245c0b5972248aacf25b92b2ab5082ca35fe61710a0", 360),
-    "api-large": ("386cf384bec9eaa9b9e0fb38327f02c3aed9e9fe5545a02f83eb6a7dfd9af9af", 364),
+    "api-large": ("5d0917d3f3a397cf6cd9f086e464bdf6683460666adc5f14b50b488d4e351ed0", 244),
 }
+# api-large moved once, from (386cf384..., 364): linalg._definite_root_pair
+# answers the root pairs of interval normalization and generator recovery
+# from n = 8 on by the Denman-Beavers iteration, which takes no spectrum.
+# The 96 interval ops with two finite ends (of 216) moved, by at most
+# 8.0e-14 relative (Frobenius), and all 24 recover ops, by at most
+# 3.9e-15; 120 eigh calls went. No other op moved, and no op changed
+# between answer and error.
 
 
 # the same for seed 13
