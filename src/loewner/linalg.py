@@ -1152,12 +1152,12 @@ def _definite_root_pair(A: SymMat, tol: Tolerances) -> Tuple[SymMat, SymMat]:
                 if distance <= 2.0 ** -26:
                     break
             z = (z + z.T) / 2.0
-            root = a @ z
             size = float(np.linalg.norm(z))
             bound = min(2.0 * n * _UNIT_ROUNDOFF * float(np.linalg.norm(a)) * size * size,
                         tol.equality_tol * math.sqrt(n))
             if (float(np.linalg.norm(z @ a @ z - eye)) <= bound
                     and _certificate(_scaled_rows(z), tol.rank_tol, refute=False, floor=False)[0]):
+                root = a @ z
                 return (_computed(np.ldexp((root + root.T) / 2.0, -j), _OVERFLOW, symmetric=True),
                         _computed(np.ldexp(z, j), _OVERFLOW, symmetric=True))
     root = sqrt_psd(A, tol)
