@@ -39,34 +39,17 @@ _RESIDUAL_PROBE_SEED = 271828
 _CONVERSION_CHECK_SEED = 314159
 
 
-# Relative widening of ||T||_F / sqrt(n) <= ||T||_2 <= ||T||_F in
-# _canonical_sign, for the rounding of both norms.
-_SIGN_BAND = 2.0 ** -24
-
-
-def _canonical_sign(t: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _canonical_sign(t: np.ndarray, tol: Tolerances, top: float) -> np.ndarray:
     """Flip T so its first significantly nonzero entry (row-major) is
-    positive: the first with |t_ij| > equality_tol * ||T||_2.
-
-    Each entry is decided against the bounds ||T||_F / sqrt(n) <= ||T||_2
-    <= ||T||_F, widened by _SIGN_BAND; the spectral norm (an SVD) is
-    computed only for an entry that falls between them. If none passes
-    (equality_tol >= 1, as |t_ij| <= ||T||_2), the largest entry decides."""
+    positive: the first with |t_ij| > equality_tol * ||T||_2, where top =
+    ||T||_2 is sigma_max from the regularity gate (np.linalg.norm(T, 2)
+    is the same SVD). If none passes (equality_tol >= 1, as |t_ij| <=
+    ||T||_2), the largest entry decides."""
+    gate = tol.equality_tol * top
     values = t.ravel().tolist()
-    frob = math.hypot(*values)
-    lo = tol.equality_tol * frob / math.sqrt(t.shape[0]) * (1.0 - _SIGN_BAND)
-    hi = tol.equality_tol * frob * (1.0 + _SIGN_BAND)
-    gate = None
     for value in values:
-        size = abs(value)
-        if size <= lo:
-            continue
-        if size <= hi:
-            if gate is None:
-                gate = tol.equality_tol * float(np.linalg.norm(t, 2))
-            if size <= gate:
-                continue
-        return -t if value < 0.0 else t
+        if abs(value) > gate:
+            return -t if value < 0.0 else t
     return -t if max(values, key=abs) < 0.0 else t
 
 
@@ -85,8 +68,9 @@ class EffectAutomorphism:
     """phi_T with the generator stored in canonical sign.
 
     Construction raises Singular unless T is regular within rank
-    tolerance (linalg._require_regular), which computes the spectrum of
-    T^t T only when its Cholesky certificate is undecided. Every method
+    tolerance: linalg._require_regular asks sigma_min > rank_tol *
+    sigma_max and |det T| > rank_tol of one SVD of T, whose sigma_max
+    also sets the sign gate (_canonical_sign). Every method
     works at the tolerances given at construction, and compose and
     inverse build their result at them.
     """
@@ -107,8 +91,9 @@ class EffectAutomorphism:
             raise TooLarge(f"generator scale {float(abs(t).max()):.3g} is too large: "
                            f"T^t T overflows")
         gram = SymMat(product)
-        linalg._require_regular(gram, tol)
-        t = _canonical_sign(t, tol)
+        sigma = linalg._require_regular(t, tol.rank_tol, "generator is singular within rank tolerance",
+                                        math.log(tol.rank_tol))
+        t = _canonical_sign(t, tol, sigma[0])
         t.flags.writeable = False
         self.t = t
         self.n = t.shape[0]

@@ -135,8 +135,9 @@ class Translate:
 @dataclass(frozen=True, eq=False)
 class Congruence:
     """X -> T X T^t for invertible T; order preserving. T is refused as
-    Singular when an entry is not finite or sigma_min <= 1e-12 sigma_max,
-    a gate on its condition number alone, with no floor at small scales."""
+    Singular when an entry is not finite or sigma_min <= 1e-12 sigma_max
+    (linalg._require_regular with no determinant floor), a gate on its
+    condition number alone, at every scale."""
 
     generator: np.ndarray
 
@@ -148,9 +149,7 @@ class Congruence:
             raise InvalidSpec("congruence generator must be square")
         if not np.isfinite(t).all():
             raise Singular("congruence generator entries must be finite")
-        sv = np.linalg.svd(t, compute_uv=False)
-        if float(sv[-1]) <= 1e-12 * float(sv[0]):
-            raise Singular("congruence generator is singular")
+        linalg._require_regular(t, 1e-12, "congruence generator is singular")
         t.flags.writeable = False
         object.__setattr__(self, "generator", t)
 

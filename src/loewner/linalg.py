@@ -20,11 +20,14 @@ otherwise, is one function here, beside the proof that both decide alike:
 - _witness_direction (effects.strength_witness): a refuting factor's
   direction of negative curvature (_negative_curvature), else the Jacobi
   eigenvectors;
-- _require_regular (EffectAutomorphism): _certify_regular, else eigvalsh;
 - _definite_root_pair (intervals' normalization, recover_generator):
   from _LAPACK_ORDER on, _definite_ldl's certificate, then a Denman-Beavers
   iteration that its residual and a second certificate accept, else
   sqrt_psd and inv.
+
+Generator regularity needs neither a certificate nor Jacobi:
+_require_regular (EffectAutomorphism, intervals.Congruence) decides it on
+one SVD of T.
 
 A factorization whose only output is "it ran to completion" (and its
 pivots) runs on lists (_cholesky) below _LAPACK_ORDER, in LAPACK's potrf
@@ -585,10 +588,10 @@ def _certificate(scaled: _Scaled, relative: float,
     exponent-range guard, |k| > 1000).
 
     Nothing overflows past the exponent-range guard: |relative| < 1 (a
-    tolerance, or its square), 2^k <= 2^1000, D < 2 and F < 2 n.
+    tolerance), 2^k <= 2^1000, D < 2 and F < 2 n.
 
-    The evidence is the proving attempt's pivots l_ii^2 on True, the
-    refuting factor L on False (_negative_curvature's input), else None.
+    The evidence is the refuting factor L on False (_negative_curvature's
+    input), else None.
     """
     array, k, diag, frob, _ = scaled
     if abs(k) > 1000:
@@ -603,7 +606,7 @@ def _certificate(scaled: _Scaled, relative: float,
     pivots = (_cholesky(scaled.lists, g_hi + delta)[1] if n < _LAPACK_ORDER
               else _cholesky_pivots(g_hi + delta, array))
     if pivots is not None and pivots[-1] > 0.0:
-        return True, pivots
+        return True, None
     if refute:
         factor, pivots = _cholesky(scaled.lists or map(np.ndarray.tolist, array), g_lo - delta)
         if not pivots[-1] > 0.0:
@@ -645,74 +648,36 @@ def _witness_direction(A: SymMat, B: SymMat, gamma: float, tol: Tolerances) -> O
     return vectors[:, 0]
 
 
-def _certify_regular(gram: np.ndarray, tol: Tolerances) -> bool:
-    """True when a shifted Cholesky factorization proves that the Jacobi
-    spectrum lam of the Gram matrix G = T^t T (eigvalsh, ascending) passes
-    the generator test of _require_regular, T regular within rank_tol:
+def _require_regular(t: np.ndarray, relative: float, message: str,
+                     log_floor: Optional[float] = None) -> list:
+    """The singular values of the finite square T, descending, once T is
+    regular: Singular(message) unless sigma_min > relative * sigma_max
+    and, when log_floor is given, fsum(log sigma_i) > log_floor, the log
+    of |det T|, in which nothing can underflow. The one gate on a
+    generator: EffectAutomorphism passes rank_tol and log(rank_tol),
+    intervals.Congruence 1e-12 and no floor.
 
-        sqrt(lam_0) > rank_tol * max(1, sqrt(lam_-1))  and
-        fsum(log(lam_i)) / 2 > log(rank_tol);
+    It decides on T and not on T^t T: forming the Gram matrix rounds its
+    entries by about u ||T||^2 (u = 2^-53), which leaves a singular T with
+    sqrt(lambda_min) near sqrt(u) sigma_max, above a gate of 1e-9 (Golub &
+    Van Loan, Matrix Computations, ch. 5, on the normal equations). The
+    SVD is backward stable: the computed sigma_i are the singular values
+    of T + E with ||E||_2 <= p(n) u ||T||_2, p a modest function of n
+    (LAPACK Users' Guide, sec. 4.9), so by Weyl's inequality a singular T
+    gets sigma_min <= p(n) u sigma_max. The finest gate is relative =
+    1e-14, the floor of Tolerances. Over 645 rank-deficient T = 2^e A B
+    (A n x k and B k x n Gaussian, k < n, n = 2..44, e = -500, 0, 500)
+    the largest computed sigma_min / sigma_max was 8.3e-17, over 100 times
+    below it.
 
-    False means undecided.
-
-    One factorization decides both halves: the proving attempt of
-    _certificate at relative = rank_tol^2 (scaled units, G_s = 2^k G),
-    whose Cholesky of G_s - s I at s = g_hi + delta runs to completion
-    with pivots p_i.
-
-    - First half: success is _certificate's True for lam_0 >= gate =
-      relative * max(1, |lam|max), and leaves lam_0 above the gate by at
-      least eps_c - 3 u gate. As W >= 2 gate (3 gate when n = 1),
-      eps_c >= 12 u gate, which covers the square roots, the square
-      rank_tol^2 and the products of the generator test: together they
-      move its gate by under 7 u gate + 2^-1074 max(2^k, F).
-    - Second half: the computed factor L satisfies L L^t = G_s - s I + E
-      with ||E|| <= eps_c, and Jacobi's sorted eigenvalues lam_s are within
-      eps_j of those of G_s. By Weyl's inequality, in sorted order,
-      lam_s,i >= lambda_i(L L^t) + s - eps_c - eps_j >= lambda_i(L L^t),
-      since s >= delta >= eps_c + eps_j. So prod(lam_s) >= det(L L^t) =
-      prod(l_ii^2). Only the success side of the Cholesky bound enters,
-      so either path of the proving attempt serves (_cholesky_pivots from
-      _LAPACK_ORDER on), and either gives l_ii^2 >= p_i (1 - u)^2: the
-      list factorization takes l_ii = fl(sqrt(p_i)), LAPACK's pivots are
-      p_i = fl(l_ii * l_ii), which _cholesky_pivots keeps only when they
-      are normal numbers. The same inequality gives lam_s,i >=
-      s - eps_c - eps_j >= delta / 2 >= _EIG_TOL (delta >= 2 eps_j,
-      F >= 1). The test below passes only when n (1 - k) + 93.02 > 0,
-      k < 94.02, as the pivots lie below 2 and -2 log2(rank_tol) <= 93.02;
-      there 2^-k delta / 2 is a normal number, so the unscaled lam_i =
-      2^-k lam_s,i are exact and
-      sum(log2 lam_i) >= B = sum(log2 p_i) - k n + 2 n log2(1 - u).
-    - Rounding, in the log domain, where nothing can underflow: the test
-      sum(log2 p_i) - k n - 2 log2(rank_tol) > (n + 2) 2^-39 is evaluated
-      with an error below (n + 1) 2^-40 (each p_i lies in (0, 2) and
-      |k| <= 1000: an ulp of a value below 2^11 per log2, half an ulp of
-      a value below 2074 n + 2150 per sum), so B - 2 log2(rank_tol) >
-      (n + 3) 2^-40 - 3 n u. In natural logs the Jacobi route's margin,
-      fsum(log(lam_i)) / 2 - log(rank_tol), is then at least ln(2) / 2 of
-      that, above 2.7 (n + 3) 2^-43, while its own rounding (an ulp of
-      |log(lam_i)| < 2^10 per term, fsum, log(rank_tol)) stays below
-      (0.9 n + 1) 2^-43.
-    """
-    scaled = _scaled_rows(gram)
-    verdict, pivots = _certificate(scaled, tol.rank_tol ** 2, refute=False)
-    if not verdict:
-        return False
-    n = len(pivots)
-    log_det = math.fsum(map(math.log2, pivots)) - scaled.k * n
-    return log_det - 2.0 * math.log2(tol.rank_tol) > (n + 2) * 2.0 ** -39
-
-
-def _require_regular(gram: SymMat, tol: Tolerances) -> None:
-    """Singular unless T is regular within rank tolerance (G = T^t T):
-    _certify_regular, else its test on lam = eigvalsh(G), where the log of
-    |det T| cannot underflow and any lam_i <= 0 is Singular."""
-    if _certify_regular(gram.a, tol):
-        return
-    values = eigvalsh(gram).tolist()
-    if not (values[0] > 0.0 and math.fsum(map(math.log, values)) / 2.0 > math.log(tol.rank_tol)
-            and math.sqrt(values[0]) > tol.rank_tol * max(1.0, math.sqrt(values[-1]))):
-        raise Singular("generator is singular within rank tolerance")
+    sigma_max needs no max(1, .) floor: when sigma_max < 1, |det T| <=
+    sigma_min, so a determinant half at log(relative) already asks
+    sigma_min > relative."""
+    values = np.linalg.svd(t, compute_uv=False).tolist()
+    if not (values[-1] > relative * values[0]
+            and (log_floor is None or math.fsum(map(math.log, values)) > log_floor)):
+        raise Singular(message)
+    return values
 
 
 def _ldl(rows: list) -> Optional[Tuple[list, list]]:

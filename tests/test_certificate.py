@@ -1,8 +1,7 @@
-"""The Cholesky certificates behind the order predicates, the generator
-test of EffectAutomorphism and the LDL^t route of strength and inv: their
-verdicts agree with the Jacobi route wherever they give one, they hand
-near-gate inputs to the Jacobi fallback, and they take the spectra out of
-the public calls."""
+"""The Cholesky certificates behind the order predicates, the [lo, hi]
+checks and the LDL^t route of strength and inv: their verdicts agree with
+the Jacobi route wherever they give one, they hand near-gate inputs to the
+Jacobi fallback, and they take the spectra out of the public calls."""
 
 import importlib
 import math
@@ -86,18 +85,6 @@ def order_recorder(calls):
     return recording
 
 
-def generator_recorder(calls):
-    """linalg._certify_regular wrapped to append (gram, tol, verdict)."""
-    certify_regular = linalg._certify_regular
-
-    def recording(gram, tol):
-        verdict = certify_regular(gram, tol)
-        calls.append((np.array(gram), tol, verdict))
-        return verdict
-
-    return recording
-
-
 @pytest.fixture
 def recorded(monkeypatch):
     """Every order-certificate call made while the fixture is active."""
@@ -135,12 +122,11 @@ def pivoted_recorder(calls):
 @pytest.fixture(scope="module")
 def corpus_calls():
     """Every certificate call made by run_selftest(0, 200) and by every
-    acceptance criterion's property call: (order calls, generator calls,
-    [lo, hi] checks, pivoted strength answers)."""
-    order, generator, within, pivoted = [], [], [], []
+    acceptance criterion's property call: (order calls, [lo, hi] checks,
+    pivoted strength answers)."""
+    order, within, pivoted = [], [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_certificate", order_recorder(order))
-        patch.setattr(linalg, "_certify_regular", generator_recorder(generator))
         patch.setattr(linalg, "_certified_within", within_recorder(within))
         patch.setattr(linalg, "_pivoted_strength", pivoted_recorder(pivoted))
         selftest.run_selftest(0, 200)
@@ -156,7 +142,7 @@ def corpus_calls():
         selftest.check_two_by_two_fixtures(s + 8, 1)
         selftest.check_interval_atlas(s + 9, 200, per_shape=5)
         selftest.check_conjugation_identity(s + 10, 100)
-    return order, generator, within, pivoted
+    return order, within, pivoted
 
 
 def test_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
@@ -181,7 +167,7 @@ def wrong_within_verdicts(calls):
 
 
 def test_within_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
-    calls = corpus_calls[2]
+    calls = corpus_calls[1]
     undecided = sum(not verdict for *_, verdict in calls)
     print(f"[lo, hi] check: {len(calls)} calls, {undecided} undecided "
           f"({undecided / len(calls):.2%})")
@@ -233,7 +219,7 @@ def wrong_pivoted_answers(calls, rel=1e-12):
 
 
 def test_off_range_agrees_with_jacobi_on_selftest_and_acceptance_inputs(corpus_calls):
-    calls = corpus_calls[3]
+    calls = corpus_calls[2]
     off = sum(answer == 0.0 for *_, answer in calls)
     inside = sum(bool(answer) for *_, answer in calls)
     print(f"pivoted strength: {len(calls)} calls, {off} decided off the range, "
@@ -651,117 +637,6 @@ def test_a_tolerance_whose_gate_would_overflow_is_refused():
     assert linalg.is_psd(m, tol) and not linalg.loewner_lt(SymMat.zero(2), m, tol)
 
 
-def test_generator_beyond_the_exponent_range_falls_back():
-    t = np.ldexp(np.eye(2), -520)                     # T^t T = 2^-1040 I
-    assert not linalg._certify_regular(t.T @ t, DEFAULT_TOL)
-    with pytest.raises(Singular):
-        EffectAutomorphism(t)
-
-
-def test_generator_whose_determinant_underflows_is_regular_on_both_routes():
-    # T = diag(2^-23 x 24, 2^23 x 23): |det T| = 2^-23 clears rank_tol and
-    # sigma_min / sigma_max = 2^-46 clears it too, though the product of
-    # the ascending eigenvalues of T^t T underflows to 0 after 24 factors.
-    # The certificate leaves it to Jacobi, whose test is in the log domain.
-    tol = Tolerances(1e-14)
-    t = np.diag(np.ldexp(1.0, [-23] * 24 + [23] * 23))
-    lam = linalg.eigvalsh(SymMat(t.T @ t))
-    assert np.prod(lam) == 0.0
-    assert not linalg._certify_regular(t.T @ t, tol)
-    assert jacobi_regular(t.T @ t, tol)
-    EffectAutomorphism(t, tol)
-
-
-def jacobi_regular(gram, tol):
-    """The Jacobi route of the generator test: no Singular from the spectral
-    half of linalg._require_regular, its certificate forced undecided."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_certify_regular", lambda gram, tol: False)
-        try:
-            linalg._require_regular(SymMat(gram), tol)
-        except Singular:
-            return False
-    return True
-
-
-def wrong_regular_verdicts(calls):
-    """Grams the certificate called regular while the Jacobi route does not."""
-    return [gram for gram, tol, verdict in calls if verdict and not jacobi_regular(gram, tol)]
-
-
-def test_generator_certificate_agrees_with_jacobi_on_the_corpus(corpus_calls, monkeypatch):
-    calls = list(corpus_calls[1])
-    monkeypatch.syspath_prepend(str(BENCH))
-    ops = importlib.import_module("ops")
-    monkeypatch.setattr(linalg, "_certify_regular", generator_recorder(calls))
-    for op in ops.stream(7, ops.DIMS["api-large"], 600):
-        if op.kind in ("apply", "compose", "invert"):
-            ops.run_library(op)
-    for name, part in (("corpus", calls[:len(corpus_calls[1])]),
-                       ("api-large", calls[len(corpus_calls[1]):])):
-        fallback = sum(not verdict for _, _, verdict in part)
-        print(f"generator certificate, {name}: {len(part)} calls, {fallback} undecided")
-    assert len(calls) > 1000
-    assert wrong_regular_verdicts(calls) == []
-
-
-def _generator_gate_cases(tol):
-    """Generators on and around the two gates of the generator test, scaled
-    by powers of two, and rank-deficient."""
-    rng = np.random.default_rng(11)
-    r = tol.rank_tol
-    cases = []
-    for wobble in (-1e-6, 1e-6):
-        for n in (2, 8, 12, 16):
-            cases.append(np.diag([1.0] * (n - 1) + [r * (1.0 + wobble)]))  # sigma_min on the gate
-        for n in (9, 12, 16):
-            cases.append((r * (1.0 + wobble)) ** (1.0 / n) * np.eye(n))     # |det| on the gate
-    base = [rng.standard_normal((n, n)) for n in (2, 3, 5, 8, 12, 16)]
-    for k in range(-300, 301, 10):
-        cases.extend(np.ldexp(t, k) for t in base)
-    for n in (2, 3, 5, 8, 12, 16):
-        cases.append(np.zeros((n, n)))
-        cases.append(np.outer(rng.standard_normal(n), rng.standard_normal(n)))
-        t = rng.standard_normal((n, n))
-        t[:, -1] = t[:, 0]
-        cases.append(t)
-    return cases
-
-
-@pytest.mark.parametrize("tol", [
-    DEFAULT_TOL,
-    Tolerances(1e-12),
-    Tolerances(1e-3),
-])
-def test_generator_certificate_agrees_with_jacobi_at_the_gates(tol, monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "_certify_regular", generator_recorder(calls))
-    for t in _generator_gate_cases(tol):
-        try:
-            with np.errstate(over="ignore"):
-                EffectAutomorphism(t, tol)
-            regular = True
-        except Singular:
-            regular = False
-        assert regular == jacobi_regular(t.T @ t, tol)
-    assert wrong_regular_verdicts(calls) == []
-    verdicts = [verdict for _, _, verdict in calls]
-    print(f"generator certificate at the gates, rank_tol {tol.rank_tol:g}: {len(calls)} calls, "
-          f"undecided {by_side(calls, lambda call: not call[-1])}")
-    # The gate cases and the rank-deficient ones reach the Jacobi fallback.
-    assert 0 < verdicts.count(False) < len(verdicts)
-
-
-def test_generator_certificate_decides_the_det_gate():
-    tol = DEFAULT_TOL
-    above = (tol.rank_tol * (1.0 + 1e-6)) ** (1.0 / 9.0) * np.eye(9)
-    below = (tol.rank_tol * (1.0 - 1e-6)) ** (1.0 / 9.0) * np.eye(9)
-    assert linalg._certify_regular(above.T @ above, tol)
-    assert not linalg._certify_regular(below.T @ below, tol)
-    with pytest.raises(Singular):
-        EffectAutomorphism(below)
-
-
 def jacobi_keeps_and_inverts(m, tol):
     """The Jacobi routes' decisions on m: pinv_and_range keeps every
     eigenvalue (strength's closed form on the full range), and inv finds
@@ -980,26 +855,28 @@ class TestSpectraPerCall:
 
     def test_recover_on_an_exact_black_box(self, count, monkeypatch):
         # the root pair's eigh (linalg._definite_root_pair takes the Jacobi
-        # route below _LAPACK_ORDER) and the residual probes' eigvalsh; every
-        # probe image is a projection to rounding, so no direction takes eigh
+        # route below _LAPACK_ORDER), the residual probes' eigvalsh and the
+        # recovered generator's regularity gate, one SVD of T; every probe
+        # image is a projection to rounding, so no direction takes eigh
         monkeypatch.syspath_prepend(str(BENCH))
         ops = importlib.import_module("ops")
         t = np.array([[2.0, 0.3, 0.0, 0.1], [0.1, 1.0, 0.2, 0.0],
                       [0.0, 0.4, 0.7, 0.3], [0.2, 0.0, 0.1, 1.5]])
-        assert count(recover_generator, ops.black_box(t), 4) == ["eigh"] + ["eigvalsh"] * 10
+        assert count(recover_generator, ops.black_box(t), 4) == ["eigh"] + ["eigvalsh"] * 10 + ["svd"]
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_recovery_certifies_no_effect(self, count, monkeypatch, n):
         # the probes are effects by construction and the residual check
         # reads the uncertified images, so nothing runs the [lo, hi] check;
-        # the root pair takes one eigh below _LAPACK_ORDER and none from it
+        # the root pair takes one eigh below _LAPACK_ORDER and none from it,
+        # and the recovered generator's regularity gate one SVD
         root = ["eigh"] if n < linalg._LAPACK_ORDER else []
         monkeypatch.syspath_prepend(str(BENCH))
         ops = importlib.import_module("ops")
         within = []
         monkeypatch.setattr(linalg, "_certified_within", within_recorder(within))
         t = 2.0 * np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))
-        assert count(recover_generator, ops.black_box(t), n) == root + ["eigvalsh"] * 10
+        assert count(recover_generator, ops.black_box(t), n) == root + ["eigvalsh"] * 10 + ["svd"]
         assert within == []
         assert count(recovery_probe_effects, n) == ["eigvalsh"] * 10
         assert within == []
@@ -1021,14 +898,17 @@ class TestSpectraPerCall:
         assert count(phi.project_image, RankOneProjection([1.0, 2.0, 3.0])) == ["eigh"]
 
     def test_construction_takes_no_spectrum(self, count):
+        # no Jacobi spectrum: the regularity gate (linalg._require_regular)
+        # is one SVD of T, and the sign reads its sigma_max
         t = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]])
-        assert count(EffectAutomorphism, t) == []
+        assert count(EffectAutomorphism, t) == ["svd"]
 
     def test_compose_and_inverse_take_no_spectrum(self, count):
+        # each constructs its result, whose regularity gate is one SVD
         phi = EffectAutomorphism(np.array([[2.0, 0.3, 0.0], [0.1, 1.0, 0.2], [0.0, 0.4, 0.7]]))
         psi = EffectAutomorphism(np.array([[1.0, 0.0, 0.5], [0.2, 0.8, 0.0], [0.0, 0.3, 1.5]]))
-        assert count(phi.compose, psi) == []
-        assert count(phi.inverse) == []
+        assert count(phi.compose, psi) == ["svd"]
+        assert count(phi.inverse) == ["svd"]
 
     def test_extension_bound_is_one_eigvalsh_when_read(self, count):
         phi = EffectAutomorphism(np.array([[0.5, 0.1], [0.0, 0.8]]))
@@ -1120,7 +1000,8 @@ class TestFactorizationsPerCall:
         assert count(linalg.loewner_le, low, high) == (1, 0)
         # the proving attempt fails in LAPACK, the refuting one runs in lists
         assert count(linalg.loewner_le, high, low) == (1, 1)
-        assert count(EffectAutomorphism, t) == (1, 0)
+        # the regularity gate is one SVD of T, no factorization
+        assert count(EffectAutomorphism, t) == (0, 0)
         assert count(make_effect, low) == (2, 0)
         assert count(EffectAutomorphism(t).apply, make_effect(low)) == (2, 0)
 

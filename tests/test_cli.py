@@ -332,6 +332,24 @@ class TestCanonicalSignAtLargeTolerance:
         assert (code, out) == (0, '{"data":[1,0.25,0,0.5],"n":2}\n')
 
 
+class TestRankOneGenerator:
+    # T = v v^t, v = default_rng(9).standard_normal(2): sigma_min / sigma_max
+    # is 1.2e-17, which a gate on T^t T cannot resolve (its rounding
+    # leaves sqrt(lambda_min) near 1e-8 sigma_max, above rank_tol)
+    V = np.random.default_rng(9).standard_normal(2)
+    T = json.dumps({"n": 2, "data": np.outer(V, V).ravel().tolist()})
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "apply", T, '{"n":2,"data":[0.5,0,0,0.25]}'],
+        ["phi", "compose", T, T],
+        ["phi", "invert", T],
+    ], ids=["apply", "compose", "invert"])
+    def test_is_singular(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: generator is singular within rank tolerance\n"
+
+
 class TestIntervalParsing:
     def spec(self, lower, upper):
         return json.dumps({"n": 2, "lower": lower, "upper": upper})

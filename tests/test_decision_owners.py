@@ -1,7 +1,6 @@
 """linalg owns each certificate-or-spectrum decision: the strength closed
-form (linalg._strength), the direction of a strength witness
-(linalg._witness_direction) and generator regularity
-(linalg._require_regular) each run their certificate or factor and their
+form (linalg._strength) and the direction of a strength witness
+(linalg._witness_direction) each run their certificate or factor and their
 Jacobi route in one body, next to the proof that the two agree. So does
 the square root of a definite matrix with its inverse
 (linalg._definite_root_pair): its iteration, the checks that accept it,
@@ -17,8 +16,8 @@ import pathlib
 import loewner
 
 SOURCES = pathlib.Path(loewner.__file__).resolve().parent
-INTERNALS = {"_certificate", "_certify_regular", "_definite_ldl", "_negative_curvature",
-             "_pivoted_strength", "_reciprocal_form", "_scaled_pinv", "_scaled_rows"}
+INTERNALS = {"_certificate", "_definite_ldl", "_negative_curvature", "_pivoted_strength",
+             "_reciprocal_form", "_scaled_pinv", "_scaled_rows"}
 
 
 def internal_uses(path):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loewner import linalg
+from loewner.automorphisms import EffectAutomorphism
 from loewner.errors import (
     DimensionMismatch,
     DomainError,
@@ -758,6 +759,100 @@ class TestDefiniteRootPair:
         A = SymMat.diagonal([0.0] + [1.0] * 7)
         with pytest.raises(Singular, match="singular within rank tolerance"):
             linalg._definite_root_pair(A, DEFAULT_TOL)
+
+
+class TestRegularityGate:
+    """linalg._require_regular, the one gate on a generator T: sigma_min >
+    relative * sigma_max and, for EffectAutomorphism (relative =
+    rank_tol), |det T| > rank_tol, both read from one SVD of T."""
+
+    @staticmethod
+    def regular(t, tol):
+        """EffectAutomorphism's verdict on t at tol: False on Singular."""
+        try:
+            EffectAutomorphism(t, tol)
+        except Singular as exc:
+            assert str(exc) == "generator is singular within rank tolerance"
+            return False
+        return True
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(1e-12), Tolerances(1e-3)])
+    def test_a_diagonal_on_either_gate_gets_the_exact_verdict(self, tol):
+        # The SVD of a diagonal is exact: 1e-6 (relative) inside a gate is
+        # regular, 1e-6 past it singular.
+        r = tol.rank_tol
+        for wobble in (-1e-6, 1e-6):
+            for n in (2, 8, 12, 16):
+                t = np.diag([1.0] * (n - 1) + [r * (1.0 + wobble)])       # sigma_min on the gate
+                assert self.regular(t, tol) == (wobble > 0.0)
+            for n in (9, 12, 16):
+                t = (r * (1.0 + wobble)) ** (1.0 / n) * np.eye(n)          # |det| on the gate
+                assert self.regular(t, tol) == (wobble > 0.0)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(1e-12), Tolerances(1e-3)])
+    def test_scaled_and_rank_deficient_generators(self, tol):
+        # 2^k T moves only the determinant half, by n k log 2; LU's
+        # determinant (slogdet) and the condition number are the reference.
+        # A zero, rank-one or repeated-column T is singular at any tol.
+        rng = np.random.default_rng(11)
+        r = tol.rank_tol
+        for n in (2, 3, 5, 8, 12, 16):
+            base = rng.standard_normal((n, n))
+            conditioned = 1.0 / np.linalg.cond(base) > r
+            log_det = float(np.linalg.slogdet(base)[1])
+            for k in range(-300, 301, 10):
+                expected = conditioned and log_det + n * k * math.log(2.0) > math.log(r)
+                assert self.regular(np.ldexp(base, k), tol) == expected
+            repeated = rng.standard_normal((n, n))
+            repeated[:, -1] = repeated[:, 0]
+            for t in (np.zeros((n, n)), np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+                      repeated):
+                assert not self.regular(t, tol)
+
+    def test_a_rank_deficient_generator_is_refused_by_the_constructor(self):
+        # T = 2^e A B, A n x k and B k x n with k < n: Singular from the
+        # constructor at every scale. Forming T^t T would leave
+        # sqrt(lambda_min) near 1e-8 sigma_max, above rank_tol, on 131 of
+        # these 1800.
+        rng = np.random.default_rng(32)
+        for n in range(2, 17):
+            for e in (-500, 0, 500):
+                for _ in range(40):
+                    k = int(rng.integers(1, n))
+                    t = np.ldexp(rng.standard_normal((n, k)) @ rng.standard_normal((k, n)), e)
+                    assert not self.regular(t, DEFAULT_TOL)
+        # LU meets an exact zero pivot in T: accepted, its inverse() would
+        # raise numpy's LinAlgError
+        t = 1e93 * np.outer([-2.0, -1.0, -1.0, -3.0, -2.0, 3.0], [-3.0, -1.0, 1.0, -1.0, -1.0, 2.0])
+        assert not self.regular(t, DEFAULT_TOL)
+
+    def test_the_determinant_gate_at_n_9(self):
+        tol = DEFAULT_TOL
+        above = (tol.rank_tol * (1.0 + 1e-6)) ** (1.0 / 9.0) * np.eye(9)
+        below = (tol.rank_tol * (1.0 - 1e-6)) ** (1.0 / 9.0) * np.eye(9)
+        assert self.regular(above, tol)
+        assert not self.regular(below, tol)
+
+    @pytest.mark.parametrize("t", [np.ldexp(np.eye(2), -520), 1e-5 * np.eye(2)],
+                             ids=["2^-520", "1e-5"])
+    def test_a_small_multiple_of_the_identity_is_singular(self, t):
+        # sigma_min / sigma_max = 1 passes; |det T| = 2^-1040 and 1e-10 fall
+        # below rank_tol, so the determinant half refuses them
+        assert not self.regular(t, DEFAULT_TOL)
+
+    def test_a_determinant_that_underflows_is_regular(self):
+        # T = diag(2^-23 x 24, 2^23 x 23): |det T| = 2^-23 clears rank_tol
+        # and sigma_min / sigma_max = 2^-46 clears it too, though the
+        # product of the ascending squares sigma_i^2 (the eigenvalues of
+        # T^t T) underflows to 0 after 24 factors: the test is in the log
+        # domain
+        tol = Tolerances(1e-14)
+        diagonal = np.ldexp(1.0, [-23] * 24 + [23] * 23)
+        t = np.diag(diagonal)
+        sigma = linalg._require_regular(t, tol.rank_tol, "singular", math.log(tol.rank_tol))
+        assert sigma == sorted(diagonal.tolist(), reverse=True)
+        assert np.prod(np.square(sigma[::-1])) == 0.0
+        assert self.regular(t, tol)
 
 
 class TestInv:
