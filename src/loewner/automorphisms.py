@@ -79,8 +79,8 @@ class EffectAutomorphism:
 
     def __init__(self, generator, tol: Tolerances = DEFAULT_TOL):
         t = np.array(generator, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise DimensionMismatch(f"generator must be square, got shape {t.shape}")
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+            raise DimensionMismatch(f"generator must be square and nonempty, got shape {t.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             product = t.T @ t
         # below 2^1022, symmetrizing in SymMat cannot overflow either; an
@@ -104,9 +104,9 @@ class EffectAutomorphism:
     def extension_bound(self) -> Optional[float]:
         """The certified radius eps beyond the unit interval on which the
         defining formula stays invertible: the map is well defined on
-        [0, (1 + eps) I), with None meaning unbounded. Computed from the
-        spectrum of T^t T when read."""
-        lam_min = float(linalg.eigvalsh(self.gram)[0])
+        [0, (1 + eps) I), with None meaning unbounded. Computed when read
+        from lambda_min(T^t T) = sigma_min^2, of one SVD of T."""
+        lam_min = linalg._singular_values(self.t)[-1] ** 2
         if lam_min >= 1.0:
             return None
         shrunk = lam_min * (1.0 - 1e-12)
@@ -115,10 +115,10 @@ class EffectAutomorphism:
     def _noise_gate(self) -> float:
         """Roundoff in the defining formula grows with the conditioning of
         T^t T; images are certified against psd_tol widened by this
-        float-noise bound and then clamped back onto [0, 1]."""
-        lam = linalg.eigvalsh(self.gram)
-        cond = float(lam[-1]) / float(lam[0])
-        return 64.0 * np.finfo(float).eps * cond * max(1.0, float(lam[-1]))
+        float-noise bound and then clamped back onto [0, 1]. Its norm and
+        condition number are read from one SVD of T on each call."""
+        sigma = linalg._singular_values(self.t)
+        return 64.0 * np.finfo(float).eps * (sigma[0] / sigma[-1]) ** 2 * max(1.0, sigma[0] * sigma[0])
 
     def _formula(self, xs: np.ndarray) -> np.ndarray:
         """T (X (T^t T - I) + I)^{-1} X T^t for each matrix X of the stack
@@ -378,7 +378,7 @@ def unit_mobius(p: float, x: float) -> float:
 @dataclass(frozen=True)
 class MobiusParams:
     """Parameters (p, q, T) of the fractional-linear form at tolerances tol:
-    p, q < 1 and T an invertible contraction."""
+    p, q < 1 and T an invertible contraction, on one SVD of T."""
 
     p: float
     q: float
@@ -389,22 +389,14 @@ class MobiusParams:
         if not (self.p < 1.0 and self.q < 1.0):
             raise BadParameter("p and q must be strictly below 1")
         t = np.array(self.t, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise BadParameter("T must be a square matrix")
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = t.T @ t
-        # as in EffectAutomorphism; every entry of T^t T is at most
-        # ||T||_2^2 in size, so a finite T past the gate is no contraction
-        if not abs(product).max() < 2.0 ** 1022:
-            if not np.isfinite(t).all():
-                raise BadParameter("T entries must be finite")
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+            raise BadParameter("T must be a nonempty square matrix")
+        if not np.isfinite(t).all():
+            raise BadParameter("T entries must be finite")
+        sigma = linalg._singular_values(t)
+        if sigma[0] > 1.0 + self.tol.equality_tol:
             raise BadParameter("T must be a contraction (largest singular value <= 1)")
-        lam = linalg.eigvalsh(SymMat(product))
-        sigma_max = math.sqrt(max(float(lam[-1]), 0.0))
-        sigma_min = math.sqrt(max(float(lam[0]), 0.0))
-        if sigma_max > 1.0 + self.tol.equality_tol:
-            raise BadParameter("T must be a contraction (largest singular value <= 1)")
-        if sigma_min <= self.tol.rank_tol:
+        if sigma[-1] <= self.tol.rank_tol:
             raise BadParameter("T must be invertible")
         t.flags.writeable = False
         object.__setattr__(self, "t", t)

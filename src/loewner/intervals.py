@@ -145,8 +145,8 @@ class Congruence:
 
     def __post_init__(self):
         t = np.array(self.generator, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise InvalidSpec("congruence generator must be square")
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+            raise InvalidSpec("congruence generator must be square and nonempty")
         if not np.isfinite(t).all():
             raise Singular("congruence generator entries must be finite")
         linalg._require_regular(t, 1e-12, "congruence generator is singular")

@@ -25,9 +25,9 @@ otherwise, is one function here, beside the proof that both decide alike:
   iteration that its residual and a second certificate accept, else
   sqrt_psd and inv.
 
-Generator regularity needs neither a certificate nor Jacobi:
-_require_regular (EffectAutomorphism, intervals.Congruence) decides it on
-one SVD of T.
+Generators need neither a certificate nor Jacobi: one SVD of T
+(_singular_values) gives sigma(T) to _require_regular (EffectAutomorphism,
+intervals.Congruence), MobiusParams, extension_bound and the noise gate.
 
 A factorization whose only output is "it ran to completion" (and its
 pivots) runs on lists (_cholesky) below _LAPACK_ORDER, in LAPACK's potrf
@@ -648,6 +648,11 @@ def _witness_direction(A: SymMat, B: SymMat, gamma: float, tol: Tolerances) -> O
     return vectors[:, 0]
 
 
+def _singular_values(t: np.ndarray) -> list:
+    """sigma(T), descending, from one SVD of T, not of T^t T (see _require_regular)."""
+    return np.linalg.svd(t, compute_uv=False).tolist()
+
+
 def _require_regular(t: np.ndarray, relative: float, message: str,
                      log_floor: Optional[float] = None) -> list:
     """The singular values of the finite square T, descending, once T is
@@ -673,7 +678,7 @@ def _require_regular(t: np.ndarray, relative: float, message: str,
     sigma_max needs no max(1, .) floor: when sigma_max < 1, |det T| <=
     sigma_min, so a determinant half at log(relative) already asks
     sigma_min > relative."""
-    values = np.linalg.svd(t, compute_uv=False).tolist()
+    values = _singular_values(t)
     if not (values[-1] > relative * values[0]
             and (log_floor is None or math.fsum(map(math.log, values)) > log_floor)):
         raise Singular(message)

@@ -522,16 +522,43 @@ class TestMobiusForm:
 
     @pytest.mark.parametrize("t, message", [
         (1e200 * np.eye(2), "contraction"),
+        (1e308 * np.eye(2), "contraction"),
+        (np.full((2, 2), 1e308), "contraction"),                       # sigma_max is inf
         (np.array([[1e200, 1e200], [1e200, -1e200]]), "contraction"),   # inf - inf
         (np.array([[np.nan, 0.0], [0.0, 0.5]]), "finite"),
         (np.array([[np.inf, 0.0], [0.0, 0.5]]), "finite"),
-    ], ids=["huge", "huge_cancelling", "nan", "inf"])
+    ], ids=["huge", "huge_1e308", "huge_rank_one", "huge_cancelling", "nan", "inf"])
     def test_rejects_a_huge_or_non_finite_generator_without_a_warning(self, t, message):
-        # T^t T past the double range is no contraction's
+        # the SVD scales T into range, so sigma_max comes out huge or inf
+        # with no warning, and a non-finite entry is refused before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BadParameter, match=message):
                 MobiusParams(p=0.5, q=0.5, t=t)
+
+    def test_a_singular_expansion_is_refused_as_no_contraction(self):
+        # diag(2, 0) fails both rules; the contraction rule is asked first
+        with pytest.raises(BadParameter, match="must be a contraction"):
+            MobiusParams(p=0.0, q=0.0, t=np.diag([2.0, 0.0]))
+
+    def test_every_rank_deficient_contraction_is_refused(self):
+        # T = A B with A n x k and B k x n, k < n, scaled to sigma_max =
+        # 1/1.001. A gate on lambda_min(T^t T) would see about sqrt(u)
+        # sigma_max, above rank_tol, and accept 67 of these 350; the SVD of
+        # T itself leaves sigma_min at rounding level
+        rng = np.random.default_rng(33)
+        for n in range(2, 9):
+            for _ in range(50):
+                k = int(rng.integers(1, n))
+                t = rng.standard_normal((n, k)) @ rng.standard_normal((k, n))
+                t = t / (np.linalg.svd(t, compute_uv=False)[0] * 1.001)
+                with pytest.raises(BadParameter, match="T must be invertible"):
+                    MobiusParams(p=0.0, q=0.0, t=t)
+        # sigma_min / sigma_max = 1.2e-16: the Gram gate would accept it,
+        # and mobius_apply give a full-rank "image" of (1/2)I
+        v = np.random.default_rng(0).standard_normal(2)
+        with pytest.raises(BadParameter, match="T must be invertible"):
+            MobiusParams(p=0.0, q=0.0, t=0.5 * np.outer(v, v) / (v @ v))
 
     def test_stays_inside_unit_interval(self):
         s = oracle.Sampler(20)
@@ -579,20 +606,23 @@ _PHI3 = identity_automorphism(3)
 
 @pytest.mark.parametrize("call,error", [
     (lambda: EffectAutomorphism(np.ones((2, 3))), DimensionMismatch),
+    (lambda: EffectAutomorphism(np.zeros((0, 0))), DimensionMismatch),
     (lambda: EffectAutomorphism([[math.nan, 0.0], [0.0, 1.0]]), Singular),
     (lambda: _PHI2.compose(_PHI3), DimensionMismatch),
     (lambda: _PHI2.equals(_PHI3), DimensionMismatch),
     (lambda: _PHI2.project_image(RankOneProjection([1.0, 0.0, 0.0])), DimensionMismatch),
     (lambda: _PHI2.apply(0.5 * np.eye(2)), NotAnEffect),
     (lambda: MobiusParams(p=0.0, q=0.0, t=np.ones((2, 3))), BadParameter),
+    (lambda: MobiusParams(p=0.0, q=0.0, t=np.zeros((0, 0))), BadParameter),
     (lambda: MobiusParams(p=0.0, q=0.0, t=np.diag([1.0, 0.0])), BadParameter),
     (lambda: mobius_apply(MobiusParams(p=0.0, q=0.0, t=0.5 * np.eye(2)), half_identity(3)),
      DimensionMismatch),
     (lambda: recover_generator(lambda eff: eff, 1), DimensionMismatch),
     (lambda: recover_generator(lambda eff: eff.mat, 2), NotAutomorphism),
-], ids=["generator_not_square", "generator_nan", "compose_dimensions", "equals_dimensions",
-        "project_image_dimensions", "apply_ndarray", "mobius_t_not_square", "mobius_t_singular",
-        "mobius_apply_dimensions", "recover_n1", "recover_oracle_not_effect"])
+], ids=["generator_not_square", "generator_empty", "generator_nan", "compose_dimensions",
+        "equals_dimensions", "project_image_dimensions", "apply_ndarray", "mobius_t_not_square",
+        "mobius_t_empty", "mobius_t_singular", "mobius_apply_dimensions", "recover_n1",
+        "recover_oracle_not_effect"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()

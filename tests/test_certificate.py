@@ -27,7 +27,7 @@ from loewner.effects import (
     strength,
     strength_witness,
 )
-from loewner.errors import NotPSD, Singular
+from loewner.errors import InternalInversionFailure, NotPSD, Singular
 from loewner.intervals import Endpoint, IntervalSpec, build_chain
 from loewner.linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -910,9 +910,30 @@ class TestSpectraPerCall:
         assert count(phi.compose, psi) == ["svd"]
         assert count(phi.inverse) == ["svd"]
 
-    def test_extension_bound_is_one_eigvalsh_when_read(self, count):
+    def test_extension_bound_is_one_svd_when_read(self, count):
+        # sigma_min^2 of one SVD of T, no Jacobi spectrum of T^t T
         phi = EffectAutomorphism(np.array([[0.5, 0.1], [0.0, 0.8]]))
-        assert count(lambda: phi.extension_bound) == ["eigvalsh"]
+        assert count(lambda: phi.extension_bound) == ["svd"]
+
+    def test_mobius_params_take_no_spectrum(self, count):
+        # the contraction and invertibility rules read one SVD of T
+        t = np.array([[0.8, 0.1], [0.0, 0.6]])
+        assert count(MobiusParams, 0.3, -0.5, t) == ["svd"]
+
+    def test_an_image_past_psd_tol_reads_the_noise_gate_from_one_svd(self, count, monkeypatch):
+        # fault injection: the solve comes back four times too large, so
+        # the image leaves [0, I] past psd_tol; its spectrum is one eigh,
+        # and the noise gate reads sigma(T) from one SVD, no eigvalsh
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, x: 4.0 * solve(m, x))
+        phi = EffectAutomorphism(np.diag([2.0, 1.0]))
+        half = make_effect(SymMat(0.5 * np.eye(2)))
+
+        def apply():
+            with pytest.raises(InternalInversionFailure, match="beyond the noise gate"):
+                phi.apply(half)
+
+        assert count(apply) == ["eigh", "svd"]
 
     def test_apply_on_interior_input_takes_no_spectrum(self, count):
         phi = EffectAutomorphism(np.array([[2.0, 0.3], [0.1, 1.0]]))

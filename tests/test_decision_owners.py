@@ -8,7 +8,10 @@ and the Jacobi route sqrt_psd then inv. The other modules make one call
 per decision and reach none of the certificate internals, and none calls
 sqrt_psd, so an edit outside linalg cannot split a route from its proof.
 No module, linalg included, forms inv(sqrt_psd(.)) in one expression.
-Docstrings may still name them."""
+The singular values of a generator come from one SVD in linalg
+(linalg._singular_values), and the Gram matrix T^t T that an
+EffectAutomorphism keeps is read only by its defining formula, so no
+module takes a spectrum of T^t T. Docstrings may still name them."""
 
 import ast
 import pathlib
@@ -52,6 +55,34 @@ def root_calls(path):
     return sorted(calls.items())
 
 
+def uses_by_function(path, matches):
+    """(function, line) for each node that matches, where function is the
+    name of the innermost def around it, None at module level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.append((owner, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def svd_call(node):
+    """A call of svd, as an attribute (np.linalg.svd) or a bare name."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Attribute) and func.attr == "svd"
+            or isinstance(func, ast.Name) and func.id == "svd")
+
+
+def gram_read(node):
+    """A read of a .gram attribute."""
+    return isinstance(node, ast.Attribute) and node.attr == "gram" and isinstance(node.ctx, ast.Load)
+
+
 def test_no_module_but_linalg_reaches_a_certificate_internal():
     modules = sorted(p for p in SOURCES.glob("*.py") if p.name != "linalg.py")
     assert len(modules) >= 8
@@ -80,3 +111,27 @@ def test_the_root_scan_sees_both_forms(tmp_path):
                       "z = linalg.inv(linalg.sqrt_psd(a, tol), tol)\n"
                       "w = inv(sqrt_psd(a))\n", encoding="utf-8")
     assert root_calls(source) == [(2, "sqrt_psd"), (3, "inv(sqrt_psd)"), (4, "inv(sqrt_psd)")]
+
+
+def test_only_linalg_takes_an_svd_and_only_the_formula_reads_the_gram_matrix():
+    modules = sorted(SOURCES.glob("*.py"))
+    svds = {p.name: [owner for owner, _ in uses_by_function(p, svd_call)] for p in modules}
+    # selftest's sampler scales a random generator to a contraction, with
+    # no verdict on it
+    assert {name: owners for name, owners in svds.items() if owners} == {
+        "linalg.py": ["_singular_values"], "selftest.py": ["_random_mobius_params"]}
+    grams = {p.name: [owner for owner, _ in uses_by_function(p, gram_read)] for p in modules}
+    assert {name: owners for name, owners in grams.items() if owners} == {
+        "automorphisms.py": ["_formula"]}
+
+
+def test_the_svd_and_gram_scans_see_their_owners(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text('"""np.linalg.svd(t) and self.gram in prose."""\n'
+                      "s = np.linalg.svd(t)\n"
+                      "class A:\n"
+                      "    def f(self):\n"
+                      "        self.gram = svd(t)\n"
+                      "        return self.gram.a\n", encoding="utf-8")
+    assert uses_by_function(source, svd_call) == [(None, 2), ("f", 5)]
+    assert uses_by_function(source, gram_read) == [("f", 6)]

@@ -412,14 +412,16 @@ class TestConjugationBridge:
     (lambda: IntervalSpec(closed(SymMat.zero(3)), Endpoint.plus_infinity(), 2), InvalidSpec),
     (lambda: Endpoint(kind="plus_infinity", matrix=ZERO2), InvalidSpec),
     (lambda: Congruence(generator=np.ones((2, 3))), InvalidSpec),
+    (lambda: Congruence(generator=np.zeros((0, 0))), InvalidSpec),
     (lambda: Congruence(generator=np.diag([1.0, 0.0])), Singular),
     (lambda: apply_chain(chain_of(Congruence(generator=np.eye(3))), ZERO2,
                          canonical_interval(CanonicalClass.POSITIVE_CLOSED, 3)), DimensionMismatch),
     (lambda: apply_chain(affine(np.eye(3), ZERO2), SymMat.zero(3), whole(3)), DimensionMismatch),
     (lambda: apply_chain(affine(np.eye(2), ZERO2), SymMat.zero(3), whole(2)), DimensionMismatch),
 ], ids=["dimension_zero", "upper_minus_infinity", "endpoint_dimension",
-        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_singular",
-        "cone_automorphism_dimensions", "affine_shift_dimension", "affine_apply_dimensions"])
+        "infinite_endpoint_with_matrix", "congruence_not_square", "congruence_empty",
+        "congruence_singular", "cone_automorphism_dimensions", "affine_shift_dimension",
+        "affine_apply_dimensions"])
 def test_typed_errors(call, error):
     with pytest.raises(error):
         call()
