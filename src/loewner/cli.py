@@ -5,12 +5,8 @@ from files, inline JSON, or stdin ('-'), and write one JSON document to
 stdout with sorted keys, 17-significant-digit numbers, and a trailing
 newline, so every emitted value re-parses exactly. Only the `selftest`
 command loads the `selftest` and `oracle` modules, so the other commands
-neither compile nor run them.
-
-Dimensions above _MAX_N = 44 are refused before any computation, since the
-pure-Python Jacobi kernel grows as n^3 per sweep. At n = 44, on a 2-core
-x86-64 machine (best of 3 cold runs of the whole command), `phi probes 44`
-took 0.61 s and a valid `phi recover` payload 0.73 s.
+neither compile nor run them. Every document is read against its key
+table, _KEYS.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from .errors import (
     NotPSD,
     OutOfInterval,
     TooLarge,
+    shown,
 )
 from .intervals import (
     Congruence,
@@ -50,7 +47,7 @@ from .intervals import (
 from .linalg import SymMat, Tolerances
 
 _ASYMMETRY_WARN = 1e-9
-_MAX_N = 44
+_MAX_N = 44     # refused above: Jacobi costs n^3 per sweep (README gives the times at 44)
 
 
 def dumps_stable(obj) -> str:
@@ -90,18 +87,6 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
                int: "a number", float: "a number", type(None): "null"}
 
 
-def _field(doc, key: str, name: str):
-    """doc[key] from the JSON object `doc`, called `name` in messages;
-    ValueError naming the document and the key when `doc` is not an object
-    or has no `key`."""
-    if type(doc) is not dict:
-        raise ValueError(f'{name} must be a JSON object with "{key}", '
-                         f"got {_JSON_TYPES[type(doc)]}")
-    if key not in doc:
-        raise ValueError(f'{name} has no "{key}"')
-    return doc[key]
-
-
 def _array(value, name: str) -> list:
     """`value` if it is a JSON array; ValueError naming it otherwise."""
     if type(value) is not list:
@@ -111,35 +96,76 @@ def _array(value, name: str) -> list:
 
 def _parse_dimension(value) -> int:
     """A document's dimension n, a JSON number with a whole value; TooLarge
-    above _MAX_N, naming the value as given (1e+308 for a float), and an
-    integer of more than 40 digits by its first 20 and its length."""
+    above _MAX_N. Both refusals show the value as given (errors.shown)."""
     if type(value) not in (int, float) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"dimension {value!r} is not a whole number")
+        raise ValueError(f"dimension {shown(value)} is not a whole number")
     if value > _MAX_N:
-        shown = repr(value)
-        if len(shown) > 40:
-            shown = f"{shown[:20]}... ({len(shown)} digits)"
-        raise TooLarge(f"dimension {shown} is above the cap of {_MAX_N}")
+        raise TooLarge(f"dimension {shown(value)} is above the cap of {_MAX_N}")
     return int(value)
 
 
-def _number(value, name: str, index: int) -> float:
-    """A JSON number that is not a boolean, as a finite double; ValueError
-    naming the entry, name[index], for anything else. The message is
-    formed only on refusal."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name}[{index}] must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:   # exact for an int of any size
-        raise ValueError(f"{name}[{index}] must be finite" if type(value) is float
-                         else f"{name}[{index}] must fit in a double")
-    return float(value)
+def _numbers(value, name: str) -> list:
+    """The JSON array `value`, called `name`, as doubles: each entry a JSON
+    number, not a boolean, that fits in a double; else ValueError naming it."""
+    numbers = []
+    for index, entry in enumerate(_array(value, name)):
+        if type(entry) not in (int, float):
+            raise ValueError(f"{name}[{index}] must be a number, got {shown(entry)}")
+        if not abs(entry) <= sys.float_info.max:   # exact for an int of any size
+            raise ValueError(f"{name}[{index}] must be finite" if type(entry) is float
+                             else f"{name}[{index}] must fit in a double")
+        numbers.append(float(entry))
+    return numbers
+
+
+def _as_is(value, label: str):
+    """A value its document's reader checks after the walk (_endpoint, _interval_map)."""
+    return value
+
+
+_REQUIRED = object()
+_DIMENSION = (lambda value, _: _parse_dimension(value), _REQUIRED)
+
+# The keys of each JSON document a command reads, in reading order: {document:
+# {key: (reader, default or _REQUIRED)}}, a reader taking the value and its label
+# (`first input "data"`). _read refuses any other key, as JSON Schema's
+# "additionalProperties": false. README's key table and the CLI fuzzer read these.
+_KEYS = {
+    "matrix": {"n": _DIMENSION, "data": (_numbers, _REQUIRED)},
+    "direction": {"x": (lambda value, _: _numbers(value, "direction"), _REQUIRED)},
+    "interval": {"n": _DIMENSION, "lower": (lambda value, _: _endpoint(value, "lower"), _REQUIRED),
+                 "upper": (lambda value, _: _endpoint(value, "upper"), _REQUIRED)},
+    "endpoint": {"kind": (_as_is, _REQUIRED), "closed": (_as_is, False), "matrix": (_as_is, None)},
+    "recover payload": {"n": _DIMENSION, "pairs": (
+        lambda value, label: [_read(pair, "probe pair") for pair in _array(value, label)], _REQUIRED)},
+    "probe pair": {"input": (lambda value, _: parse_symmetric(value, "probe input"), _REQUIRED),
+                   "output": (lambda value, _: parse_symmetric(value, "probe output"), _REQUIRED)},
+    "map payload": {"interval": (_as_is, _REQUIRED),
+                    "x": (lambda value, _: parse_symmetric(value, "input matrix"), _REQUIRED)},
+}
+
+
+def _read(doc, document: str, name: Optional[str] = None) -> list:
+    """The values of the `document` doc (called `name`, by default `document`)
+    in the order of _KEYS[document], read or defaulted. ValueError if doc is not
+    an object, lacks a required key, or has a key the table lacks, in that order."""
+    table = _KEYS[document]
+    name = name or document
+    if type(doc) is not dict:
+        raise ValueError(f'{name} must be a JSON object with "{next(iter(table))}", '
+                         f"got {_JSON_TYPES[type(doc)]}")
+    for key, (_, default) in table.items():
+        if default is _REQUIRED and key not in doc:
+            raise ValueError(f'{name} has no "{key}"')
+    for key in doc:
+        if key not in table:
+            raise ValueError(f"{name} has an unknown key {shown(key, json.dumps)}")
+    return [reader(doc[key], f'{name} "{key}"') if key in doc else default
+            for key, (reader, default) in table.items()]
 
 
 def parse_square(doc: dict, name: str = "matrix") -> np.ndarray:
-    n = _parse_dimension(_field(doc, "n", name))
-    entries = f'{name} "data"'
-    data = [_number(v, entries, i)
-            for i, v in enumerate(_array(_field(doc, "data", name), entries))]
+    n, data = _read(doc, "matrix", name)
     if n < 1 or len(data) != n * n:
         raise ValueError(f'{name} "data" length {len(data)} does not match n={n}')
     return np.array(data, dtype=float).reshape(n, n)
@@ -179,11 +205,9 @@ def _order(args) -> dict:
 
 def _strength(args) -> dict:
     mat = parse_symmetric(load_json(args.a), "input matrix")
-    payload = load_json(args.x)
-    vector = _field(payload, "x", "direction") if type(payload) is dict else payload
-    proj = RankOneProjection([_number(v, "direction", i)
-                              for i, v in enumerate(_array(vector, "direction"))])
-    return {"alpha": effects.strength(mat, proj, args.tol)}
+    doc = load_json(args.x)     # a bare array, or a direction document
+    vector = _read(doc, "direction")[0] if type(doc) is dict else _numbers(doc, "direction")
+    return {"alpha": effects.strength(mat, RankOneProjection(vector), args.tol)}
 
 
 def _phi_apply(args) -> dict:
@@ -210,16 +234,13 @@ def _phi_probes(args) -> dict:
 
 
 def _phi_recover(args) -> dict:
-    payload = load_json(args.pairs)
-    n = _parse_dimension(_field(payload, "n", "recover payload"))
+    n, pairs = _read(load_json(args.pairs), "recover payload")
     if n < 2:           # malformed input, as for `phi probes`, not a mismatch (exit 3)
         raise ValueError("dimension must be at least 2")
     table = {}
-    for pair in _array(_field(payload, "pairs", "recover payload"), 'recover payload "pairs"'):
-        key = _probe_key(parse_symmetric(_field(pair, "input", "probe pair"), "probe input"))
-        image = parse_symmetric(_field(pair, "output", "probe pair"), "probe output")
+    for probe, image in pairs:
         try:
-            table[key] = make_effect(image, args.tol)
+            table[_probe_key(probe)] = make_effect(image, args.tol)
         except OutOfInterval as exc:
             raise NotAutomorphism(f"probe image is not an effect: {exc}") from exc
 
@@ -238,23 +259,21 @@ def _probe_key(mat: SymMat) -> bytes:
 
 
 def parse_interval_spec(doc: dict, tol: Tolerances) -> IntervalSpec:
-    n = _parse_dimension(_field(doc, "n", "interval"))
-    ends = []
-    for side in ("lower", "upper"):
-        spec = _field(doc, side, "interval")
-        name = f"{side} endpoint"
-        kind = _field(spec, "kind", name)
-        if kind == "finite":
-            matrix = parse_symmetric(_field(spec, "matrix", name), name)
-        elif "matrix" in spec:
-            raise ValueError(f"{name} is {kind!r}: only a finite endpoint carries a matrix")
-        else:
-            matrix = None
-        closed = spec.get("closed", False)
-        if type(closed) is not bool:
-            raise ValueError(f"{side} \"closed\" must be true or false, got {closed!r}")
-        ends.append(Endpoint(kind=kind, closed=closed, matrix=matrix))
-    return IntervalSpec(lower=ends[0], upper=ends[1], n=n, tol=tol)
+    n, lower, upper = _read(doc, "interval")
+    return IntervalSpec(lower=lower, upper=upper, n=n, tol=tol)
+
+
+def _endpoint(doc, side: str) -> Endpoint:
+    """An interval's `side` endpoint: "closed" is a JSON boolean, and only
+    a finite endpoint carries a "matrix", which it must; Endpoint checks the kind."""
+    name = f"{side} endpoint"
+    kind, closed, matrix = _read(doc, "endpoint", name)
+    if type(closed) is not bool:
+        raise ValueError(f'{side} "closed" must be true or false, got {shown(closed)}')
+    if (matrix is None) == (kind == "finite"):
+        raise ValueError(f'{name} has no "matrix"' if matrix is None else
+                         f"{name} is {shown(kind)}: only a finite endpoint carries a matrix")
+    return Endpoint(kind, closed, matrix if matrix is None else parse_symmetric(matrix, name))
 
 
 def chain_doc(chain: MapChain) -> dict:
@@ -280,9 +299,8 @@ def _interval_chain(args) -> dict:
 
 
 def _interval_map(args) -> dict:
-    payload = load_json(args.payload)
-    spec = parse_interval_spec(_field(payload, "interval", "map payload"), args.tol)
-    x = parse_symmetric(_field(payload, "x", "map payload"), "input matrix")
+    interval, x = _read(load_json(args.payload), "map payload")
+    spec = parse_interval_spec(interval, args.tol)
     return matrix_doc(apply_chain(build_chain(spec), x, spec))
 
 
@@ -291,12 +309,9 @@ def _selftest(args) -> int:
         raise ValueError("trials must be at least 1")
     from .selftest import run_selftest   # only this command uses selftest and oracle
     results = run_selftest(args.seed, args.trials)
-    all_ok = True
     for result in results:
-        status = "PASS" if result.ok else "FAIL"
-        all_ok = all_ok and result.ok
-        print(f"{status} {result.name}: {result.detail}")
-    return 0 if all_ok else 5
+        print(f"{'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
+    return 0 if all(result.ok for result in results) else 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,65 +321,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "automorphisms, and matrix-interval classification over JSON.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p):
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="base tolerance, in [1e-14, 1) (default 1e-9)")
+    def command(group, name, run, operands, tol=True, **kwargs):
+        """Subcommand `name` of `group`: `run`, operands {name: help}, --tol if `tol`."""
+        p = group.add_parser(name, **kwargs)
+        for operand, text in operands.items():
+            p.add_argument(operand, help=text)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="base tolerance, in [1e-14, 1) (default 1e-9)")
+        p.set_defaults(run=run)
+        return p
 
-    order = sub.add_parser("order", help="compare two symmetric matrices")
-    order.add_argument("a", help="matrix document (file, inline JSON, or -)")
-    order.add_argument("b", help="matrix document")
-    add_tol(order)
-    order.set_defaults(run=_order)
-
-    strength = sub.add_parser("strength", help="strength along a direction")
-    strength.add_argument("a", help="PSD matrix document")
-    strength.add_argument("x", help="direction vector (JSON array or {\"x\": [...]})")
-    add_tol(strength)
-    strength.set_defaults(run=_strength)
+    command(sub, "order", _order, {"a": "matrix document (file, inline JSON, or -)",
+                                   "b": "matrix document"}, help="compare two symmetric matrices")
+    command(sub, "strength", _strength, {"a": "PSD matrix document",
+                                         "x": "direction vector (JSON array or {\"x\": [...]})"},
+            help="strength along a direction")
 
     phi = sub.add_parser("phi", help="effect-algebra automorphisms")
     phi_sub = phi.add_subparsers(dest="phi_command", required=True)
-    p_apply = phi_sub.add_parser("apply", help="evaluate the automorphism")
-    p_apply.add_argument("t", help="generator document")
-    p_apply.add_argument("x", help="effect document")
-    add_tol(p_apply)
-    p_apply.set_defaults(run=_phi_apply)
-    p_compose = phi_sub.add_parser("compose", help="compose two generators")
-    p_compose.add_argument("s")
-    p_compose.add_argument("r")
-    add_tol(p_compose)
-    p_compose.set_defaults(run=_phi_compose)
-    p_invert = phi_sub.add_parser("invert", help="invert a generator")
-    p_invert.add_argument("t")
-    add_tol(p_invert)
-    p_invert.set_defaults(run=_phi_invert)
-    p_probes = phi_sub.add_parser("probes", help="emit the recovery probe set")
-    p_probes.add_argument("n", type=int)
-    p_probes.set_defaults(run=_phi_probes)
-    p_recover = phi_sub.add_parser("recover", help="recover a generator from probe images")
-    p_recover.add_argument("pairs", help='{"n": int, "pairs": [{"input": doc, "output": doc}]}')
-    add_tol(p_recover)
-    p_recover.set_defaults(run=_phi_recover)
+    command(phi_sub, "apply", _phi_apply, {"t": "generator document", "x": "effect document"},
+            help="evaluate the automorphism")
+    command(phi_sub, "compose", _phi_compose, {"s": None, "r": None}, help="compose two generators")
+    command(phi_sub, "invert", _phi_invert, {"t": None}, help="invert a generator")
+    command(phi_sub, "probes", _phi_probes, {}, tol=False,
+            help="emit the recovery probe set").add_argument("n", type=int)
+    command(phi_sub, "recover", _phi_recover,
+            {"pairs": '{"n": int, "pairs": [{"input": doc, "output": doc}]}'},
+            help="recover a generator from probe images")
 
     interval = sub.add_parser("interval", help="matrix-interval classification and maps")
     interval_sub = interval.add_subparsers(dest="interval_command", required=True)
-    i_classify = interval_sub.add_parser("classify")
-    i_classify.add_argument("spec", help="interval specification document")
-    add_tol(i_classify)
-    i_classify.set_defaults(run=_interval_classify)
-    i_chain = interval_sub.add_parser("chain")
-    i_chain.add_argument("spec")
-    add_tol(i_chain)
-    i_chain.set_defaults(run=_interval_chain)
-    i_map = interval_sub.add_parser("map")
-    i_map.add_argument("payload", help='{"interval": spec, "x": matrix doc}')
-    add_tol(i_map)
-    i_map.set_defaults(run=_interval_map)
+    command(interval_sub, "classify", _interval_classify, {"spec": "interval specification document"})
+    command(interval_sub, "chain", _interval_chain, {"spec": None})
+    command(interval_sub, "map", _interval_map, {"payload": '{"interval": spec, "x": matrix doc}'})
 
-    selftest = sub.add_parser("selftest", help="run the seeded invariant suite")
+    selftest = command(sub, "selftest", _selftest, {}, tol=False,
+                       help="run the seeded invariant suite")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--trials", type=int, default=200)
-    selftest.set_defaults(run=_selftest)
     return parser
 
 
@@ -372,17 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 # the first row whose classes match wins. Exit 0 is success and 5 a failed
 # selftest property; any other exception is a bug, left as a traceback.
 _EXIT_CODES = (
-    # operands of different dimensions: the two `order` inputs, a `strength`
-    # direction and its matrix, the effect and generator of `phi apply`, the
-    # generators of `phi compose`, an `interval map` input and its interval
+    # operands of different dimensions (`order`, `strength`, `phi apply|compose`, `interval map`)
     (DimensionMismatch, 3, ""),
     # `phi recover`'s probe images are not those of an automorphism: an image
     # outside [0, I], or a recovered generator that fails its checks
     (NotAutomorphism, 4, ""),
-    # the eigensolver did not converge in 40 sweeps, evaluating an
-    # automorphism (`phi apply`, `phi recover`'s residual check) failed to
-    # solve with the matrix proved invertible, or a `phi apply` image left
-    # [0, I] past its noise gate
+    # the eigensolver did not converge in 40 sweeps, a solve with the matrix proved
+    # invertible failed, or a `phi apply` image left [0, I] past its noise gate
     ((NonConvergence, InternalInversionFailure), 6, "internal numerical failure: "),
     # malformed input: an unreadable file, invalid JSON (json.JSONDecodeError
     # is a ValueError), a field the readers above refuse, a tolerance outside

@@ -1,6 +1,13 @@
-"""Exception types raised across the package. Each subclass of
-LoewnerError is raised by some code of the package, and cli._EXIT_CODES
-maps them to the CLI's exit codes."""
+"""Exception types raised across the package, and `shown`, the form of an
+input in their messages. Each subclass of LoewnerError is raised by some
+code of the package, and cli._EXIT_CODES maps them to the CLI's exit codes."""
+
+
+def shown(value, form=repr) -> str:
+    """form(value) in a refusal; past 40 characters, its first 20 and its length."""
+    text = form(value)
+    unit = "digits" if type(value) is int else "characters"
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} {unit})"
 
 
 class LoewnerError(Exception):

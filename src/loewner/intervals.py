@@ -24,6 +24,7 @@ from .errors import (
     NotIsomorphic,
     OutOfDomain,
     Singular,
+    shown,
 )
 from .linalg import DEFAULT_TOL, SymMat, Tolerances
 
@@ -43,7 +44,7 @@ class Endpoint:
 
     def __post_init__(self):
         if self.kind not in (_FINITE, _PLUS_INF, _MINUS_INF):
-            raise InvalidSpec(f"unknown endpoint kind {self.kind!r}")
+            raise InvalidSpec(f"unknown endpoint kind {shown(self.kind)}")
         if self.kind == _FINITE:
             if self.matrix is None:
                 raise InvalidSpec("finite endpoint requires a matrix")

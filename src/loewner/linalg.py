@@ -532,11 +532,11 @@ def _jacobi_error(n: int, frob: float) -> float:
 
 
 def _certificate(scaled: _Scaled, relative: float,
-                 refute: bool = True, floor: bool = True) -> Tuple[Optional[bool], Optional[list]]:
+                 scale_free: bool = False) -> Tuple[Optional[bool], Optional[list]]:
     """(verdict, evidence): decide lambda_min(m) >= g by shifted Cholesky
     factorizations, where g = relative * max(1, |lambda|max), or
-    g = relative * |lambda|max when `floor` is False; None when
-    undecided.
+    g = relative * |lambda|max when `scale_free`, which also leaves out
+    the refuting side; None when undecided.
 
     A True or False verdict is the one the Jacobi route (eigvalsh, then
     the same comparison on the computed spectrum) returns. Work is on the
@@ -567,7 +567,7 @@ def _certificate(scaled: _Scaled, relative: float,
     the factor 2 absorbs the rounding in F, L, U, the gate and the shifts.
     Success at s = g_hi + delta proves the computed lambda_min clears the
     computed gate (True); failure at s = g_lo - delta proves it falls
-    short (False; tried only when `refute`). Between the two, and for
+    short (False; not tried when `scale_free`). Between the two, and for
     matrices that the exponent range would push past the Cholesky's
     normal-number arithmetic, the answer is None and the caller computes
     the spectrum.
@@ -582,7 +582,7 @@ def _certificate(scaled: _Scaled, relative: float,
     positive remainder as eps_c >= 4 u F > 0 for m != 0 (for m = 0 the
     factorization at s >= 0 fails on its first pivot).
 
-    Without the floor the gate ends are relative * L and relative * U,
+    Scale-free, the gate ends are relative * L and relative * U,
     so the band and the shifts are homogeneous in the scaled rows: the
     verdict for 2^j m is the verdict for m (k only enters through the
     exponent-range guard, |k| > 1000).
@@ -597,7 +597,7 @@ def _certificate(scaled: _Scaled, relative: float,
     if abs(k) > 1000:
         return None, None
     n = len(array)
-    unit = math.ldexp(1.0, k) if floor else 0.0
+    unit = 0.0 if scale_free else math.ldexp(1.0, k)
     ends = (relative * max(unit, diag, frob / math.sqrt(n)),
             relative * max(unit, frob))
     g_lo, g_hi = min(ends), max(ends)
@@ -607,7 +607,7 @@ def _certificate(scaled: _Scaled, relative: float,
               else _cholesky_pivots(g_hi + delta, array))
     if pivots is not None and pivots[-1] > 0.0:
         return True, None
-    if refute:
+    if not scale_free:
         factor, pivots = _cholesky(scaled.lists or map(np.ndarray.tolist, array), g_lo - delta)
         if not pivots[-1] > 0.0:
             return False, factor
@@ -717,7 +717,7 @@ def _definite_ldl(scaled: _Scaled, tol: Tolerances) -> Optional[Tuple[list, list
     Cholesky without the square roots, shares its backward error, so as on
     the refuting side of _certificate a pivot d_i <= 0 would put lambda_min
     at most eps_c: _ldl runs to completion."""
-    if not _certificate(scaled, relative=tol.rank_tol, refute=False, floor=False)[0]:
+    if not _certificate(scaled, tol.rank_tol, scale_free=True)[0]:
         return None
     return (*_ldl(scaled.rows), scaled.k)
 
@@ -1107,7 +1107,7 @@ def _definite_root_pair(A: SymMat, tol: Tolerances) -> Tuple[SymMat, SymMat]:
     n = A.n
     if n >= _LAPACK_ORDER:
         scaled = _scaled_rows(A.a)
-        if _certificate(scaled, relative=tol.rank_tol, refute=False, floor=False)[0]:
+        if _certificate(scaled, tol.rank_tol, scale_free=True)[0]:
             j = scaled.k // 2
             a = np.ldexp(A.a, 2 * j)
             eye = np.eye(n)
@@ -1126,7 +1126,7 @@ def _definite_root_pair(A: SymMat, tol: Tolerances) -> Tuple[SymMat, SymMat]:
             bound = min(2.0 * n * _UNIT_ROUNDOFF * float(np.linalg.norm(a)) * size * size,
                         tol.equality_tol * math.sqrt(n))
             if (float(np.linalg.norm(z @ a @ z - eye)) <= bound
-                    and _certificate(_scaled_rows(z), tol.rank_tol, refute=False, floor=False)[0]):
+                    and _certificate(_scaled_rows(z), tol.rank_tol, scale_free=True)[0]):
                 root = a @ z
                 return (_computed(np.ldexp((root + root.T) / 2.0, -j), _OVERFLOW, symmetric=True),
                         _computed(np.ldexp(z, j), _OVERFLOW, symmetric=True))

@@ -73,13 +73,14 @@ def certify(m, **gate):
 def order_recorder(calls):
     """linalg._certificate (behind the order predicates, the LDL^t route
     and strength_witness) wrapped to append (m, relative, floor, verdict),
-    with m = 2^-k times the scaled rows that it decided on."""
+    with m = 2^-k times the scaled rows that it decided on and floor False
+    for a scale-free call."""
     certificate = linalg._certificate
 
-    def recording(scaled, relative, refute=True, floor=True):
-        result = certificate(scaled, relative, refute, floor)
+    def recording(scaled, relative, scale_free=False):
+        result = certificate(scaled, relative, scale_free)
         m = np.ldexp(np.array(scaled.rows), -scaled.k)
-        calls.append((m, relative, floor, result[0]))
+        calls.append((m, relative, not scale_free, result[0]))
         return result
 
     return recording

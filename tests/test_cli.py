@@ -5,6 +5,7 @@ newline termination, exact re-parse)."""
 import copy
 import functools
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -579,6 +580,73 @@ class TestDocumentFields:
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+class TestKeyTables:
+    """Every document is read against its key table, cli._KEYS: a key the
+    table does not list is refused (exit 2), naming the document and the
+    key, and an echoed input is bounded, so no refusal is a long line."""
+
+    LONG = "x" * 500
+
+    def test_a_misspelled_closed_is_refused(self, capsys):
+        # spelled right, the lower end is closed: positive_closed
+        spec = json.loads(HALF_OPEN_SPEC)
+        spec["lower"]["closd"] = spec["lower"].pop("closed")
+        assert run(capsys, ["interval", "classify", json.dumps(spec)]) == (
+            2, "", 'error: lower endpoint has an unknown key "closd"\n')
+        assert run(capsys, ["interval", "classify", HALF_OPEN_SPEC]) == (
+            0, '{"class":"positive_closed"}\n', "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["order", '{"n":1,"data":[1],"dta":[5]}', '{"n":1,"data":[1]}'],
+         'first input has an unknown key "dta"'),
+        (["strength", EYE, '{"x":[1,0],"y":[0,1]}'], 'direction has an unknown key "y"'),
+        (["interval", "classify", '{"n":1,"lower":{"kind":"minus_infinity"},'
+                                  '"upper":{"kind":"plus_infinity"},"closed":true}'],
+         'interval has an unknown key "closed"'),
+        (["phi", "recover", f'{{"n":2,"pairs":[{{"input":{EYE},"output":{EYE},"image":{EYE}}}]}}'],
+         'probe pair has an unknown key "image"'),
+        (["interval", "map", '{"interval":{},"x":{},"tol":1}'], 'map payload has an unknown key "tol"'),
+    ])
+    def test_an_unknown_key_is_refused(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    def test_an_infinite_endpoint_may_say_it_is_open(self, capsys):
+        spec = '{"n":1,"lower":{"kind":"minus_infinity","closed":false},"upper":{"kind":"plus_infinity"}}'
+        assert run(capsys, ["interval", "classify", spec]) == (0, '{"class":"whole"}\n', "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["order", f'{{"n":1,"data":["{LONG}"]}}', EYE],
+         "first input \"data\"[0] must be a number, got 'xxxxxxxxxxxxxxxxxxx... (502 characters)"),
+        (["order", f'{{"n":"{LONG}","data":[1]}}', EYE],
+         "dimension 'xxxxxxxxxxxxxxxxxxx... (502 characters) is not a whole number"),
+        (["order", f'{{"n":1,"data":[1],"{LONG}":1}}', EYE],
+         'first input has an unknown key "xxxxxxxxxxxxxxxxxxx... (502 characters)'),
+        (["interval", "classify", f'{{"n":1,"lower":{{"kind":"{LONG}"}},"upper":{{"kind":"plus_infinity"}}}}'],
+         "unknown endpoint kind 'xxxxxxxxxxxxxxxxxxx... (502 characters)"),
+        (["interval", "classify", f'{{"n":1,"lower":{{"kind":"{LONG}","matrix":{{}}}},'
+                                  f'"upper":{{"kind":"plus_infinity"}}}}'],
+         "lower endpoint is 'xxxxxxxxxxxxxxxxxxx... (502 characters): "
+         "only a finite endpoint carries a matrix"),
+        (["interval", "classify", f'{{"n":1,"lower":{{"kind":"minus_infinity","closed":"{LONG}"}},'
+                                  f'"upper":{{"kind":"plus_infinity"}}}}'],
+         "lower \"closed\" must be true or false, got 'xxxxxxxxxxxxxxxxxxx... (502 characters)"),
+    ], ids=["entry", "dimension", "key", "kind", "kind with a matrix", "closed"])
+    def test_a_long_input_is_echoed_bounded(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    def test_readme_lists_every_key(self):
+        """README's CLI key table, row by row, is cli._KEYS."""
+        text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        header = "| document | key | when absent |"
+        lines = text[text.index(header):].splitlines()[2:]
+        rows = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+                for line in itertools.takewhile(lambda line: line.startswith("|"), lines)]
+        assert rows == [(document, f"`{key}`",
+                         "required" if default is cli._REQUIRED else f"`{json.dumps(default)}`")
+                        for document, table in cli._KEYS.items()
+                        for key, (_, default) in table.items()]
+
+
 class TestImportSet:
     def test_selftest_and_oracle_load_only_for_selftest(self):
         # a cold call compiles and runs every module it imports
@@ -717,9 +785,10 @@ class TestStdinAndFiles:
         assert code == 0
         assert "symmetrized" in err
 
-    def test_a_name_key_does_not_rename_the_warning(self, capsys):
-        code, _, err = run(capsys, ["order", '{"n":2,"data":[1,0.5,0,1],"name":"A"}', EYE])
-        assert (code, err) == (0, "warning: first input symmetrized on load (asymmetry 0.5)\n")
+    def test_a_name_key_is_refused(self, capsys):
+        # refused before the matrix is read, so with no symmetrization warning
+        assert run(capsys, ["order", '{"n":2,"data":[1,0.5,0,1],"name":"A"}', EYE]) == (
+            2, "", 'error: first input has an unknown key "name"\n')
 
 
 class TestStableOutput:
@@ -846,21 +915,23 @@ class TestMutationFuzzer:
     """A seeded mutation fuzzer over the JSON inputs of the golden commands.
 
     Each case changes one field of one input document: a value of another
-    JSON type; for a number, a 401-digit integer, 1e308 or NaN; a missing
-    or an extra key, a wrong "n", an empty list; or, for a whole document,
-    nesting too deep to decode. Paths that
+    JSON type or a 500-character string; for a number, a 401-digit integer,
+    1e308 or NaN; a missing or an extra key, a wrong "n", an empty list;
+    or, for a whole document, nesting too deep to decode. Paths that
     differ only in their list indices form one group, such as
     pairs[*].input.data[*], and the seeded draw takes CASES_PER_GROUP cases
     of every group and mutation, so each shape of field meets each mutation.
     Every case runs main in-process with warnings as errors and must end
     with the one exit code of its group and mutation (expected_exit), never
     with an exception; a failure prints nothing on stdout and ends stderr
-    with its one error line, after any warning lines."""
+    with its one error line, after any warning lines, and no stderr line
+    is longer than 200 bytes."""
 
     GOLDEN_ARGVS = [
         ["order", DIAG_10, DIAG_01],
         ["order", ZERO, EYE],
         ["strength", EYE, "[1,0]"],
+        ["strength", EYE, '{"x":[1,0]}'],
         ["phi", "apply", GEN_21, HALF],
         ["phi", "compose", GEN_21, GEN_21],
         ["phi", "invert", GEN_21],
@@ -871,6 +942,7 @@ class TestMutationFuzzer:
         ["phi", "recover", (GOLDEN / "phi_recover_payload.json").read_text()],
     ]
     HUGE = int("1" + "0" * 400)
+    LONG = "x" * 500
     NESTED = "[" * 100000 + "]" * 100000
     SENTINEL = "@nested@"
     DELETE = object()
@@ -882,16 +954,23 @@ class TestMutationFuzzer:
     # T^t T overflows, an effect or interval endpoint out of range.
     LARGE_ENTRY_EXITS = {("order", 1, ("data", "*")): 0, ("order", 2, ("data", "*")): 0,
                          ("strength", 1, ("data", "*")): 0, ("strength", 2, ("*",)): 0,
+                         ("strength", 2, ("x", "*")): 0,
                          ("phi recover", 2, ("pairs", "*", "output", "data", "*")): 4}
 
     @classmethod
-    def expected_exit(cls, group):
-        """The exit code of every drawn case of `group`: 0 for an ignored
-        extra key or a missing "closed" (false), LARGE_ENTRY_EXITS for 1e308,
-        else 2 (bad input)."""
+    def expected_exit(cls, group, case):
+        """The exit code of `case`, the same for every case of `group`: for
+        a missing key, 0 exactly when cli's key table of the document that
+        held it gives it a default, but 2 for a finite endpoint's "matrix"
+        (every endpoint of the goldens is finite); LARGE_ENTRY_EXITS for
+        1e308; else 2 (bad input, an extra key included)."""
         command, slot, shape, mutation = group
-        if mutation == "extra key" or (mutation == "missing" and shape[-1:] == ("closed",)):
-            return 0
+        if mutation == "missing":
+            _, _, doc, path, _ = case
+            keys = functools.reduce(lambda d, k: d[k], path[:-1], doc).keys()
+            (document,) = [name for name, table in cli._KEYS.items() if table.keys() == keys]
+            default = cli._KEYS[document][path[-1]][1]
+            return 2 if default is cli._REQUIRED or (document, path[-1]) == ("endpoint", "matrix") else 0
         if mutation == "1e308":
             return cls.LARGE_ENTRY_EXITS.get((command, slot, shape), 2)
         return 2
@@ -918,6 +997,8 @@ class TestMutationFuzzer:
             yield "nested", cls.SENTINEL
         elif type(path[-1]) is str:
             yield "missing", cls.DELETE
+        if path:        # a whole document given as a string is a file name
+            yield "long string", cls.LONG
         if path[-1:] == ("n",):
             yield from (("wrong n", value + d) for d in (-1, 1, cli._MAX_N))
             yield "wrong n", 0
@@ -970,8 +1051,9 @@ class TestMutationFuzzer:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     code, out, err = run(capsys, argv)
-                assert code == self.expected_exit(group), (group, code, err)
+                assert code == self.expected_exit(group, cases[pick]), (group, code, err)
                 lines = err.splitlines()
+                assert all(len(line.encode()) <= 200 for line in lines), (group, err)
                 if code == 0:
                     _strict_json(out)
                 else:

@@ -742,8 +742,7 @@ class TestDefiniteRootPair:
         # iteration's residual (about 1e-11 here): the check refuses it
         tol = Tolerances(1e-14)
         A = self.conditioned(np.random.default_rng(7), 8, 1e6)
-        assert linalg._certificate(linalg._scaled_rows(A.a), tol.rank_tol,
-                                   refute=False, floor=False)[0]
+        assert linalg._certificate(linalg._scaled_rows(A.a), tol.rank_tol, scale_free=True)[0]
         pair = linalg._definite_root_pair(A, tol)
         assert spectra == [True]
         for mine, ref in zip(pair, self.jacobi_route(A, tol)):
